@@ -1,9 +1,10 @@
 """Exact dyadic rational numbers p / 2**k.
 
 Breakpoint coordinates of the piecewise linear maps in this package are
-always dyadic.  General rationals (fractions.Fraction) appear only as
-evaluation inputs and outputs; arithmetic is done in Fraction and converted
-back, so no floating point is involved anywhere.
+always dyadic, and Dyadic is their type at the API boundary: PLMap's public
+constructor takes Dyadic pairs (and validates them) and `PLMap.breakpoints`
+returns them.  Inside, maps keep their coordinates as fractions.Fraction and
+do all arithmetic there, so no floating point is involved anywhere.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ two maps represent the same group element iff their breakpoint tuples are
 equal; that exact comparison is how the word problem is decided throughout
 the package.
 
+Dyadic pairs are the API boundary; inside, a map keeps two Fraction tuples.
+Only the public constructor validates; compose, inverse and flip skip it.
+
 Products follow the right-action convention: (f * g)(t) = g(f(t)), matching
 the left-to-right reading of words.
 """
@@ -21,36 +24,29 @@ from .dyadic import Dyadic
 from .report import Report
 from .words import Letter, Word, commutator
 
-_FR_ONE = Fraction(1)
-
 
 class InvalidPLMapError(ValueError):
     """Raised when breakpoint data does not describe a valid element of F."""
 
 
-def _is_power_of_two(fr: Fraction) -> bool:
-    n, d = fr.numerator, fr.denominator
-    return n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0
-
-
 class PLMap:
     """Immutable piecewise linear homeomorphism given by its breakpoints."""
 
-    __slots__ = ("breakpoints", "_ts", "_ys")
-
-    breakpoints: tuple[tuple[Dyadic, Dyadic], ...]
+    __slots__ = ("_ts", "_ys")
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         points = tuple((t, y) for t, y in breakpoints)
         _validate(points)
-        points = _drop_collinear(points)
-        self.breakpoints = points
-        self._ts = tuple(t.as_fraction() for t, _ in points)
-        self._ys = tuple(y.as_fraction() for _, y in points)
+        normal = _trusted([t.as_fraction() for t, _ in points], [y.as_fraction() for _, y in points])
+        self._ts, self._ys = normal._ts, normal._ys
 
     @classmethod
     def from_fractions(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
         return cls((Dyadic.from_fraction(t), Dyadic.from_fraction(y)) for t, y in pairs)
+
+    @property
+    def breakpoints(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
+        return tuple(zip(map(Dyadic.from_fraction, self._ts), map(Dyadic.from_fraction, self._ys)))
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -59,9 +55,7 @@ class PLMap:
         fr = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
         if fr < 0 or fr > 1:
             raise ValueError(f"argument {fr} outside [0, 1]")
-        ts, ys = self._ts, self._ys
-        i = max(min(bisect_right(ts, fr) - 1, len(ts) - 2), 0)
-        return ys[i] + (fr - ts[i]) * (ys[i + 1] - ys[i]) / (ts[i + 1] - ts[i])
+        return _interpolate(self._ts, self._ys, fr)
 
     def __call__(self, t: Fraction | Dyadic | int) -> Fraction | Dyadic:
         """Evaluate; dyadic input yields a Dyadic, rational input a Fraction."""
@@ -73,19 +67,24 @@ class PLMap:
         """Exact t with self(t) = y (the map is a bijection of [0, 1])."""
         if y < 0 or y > 1:
             raise ValueError(f"value {y} outside [0, 1]")
-        ts, ys = self._ts, self._ys
-        i = max(min(bisect_right(ys, y) - 1, len(ys) - 2), 0)
-        return ts[i] + (y - ys[i]) * (ts[i + 1] - ts[i]) / (ys[i + 1] - ys[i])
+        return _interpolate(self._ys, self._ts, y)
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """Right-action product: the map t -> other(self(t))."""
-        cuts = set(self._ts)
-        cuts.update(self.preimage(s) for s in other._ts)
-        pairs = [(t, other.evaluate(self.evaluate(t))) for t in sorted(cuts)]
-        return PLMap.from_fractions(pairs)
+        """Right-action product t -> other(self(t)): one pass over self._ys merged with other._ts."""
+        ats, ays, bts, bys = self._ts, self._ys, other._ts, other._ys
+        ts: list[Fraction] = []
+        ys: list[Fraction] = []
+        i = j = 0
+        while i < len(ays):  # both lists end at 1, so the last step advances both
+            u, v = ays[i], bts[j]
+            ts.append(ats[i] if u <= v else _interpolate(ays, ats, v))
+            ys.append(bys[j] if v <= u else _interpolate(bts, bys, u))
+            i += u <= v
+            j += v <= u
+        return _trusted(ts, ys)
 
     def inverse(self) -> "PLMap":
-        return PLMap((y, t) for t, y in self.breakpoints)
+        return _trusted(self._ys, self._ts)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
         if not isinstance(other, PLMap):
@@ -104,15 +103,15 @@ class PLMap:
         return result
 
     def is_identity(self) -> bool:
-        return self.breakpoints == identity().breakpoints
+        return self == _IDENTITY
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self.breakpoints == other.breakpoints
+        return self._ts == other._ts and self._ys == other._ys
 
     def __hash__(self) -> int:
-        return hash(self.breakpoints)
+        return hash((self._ts, self._ys))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({t}, {y})" for t, y in self.breakpoints)
@@ -131,24 +130,26 @@ def _validate(points: Sequence[tuple[Dyadic, Dyadic]]) -> None:
         if not (t0 < t1 and y0 < y1):
             raise InvalidPLMapError(f"breakpoints not strictly increasing near ({t1}, {y1})")
         slope = (y1.as_fraction() - y0.as_fraction()) / (t1.as_fraction() - t0.as_fraction())
-        if not _is_power_of_two(slope):
+        if slope.numerator & (slope.numerator - 1) or slope.denominator & (slope.denominator - 1):
             raise InvalidPLMapError(f"slope {slope} on [{t0}, {t1}] is not a power of two")
 
 
-def _drop_collinear(
-    points: tuple[tuple[Dyadic, Dyadic], ...],
-) -> tuple[tuple[Dyadic, Dyadic], ...]:
-    kept: list[tuple[Dyadic, Dyadic]] = [points[0]]
-    for i in range(1, len(points) - 1):
-        t0, y0 = kept[-1]
-        t1, y1 = points[i]
-        t2, y2 = points[i + 1]
-        lhs = (y1.as_fraction() - y0.as_fraction()) * (t2.as_fraction() - t1.as_fraction())
-        rhs = (y2.as_fraction() - y1.as_fraction()) * (t1.as_fraction() - t0.as_fraction())
-        if lhs != rhs:
-            kept.append(points[i])
-    kept.append(points[-1])
-    return tuple(kept)
+def _trusted(ts: Sequence[Fraction], ys: Sequence[Fraction]) -> PLMap:
+    """A map from coordinates that are valid by construction: only collinear points are dropped."""
+    keep = [0]
+    for i in range(1, len(ts) - 1):
+        if (ys[i] - ys[i - 1]) * (ts[i + 1] - ts[i]) != (ys[i + 1] - ys[i]) * (ts[i] - ts[i - 1]):
+            keep.append(i)
+    keep.append(len(ts) - 1)
+    m = object.__new__(PLMap)
+    m._ts, m._ys = tuple(ts[i] for i in keep), tuple(ys[i] for i in keep)
+    return m
+
+
+def _interpolate(xs: Sequence[Fraction], vs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Value at x of the piecewise linear function through the points (xs[k], vs[k])."""
+    i = max(min(bisect_right(xs, x) - 1, len(xs) - 2), 0)
+    return vs[i] + (x - xs[i]) * (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
 
 
 def identity() -> PLMap:
@@ -217,9 +218,7 @@ def yn(n: int) -> PLMap:
 
 def flip(f: PLMap) -> PLMap:
     """The flip automorphism t -> 1 - f(1 - t), central symmetry of the graph."""
-    return PLMap.from_fractions(
-        (_FR_ONE - t.as_fraction(), _FR_ONE - y.as_fraction()) for t, y in reversed(f.breakpoints)
-    )
+    return _trusted([1 - t for t in reversed(f._ts)], [1 - y for y in reversed(f._ys)])
 
 
 def _x_map(n: int) -> PLMap:

@@ -66,12 +66,12 @@ class SchreierBall:
         return len(self.vertices)
 
 
-def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
-    """Closure of the seed under the four letters, truncated at the radius.
+def _bfs(
+    seed: RationalPoint, radius: int, vertex_cap: int, target: RationalPoint | None = None
+) -> tuple[SchreierBall, dict[RationalPoint, int]]:
+    """BFS over the four letters up to the radius, stopping once target is discovered.
 
-    Edges are recorded for the positive letters only and only between
-    discovered vertices, so every vertex strictly inside the ball carries
-    exactly one outgoing x0 edge and one outgoing x1 edge.
+    Returns the explored ball, without edges, and the index of its vertices.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -81,7 +81,7 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     index = {seed: 0}
     distances = [0]
     parents: list[tuple[int, Letter] | None] = [None]
-    queue: deque[int] = deque([0])
+    queue: deque[int] = deque([] if seed == target else [0])
     while queue:
         i = queue.popleft()
         if distances[i] >= radius:
@@ -96,14 +96,30 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
             vertices.append(image)
             distances.append(distances[i] + 1)
             parents.append((i, letter))
+            if image == target:
+                queue.clear()
+                break
             queue.append(index[image])
+    b = SchreierBall(seed, radius, tuple(vertices), (), tuple(parents), tuple(distances))
+    return b, index
+
+
+def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
+    """Closure of the seed under the four letters, truncated at the radius.
+
+    Edges are recorded for the positive letters only and only between
+    discovered vertices, so every vertex strictly inside the ball carries
+    exactly one outgoing x0 edge and one outgoing x1 edge.
+    """
+    b, index = _bfs(seed, radius, vertex_cap)
     edges: list[tuple[int, str, int]] = []
-    for i, point in enumerate(vertices):
+    for i, point in enumerate(b.vertices):
         for letter, label in _EDGE_LABELS:
             j = index.get(act_letter(point, letter))
             if j is not None:
                 edges.append((i, label, j))
-    return SchreierBall(seed, radius, tuple(vertices), tuple(edges), tuple(parents), tuple(distances))
+    b.edges = tuple(edges)
+    return b
 
 
 def find_path(
@@ -113,40 +129,10 @@ def find_path(
     vertex_cap: int = 500_000,
 ) -> Word:
     """Shortest word moving source to target, by BFS over the four letters."""
-    if source == target:
-        return ()
-    vertices = [source]
-    index = {source: 0}
-    distances = [0]
-    parents: list[tuple[int, Letter] | None] = [None]
-    queue: deque[int] = deque([0])
-    explored = 0
-    while queue:
-        i = queue.popleft()
-        explored = max(explored, distances[i])
-        if distances[i] >= max_radius:
-            continue
-        for letter in BFS_LETTERS:
-            image = act_letter(vertices[i], letter)
-            if image in index:
-                continue
-            if len(vertices) >= vertex_cap:
-                raise BallCapacityError(vertex_cap)
-            index[image] = len(vertices)
-            vertices.append(image)
-            distances.append(distances[i] + 1)
-            parents.append((i, letter))
-            if image == target:
-                letters: list[Letter] = []
-                vertex = index[image]
-                while vertex != 0:
-                    parent = parents[vertex]
-                    assert parent is not None
-                    vertex, letter_back = parent
-                    letters.append(letter_back)
-                return tuple(reversed(letters))
-            queue.append(index[image])
-    raise PathNotFoundError(source, target, min(explored + 1, max_radius))
+    b, _ = _bfs(source, max_radius, vertex_cap, target)
+    if b.vertices[-1] != target:
+        raise PathNotFoundError(source, target, min(b.distances[-1] + 1, max_radius))
+    return b.path_word(len(b) - 1)
 
 
 def vertex_at_address(root: RationalPoint, address: str) -> RationalPoint:

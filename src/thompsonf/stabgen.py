@@ -148,6 +148,10 @@ def verify_generators(
     Also re-verifies the index reduction identities that collapse the
     infinite Schreier generating set to x2, x3, y1, y2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_factors < 1:
+        raise ValueError(f"max_factors must be >= 1, got {max_factors}")
     report = Report(f"stabilizer generators for {gens.point}")
     point = gens.point
     value = point.value()

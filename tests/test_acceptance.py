@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion; every assertion is integer arithmetic with zero tolerance.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -27,6 +28,7 @@ from thompsonf.words import commutator, invert_word, parse_word, xn_word, yn_wor
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextmanager
@@ -179,7 +181,10 @@ def test_12_address_uniqueness():
 def test_13_graph_output_reproducibility():
     with criterion(13, "graph 1/2 --radius 4 is byte-identical and matches the fixture"):
         cmd = [sys.executable, "-m", "thompsonf.cli", "graph", "1/2", "--radius", "4", "--format", "dot"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        # the child process runs this checkout's package, as the test process does
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout.decode() == (FIXTURES / "ball_half_r4.dot").read_text()

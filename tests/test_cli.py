@@ -83,6 +83,13 @@ def test_path_not_found_exits_one(capsys):
     assert "no path" in err
 
 
+def test_path_negative_radius_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "path", "1(0)", "0(1)", "--radius", "-1")
+    assert code == 2
+    assert out == ""
+    assert "radius must be >= 0" in err
+
+
 def test_gens_text_output(capsys):
     code, out, _ = run(capsys, "gens", "1/2")
     assert code == 0
@@ -111,6 +118,11 @@ def test_verify_reports_and_exits_zero(capsys):
     assert code == 0
     assert "all passed" in out
     assert "FAIL" not in out.replace("FAILED", "")
+    for samples in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "4/15", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
 
 
 def test_verify_output_is_reproducible(capsys):

@@ -141,19 +141,28 @@ def test_collinear_interior_points_are_dropped():
 
 
 def test_every_operation_produces_valid_breakpoints():
-    # spot invariant: all coordinates dyadic in [0, 1], slopes powers of two
+    # products, inverses and flips are built without validation, so the
+    # validating constructor must accept their breakpoints unchanged; spot
+    # invariant: all coordinates dyadic in [0, 1], slopes powers of two
     rng = SplitMix64(11)
-    for _ in range(40):
-        m = word_to_plmap(random_word(rng, 14))
-        for t, y in m.breakpoints:
-            assert t.in_unit_interval() and y.in_unit_interval()
-        slopes = set()
-        pts = frs(m)
-        for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
-            slopes.add((y1 - y0) / (t1 - t0))
-        for s in slopes:
-            assert s.numerator & (s.numerator - 1) == 0
-            assert s.denominator & (s.denominator - 1) == 0
+    words = [random_word(rng, 14) for _ in range(40)] + [parse_word("ab" * 30)]
+    for word in words:
+        product = word_to_plmap(word)
+        for m in (product, product.inverse(), flip(product)):
+            rebuilt = PLMap(m.breakpoints)
+            assert rebuilt == m
+            assert hash(rebuilt) == hash(m)
+            assert len(rebuilt.breakpoints) == len(m.breakpoints)
+            for t, y in m.breakpoints:
+                assert t.in_unit_interval() and y.in_unit_interval()
+            slopes = set()
+            pts = frs(m)
+            for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
+                slopes.add((y1 - y0) / (t1 - t0))
+            for s in slopes:
+                assert s.numerator & (s.numerator - 1) == 0
+                assert s.denominator & (s.denominator - 1) == 0
+    assert len(word_to_plmap(words[-1]).breakpoints) == 64
 
 
 def test_composition_is_associative_on_random_words():

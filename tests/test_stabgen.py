@@ -136,6 +136,10 @@ def test_verify_generators_checks_both_oracles_and_products():
     assert any("random products" in n for n in names)
     assert "x5 == x2^2 x3 x2^-2" in names
     assert "y4 == y1^2 y2 y1^-2" in names
+    with pytest.raises(ValueError):
+        verify_generators(gens, samples=0)
+    with pytest.raises(ValueError):
+        verify_generators(gens, max_factors=0)
 
 
 def test_verify_reports_are_reproducible():
