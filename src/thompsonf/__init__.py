@@ -9,7 +9,9 @@ exact verification suites for all of it.
 """
 
 from .cantor import (
+    MAX_PERIOD,
     ONE_POINT,
+    PeriodCapacityError,
     PointSyntaxError,
     RationalPoint,
     ZERO_POINT,

@@ -8,6 +8,9 @@ Canonical forms are unique, so structural equality decides point equality.
 The generators of F act by rewriting a short prefix of the sequence; each
 rule touches at most three leading letters, so the period is unrolled by at
 most three letters before matching.
+
+Periods are bounded: a point whose period would be longer than MAX_PERIOD
+letters is refused with PeriodCapacityError, before its period is built.
 """
 
 from __future__ import annotations
@@ -16,6 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import Letter, Word
+
+MAX_PERIOD = 1 << 20
+
+
+class PeriodCapacityError(RuntimeError):
+    """Raised for a point whose period is longer than MAX_PERIOD letters."""
 
 
 class PointSyntaxError(ValueError):
@@ -27,17 +36,35 @@ class PointSyntaxError(ValueError):
 
 
 def _check_binary(name: str, s: str) -> None:
-    for ch in s:
-        if ch not in "01":
-            raise ValueError(f"{name} must be a binary string, got {s!r}")
+    if s.strip("01"):
+        raise ValueError(f"{name} must be a binary string, got {s!r}")
 
 
 def primitive_root(w: str) -> str:
-    """Shortest u with w = u repeated; w itself when w is primitive."""
-    for d in range(1, len(w) + 1):
-        if len(w) % d == 0 and w[:d] * (len(w) // d) == w:
-            return w[:d]
-    raise AssertionError("unreachable: every word is a power of itself")
+    """Shortest u with w = u repeated; w itself when w is primitive.
+
+    w is a proper power u^k exactly when it occurs in w + w at the offset
+    |u| < |w|, so the first occurrence after offset 0 is the root's length.
+    """
+    return w[:(w + w).find(w, 1)]
+
+
+def _absorbed(preperiod: str, period: str) -> tuple[str, str]:
+    """Absorb the trailing preperiod letters that continue the period.
+
+    The k last letters of the preperiod that agree with the k last letters
+    of ...www are dropped, and the period is rotated right by k letters.
+    Those k letters are the trailing zero bits of the XOR of the preperiod
+    with the equally long tail of ...www.
+    """
+    if not preperiod or preperiod[-1] != period[-1]:
+        return preperiod, period
+    n = len(preperiod)
+    tail = (period * -(-n // len(period)))[-n:]
+    diff = int(preperiod, 2) ^ int(tail, 2)
+    k = (diff & -diff).bit_length() - 1 if diff else n
+    s = k % len(period)
+    return preperiod[:n - k], period[len(period) - s:] + period[:len(period) - s]
 
 
 @dataclass(frozen=True)
@@ -58,6 +85,21 @@ class RationalPoint:
             raise ValueError(
                 f"({self.preperiod!r}, {self.period!r}) is not canonical; use canonicalize()"
             )
+
+    @classmethod
+    def _trusted(cls, preperiod: str, period: str) -> RationalPoint:
+        """Point from a binary preperiod and a primitive binary period.
+
+        Only absorbs trailing preperiod letters.  The other checks of the
+        public constructor are skipped: callers pass a validated primitive
+        root, a rotation of the period of an existing point (still
+        primitive), or a period that is primitive by arithmetic.
+        """
+        point = object.__new__(cls)
+        v, w = _absorbed(preperiod, period)
+        object.__setattr__(point, "preperiod", v)
+        object.__setattr__(point, "period", w)
+        return point
 
     def prefix(self, n: int) -> str:
         """The first n letters of the sequence."""
@@ -84,20 +126,15 @@ class RationalPoint:
 def canonicalize(preperiod: str, period: str) -> RationalPoint:
     """Canonical form of the sequence preperiod + period^infinity.
 
-    Replaces the period by its primitive root, then repeatedly absorbs the
-    last letter of the preperiod into the period (rotating the period right)
-    while it matches the period's last letter.
+    Replaces the period by its primitive root, counts the k trailing letters
+    of the preperiod that match the period cyclically, then drops them from
+    the preperiod and rotates the period right by k letters, once each.
     """
     _check_binary("preperiod", preperiod)
     _check_binary("period", period)
     if not period:
         raise ValueError("period must be nonempty")
-    w = primitive_root(period)
-    v = preperiod
-    while v and v[-1] == w[-1]:
-        v = v[:-1]
-        w = w[-1] + w[:-1]
-    return RationalPoint(v, w)
+    return RationalPoint._trusted(preperiod, primitive_root(period))
 
 
 ZERO_POINT = RationalPoint("", "0")
@@ -114,13 +151,20 @@ _RULES: dict[Letter, tuple[tuple[str, str], ...]] = {
 
 
 def act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
-    """Image of the point under one generator letter."""
-    head = point.preperiod
-    while len(head) < 3:
-        head += point.period
+    """Image of the point under one generator letter.
+
+    A rule that reads c letters past the preperiod leaves the period rotated
+    left by c letters as the new period.
+    """
+    v, w = point.preperiod, point.period
+    head = (v[:3] + w[:3] * 3)[:3]
     for lhs, rhs in _RULES[letter]:
         if head.startswith(lhs):
-            return canonicalize(rhs + head[len(lhs):], point.period)
+            consumed = len(lhs) - len(v)
+            if consumed <= 0:
+                return RationalPoint._trusted(rhs + v[len(lhs):], w)
+            c = consumed % len(w)
+            return RationalPoint._trusted(rhs, w[c:] + w[:c])
     raise AssertionError("unreachable: rule prefixes cover all binary sequences")
 
 
@@ -134,37 +178,44 @@ def act_word(point: RationalPoint, word: Word) -> RationalPoint:
 def shift(point: RationalPoint) -> RationalPoint:
     """Drop the first letter of the sequence."""
     if point.preperiod:
-        return canonicalize(point.preperiod[1:], point.period)
+        return RationalPoint._trusted(point.preperiod[1:], point.period)
     w = point.period
-    return canonicalize("", w[1:] + w[0])
+    return RationalPoint._trusted("", w[1:] + w[0])
 
 
 def value_to_point(value: Fraction | int) -> RationalPoint:
-    """Binary expansion of a rational in [0, 1] by long division.
+    """Binary expansion of a rational in [0, 1].
 
-    Remainder-cycle detection recovers the preperiod and period; terminating
-    expansions come out with the 0^inf tail, so dyadic rationals map to their
-    0-tail representative (the 1-tail twin is reachable by point syntax only).
+    With the denominator written 2^a * m for odd m, the value is
+    (q + r/m) / 2^a with q, r = divmod(numerator, m).  The a binary digits of
+    q are the preperiod, and r/m = P / (2^n - 1) for the order n of 2 mod m,
+    so the n binary digits of P are the period; it is primitive because r/m
+    is in lowest terms.  Terminating expansions come out with the 0^inf tail,
+    so dyadic rationals map to their 0-tail representative (the 1-tail twin
+    is reachable by point syntax only).  Raises PeriodCapacityError as soon
+    as n is known to exceed MAX_PERIOD.
     """
     if isinstance(value, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
     fr = Fraction(value)
     if fr < 0 or fr > 1:
         raise ValueError(f"value {fr} outside [0, 1]")
+    if fr == 1:
+        return ONE_POINT
     num, den = fr.numerator, fr.denominator
-    digits: list[str] = []
-    seen: dict[int, int] = {}
-    r = num
-    while r not in seen:
-        seen[r] = len(digits)
-        r *= 2
-        if r >= den:
-            digits.append("1")
-            r -= den
-        else:
-            digits.append("0")
-    start = seen[r]
-    return canonicalize("".join(digits[:start]), "".join(digits[start:]))
+    a = (den & -den).bit_length() - 1
+    m = den >> a
+    n, power = 1, 2 % m
+    while power != 1 % m:
+        n += 1
+        if n > MAX_PERIOD:
+            raise PeriodCapacityError(
+                f"the binary period of {fr} is longer than {MAX_PERIOD} letters (capacity exceeded)"
+            )
+        power = power * 2 % m
+    q, r = divmod(num, m)
+    preperiod = format(q, f"0{a}b") if a else ""
+    return RationalPoint._trusted(preperiod, format(r * ((1 << n) - 1) // m, f"0{n}b"))
 
 
 def parse_point(text: str) -> RationalPoint:
@@ -185,15 +236,26 @@ def parse_point(text: str) -> RationalPoint:
     open_at = text.find("(")
     if open_at < 0:
         raise PointSyntaxError(text, 0, "expected v(w) form or a fraction p/q")
-    for i, ch in enumerate(text[:open_at]):
-        if ch not in "01":
-            raise PointSyntaxError(text, i, "preperiod letters must be 0 or 1")
+    preperiod = text[:open_at]
+    bad = _first_non_binary(preperiod)
+    if bad is not None:
+        raise PointSyntaxError(text, bad, "preperiod letters must be 0 or 1")
     if not text.endswith(")") or text.count("(") != 1 or text.count(")") != 1:
         raise PointSyntaxError(text, len(text) - 1, "expected a single (w) group at the end")
     period = text[open_at + 1:-1]
     if not period:
         raise PointSyntaxError(text, open_at + 1, "period must be nonempty")
-    for i, ch in enumerate(period):
-        if ch not in "01":
-            raise PointSyntaxError(text, open_at + 1 + i, "period letters must be 0 or 1")
-    return canonicalize(text[:open_at], period)
+    bad = _first_non_binary(period)
+    if bad is not None:
+        raise PointSyntaxError(text, open_at + 1 + bad, "period letters must be 0 or 1")
+    if len(period) > MAX_PERIOD:
+        raise PeriodCapacityError(
+            f"period of {len(period)} letters is longer than {MAX_PERIOD} (capacity exceeded)"
+        )
+    return canonicalize(preperiod, period)
+
+
+def _first_non_binary(s: str) -> int | None:
+    """Index of the first letter of s that is neither 0 nor 1, or None."""
+    i = len(s) - len(s.lstrip("01"))
+    return i if i < len(s) else None

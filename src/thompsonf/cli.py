@@ -5,16 +5,17 @@ Points are written as v(w), e.g. 10(0100) or (01), or as exact fractions
 p/q; words use the letters a = x0, A = x0^-1, b = x1, B = x1^-1 and "1" for
 the identity.  All output is exact; fractions are printed in lowest terms.
 
-Exit status: 0 when everything passed, 1 on a verification failure or a
-failed search, 2 on a usage error.
+Exit status: 0 when everything passed, 1 on a verification failure, a
+failed search or a period longer than MAX_PERIOD letters, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
-from .cantor import PointSyntaxError, act_word, parse_point
+from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
 from .plmap import check_relators, word_to_plmap
 from .report import Report
 from .schreier import (
@@ -91,6 +92,24 @@ def _print_report(report: Report) -> int:
     return 0 if report.passed else 1
 
 
+def _print_value(prefix: str, value: Fraction) -> None:
+    """Print prefix and value with the int-to-str digit limit lifted meanwhile.
+
+    Exact values of long-period points have numerators of thousands of
+    digits; MAX_PERIOD bounds their digit count.  Interpreters without the
+    limit have no sys.get_int_max_str_digits and need nothing lifted.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"{prefix}{value}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -99,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PointSyntaxError, WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PathNotFoundError, BallCapacityError) as exc:
+    except (PathNotFoundError, BallCapacityError, PeriodCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -107,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "canon":
         point = parse_point(args.point)
-        print(f"{point} = {point.value()}")
+        _print_value(f"{point} = ", point.value())
         return 0
     if args.command == "act":
         point = parse_point(args.point)
@@ -119,7 +138,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{t} -> {y}")
         return 0
     if args.command == "value":
-        print(parse_point(args.point).value())
+        _print_value("", parse_point(args.point).value())
         return 0
     if args.command == "graph":
         b = ball(parse_point(args.point), args.radius, args.cap)

@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from oracles import naive_act, unroll
+from oracles import fraction_to_vw, naive_act, unroll
 from sampling import LETTERS, random_point, random_word
 from thompsonf.cantor import (
+    MAX_PERIOD,
     ONE_POINT,
+    PeriodCapacityError,
     PointSyntaxError,
     RationalPoint,
     ZERO_POINT,
@@ -30,6 +32,11 @@ def test_primitive_root():
     assert primitive_root("0101") == "01"
     assert primitive_root("0100") == "0100"
     assert primitive_root("111") == "1"
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            w = format(bits, f"0{n}b")
+            d = min(d for d in range(1, n + 1) if n % d == 0 and w[:d] * (n // d) == w)
+            assert primitive_root(w) == w[:d]
 
 
 def test_canonicalize_absorbs_preperiod_letters():
@@ -143,6 +150,19 @@ def test_value_to_point():
         value_to_point(F(3, 2))
     with pytest.raises(TypeError):
         value_to_point(0.5)
+    for q in range(1, 301):
+        for p in range(q + 1):
+            if gcd(p, q) == 1:
+                assert value_to_point(F(p, q)) == canonicalize(*fraction_to_vw(F(p, q)))
+
+
+def test_period_bound():
+    # the order of 2 modulo the prime 1048589 is 1048588 > MAX_PERIOD = 2^20
+    with pytest.raises(PeriodCapacityError):
+        value_to_point(F(1, 1048589))
+    with pytest.raises(PeriodCapacityError):
+        parse_point("1(" + "0" * MAX_PERIOD + "1)")
+    assert len(value_to_point(F(1, 1000003)).period) == 1000002
 
 
 def test_value_round_trip():
@@ -172,6 +192,25 @@ def test_action_and_evaluation_agree_on_values():
         p = random_point(rng, 8, 6)
         word = random_word(rng, 20)
         assert act_word(p, word).value() == word_to_plmap(word).evaluate(p.value())
+
+
+def _random_bits(rng: SplitMix64, n: int) -> str:
+    return "".join(format(rng.next_u64(), "064b") for _ in range(-(-n // 64)))[:n]
+
+
+def test_long_period_action_matches_map_evaluation():
+    rng = SplitMix64(47)
+    for _ in range(12):
+        p = canonicalize(_random_bits(rng, rng.below(9)), _random_bits(rng, 1000 + rng.below(9001)))
+        word = tuple(rng.choice(LETTERS) for _ in range(20 + rng.below(41)))
+        image = p
+        for letter in word:
+            image = act_letter(image, letter)
+            # the trusted construction must pass every check of the public one
+            assert RationalPoint(image.preperiod, image.period) == image
+        assert image == act_word(p, word)
+        assert image.value() == word_to_plmap(word).evaluate(p.value())
+        assert value_to_point(p.value()) == p
 
 
 def test_twin_sequences_have_disjoint_orbits():

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,41 @@ def test_value_prints_exact_fraction(capsys):
     code, out, _ = run(capsys, "value", "1(0)")
     assert code == 0
     assert out == "1/2\n"
+
+
+def _decimal(text: str) -> int:
+    """The value of a decimal numeral of any length, read in chunks short
+    enough for the interpreter's int-from-str digit limit."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_long_period_values_print_in_full(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    # 1(0^14999 1) = (1 0^14999)^inf = 2^14999 / (2^15000 - 1): 4516 decimal digits
+    period = "0" * 14999 + "1"
+    expected = Fraction(1 << 14999, (1 << 15000) - 1)
+    code, out, _ = run(capsys, "canon", f"1({period})")
+    assert code == 0
+    shown, sep, value = out.rstrip("\n").partition(" = ")
+    assert (shown, sep) == (f"(1{'0' * 14999})", " = ")
+    num, den = value.split("/")
+    assert (_decimal(num), _decimal(den)) == (expected.numerator, expected.denominator)
+    code, out, _ = run(capsys, "value", f"1({period})")
+    assert code == 0
+    assert out == f"{value}\n"
+    assert get_limit() == limit  # the digit limit is restored after printing
+
+
+def test_period_longer_than_the_bound_exits_one(capsys):
+    code, out, err = run(capsys, "canon", "1/1048589")
+    assert code == 1
+    assert out == ""
+    assert "capacity" in err
 
 
 def test_graph_dot_matches_fixture_and_is_deterministic(capsys):
