@@ -12,6 +12,7 @@ failed search or a period longer than MAX_PERIOD letters, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ SELFTEST_PERIODS = ("0", "1", "01", "10", "0100", "011")
 TWIN_PREFIXES = ("", "1", "01")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thompsonf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

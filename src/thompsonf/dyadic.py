@@ -3,8 +3,8 @@
 Breakpoint coordinates of the piecewise linear maps in this package are
 always dyadic, and Dyadic is their type at the API boundary: PLMap's public
 constructor takes Dyadic pairs (and validates them) and `PLMap.breakpoints`
-returns them.  Inside, maps keep their coordinates as fractions.Fraction and
-do all arithmetic there, so no floating point is involved anywhere.
+returns them.  Inside, a map keeps one exponent and integer numerators over
+that power of two, so no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -29,14 +29,9 @@ class Dyadic:
         if self.exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {self.exponent}")
         n, e = self.numerator, self.exponent
-        if n == 0:
-            e = 0
-        else:
-            while n % 2 == 0 and e > 0:
-                n //= 2
-                e -= 1
-        object.__setattr__(self, "numerator", n)
-        object.__setattr__(self, "exponent", e)
+        k = min((n & -n).bit_length() - 1, e) if n else e  # trailing zero bits to shift out
+        object.__setattr__(self, "numerator", n >> k)
+        object.__setattr__(self, "exponent", e - k)
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Dyadic":
@@ -65,7 +60,8 @@ class Dyadic:
         return other <= self
 
     def __str__(self) -> str:
-        return str(self.as_fraction())
+        # normalized: the numerator is odd whenever the exponent is positive
+        return f"{self.numerator}/{1 << self.exponent}" if self.exponent else str(self.numerator)
 
 
 ZERO = Dyadic(0)

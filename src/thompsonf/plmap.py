@@ -7,8 +7,10 @@ two maps represent the same group element iff their breakpoint tuples are
 equal; that exact comparison is how the word problem is decided throughout
 the package.
 
-Dyadic pairs are the API boundary; inside, a map keeps two Fraction tuples.
-Only the public constructor validates; compose, inverse and flip skip it.
+Dyadic pairs are the API boundary.  Inside, a map keeps one exponent e and
+two tuples of integer numerators over 2^e, with e minimal, so all arithmetic
+is on ints; evaluate and preimage take and return Fractions.  Only the public
+constructor validates; compose, inverse and flip skip it.
 
 Products follow the right-action convention: (f * g)(t) = g(f(t)), matching
 the left-to-right reading of words.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .dyadic import Dyadic
@@ -32,13 +36,16 @@ class InvalidPLMapError(ValueError):
 class PLMap:
     """Immutable piecewise linear homeomorphism given by its breakpoints."""
 
-    __slots__ = ("_ts", "_ys")
+    __slots__ = ("_e", "_ts", "_ys")
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         points = tuple((t, y) for t, y in breakpoints)
         _validate(points)
-        normal = _trusted([t.as_fraction() for t, _ in points], [y.as_fraction() for _, y in points])
-        self._ts, self._ys = normal._ts, normal._ys
+        e = max(max(t.exponent, y.exponent) for t, y in points)
+        ts = [t.numerator << (e - t.exponent) for t, _ in points]
+        ys = [y.numerator << (e - y.exponent) for _, y in points]
+        normal = _trusted(e, ts, ys, range(1, len(ts) - 1))
+        self._e, self._ts, self._ys = normal._e, normal._ts, normal._ys
 
     @classmethod
     def from_fractions(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
@@ -46,7 +53,8 @@ class PLMap:
 
     @property
     def breakpoints(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
-        return tuple(zip(map(Dyadic.from_fraction, self._ts), map(Dyadic.from_fraction, self._ys)))
+        e = self._e
+        return tuple((Dyadic(t, e), Dyadic(y, e)) for t, y in zip(self._ts, self._ys))
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -55,7 +63,7 @@ class PLMap:
         fr = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
         if fr < 0 or fr > 1:
             raise ValueError(f"argument {fr} outside [0, 1]")
-        return _interpolate(self._ts, self._ys, fr)
+        return _interpolate(self._e, self._ts, self._ys, fr)
 
     def __call__(self, t: Fraction | Dyadic | int) -> Fraction | Dyadic:
         """Evaluate; dyadic input yields a Dyadic, rational input a Fraction."""
@@ -67,24 +75,51 @@ class PLMap:
         """Exact t with self(t) = y (the map is a bijection of [0, 1])."""
         if y < 0 or y > 1:
             raise ValueError(f"value {y} outside [0, 1]")
-        return _interpolate(self._ys, self._ts, y)
+        return _interpolate(self._e, self._ys, self._ts, Fraction(y))
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """Right-action product t -> other(self(t)): one pass over self._ys merged with other._ts."""
-        ats, ays, bts, bys = self._ts, self._ys, other._ts, other._ys
-        ts: list[Fraction] = []
-        ys: list[Fraction] = []
-        i = j = 0
-        while i < len(ays):  # both lists end at 1, so the last step advances both
+        """Right-action product t -> other(self(t)): one pass over self._ys merged with other._ts.
+
+        The pass works on numerators over 2^e with e = 2 max(ea, eb), which
+        holds every new point exactly, so each division below is exact.  A new
+        t is self^-1 at a breakpoint of other: its exponent is at most
+        max(ea, eb) plus the log of self's slope there, and self's slopes lie
+        between 2^-ea and 2^ea.  A new y is the same with the roles swapped.
+        ea + eb is not enough: a map of exponent 5 with slope 8 over y = 1/2,
+        composed with x0, has a breakpoint at 65/256.
+        """
+        ea, eb = self._e, other._e
+        e = 2 * max(ea, eb)
+        ats = [t << (e - ea) for t in self._ts]
+        ays = [y << (e - ea) for y in self._ys]
+        bts = [t << (e - eb) for t in other._ts]
+        bys = [y << (e - eb) for y in other._ys]
+        ts = [0]
+        ys = [0]
+        shared = []  # where a breakpoint of self meets one of other: the only places slopes can cancel
+        i = j = 1
+        n = len(ays)
+        while i < n:  # both lists end at 1 << e, so the last step advances both
             u, v = ays[i], bts[j]
-            ts.append(ats[i] if u <= v else _interpolate(ays, ats, v))
-            ys.append(bys[j] if v <= u else _interpolate(bts, bys, u))
-            i += u <= v
-            j += v <= u
-        return _trusted(ts, ys)
+            if u < v:  # bts[j - 1] < u
+                ts.append(ats[i])
+                ys.append(bys[j - 1] + (u - bts[j - 1]) * (bys[j] - bys[j - 1]) // (v - bts[j - 1]))
+                i += 1
+            elif v < u:  # ays[i - 1] < v
+                ts.append(ats[i - 1] + (v - ays[i - 1]) * (ats[i] - ats[i - 1]) // (u - ays[i - 1]))
+                ys.append(bys[j])
+                j += 1
+            else:
+                shared.append(len(ts))
+                ts.append(ats[i])
+                ys.append(bys[j])
+                i += 1
+                j += 1
+        shared.pop()  # the endpoint (1, 1)
+        return _trusted(e, ts, ys, shared)
 
     def inverse(self) -> "PLMap":
-        return _trusted(self._ys, self._ts)
+        return _from_ints(self._e, self._ys, self._ts)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
         if not isinstance(other, PLMap):
@@ -108,10 +143,10 @@ class PLMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self._ts == other._ts and self._ys == other._ys
+        return self._e == other._e and self._ts == other._ts and self._ys == other._ys
 
     def __hash__(self) -> int:
-        return hash((self._ts, self._ys))
+        return hash((self._e, self._ts, self._ys))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({t}, {y})" for t, y in self.breakpoints)
@@ -134,22 +169,38 @@ def _validate(points: Sequence[tuple[Dyadic, Dyadic]]) -> None:
             raise InvalidPLMapError(f"slope {slope} on [{t0}, {t1}] is not a power of two")
 
 
-def _trusted(ts: Sequence[Fraction], ys: Sequence[Fraction]) -> PLMap:
-    """A map from coordinates that are valid by construction: only collinear points are dropped."""
-    keep = [0]
-    for i in range(1, len(ts) - 1):
-        if (ys[i] - ys[i - 1]) * (ts[i + 1] - ts[i]) != (ys[i + 1] - ys[i]) * (ts[i] - ts[i - 1]):
-            keep.append(i)
-    keep.append(len(ts) - 1)
+def _from_ints(e: int, ts: tuple[int, ...], ys: tuple[int, ...]) -> PLMap:
     m = object.__new__(PLMap)
-    m._ts, m._ys = tuple(ts[i] for i in keep), tuple(ys[i] for i in keep)
+    m._e, m._ts, m._ys = e, ts, ys
     return m
 
 
-def _interpolate(xs: Sequence[Fraction], vs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Value at x of the piecewise linear function through the points (xs[k], vs[k])."""
-    i = max(min(bisect_right(xs, x) - 1, len(xs) - 2), 0)
-    return vs[i] + (x - xs[i]) * (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+def _trusted(e: int, ts: list[int], ys: list[int], maybe_collinear: Iterable[int]) -> PLMap:
+    """A map from numerators over 2^e that are valid by construction.
+
+    Of the interior points listed in maybe_collinear, those collinear with
+    their neighbours are dropped; then the common trailing zero bits of the
+    numerators are shifted out, so the exponent comes out minimal.
+    """
+    drop = [
+        i
+        for i in maybe_collinear
+        if (ys[i] - ys[i - 1]) * (ts[i + 1] - ts[i]) == (ys[i + 1] - ys[i]) * (ts[i] - ts[i - 1])
+    ]
+    for i in reversed(drop):
+        del ts[i], ys[i]
+    bits = reduce(or_, ts, reduce(or_, ys))
+    k = (bits & -bits).bit_length() - 1  # at most e: the last t is 1 << e
+    return _from_ints(e - k, tuple([t >> k for t in ts]), tuple([y >> k for y in ys]))
+
+
+def _interpolate(e: int, xs: Sequence[int], vs: Sequence[int], x: Fraction) -> Fraction:
+    """Value at x of the piecewise linear function through the points (xs[k], vs[k]) / 2^e."""
+    p, q = x.numerator, x.denominator
+    scaled = p << e  # x * 2^e * q
+    i = max(min(bisect_right(xs, scaled // q) - 1, len(xs) - 2), 0)
+    dx = xs[i + 1] - xs[i]
+    return Fraction(vs[i] * q * dx + (scaled - xs[i] * q) * (vs[i + 1] - vs[i]), (q * dx) << e)
 
 
 def identity() -> PLMap:
@@ -218,7 +269,8 @@ def yn(n: int) -> PLMap:
 
 def flip(f: PLMap) -> PLMap:
     """The flip automorphism t -> 1 - f(1 - t), central symmetry of the graph."""
-    return _trusted([1 - t for t in reversed(f._ts)], [1 - y for y in reversed(f._ys)])
+    one = 1 << f._e
+    return _from_ints(f._e, tuple(one - t for t in reversed(f._ts)), tuple(one - y for y in reversed(f._ys)))
 
 
 def _x_map(n: int) -> PLMap:

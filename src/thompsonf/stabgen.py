@@ -12,13 +12,14 @@ rational value) plus reproducible random products of generators.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import product
 
 from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, act_word, canonicalize
 from .plmap import identity, word_to_plmap, xn, yn
-from .report import Report
+from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import find_path
 from .words import (
@@ -112,6 +113,25 @@ def default_search_radius(point: RationalPoint) -> int:
     return len(point.preperiod) + 4 * len(point.period) + 8
 
 
+def base_rotation(point: RationalPoint) -> str | None:
+    """The rotation u of the period with point == 10 u^inf, or None if there is none.
+
+    Absorbing trailing letters of the preperiod into the period, 10 u^inf
+    becomes 10(u) when u ends in 1, 1(0 u[:-1]) when u ends in 00, and
+    (10 u[:-2]) when u ends in 10.  Reading u back from these canonical forms
+    gives the three cases below, in linear time.  The rotation is unique
+    because the period is primitive.
+    """
+    v, w = point.preperiod, point.period
+    if v == "10":
+        return w
+    if v == "1" and w[0] == "0":
+        return w[1:] + w[0]
+    if v == "" and w.startswith("10"):
+        return w[2:] + w[:2]
+    return None
+
+
 def stabilizer_generators(point: RationalPoint, max_radius: int | None = None) -> StabilizerGens:
     """Explicit generating set for the stabilizer of a rational point.
 
@@ -122,11 +142,10 @@ def stabilizer_generators(point: RationalPoint, max_radius: int | None = None) -
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, (), ((Letter.X0,), (Letter.X1,)), point.period)
+    rotation = base_rotation(point)
+    if rotation is not None:
+        return StabilizerGens(point, (), base_generator_words(rotation), rotation)
     w = point.period
-    for i in range(len(w)):
-        rotation = w[i:] + w[:i]
-        if canonicalize("10", rotation) == point:
-            return StabilizerGens(point, (), base_generator_words(rotation), rotation)
     target = canonicalize("10", w)
     radius = default_search_radius(point) if max_radius is None else max_radius
     h = find_path(point, target, radius)
@@ -145,8 +164,9 @@ def verify_generators(
     Every generator must fix the point under both the sequence action and
     exact PL-map evaluation at the point's rational value; seeded random
     products of generators and their inverses must fix the point as well.
-    Also re-verifies the index reduction identities that collapse the
-    infinite Schreier generating set to x2, x3, y1, y2.
+    Also reports the index reduction identities that collapse the infinite
+    Schreier generating set to x2, x3, y1, y2; they do not depend on the
+    point, so they are proved once per process.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -169,15 +189,23 @@ def verify_generators(
         if act_word(point, word) != point:
             bad += 1
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
+    report.checks.extend(_index_identities())
+    return report
+
+
+@functools.cache
+def _index_identities() -> tuple[Check, ...]:
+    """The x_n and y_n identities of verify_generators."""
+    checks = []
     x2, x3 = xn(2), xn(3)
     for n in range(4, 9):
         k = n - 3
-        report.add(f"x{n} == x2^{k} x3 x2^-{k}", (x2 ** k) * x3 * (x2 ** -k) == xn(n))
+        checks.append(Check(f"x{n} == x2^{k} x3 x2^-{k}", (x2 ** k) * x3 * (x2 ** -k) == xn(n)))
     y1, y2 = yn(1), yn(2)
     for n in range(3, 9):
         k = n - 2
-        report.add(f"y{n} == y1^{k} y2 y1^-{k}", (y1 ** k) * y2 * (y1 ** -k) == yn(n))
-    return report
+        checks.append(Check(f"y{n} == y1^{k} y2 y1^-{k}", (y1 ** k) * y2 * (y1 ** -k) == yn(n)))
+    return tuple(checks)
 
 
 def check_stabilizer_relators() -> Report:
@@ -185,20 +213,25 @@ def check_stabilizer_relators() -> Report:
 
     Both defining relators of F transported to <x2, x3> and to <y1, y2>,
     plus the four commutators [x_i, y_j] for i in {2, 3}, j in {1, 2}.
+    They do not depend on the point, so they are proved once per process.
     """
-    report = Report("stabilizer relators")
+    return Report("stabilizer relators", list(_stabilizer_relators()))
+
+
+@functools.cache
+def _stabilizer_relators() -> tuple[Check, ...]:
+    checks = []
     ident = identity()
     for tag, g0, g1 in (("x2,x3", xn_word(2), xn_word(3)), ("y1,y2", yn_word(1), yn_word(2))):
         u = invert_word(g1) + g0
         v1 = g0 + g1 + invert_word(g0)
         v2 = g0 + g0 + g1 + invert_word(g0) + invert_word(g0)
-        report.add(f"first relator of F transported to <{tag}>", word_to_plmap(commutator(u, v1)) == ident)
-        report.add(f"second relator of F transported to <{tag}>", word_to_plmap(commutator(u, v2)) == ident)
+        checks.append(Check(f"first relator of F transported to <{tag}>", word_to_plmap(commutator(u, v1)) == ident))
+        checks.append(Check(f"second relator of F transported to <{tag}>", word_to_plmap(commutator(u, v2)) == ident))
     for i in (2, 3):
         for j in (1, 2):
-            ok = word_to_plmap(commutator(xn_word(i), yn_word(j))) == ident
-            report.add(f"[x{i}, y{j}] == 1", ok)
-    return report
+            checks.append(Check(f"[x{i}, y{j}] == 1", word_to_plmap(commutator(xn_word(i), yn_word(j))) == ident))
+    return tuple(checks)
 
 
 def check_twin_points(prefix: str, max_radius: int | None = None) -> Report:

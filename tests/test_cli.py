@@ -199,3 +199,27 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_reused_parser_prints_the_same_usage_errors_and_help(capsys):
+    # main builds its parser once; every later call must print what a fresh parser prints
+    assert cli._build_parser() is cli._build_parser()
+    assert run(capsys, "canon", "1/3")[0] == 0
+    cases = (
+        [],
+        ["--help"],
+        ["gens", "--help"],
+        ["frobnicate"],
+        ["act", "1/3"],
+        ["graph", "1/3", "--radius", "x"],
+        ["gens", "1/3", "--format", "xml"],
+    )
+    for argv in cases:
+        outputs = []
+        for parse in (cli.main, cli._build_parser.__wrapped__().parse_args, cli.main):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            outputs.append((exc.value.code, captured.out, captured.err))
+        assert outputs[0] == outputs[1] == outputs[2], argv
+        assert outputs[0][1] or outputs[0][2]

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from oracles import fraction_to_vw, naive_act
 from sampling import random_word
 from thompsonf.dyadic import Dyadic
 from thompsonf.plmap import (
@@ -259,3 +261,47 @@ def test_check_relators_all_pass_at_depth_eight():
     assert "[x2, y1] == 1" in names
     with pytest.raises(ValueError):
         check_relators(1)
+
+
+def _string_oracle_image(word, t):
+    """Image of t: prefix rewriting on its binary expansion, read back as a number."""
+    prefix, period = fraction_to_vw(t)
+    for letter in word:
+        prefix, period = naive_act(prefix, period, letter.value)
+    top = (1 << len(period)) - 1
+    return F(int("0" + prefix, 2) * top + int(period, 2), top << len(prefix))
+
+
+def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
+    # slope 8 on [1/4, 9/32], over y = 1/2: with exponent 5 against x0's 2,
+    # the product has a breakpoint at 65/256, finer than 2^-(5 + 2)
+    steep = PLMap.from_fractions(
+        [(F(0), F(0)), (F(7, 32), F(7, 16)), (F(1, 4), F(15, 32)), (F(9, 32), F(23, 32)),
+         (F(19, 32), F(7, 8)), (F(31, 32), F(31, 32)), (F(1), F(1))]
+    )
+    x0 = generator_x0()
+    assert F(65, 256) in {t.as_fraction() for t, _ in (steep * x0).breakpoints}
+    rng = SplitMix64(41)
+    words = [commutator(random_word(rng, 15), random_word(rng, 15)) for _ in range(4)]
+    words += [random_word(rng, 200) for _ in range(10)] + [parse_word("ab" * 100)]
+    # small cases first, so that a kernel whose exponents run away fails before it stalls
+    pairs = chain(
+        [(None, steep, x0), (None, x0, steep.inverse()), (None, steep, steep)],
+        ((u + v, word_to_plmap(u), word_to_plmap(v)) for u, v in zip(words, words[1:])),
+    )
+    for word, f, g in pairs:
+        h = f * g
+        for m in (f, g, h):
+            assert m._e == max(max(t.exponent, y.exponent) for t, y in m.breakpoints)
+            rebuilt = PLMap(m.breakpoints)
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+        probes = {t.as_fraction() for m in (f, g) for t, _ in m.breakpoints}
+        probes |= {f.preimage(t) for t in set(probes)}
+        for _ in range(20):
+            q = 3 + 2 * rng.below(500)
+            probes.add(F(1 + rng.below(q - 1), q))
+        for t in probes:
+            assert h.evaluate(t) == g.evaluate(f.evaluate(t))
+        if word is not None:
+            for t, y in h.breakpoints:
+                assert _string_oracle_image(word, t.as_fraction()) == y.as_fraction()

@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +9,7 @@ from thompsonf.plmap import identity, word_to_plmap, xn, yn
 from thompsonf.stabgen import (
     StabilizerGens,
     base_generator_words,
+    base_rotation,
     check_reduction,
     check_stabilizer_relators,
     check_twin_points,
@@ -100,6 +103,47 @@ def test_base_point_detection_uses_the_matching_rotation():
     assert verify_generators(gens).passed
 
 
+def _rotation_by_search(point):
+    """Reference for base_rotation: try every rotation of the period."""
+    w = point.period
+    for i in range(len(w)):
+        rotation = w[i:] + w[:i]
+        if canonicalize("10", rotation) == point:
+            return rotation
+    return None
+
+
+def test_base_rotation_matches_the_rotation_search():
+    # every non-endpoint point with a preperiod of <= 6 letters and a period of <= 7
+    def strings(max_len):
+        return ["".join(bits) for n in range(max_len + 1) for bits in product("01", repeat=n)]
+
+    pairs = [(v, w) for v in strings(6) for w in strings(7) if w]
+    points = {canonicalize(v, w) for v, w in pairs} - {ZERO_POINT, ONE_POINT}
+    found = 0
+    for point in points:
+        rotation = base_rotation(point)
+        assert rotation == _rotation_by_search(point), point
+        found += rotation is not None
+    assert len(points) == 14846
+    assert found == 232  # one base point 10 u^inf per primitive period u of <= 7 letters
+
+
+def test_gens_for_a_long_period_takes_linear_time():
+    # 1/8009 has a 4004-letter period and no base rotation.  Trying every
+    # rotation took 0.8-1.0 s; what remains, the BFS for the conjugator,
+    # takes about 0.1 s on a 2-vCPU Xeon, so the budget leaves room for load
+    point = value_to_point(F(1, 8009))
+    assert len(point.period) == 4004 and base_rotation(point) is None
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        gens = stabilizer_generators(point)
+        times.append(time.perf_counter() - start)
+    assert act_word(point, gens.conjugator) == canonicalize("10", gens.period)
+    assert min(times) < 0.25, f"best of 5 took {min(times):.3f}s, budget is 0.25s"
+
+
 def test_conjugated_generators_for_a_non_base_point():
     point = value_to_point(F(4, 15))
     gens = stabilizer_generators(point)
@@ -161,6 +205,21 @@ def test_stabilizer_relators_all_hold():
     report = check_stabilizer_relators()
     assert report.passed
     assert len(report.checks) == 8
+
+
+def test_point_independent_checks_are_proved_once_and_reported_every_time():
+    first = check_stabilizer_relators()
+    first.add("a check added by the caller", False)
+    second = check_stabilizer_relators()
+    assert second.passed and len(second.checks) == 8
+    reports = [
+        verify_generators(stabilizer_generators(point), samples=5)
+        for point in (value_to_point(F(4, 15)), canonicalize("1", "10"))
+    ]
+    tails = [report.checks[-11:] for report in reports]
+    assert tails[0] == tails[1]
+    assert [c.name for c in tails[0]][:2] == ["x4 == x2^1 x3 x2^-1", "x5 == x2^2 x3 x2^-2"]
+    assert all(c.passed for c in tails[0])
 
 
 def test_stabilizer_relator_sample_words():
