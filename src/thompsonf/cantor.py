@@ -5,12 +5,20 @@ in canonical form: the period w is primitive and letters of v are absorbed
 into the period until the last letter of v differs from the last letter of w.
 Canonical forms are unique, so structural equality decides point equality.
 
-The generators of F act by rewriting a short prefix of the sequence; each
-rule touches at most three leading letters, so the period is unrolled by at
-most three letters before matching.
+The generators of F act by rewriting a short prefix of the sequence.  The
+rules of each letter, in _RULES, form a complete prefix code of words of at
+most three letters, so the first three letters of a sequence pick its rule:
+at import time each letter gets a head table from those three letters to the
+length and the replacement of the matching rule.  One kernel, _step, applies
+a letter to a canonical (preperiod, period) pair of plain strings: it looks
+the rule up, rotates the period once by the letters the rule read past the
+preperiod, and absorbs trailing preperiod letters.  act_letter, act_word and
+the breadth-first search in schreier all go through it; act_word and the
+search build a RationalPoint only for the points they return.
 
-Periods are bounded: a point whose period would be longer than MAX_PERIOD
-letters is refused with PeriodCapacityError, before its period is built.
+Periods and preperiods are bounded: parse_point and value_to_point refuse a
+point whose period or preperiod would be longer than MAX_PERIOD letters with
+PeriodCapacityError, before they build it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ MAX_PERIOD = 1 << 20
 
 
 class PeriodCapacityError(RuntimeError):
-    """Raised for a point whose period is longer than MAX_PERIOD letters."""
+    """Raised for a point whose period or preperiod is longer than MAX_PERIOD letters."""
 
 
 class PointSyntaxError(ValueError):
@@ -95,10 +103,19 @@ class RationalPoint:
         root, a rotation of the period of an existing point (still
         primitive), or a period that is primitive by arithmetic.
         """
+        return cls._canonical(*_absorbed(preperiod, period))
+
+    @classmethod
+    def _canonical(cls, preperiod: str, period: str) -> RationalPoint:
+        """Point from a pair that is canonical already; nothing is checked.
+
+        The fields go straight into the instance dict, which is where the
+        frozen dataclass keeps them, without two object.__setattr__ calls.
+        """
         point = object.__new__(cls)
-        v, w = _absorbed(preperiod, period)
-        object.__setattr__(point, "preperiod", v)
-        object.__setattr__(point, "period", w)
+        fields = point.__dict__
+        fields["preperiod"] = preperiod
+        fields["period"] = period
         return point
 
     def prefix(self, n: int) -> str:
@@ -149,30 +166,48 @@ _RULES: dict[Letter, tuple[tuple[str, str], ...]] = {
     Letter.X1_INV: (("0", "0"), ("100", "10"), ("101", "110"), ("11", "111")),
 }
 
+_HeadTable = dict[str, tuple[int, str]]
+
+
+def _head_table(rules: tuple[tuple[str, str], ...]) -> _HeadTable:
+    """(lhs length, rhs) of the one rule matching each 3-letter head."""
+    return {
+        head: next((len(lhs), rhs) for lhs, rhs in rules if head.startswith(lhs))
+        for head in (format(bits, "03b") for bits in range(8))
+    }
+
+
+_TABLES: dict[Letter, _HeadTable] = {letter: _head_table(rules) for letter, rules in _RULES.items()}
+
+
+def _step(v: str, w: str, table: _HeadTable) -> tuple[str, str]:
+    """Canonical (preperiod, period) of the image of the canonical pair (v, w).
+
+    The rule is looked up by the first three letters of the sequence.  A
+    rule shorter than the preperiod keeps its last letter, so that image is
+    canonical as it stands.  A rule that reads c >= 0 letters past the
+    preperiod leaves the period rotated left by c letters behind its
+    replacement, whose trailing letters may then be absorbed.
+    """
+    n, rhs = table[v[:3] if len(v) > 2 else (v + w[:3] * 3)[:3]]
+    consumed = n - len(v)
+    if consumed < 0:
+        return rhs + v[n:], w
+    c = consumed % len(w)
+    return _absorbed(rhs, w[c:] + w[:c])
+
 
 def act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
-    """Image of the point under one generator letter.
-
-    A rule that reads c letters past the preperiod leaves the period rotated
-    left by c letters as the new period.
-    """
-    v, w = point.preperiod, point.period
-    head = (v[:3] + w[:3] * 3)[:3]
-    for lhs, rhs in _RULES[letter]:
-        if head.startswith(lhs):
-            consumed = len(lhs) - len(v)
-            if consumed <= 0:
-                return RationalPoint._trusted(rhs + v[len(lhs):], w)
-            c = consumed % len(w)
-            return RationalPoint._trusted(rhs, w[c:] + w[:c])
-    raise AssertionError("unreachable: rule prefixes cover all binary sequences")
+    """Image of the point under one generator letter."""
+    return RationalPoint._canonical(*_step(point.preperiod, point.period, _TABLES[letter]))
 
 
 def act_word(point: RationalPoint, word: Word) -> RationalPoint:
     """Fold the letter action left to right over the word."""
+    v, w = point.preperiod, point.period
     for letter in word:
-        point = act_letter(point, letter)
-    return point
+        v, w = _step(v, w, _TABLES[letter])
+    return RationalPoint._canonical(v, w)
 
 
 def shift(point: RationalPoint) -> RationalPoint:
@@ -192,8 +227,8 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
     so the n binary digits of P are the period; it is primitive because r/m
     is in lowest terms.  Terminating expansions come out with the 0^inf tail,
     so dyadic rationals map to their 0-tail representative (the 1-tail twin
-    is reachable by point syntax only).  Raises PeriodCapacityError as soon
-    as n is known to exceed MAX_PERIOD.
+    is reachable by point syntax only).  Raises PeriodCapacityError when a
+    exceeds MAX_PERIOD, and as soon as n is known to exceed it.
     """
     if isinstance(value, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
@@ -204,6 +239,11 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
         return ONE_POINT
     num, den = fr.numerator, fr.denominator
     a = (den & -den).bit_length() - 1
+    if a > MAX_PERIOD:
+        raise PeriodCapacityError(
+            f"the denominator is divisible by 2^{a}, so the binary preperiod has {a} letters,"
+            f" more than {MAX_PERIOD} (capacity exceeded)"
+        )
     m = den >> a
     n, power = 1, 2 % m
     while power != 1 % m:
@@ -248,10 +288,11 @@ def parse_point(text: str) -> RationalPoint:
     bad = _first_non_binary(period)
     if bad is not None:
         raise PointSyntaxError(text, open_at + 1 + bad, "period letters must be 0 or 1")
-    if len(period) > MAX_PERIOD:
-        raise PeriodCapacityError(
-            f"period of {len(period)} letters is longer than {MAX_PERIOD} (capacity exceeded)"
-        )
+    for name, letters in (("preperiod", preperiod), ("period", period)):
+        if len(letters) > MAX_PERIOD:
+            raise PeriodCapacityError(
+                f"{name} of {len(letters)} letters is longer than {MAX_PERIOD} (capacity exceeded)"
+            )
     return canonicalize(preperiod, period)
 
 

@@ -6,7 +6,8 @@ p/q; words use the letters a = x0, A = x0^-1, b = x1, B = x1^-1 and "1" for
 the identity.  All output is exact; fractions are printed in lowest terms.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
-failed search or a period longer than MAX_PERIOD letters, 2 on a usage error.
+failed search or a period or preperiod longer than MAX_PERIOD letters, 2 on
+a usage error.
 """
 
 from __future__ import annotations

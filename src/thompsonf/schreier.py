@@ -5,22 +5,36 @@ Schreier graph (inverse arrows are implicit).  Exploration order is fixed:
 vertices are numbered in BFS discovery order with letters tried in the order
 x0, x0^-1, x1, x1^-1, so ball construction, DOT output and JSON output are
 bit-for-bit reproducible.
+
+The search works on (preperiod, period) string pairs, which hash and compare
+at C speed, and steps them with the head-table kernel of cantor; a ball
+builds the RationalPoint of each vertex once, at the end.  The x0 and x1
+edges of every vertex the search expands come out of the search itself, so
+only the boundary layer, the vertices at the full radius, has its images
+computed again.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .cantor import RationalPoint, act_letter, act_word, canonicalize, primitive_root
+from .cantor import _TABLES, _step, RationalPoint, act_word, canonicalize, primitive_root
 from .report import Report
 from .words import Letter, Word, address_word, period_loop_word
 
 BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
 
-_EDGE_LABELS = ((Letter.X0, "x0"), (Letter.X1, "x1"))
+# Letters with their head tables, so a BFS step does no per-letter lookup.
+_BFS_STEPS = tuple((letter, _TABLES[letter]) for letter in BFS_LETTERS)
+_EDGE_STEPS = (("x0", _TABLES[Letter.X0]), ("x1", _TABLES[Letter.X1]))
+
+_Key = tuple[str, str]
+_Parent = tuple[int, Letter] | None
+_Edge = tuple[int, str, int]
 
 
 class BallCapacityError(RuntimeError):
@@ -42,8 +56,8 @@ class SchreierBall:
     seed: RationalPoint
     radius: int
     vertices: tuple[RationalPoint, ...]
-    edges: tuple[tuple[int, str, int], ...]
-    parents: tuple[tuple[int, Letter] | None, ...]
+    edges: tuple[_Edge, ...]
+    parents: tuple[_Parent, ...]
     distances: tuple[int, ...]
 
     def index_of(self, point: RationalPoint) -> int | None:
@@ -54,54 +68,69 @@ class SchreierBall:
 
     def path_word(self, vertex: int) -> Word:
         """Shortest word u with act_word(seed, u) = vertices[vertex]."""
-        letters: list[Letter] = []
-        while vertex != 0:
-            parent = self.parents[vertex]
-            assert parent is not None
-            vertex, letter = parent
-            letters.append(letter)
-        return tuple(reversed(letters))
+        return _path_word(self.parents, vertex)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
+def _path_word(parents: Sequence[_Parent], vertex: int) -> Word:
+    letters: list[Letter] = []
+    while vertex != 0:
+        parent = parents[vertex]
+        assert parent is not None
+        vertex, letter = parent
+        letters.append(letter)
+    return tuple(reversed(letters))
+
+
 def _bfs(
     seed: RationalPoint, radius: int, vertex_cap: int, target: RationalPoint | None = None
-) -> tuple[SchreierBall, dict[RationalPoint, int]]:
+) -> tuple[list[_Key], dict[_Key, int], list[int], list[_Parent], list[_Edge]]:
     """BFS over the four letters up to the radius, stopping once target is discovered.
 
-    Returns the explored ball, without edges, and the index of its vertices.
+    Returns the vertices as (preperiod, period) keys in discovery order,
+    their index, distances and parents, and the x0 and x1 edges of the
+    expanded vertices.  The key list is the queue: vertices are expanded in
+    discovery order until the first one at the full radius, so the expanded
+    vertices, and their edges, come first and in vertex order.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if vertex_cap < 1:
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
-    vertices = [seed]
-    index = {seed: 0}
+    keys = [(seed.preperiod, seed.period)]
+    index = {keys[0]: 0}
     distances = [0]
-    parents: list[tuple[int, Letter] | None] = [None]
-    queue: deque[int] = deque([] if seed == target else [0])
-    while queue:
-        i = queue.popleft()
-        if distances[i] >= radius:
-            continue
-        for letter in BFS_LETTERS:
-            image = act_letter(vertices[i], letter)
-            if image in index:
-                continue
-            if len(vertices) >= vertex_cap:
-                raise BallCapacityError(vertex_cap)
-            index[image] = len(vertices)
-            vertices.append(image)
-            distances.append(distances[i] + 1)
-            parents.append((i, letter))
-            if image == target:
-                queue.clear()
-                break
-            queue.append(index[image])
-    b = SchreierBall(seed, radius, tuple(vertices), (), tuple(parents), tuple(distances))
-    return b, index
+    parents: list[_Parent] = [None]
+    edges: list[_Edge] = []
+    search = keys, index, distances, parents, edges
+    goal = None if target is None else (target.preperiod, target.period)
+    if keys[0] == goal:
+        return search
+    i = 0
+    while i < len(keys) and distances[i] < radius:
+        v, w = keys[i]
+        d = distances[i] + 1
+        images = []
+        for letter, table in _BFS_STEPS:
+            key = _step(v, w, table)
+            j = index.get(key)
+            if j is None:
+                j = len(keys)
+                if j >= vertex_cap:
+                    raise BallCapacityError(vertex_cap)
+                index[key] = j
+                keys.append(key)
+                distances.append(d)
+                parents.append((i, letter))
+                if key == goal:
+                    return search
+            images.append(j)
+        # x0 and x1 are the first and the third of BFS_LETTERS
+        edges += ((i, "x0", images[0]), (i, "x1", images[2]))
+        i += 1
+    return search
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -109,17 +138,19 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
 
     Edges are recorded for the positive letters only and only between
     discovered vertices, so every vertex strictly inside the ball carries
-    exactly one outgoing x0 edge and one outgoing x1 edge.
+    exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS gives
+    those of the vertices it expanded; only the boundary layer, the vertices
+    at the full radius, has its images computed here.
     """
-    b, index = _bfs(seed, radius, vertex_cap)
-    edges: list[tuple[int, str, int]] = []
-    for i, point in enumerate(b.vertices):
-        for letter, label in _EDGE_LABELS:
-            j = index.get(act_letter(point, letter))
+    keys, index, distances, parents, edges = _bfs(seed, radius, vertex_cap)
+    for i in range(bisect_left(distances, radius), len(keys)):
+        v, w = keys[i]
+        for label, table in _EDGE_STEPS:
+            j = index.get(_step(v, w, table))
             if j is not None:
                 edges.append((i, label, j))
-    b.edges = tuple(edges)
-    return b
+    vertices = tuple(RationalPoint._canonical(v, w) for v, w in keys)
+    return SchreierBall(seed, radius, vertices, tuple(edges), tuple(parents), tuple(distances))
 
 
 def find_path(
@@ -129,10 +160,10 @@ def find_path(
     vertex_cap: int = 500_000,
 ) -> Word:
     """Shortest word moving source to target, by BFS over the four letters."""
-    b, _ = _bfs(source, max_radius, vertex_cap, target)
-    if b.vertices[-1] != target:
-        raise PathNotFoundError(source, target, min(b.distances[-1] + 1, max_radius))
-    return b.path_word(len(b) - 1)
+    keys, _, distances, parents, _ = _bfs(source, max_radius, vertex_cap, target)
+    if keys[-1] != (target.preperiod, target.period):
+        raise PathNotFoundError(source, target, min(distances[-1] + 1, max_radius))
+    return _path_word(parents, len(keys) - 1)
 
 
 def vertex_at_address(root: RationalPoint, address: str) -> RationalPoint:
@@ -199,6 +230,6 @@ def export_json(b: SchreierBall) -> str:
         "seed": str(b.seed),
         "radius": b.radius,
         "vertices": [str(p) for p in b.vertices],
-        "edges": [[src, label, dst] for src, label, dst in b.edges],
+        "edges": b.edges,
     }
     return json.dumps(payload)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oracles import fraction_to_vw, naive_act, unroll
 from sampling import LETTERS, random_point, random_word
 from thompsonf.cantor import (
+    _RULES,
     MAX_PERIOD,
     ONE_POINT,
     PeriodCapacityError,
@@ -165,6 +167,21 @@ def test_period_bound():
     assert len(value_to_point(F(1, 1000003)).period) == 1000002
 
 
+def test_preperiod_bound():
+    # a value whose denominator is 2^a * m has a preperiod of exactly a letters
+    assert len(value_to_point(F(3, 1 << MAX_PERIOD)).preperiod) == MAX_PERIOD
+    with pytest.raises(PeriodCapacityError, match="preperiod"):
+        value_to_point(F(1, 1 << (MAX_PERIOD + 1)))
+    with pytest.raises(PeriodCapacityError, match="preperiod"):
+        value_to_point(F(1, 3 << (MAX_PERIOD + 1)))
+    assert len(parse_point("0" * MAX_PERIOD + "(1)").preperiod) == MAX_PERIOD
+    with pytest.raises(PeriodCapacityError, match="preperiod"):
+        parse_point("0" * (MAX_PERIOD + 1) + "(1)")
+    # the bound is on the preperiod text, before any letter is absorbed
+    with pytest.raises(PeriodCapacityError, match="preperiod"):
+        parse_point("1" * (MAX_PERIOD + 1) + "(1)")
+
+
 def test_value_round_trip():
     rng = SplitMix64(33)
     for _ in range(200):
@@ -191,11 +208,39 @@ def test_action_and_evaluation_agree_on_values():
     for _ in range(250):
         p = random_point(rng, 8, 6)
         word = random_word(rng, 20)
-        assert act_word(p, word).value() == word_to_plmap(word).evaluate(p.value())
+        image = act_word(p, word)
+        assert image.value() == word_to_plmap(word).evaluate(p.value())
+        fold = p
+        for letter in word:
+            fold = act_letter(fold, letter)
+        assert image == fold
+        assert RationalPoint(image.preperiod, image.period) == image
 
 
 def _random_bits(rng: SplitMix64, n: int) -> str:
     return "".join(format(rng.next_u64(), "064b") for _ in range(-(-n // 64)))[:n]
+
+
+def _rule_loop_act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
+    """The sequence action as a loop over the rules of _RULES, canonicalised afterwards."""
+    v, w = point.preperiod, point.period
+    head = (v[:3] + w[:3] * 3)[:3]
+    for lhs, rhs in _RULES[letter]:
+        if head.startswith(lhs):
+            consumed = len(lhs) - len(v)
+            if consumed <= 0:
+                return canonicalize(rhs + v[len(lhs):], w)
+            c = consumed % len(w)
+            return canonicalize(rhs, w[c:] + w[:c])
+    raise AssertionError("the rules of a letter cover every binary sequence")
+
+
+def _assert_kernel_matches_rule_loop(p: RationalPoint, letter: Letter) -> RationalPoint:
+    image = act_letter(p, letter)
+    assert image == _rule_loop_act_letter(p, letter), (str(p), letter)
+    # the image is built unchecked, so it must pass every check of the public constructor
+    assert RationalPoint(image.preperiod, image.period) == image
+    return image
 
 
 def test_long_period_action_matches_map_evaluation():
@@ -205,12 +250,24 @@ def test_long_period_action_matches_map_evaluation():
         word = tuple(rng.choice(LETTERS) for _ in range(20 + rng.below(41)))
         image = p
         for letter in word:
-            image = act_letter(image, letter)
-            # the trusted construction must pass every check of the public one
-            assert RationalPoint(image.preperiod, image.period) == image
+            image = _assert_kernel_matches_rule_loop(image, letter)
         assert image == act_word(p, word)
         assert image.value() == word_to_plmap(word).evaluate(p.value())
         assert value_to_point(p.value()) == p
+
+
+def test_head_table_kernel_matches_the_rule_loop_on_all_short_points():
+    points = {
+        canonicalize("".join(v), "".join(w))
+        for pre_len in range(7)
+        for per_len in range(1, 6)
+        for v in product("01", repeat=pre_len)
+        for w in product("01", repeat=per_len)
+    }
+    assert len(points) > 2000
+    for p in points:
+        for letter in LETTERS:
+            _assert_kernel_matches_rule_loop(p, letter)
 
 
 def test_twin_sequences_have_disjoint_orbits():

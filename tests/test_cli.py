@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from thompsonf import cli
+from thompsonf.cantor import MAX_PERIOD
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -79,6 +80,13 @@ def test_period_longer_than_the_bound_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "capacity" in err
+
+
+def test_preperiod_longer_than_the_bound_exits_one(capsys):
+    code, out, err = run(capsys, "act", "0" * (MAX_PERIOD + 1) + "(1)", "a")
+    assert code == 1
+    assert out == ""
+    assert "preperiod" in err and "capacity" in err
 
 
 def test_graph_dot_matches_fixture_and_is_deterministic(capsys):

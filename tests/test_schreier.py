@@ -5,8 +5,17 @@ from pathlib import Path
 import pytest
 
 from oracles import fraction_ball_dot, string_ball_size
-from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_letter, act_word, canonicalize
+from thompsonf.cantor import (
+    ONE_POINT,
+    ZERO_POINT,
+    RationalPoint,
+    act_letter,
+    act_word,
+    canonicalize,
+    parse_point,
+)
 from thompsonf.schreier import (
+    BFS_LETTERS,
     BallCapacityError,
     PathNotFoundError,
     ball,
@@ -104,6 +113,85 @@ def test_self_loop_characterization():
             assert (act_letter(p, Letter.X1) == p) == expect_x1
             expect_x0 = p in (ZERO_POINT, ONE_POINT)
             assert (act_letter(p, Letter.X0) == p) == expect_x0
+
+
+def _reference_bfs(seed, radius):
+    """Plain BFS over the public act_letter: vertices, parents, distances, and
+    the slot (0-3 in BFS_LETTERS) of the letter that discovered each vertex."""
+    vertices, parents, distances, slots = [seed], [None], [0], [None]
+    index = {seed: 0}
+    i = 0
+    while i < len(vertices) and distances[i] < radius:
+        for slot, letter in enumerate(BFS_LETTERS):
+            image = act_letter(vertices[i], letter)
+            if image not in index:
+                index[image] = len(vertices)
+                vertices.append(image)
+                parents.append((i, letter))
+                distances.append(distances[i] + 1)
+                slots.append(slot)
+        i += 1
+    return vertices, parents, distances, slots
+
+
+def _reference_edges(vertices):
+    """x0 and x1 edges between the given vertices, recomputed with act_letter."""
+    index = {p: i for i, p in enumerate(vertices)}
+    edges = []
+    for i, p in enumerate(vertices):
+        for letter, label in ((Letter.X0, "x0"), (Letter.X1, "x1")):
+            j = index.get(act_letter(p, letter))
+            if j is not None:
+                edges.append((i, label, j))
+    return tuple(edges)
+
+
+def _assert_ball_matches_reference(seed, radius, vertex_cap=100_000):
+    b = ball(seed, radius, vertex_cap)
+    vertices, parents, distances, _ = _reference_bfs(seed, radius)
+    assert b.vertices == tuple(vertices)
+    assert b.parents == tuple(parents)
+    assert b.distances == tuple(distances)
+    assert b.edges == _reference_edges(vertices)
+    for p in b.vertices:
+        assert RationalPoint(p.preperiod, p.period) == p
+    return b
+
+
+def test_ball_edges_match_the_letter_action_on_every_vertex():
+    for seed in (canonicalize("10", "0100"), canonicalize("1", "0"), ZERO_POINT, ONE_POINT):
+        for radius in (0, 1, 3):
+            _assert_ball_matches_reference(seed, radius)
+    # the self-loops of an endpoint are edges of its boundary layer at radius 0
+    assert ball(ZERO_POINT, 0).edges == ball(ONE_POINT, 3).edges == ((0, "x0", 0), (0, "x1", 0))
+    for radius, seed in zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")):
+        _assert_ball_matches_reference(parse_point(seed), radius)
+
+
+def test_ball_that_fills_the_vertex_cap_exactly():
+    seed = canonicalize("1", "0010")
+    size = len(ball(seed, 6))
+    b = _assert_ball_matches_reference(seed, 6, vertex_cap=size)
+    assert len(b) == size
+    with pytest.raises(BallCapacityError):
+        ball(seed, 6, vertex_cap=size - 1)
+
+
+def test_find_path_stops_on_a_target_found_mid_expansion():
+    seed = canonicalize("1", "0010")
+    vertices, parents, _, slots = _reference_bfs(seed, 5)
+    for slot in (1, 2, 3):
+        targets = [j for j, s in enumerate(slots) if s == slot]
+        assert targets, f"no vertex discovered by letter {slot} of an expansion"
+        for j in targets[:5] + targets[-5:]:
+            target = vertices[j]
+            expected = []
+            while parents[j] is not None:
+                j, letter = parents[j]
+                expected.append(letter)
+            word = find_path(seed, target, 5)
+            assert word == tuple(reversed(expected))
+            assert act_word(seed, word) == target
 
 
 def test_find_path_trivial_and_one_step():
