@@ -202,12 +202,16 @@ def act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
     return RationalPoint._canonical(*_step(point.preperiod, point.period, _TABLES[letter]))
 
 
-def act_word(point: RationalPoint, word: Word) -> RationalPoint:
-    """Fold the letter action left to right over the word."""
-    v, w = point.preperiod, point.period
+def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
+    """Canonical pair of the image of the canonical pair (v, w) under the word."""
     for letter in word:
         v, w = _step(v, w, _TABLES[letter])
-    return RationalPoint._canonical(v, w)
+    return v, w
+
+
+def act_word(point: RationalPoint, word: Word) -> RationalPoint:
+    """Fold the letter action left to right over the word."""
+    return RationalPoint._canonical(*_fold(point.preperiod, point.period, word))
 
 
 def shift(point: RationalPoint) -> RationalPoint:
@@ -250,7 +254,8 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
         n += 1
         if n > MAX_PERIOD:
             raise PeriodCapacityError(
-                f"the binary period of {fr} is longer than {MAX_PERIOD} letters (capacity exceeded)"
+                f"the binary period of a value whose denominator has an odd part of"
+                f" {m.bit_length()} bits is longer than {MAX_PERIOD} letters (capacity exceeded)"
             )
         power = power * 2 % m
     q, r = divmod(num, m)

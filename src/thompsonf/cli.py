@@ -75,14 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gens", help="stabilizer generating set for a point")
     p.add_argument("point")
-    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="verify the stabilizer generating set for a point")
     p.add_argument("point")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--radius", type=int, default=None)
 
     p = sub.add_parser("selftest", help="run the full identity and uniqueness suites")
     p.add_argument("--depth", type=int, default=8)
@@ -153,14 +151,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(format_word(word))
         return 0
     if args.command == "gens":
-        gens = stabilizer_generators(parse_point(args.point), args.radius)
+        gens = stabilizer_generators(parse_point(args.point))
         if args.format == "json":
             print(generators_to_json(gens))
         else:
             sys.stdout.write(format_generators(gens))
         return 0
     if args.command == "verify":
-        gens = stabilizer_generators(parse_point(args.point), args.radius)
+        gens = stabilizer_generators(parse_point(args.point))
         report = verify_generators(gens, samples=args.samples, seed=args.seed)
         report.merge(check_stabilizer_relators())
         report.title = f"verification of {gens.point}"

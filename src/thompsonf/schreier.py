@@ -12,6 +12,12 @@ builds the RationalPoint of each vertex once, at the end.  The x0 and x1
 edges of every vertex the search expands come out of the search itself, so
 only the boundary layer, the vertices at the full radius, has its images
 computed again.
+
+Shortest paths come from a bidirectional search: two balls, one around each
+end, grow a layer at a time until they meet, so a path of length L costs
+about two balls of radius L/2 instead of one of radius L.  The word returned
+is the least geodesic in the letter order above, which is the word the BFS
+tree of a ball around the source spells.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
 
 # Letters with their head tables, so a BFS step does no per-letter lookup.
 _BFS_STEPS = tuple((letter, _TABLES[letter]) for letter in BFS_LETTERS)
+_BFS_TABLES = tuple(table for _, table in _BFS_STEPS)
 _EDGE_STEPS = (("x0", _TABLES[Letter.X0]), ("x1", _TABLES[Letter.X1]))
 
 _Key = tuple[str, str]
@@ -38,15 +45,15 @@ _Edge = tuple[int, str, int]
 
 
 class BallCapacityError(RuntimeError):
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, searched: str):
         self.cap = cap
-        super().__init__(f"ball exploration exceeded the vertex cap of {cap}")
+        super().__init__(f"ball exploration exceeded the vertex cap of {cap}{searched}")
 
 
 class PathNotFoundError(RuntimeError):
-    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int):
+    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int | None, why: str):
         self.explored_radius = radius
-        super().__init__(f"no path from {source} to {target} within radius {radius}")
+        super().__init__(f"no path from {source} to {target}{why}")
 
 
 @dataclass
@@ -85,9 +92,9 @@ def _path_word(parents: Sequence[_Parent], vertex: int) -> Word:
 
 
 def _bfs(
-    seed: RationalPoint, radius: int, vertex_cap: int, target: RationalPoint | None = None
+    seed: RationalPoint, radius: int, vertex_cap: int
 ) -> tuple[list[_Key], dict[_Key, int], list[int], list[_Parent], list[_Edge]]:
-    """BFS over the four letters up to the radius, stopping once target is discovered.
+    """BFS over the four letters up to the radius.
 
     Returns the vertices as (preperiod, period) keys in discovery order,
     their index, distances and parents, and the x0 and x1 edges of the
@@ -104,10 +111,6 @@ def _bfs(
     distances = [0]
     parents: list[_Parent] = [None]
     edges: list[_Edge] = []
-    search = keys, index, distances, parents, edges
-    goal = None if target is None else (target.preperiod, target.period)
-    if keys[0] == goal:
-        return search
     i = 0
     while i < len(keys) and distances[i] < radius:
         v, w = keys[i]
@@ -119,18 +122,16 @@ def _bfs(
             if j is None:
                 j = len(keys)
                 if j >= vertex_cap:
-                    raise BallCapacityError(vertex_cap)
+                    raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {d - 1}")
                 index[key] = j
                 keys.append(key)
                 distances.append(d)
                 parents.append((i, letter))
-                if key == goal:
-                    return search
             images.append(j)
         # x0 and x1 are the first and the third of BFS_LETTERS
         edges += ((i, "x0", images[0]), (i, "x1", images[2]))
         i += 1
-    return search
+    return keys, index, distances, parents, edges
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -153,17 +154,102 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     return SchreierBall(seed, radius, vertices, tuple(edges), tuple(parents), tuple(distances))
 
 
+def same_orbit(p: RationalPoint, q: RationalPoint) -> bool:
+    """True when some element of F moves p to q.
+
+    The endpoints (0) and (1) are fixed by all of F.  A letter rewrites a
+    prefix and keeps the tail, so the primitive period of every other point
+    is kept up to rotation; and F moves such a point to every point whose
+    period is a rotation of its own.
+    """
+    if p == q:
+        return True
+    if p.is_endpoint() or q.is_endpoint():
+        return False
+    return len(p.period) == len(q.period) and q.period in p.period + p.period
+
+
 def find_path(
     source: RationalPoint,
     target: RationalPoint,
-    max_radius: int,
+    max_radius: int | None = None,
     vertex_cap: int = 500_000,
 ) -> Word:
-    """Shortest word moving source to target, by BFS over the four letters."""
-    keys, _, distances, parents, _ = _bfs(source, max_radius, vertex_cap, target)
-    if keys[-1] != (target.preperiod, target.period):
-        raise PathNotFoundError(source, target, min(distances[-1] + 1, max_radius))
-    return _path_word(parents, len(keys) - 1)
+    """Least shortest word moving source to target, letters ordered as in BFS_LETTERS.
+
+    A forward ball around the source and a backward ball around the target
+    (the graph is symmetric: every letter has its inverse among the four)
+    grow by whole layers, the smaller frontier first, until they meet at
+    depths df and db; the distance is then L = df + db, and the meeting
+    vertices are those at distance df from the source on a geodesic.  A
+    sweep back from them marks the geodesic vertices of the forward ball.
+    The word is then read greedily: from the source the least letter that
+    stays on a marked vertex one layer further, and from the meeting vertex
+    on the least letter that lowers the distance to the target by one.
+
+    max_radius bounds L (None: unbounded) and vertex_cap bounds the two
+    balls together.  A pair in different orbits fails at once.
+    """
+    if max_radius is not None and max_radius < 0:
+        raise ValueError(f"radius must be >= 0, got {max_radius}")
+    if vertex_cap < 1:
+        raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
+    if not same_orbit(source, target):
+        raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F")
+    start = (source.preperiod, source.period)
+    goal = (target.preperiod, target.period)
+    fdist, bdist = {start: 0}, {goal: 0}
+    ffront, bfront = [start], [goal]
+    df = db = 0
+    meet = [start] if start == goal else []
+    while not meet:
+        if df + db == max_radius:
+            raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}")
+        forward = len(ffront) <= len(bfront)
+        front, dist, other = (ffront, fdist, bdist) if forward else (bfront, bdist, fdist)
+        depth = (df if forward else db) + 1
+        room = vertex_cap - len(fdist) - len(bdist)
+        layer = []
+        for v, w in front:
+            for table in _BFS_TABLES:
+                key = _step(v, w, table)
+                if key not in dist:
+                    if len(layer) == room:
+                        raise BallCapacityError(
+                            vertex_cap,
+                            f"; the search from {source} to {target} held {vertex_cap} vertices,"
+                            f" complete to depth {df} from the source and {db} from the target",
+                        )
+                    dist[key] = depth
+                    layer.append(key)
+        if not layer:  # a closed, finite orbit: only an endpoint's, which same_orbit rules out
+            raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting")
+        meet = [key for key in layer if key in other]
+        if forward:
+            ffront, df = layer, depth
+        else:
+            bfront, db = layer, depth
+    # on_path[k]: the vertices at distance k from the source on a geodesic
+    on_path = [set(meet)]
+    for k in range(df - 1, -1, -1):
+        below = set()
+        for v, w in on_path[-1]:
+            for table in _BFS_TABLES:
+                key = _step(v, w, table)
+                if fdist.get(key) == k:
+                    below.add(key)
+        on_path.append(below)
+    on_path.reverse()
+    word = []
+    v, w = start
+    for k in range(1, df + db + 1):
+        for letter, table in _BFS_STEPS:
+            key = _step(v, w, table)
+            if (key in on_path[k]) if k <= df else (bdist.get(key) == df + db - k):
+                break
+        word.append(letter)
+        v, w = key
+    return tuple(word)
 
 
 def vertex_at_address(root: RationalPoint, address: str) -> RationalPoint:

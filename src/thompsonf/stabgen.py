@@ -3,11 +3,13 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to a base point, found as a shortest path in the Schreier graph.
+moving b to a base point: the least shortest path in the Schreier graph,
+found by the bidirectional search of schreier.find_path.
 
 Verification runs every generator through two independent oracles (the
 symbolic sequence action and exact evaluation of the PL map at the point's
-rational value) plus reproducible random products of generators.
+rational value) plus reproducible random products of generators, which are
+folded factor by factor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, act_word, canonicalize
+from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
 from .plmap import identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
@@ -109,10 +111,6 @@ def base_generator_words(period: str) -> tuple[Word, ...]:
     )
 
 
-def default_search_radius(point: RationalPoint) -> int:
-    return len(point.preperiod) + 4 * len(point.period) + 8
-
-
 def base_rotation(point: RationalPoint) -> str | None:
     """The rotation u of the period with point == 10 u^inf, or None if there is none.
 
@@ -132,13 +130,14 @@ def base_rotation(point: RationalPoint) -> str | None:
     return None
 
 
-def stabilizer_generators(point: RationalPoint, max_radius: int | None = None) -> StabilizerGens:
+def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     """Explicit generating set for the stabilizer of a rational point.
 
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
-    for u is returned directly; otherwise a shortest conjugator h with
-    h(point) = 10 period^inf is found by BFS and the base set is conjugated.
+    for u is returned directly; otherwise the least shortest conjugator h
+    with h(point) = 10 period^inf is found by find_path and the base set is
+    conjugated.  The search is bounded by find_path's vertex cap only.
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, (), ((Letter.X0,), (Letter.X1,)), point.period)
@@ -147,8 +146,7 @@ def stabilizer_generators(point: RationalPoint, max_radius: int | None = None) -
         return StabilizerGens(point, (), base_generator_words(rotation), rotation)
     w = point.period
     target = canonicalize("10", w)
-    radius = default_search_radius(point) if max_radius is None else max_radius
-    h = find_path(point, target, radius)
+    h = find_path(point, target)
     generators = tuple(conjugate(g, h) for g in base_generator_words(w))
     return StabilizerGens(point, h, generators, w)
 
@@ -167,6 +165,11 @@ def verify_generators(
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
+
+    The image of a product is the left fold of its factors' images, so each
+    (image so far, factor) pair is folded once per call: for a sound set the
+    image so far is always the point, and the products cost one fold per
+    generator and its inverse.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -179,14 +182,19 @@ def verify_generators(
         report.add(f"generator {k} fixes {point} (sequence action)", act_word(point, word) == point)
         report.add(f"generator {k} fixes {point} (map evaluation)", word_to_plmap(word).evaluate(value) == value)
     pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
+    factors = range(len(pool))  # rng.choice on it draws what rng.choice(pool) draws
+    start = (point.preperiod, point.period)
+    images: dict[tuple[tuple[str, str], int], tuple[str, str]] = {}
     rng = SplitMix64(seed)
     bad = 0
     for _ in range(samples):
-        factors = 1 + rng.below(max_factors)
-        word: Word = ()
-        for _ in range(factors):
-            word += rng.choice(pool)
-        if act_word(point, word) != point:
+        image = start
+        for _ in range(1 + rng.below(max_factors)):
+            step = (image, rng.choice(factors))
+            if step not in images:
+                images[step] = _fold(*image, pool[step[1]])
+            image = images[step]
+        if image != start:
             bad += 1
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
     report.checks.extend(_index_identities())
@@ -234,7 +242,7 @@ def _stabilizer_relators() -> tuple[Check, ...]:
     return tuple(checks)
 
 
-def check_twin_points(prefix: str, max_radius: int | None = None) -> Report:
+def check_twin_points(prefix: str) -> Report:
     """Stabilizers of the twin sequences prefix10^inf and prefix01^inf agree.
 
     The two sequences denote the same number in [0, 1], so each point's
@@ -242,8 +250,8 @@ def check_twin_points(prefix: str, max_radius: int | None = None) -> Report:
     """
     p = canonicalize(prefix + "1", "0")
     q = canonicalize(prefix + "0", "1")
-    gens_p = stabilizer_generators(p, max_radius)
-    gens_q = stabilizer_generators(q, max_radius)
+    gens_p = stabilizer_generators(p)
+    gens_q = stabilizer_generators(q)
     report = Report(f"twin stabilizers of {p} and {q}")
     for k, word in enumerate(gens_p.generators, start=1):
         report.add(f"generator {k} of {p} fixes twin {q}", act_word(q, word) == q)

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import fraction_to_vw, naive_act, unroll
 from sampling import LETTERS, random_point, random_word
+from thompsonf import cantor
 from thompsonf.cantor import (
     _RULES,
     MAX_PERIOD,
@@ -165,6 +166,16 @@ def test_period_bound():
     with pytest.raises(PeriodCapacityError):
         parse_point("1(" + "0" * MAX_PERIOD + "1)")
     assert len(value_to_point(F(1, 1000003)).period) == 1000002
+
+
+def test_period_bound_message_states_the_size_of_the_denominator(monkeypatch):
+    # a Fraction whose denominator has more than 4300 digits cannot be
+    # formatted under the interpreter's int-to-str digit limit, so the message
+    # gives the bit length of the denominator's odd part instead
+    monkeypatch.setattr(cantor, "MAX_PERIOD", 16)
+    odd_bits = (3 ** 9100).bit_length()
+    with pytest.raises(PeriodCapacityError, match=f"odd part of {odd_bits} bits is longer than 16 letters"):
+        value_to_point(F(1, 3 ** 9100))
 
 
 def test_preperiod_bound():

@@ -128,6 +128,13 @@ def test_path_not_found_exits_one(capsys):
     assert "no path" in err
 
 
+def test_path_between_orbits_exits_one_at_once(capsys):
+    code, out, err = run(capsys, "path", "1/3", "1/5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no path from (01) to (0011): the points lie in different orbits of F\n"
+
+
 def test_path_negative_radius_is_a_usage_error(capsys):
     code, out, err = run(capsys, "path", "1(0)", "0(1)", "--radius", "-1")
     assert code == 2
@@ -148,6 +155,14 @@ def test_gens_json_output(capsys):
     assert payload["point"] == "(0100)"
     assert payload["w"] == "0100"
     assert len(payload["generators"]) == 5
+
+
+def test_gens_on_a_nineteen_letter_preperiod(capsys):
+    code, out, _ = run(capsys, "gens", "0110110110110110110(0011)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# point=0110110110110110110(0011) h=ABaBBaBaBBaBaBBaBaBBaBaBBaBaB w=0011"
+    assert len(lines) == 6
 
 
 def test_every_gens_output_passes_verify(capsys):
@@ -221,6 +236,8 @@ def test_reused_parser_prints_the_same_usage_errors_and_help(capsys):
         ["act", "1/3"],
         ["graph", "1/3", "--radius", "x"],
         ["gens", "1/3", "--format", "xml"],
+        ["gens", "1/3", "--radius", "5"],
+        ["verify", "1/3", "--radius", "5"],
     )
     for argv in cases:
         outputs = []

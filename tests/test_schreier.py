@@ -1,10 +1,13 @@
 import json
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oracles import fraction_ball_dot, string_ball_size
+from sampling import random_point, random_word
 from thompsonf.cantor import (
     ONE_POINT,
     ZERO_POINT,
@@ -24,8 +27,10 @@ from thompsonf.schreier import (
     export_json,
     find_path,
     forbidden_prefix,
+    same_orbit,
     vertex_at_address,
 )
+from thompsonf.rng import SplitMix64
 from thompsonf.words import Letter, address_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -134,6 +139,14 @@ def _reference_bfs(seed, radius):
     return vertices, parents, distances, slots
 
 
+def _reference_word(parents, vertex):
+    letters = []
+    while parents[vertex] is not None:
+        vertex, letter = parents[vertex]
+        letters.append(letter)
+    return tuple(reversed(letters))
+
+
 def _reference_edges(vertices):
     """x0 and x1 edges between the given vertices, recomputed with act_letter."""
     index = {p: i for i, p in enumerate(vertices)}
@@ -184,14 +197,81 @@ def test_find_path_stops_on_a_target_found_mid_expansion():
         targets = [j for j, s in enumerate(slots) if s == slot]
         assert targets, f"no vertex discovered by letter {slot} of an expansion"
         for j in targets[:5] + targets[-5:]:
-            target = vertices[j]
-            expected = []
-            while parents[j] is not None:
-                j, letter = parents[j]
-                expected.append(letter)
-            word = find_path(seed, target, 5)
-            assert word == tuple(reversed(expected))
-            assert act_word(seed, word) == target
+            word = find_path(seed, vertices[j], 5)
+            assert word == _reference_word(parents, j)
+            assert act_word(seed, word) == vertices[j]
+
+
+def _geodesic_counts(vertices, distances):
+    """Number of shortest words from vertices[0] to each vertex of a reference ball."""
+    index = {p: i for i, p in enumerate(vertices)}
+    counts = [1] + [0] * (len(vertices) - 1)
+    for i, p in enumerate(vertices):
+        for letter in BFS_LETTERS:
+            j = index.get(act_letter(p, letter))
+            if j is not None and distances[j] == distances[i] + 1:
+                counts[j] += counts[i]
+    return counts
+
+
+def test_find_path_matches_the_reference_bfs_on_seeded_pairs():
+    # One reference ball of radius 12 per source gives the word of the BFS
+    # tree to each target: the base point 10(w) of the source's period, and
+    # images u(p) of the source under words of at most 12 letters.
+    rng = SplitMix64(2024)
+    pairs = several = 0
+    for _ in range(32):
+        base = canonicalize("10", random_point(rng, 0, 4).period)
+        source = act_word(base, random_word(rng, 10))
+        vertices, parents, distances, _ = _reference_bfs(source, 12)
+        index = {p: i for i, p in enumerate(vertices)}
+        counts = _geodesic_counts(vertices, distances)
+        for target in [base] + [act_word(source, random_word(rng, 12)) for _ in range(31)]:
+            j = index[target]
+            assert find_path(source, target) == _reference_word(parents, j), (source, target)
+            pairs += 1
+            several += counts[j] > 1
+    assert pairs == 1024
+    assert several >= 100, "too few pairs with more than one geodesic"
+
+
+def test_same_orbit_holds_on_ball_vertices_and_cross_orbit_pairs_fail_at_once():
+    rng = SplitMix64(31)
+    for k in range(60):
+        seed = random_point(rng, 8, 5)
+        for p in ball(seed, k % 7).vertices:
+            assert same_orbit(seed, p) and same_orbit(p, seed), (seed, p)
+    pairs = [
+        (parse_point("1/3"), parse_point("1/5")),
+        (canonicalize("1", "0"), canonicalize("0", "1")),
+        (ZERO_POINT, canonicalize("1", "0")),
+        (canonicalize("1", "0"), ONE_POINT),
+        (ZERO_POINT, ONE_POINT),
+    ]
+    while len(pairs) < 25:
+        p, q = random_point(rng, 8, 5), random_point(rng, 8, 5)
+        if len(p.period) != len(q.period) or q.period not in p.period + p.period:
+            pairs.append((p, q))
+    for source, target in pairs:
+        assert not same_orbit(source, target)
+        start = time.perf_counter()
+        with pytest.raises(PathNotFoundError, match=r"^no path from .* different orbits") as err:
+            find_path(source, target, 40)
+        assert time.perf_counter() - start < 0.05
+        assert err.value.explored_radius == 40
+
+
+def test_find_path_vertex_cap_bounds_both_balls_and_says_what_was_searched():
+    point = parse_point("0110110110110110110(0011)")
+    with pytest.raises(BallCapacityError) as err:
+        find_path(point, canonicalize("10", "0011"), vertex_cap=1000)
+    message = str(err.value)
+    assert message.startswith("ball exploration exceeded the vertex cap of 1000; ")
+    assert "held 1000 vertices" in message
+    depths = re.search(r"complete to depth (\d+) from the source and (\d+) from the target", message)
+    forward, backward = int(depths[1]), int(depths[2])
+    # the distance is 29, and both balls grew
+    assert forward > 0 and backward > 0 and forward + backward < 29
 
 
 def test_find_path_trivial_and_one_step():

@@ -4,8 +4,11 @@ from itertools import product
 
 import pytest
 
-from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_word, canonicalize, value_to_point
+from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_word, canonicalize, parse_point, value_to_point
 from thompsonf.plmap import identity, word_to_plmap, xn, yn
+from thompsonf.report import Report
+from thompsonf.rng import SplitMix64
+from thompsonf.schreier import PathNotFoundError, find_path
 from thompsonf.stabgen import (
     StabilizerGens,
     base_generator_words,
@@ -13,7 +16,6 @@ from thompsonf.stabgen import (
     check_reduction,
     check_stabilizer_relators,
     check_twin_points,
-    default_search_radius,
     format_generators,
     generators_to_json,
     schreier_x_word,
@@ -144,6 +146,28 @@ def test_gens_for_a_long_period_takes_linear_time():
     assert min(times) < 0.25, f"best of 5 took {min(times):.3f}s, budget is 0.25s"
 
 
+def test_gens_for_a_nineteen_letter_preperiod():
+    # the one-sided search exceeded its vertex cap here; the conjugator is
+    # checked by its properties: it moves the point to 10(0011) and no
+    # shorter word does
+    point = parse_point("0110110110110110110(0011)")
+    target = canonicalize("10", "0011")
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        gens = stabilizer_generators(point)
+        times.append(time.perf_counter() - start)
+    h = gens.conjugator
+    assert gens.period == "0011"
+    assert act_word(point, h) == target
+    assert len(h) == 29
+    with pytest.raises(PathNotFoundError):
+        find_path(point, target, len(h) - 1)
+    assert verify_generators(gens, samples=20).passed
+    # about 0.06 s on a 2-vCPU Xeon; the budget leaves room for load
+    assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
+
+
 def test_conjugated_generators_for_a_non_base_point():
     point = value_to_point(F(4, 15))
     gens = stabilizer_generators(point)
@@ -184,6 +208,55 @@ def test_verify_generators_checks_both_oracles_and_products():
         verify_generators(gens, samples=0)
     with pytest.raises(ValueError):
         verify_generators(gens, max_factors=0)
+
+
+def _reference_verify(gens, samples, max_factors, seed):
+    """verify_generators with each random product spelled out and folded whole."""
+    point = gens.point
+    value = point.value()
+    report = Report(f"stabilizer generators for {point}")
+    for k, word in enumerate(gens.generators, start=1):
+        report.add(f"generator {k} fixes {point} (sequence action)", act_word(point, word) == point)
+        report.add(f"generator {k} fixes {point} (map evaluation)", word_to_plmap(word).evaluate(value) == value)
+    pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
+    rng = SplitMix64(seed)
+    bad = 0
+    for _ in range(samples):
+        word = ()
+        for _ in range(1 + rng.below(max_factors)):
+            word += rng.choice(pool)
+        bad += act_word(point, word) != point
+    report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
+    return report
+
+
+def test_verify_generators_matches_the_unmemoised_fold():
+    cases = [stabilizer_generators(value_to_point(F(p, q))) for p, q in ((4, 15), (5, 6), (1, 3), (7, 24))]
+    cases.append(stabilizer_generators(parse_point("0110(011)")))
+    # one generator of 4/15's set replaced by a word that moves the point:
+    # every product that uses it, and only those, must be folded in full
+    sound = cases[0]
+    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ((Letter.X0,),) + sound.generators[3:], sound.period)
+    cases.append(broken)
+    cases.append(StabilizerGens(sound.point, (), ((Letter.X0,), (Letter.X0_INV,)), sound.period))
+    for gens in cases:
+        for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
+            report = verify_generators(gens, samples, max_factors, seed)
+            reference = _reference_verify(gens, samples, max_factors, seed)
+            assert report.title == reference.title
+            assert report.checks[:len(reference.checks)] == reference.checks
+    products = verify_generators(broken).checks[10]
+    assert products.name == f"100 seeded random products (seed 1) fix {broken.point}"
+    assert not products.passed
+    # one short product of x0 and x0^-1 per seed: it returns to the point for
+    # some seeds only, so folding from a wrong image so far changes the verdict
+    letters = cases[-1]
+    verdicts = []
+    for seed in range(200):
+        report = verify_generators(letters, 1, 4, seed)
+        assert report.checks[:5] == _reference_verify(letters, 1, 4, seed).checks
+        verdicts.append(report.checks[4].passed)
+    assert 20 <= sum(verdicts) <= 180
 
 
 def test_verify_reports_are_reproducible():
@@ -249,11 +322,6 @@ def test_degenerate_period_reduces_to_the_product_form():
     point = gens.point
     for extra in (xn_word(1), xn_word(2), yn_word(1), yn_word(2)):
         assert act_word(point, extra) == point
-
-
-def test_default_search_radius_formula():
-    assert default_search_radius(canonicalize("", "0100")) == 0 + 4 * 4 + 8
-    assert default_search_radius(canonicalize("1", "10")) == 1 + 4 * 2 + 8
 
 
 def test_generator_text_format():
