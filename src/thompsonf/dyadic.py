@@ -34,6 +34,20 @@ class Dyadic:
         object.__setattr__(self, "exponent", e - k)
 
     @classmethod
+    def _reduced(cls, n: int, e: int) -> "Dyadic":
+        """n / 2**e normalized like the constructor, for e >= 0 known to hold.
+
+        The fields go straight into the instance dict, which is where the
+        frozen dataclass keeps them; __post_init__ is not run.
+        """
+        k = min((n & -n).bit_length() - 1, e) if n else e
+        d = object.__new__(cls)
+        fields = d.__dict__
+        fields["numerator"] = n >> k
+        fields["exponent"] = e - k
+        return d
+
+    @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Dyadic":
         fr = Fraction(value)
         den = fr.denominator

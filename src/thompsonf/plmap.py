@@ -14,6 +14,18 @@ constructor validates; compose, inverse and flip skip it.
 
 Products follow the right-action convention: (f * g)(t) = g(f(t)), matching
 the left-to-right reading of words.
+
+A word becomes a map in three exact steps.  A stack pass cancels every
+adjacent x x^-1, so the reduced word has no factor that the maps would only
+undo.  Its letters are then taken two at a time from a table of the sixteen
+two-letter products, and a product tree multiplies adjacent maps pairwise,
+level by level, until one is left.  Maps are normalized, so any bracketing
+gives the same breakpoints as the left fold.  A product has at most as many
+breakpoints as its two factors together, so the operands of one level of the
+tree add up to at most the breakpoints of the leaves, and a reduced word of
+n letters costs O(n log n) breakpoint steps.  A left fold composes letter k
+into a map that may already have O(k) breakpoints, which is quadratic when
+they grow with the length, as they do for (x0 x1)^k.
 """
 
 from __future__ import annotations
@@ -53,8 +65,8 @@ class PLMap:
 
     @property
     def breakpoints(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
-        e = self._e
-        return tuple((Dyadic(t, e), Dyadic(y, e)) for t, y in zip(self._ts, self._ys))
+        e, reduced = self._e, Dyadic._reduced
+        return tuple([(reduced(t, e), reduced(y, e)) for t, y in zip(self._ts, self._ys)])
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -130,12 +142,7 @@ class PLMap:
         return self.inverse()
 
     def __pow__(self, n: int) -> "PLMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity()
-        for _ in range(n):
-            result = result * self
-        return result
+        return _product([self.inverse() if n < 0 else self] * abs(n))
 
     def is_identity(self) -> bool:
         return self == _IDENTITY
@@ -222,11 +229,41 @@ def letter_map(letter: Letter) -> PLMap:
 
 
 def word_to_plmap(word: Word) -> PLMap:
-    """Left-to-right product of the letter maps; the empty word is the identity."""
-    result = _IDENTITY
+    """Left-to-right product of the letter maps; the empty word is the identity.
+
+    The word is freely reduced first, then its letters are paired into maps
+    from _PAIR_MAPS (an odd last letter stays a letter map) and the pairs are
+    multiplied as a product tree.  A reduced word of n letters takes about
+    n/2 composes over about log2(n) levels, and the operands of each level
+    have at most as many breakpoints together as the leaves, so the work is
+    O(n log n) breakpoint steps where a left fold can need O(n^2).
+    """
+    reduced: list[Letter] = []
     for letter in word:
-        result = result * _LETTER_MAPS[letter]
-    return result
+        if reduced and reduced[-1] is letter.inverse:
+            reduced.pop()
+        else:
+            reduced.append(letter)
+    leaves = [_PAIR_MAPS[pair] for pair in zip(reduced[::2], reduced[1::2])]
+    if len(reduced) % 2:
+        leaves.append(_LETTER_MAPS[reduced[-1]])
+    return _product(leaves)
+
+
+def _product(maps: list[PLMap]) -> PLMap:
+    """Left-to-right product of maps as a product tree; no maps give the identity.
+
+    Adjacent maps are composed pairwise, level by level, so every operand of
+    a compose is the product of a contiguous run of at most 2^level maps.
+    """
+    if not maps:
+        return _IDENTITY
+    while len(maps) > 1:
+        paired = [f.compose(g) for f, g in zip(maps[::2], maps[1::2])]
+        if len(maps) % 2:
+            paired.append(maps[-1])
+        maps = paired
+    return maps[0]
 
 
 def xn(n: int) -> PLMap:
@@ -338,3 +375,6 @@ _LETTER_MAPS = {
     Letter.X1: _GEN_X1,
     Letter.X1_INV: _GEN_X1.inverse(),
 }
+
+# The leaves of word_to_plmap's product tree: every two-letter product.
+_PAIR_MAPS = {(a, b): _LETTER_MAPS[a].compose(_LETTER_MAPS[b]) for a in Letter for b in Letter}

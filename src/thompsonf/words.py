@@ -39,6 +39,8 @@ _INVERSE = {
     Letter.X1_INV: Letter.X1,
 }
 
+_BY_SYMBOL = {letter.value: letter for letter in Letter}
+
 Word = tuple[Letter, ...]
 
 EMPTY: Word = ()
@@ -48,13 +50,10 @@ def parse_word(text: str) -> Word:
     """Parse a/A/b/B syntax; "" and "1" both denote the identity word."""
     if text in ("", "1"):
         return EMPTY
-    letters = []
-    for pos, ch in enumerate(text):
-        try:
-            letters.append(Letter(ch))
-        except ValueError:
-            raise WordSyntaxError(text, pos) from None
-    return tuple(letters)
+    try:
+        return tuple([_BY_SYMBOL[ch] for ch in text])
+    except KeyError:
+        raise WordSyntaxError(text, next(pos for pos, ch in enumerate(text) if ch not in _BY_SYMBOL)) from None
 
 
 def format_word(word: Word) -> str:

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from sampling import random_word
 from thompsonf.dyadic import Dyadic
+from thompsonf.plmap import word_to_plmap
+from thompsonf.rng import SplitMix64
 
 
 def test_common_factors_of_two_cancel():
@@ -62,3 +65,20 @@ def test_str_is_lowest_terms_fraction():
     assert str(Dyadic(2, 3)) == "1/4"
     assert str(Dyadic(0)) == "0"
     assert str(Dyadic(1)) == "1"
+
+
+def test_trusted_constructor_matches_the_validating_one():
+    # PLMap.breakpoints builds its Dyadics through Dyadic._reduced
+    rng = SplitMix64(71)
+    seen = 0
+    for _ in range(30):
+        m = word_to_plmap(random_word(rng, 40))
+        for t, y in zip(m._ts + (0, 6, 12), m._ys + (0, 3, 1)):
+            for n in (t, y):
+                for e in (0, 1, m._e):
+                    fast, checked = Dyadic._reduced(n, e), Dyadic(n, e)
+                    assert (fast.numerator, fast.exponent) == (checked.numerator, checked.exponent)
+                    assert fast == checked and hash(fast) == hash(checked)
+                    seen += 1
+        assert m.breakpoints == tuple((Dyadic(t, m._e), Dyadic(y, m._e)) for t, y in zip(m._ts, m._ys))
+    assert seen > 1000

@@ -4,7 +4,7 @@ from itertools import chain
 import pytest
 
 from oracles import fraction_to_vw, naive_act
-from sampling import random_word
+from sampling import LETTERS, random_word
 from thompsonf.dyadic import Dyadic
 from thompsonf.plmap import (
     InvalidPLMapError,
@@ -188,6 +188,14 @@ def test_powers():
     assert x0 ** 0 == identity()
     assert x0 ** 3 == x0 * x0 * x0
     assert x0 ** -2 == (x0.inverse()) * (x0.inverse())
+    rng = SplitMix64(29)
+    maps = [generator_x0(), generator_x1()] + [word_to_plmap(random_word(rng, 8)) for _ in range(6)]
+    for m in maps:
+        for k in range(-9, 10):
+            expected = identity()
+            for _ in range(abs(k)):
+                expected = expected.compose(m if k >= 0 else m.inverse())
+            assert m ** k == expected
 
 
 def test_xn_closed_form_tables():
@@ -305,3 +313,62 @@ def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
         if word is not None:
             for t, y in h.breakpoints:
                 assert _string_oracle_image(word, t.as_fraction()) == y.as_fraction()
+
+
+def _left_fold(word):
+    """Reference product: compose the letter maps one at a time, left to right."""
+    m = identity()
+    for letter in word:
+        m = m.compose(letter_map(letter))
+    return m
+
+
+def _reduced_length(word):
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == letter.inverse:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return len(stack)
+
+
+def test_product_tree_matches_the_left_fold():
+    rng = SplitMix64(53)
+    words = [tuple(rng.choice(LETTERS) for _ in range(n)) for n in range(0, 301, 2)]
+    words += [(x, y) * k for x in LETTERS for y in LETTERS for k in (1, 2, 7, 40, 75)]
+    words += [commutator(random_word(rng, 40), random_word(rng, 40)) for _ in range(30)]
+    for _ in range(30):  # long cancelling runs inside, and words that reduce to nothing
+        u, v, w = random_word(rng, 30), random_word(rng, 30), random_word(rng, 100)
+        words.append(u + w + invert_word(w) + v)
+        words.append(w + u + invert_word(u) + invert_word(w))
+    words += [(Letter.X1,) * 150 + (Letter.X1_INV,) * 150, (Letter.X0, Letter.X0_INV) * 60]
+    assert len(words) >= 300
+    assert max(map(len, words)) == 300
+    assert {_reduced_length(w) % 2 for w in words} == {0, 1}
+    assert sum(_reduced_length(w) == 0 for w in words) >= 30
+    for word in words:
+        m = word_to_plmap(word)
+        assert m == _left_fold(word)
+        assert PLMap(m.breakpoints) == m
+
+
+def test_product_tree_work_is_n_log_n(monkeypatch):
+    compose = PLMap.compose
+    work = {"calls": 0, "breakpoints": 0}
+
+    def counted(self, other):
+        work["calls"] += 1
+        work["breakpoints"] += len(self._ts) + len(other._ts)
+        return compose(self, other)
+
+    monkeypatch.setattr(PLMap, "compose", counted)
+    rng = SplitMix64(61)
+    for word in (parse_word("ab" * 512), tuple(rng.choice(LETTERS) for _ in range(1024))):
+        work.update(calls=0, breakpoints=0)
+        word_to_plmap(word)
+        assert work["calls"] > 0
+        assert work["breakpoints"] <= 2 * 1024 * 10  # 2 n log2 n for n = 1024
+    work.update(calls=0, breakpoints=0)
+    assert word_to_plmap(parse_word("abBA" * 100 + "aBbA")) == identity()
+    assert work["calls"] == 0

@@ -27,9 +27,12 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_reports_position_of_bad_letter():
-    with pytest.raises(WordSyntaxError) as err:
-        parse_word("abX")
-    assert err.value.position == 2
+    for text, position in (("abX", 2), ("xab", 0), ("abXba", 2), ("abab?", 4), ("a1", 1), ("1a", 0)):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text)
+        assert err.value.position == position
+        assert str(err.value) == f"invalid letter {text[position]!r} at position {position} in {text!r}"
+    assert parse_word("aAbB") == (A, AI, B, BI)
 
 
 def test_inverse_reverses_and_inverts():
