@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .dyadic import Dyadic
 from .report import Report
-from .words import Letter, Word, commutator
+from .words import Letter, Word, relator_words
 
 
 class InvalidPLMapError(ValueError):
@@ -325,11 +325,9 @@ def check_relators(depth: int = 8) -> Report:
         raise ValueError(f"depth must be >= 2, got {depth}")
     report = Report("relators")
     ident = identity()
-    u = (Letter.X1_INV, Letter.X0)
-    v1 = (Letter.X0, Letter.X1, Letter.X0_INV)
-    v2 = (Letter.X0, Letter.X0, Letter.X1, Letter.X0_INV, Letter.X0_INV)
-    report.add("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(commutator(u, v1)) == ident)
-    report.add("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(commutator(u, v2)) == ident)
+    first, second = relator_words((Letter.X0,), (Letter.X1,))
+    report.add("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(first) == ident)
+    report.add("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(second) == ident)
 
     xs = {k: _x_map(k) for k in range(depth + 2)}
     ys = {k: yn(k) for k in range(1, depth + 2)}

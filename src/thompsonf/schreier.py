@@ -7,23 +7,24 @@ x0, x0^-1, x1, x1^-1, so ball construction, DOT output and JSON output are
 bit-for-bit reproducible.
 
 The search works on (preperiod, period) string pairs, which hash and compare
-at C speed, and steps them with the head-table kernel of cantor; a ball
-builds the RationalPoint of each vertex once, at the end.  The x0 and x1
-edges of every vertex the search expands come out of the search itself, so
-only the boundary layer, the vertices at the full radius, has its images
-computed again.
+at C speed, and steps them with the head-table kernel of cantor.  Balls and
+shortest paths grow the same BFS tree, one whole layer at a time, recording
+the parent of every vertex and the x0 and x1 edges of every vertex it
+expands; a ball builds the RationalPoint of each vertex once, at the end,
+and computes the images of its boundary layer only, the vertices at the
+full radius.
 
-Shortest paths come from a bidirectional search: two balls, one around each
+Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
 about two balls of radius L/2 instead of one of radius L.  The word returned
-is the least geodesic in the letter order above, which is the word the BFS
-tree of a ball around the source spells.
+is the least geodesic in the letter order above: the forward tree's parent
+path to the meeting vertex it discovered first, then the least letters
+that descend the backward tree.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
@@ -36,7 +37,6 @@ BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
 
 # Letters with their head tables, so a BFS step does no per-letter lookup.
 _BFS_STEPS = tuple((letter, _TABLES[letter]) for letter in BFS_LETTERS)
-_BFS_TABLES = tuple(table for _, table in _BFS_STEPS)
 _EDGE_STEPS = (("x0", _TABLES[Letter.X0]), ("x1", _TABLES[Letter.X1]))
 
 _Key = tuple[str, str]
@@ -67,12 +67,6 @@ class SchreierBall:
     parents: tuple[_Parent, ...]
     distances: tuple[int, ...]
 
-    def index_of(self, point: RationalPoint) -> int | None:
-        try:
-            return self.vertices.index(point)
-        except ValueError:
-            return None
-
     def path_word(self, vertex: int) -> Word:
         """Shortest word u with act_word(seed, u) = vertices[vertex]."""
         return _path_word(self.parents, vertex)
@@ -91,47 +85,52 @@ def _path_word(parents: Sequence[_Parent], vertex: int) -> Word:
     return tuple(reversed(letters))
 
 
-def _bfs(
-    seed: RationalPoint, radius: int, vertex_cap: int
-) -> tuple[list[_Key], dict[_Key, int], list[int], list[_Parent], list[_Edge]]:
-    """BFS over the four letters up to the radius.
+class _Tree:
+    """BFS tree over the four letters, grown one whole layer at a time.
 
-    Returns the vertices as (preperiod, period) keys in discovery order,
-    their index, distances and parents, and the x0 and x1 edges of the
-    expanded vertices.  The key list is the queue: vertices are expanded in
-    discovery order until the first one at the full radius, so the expanded
-    vertices, and their edges, come first and in vertex order.
+    Vertices are (preperiod, period) keys numbered in discovery order, and
+    keys[starts[d]:starts[d + 1]] is the layer at depth d.  Growing expands
+    the outermost layer in vertex order, letters in BFS_LETTERS order, and
+    records the parent of every new vertex and the x0 and x1 edges of every
+    expanded one, so the edges come in vertex order.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if vertex_cap < 1:
-        raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
-    keys = [(seed.preperiod, seed.period)]
-    index = {keys[0]: 0}
-    distances = [0]
-    parents: list[_Parent] = [None]
-    edges: list[_Edge] = []
-    i = 0
-    while i < len(keys) and distances[i] < radius:
-        v, w = keys[i]
-        d = distances[i] + 1
-        images = []
-        for letter, table in _BFS_STEPS:
-            key = _step(v, w, table)
-            j = index.get(key)
-            if j is None:
-                j = len(keys)
-                if j >= vertex_cap:
-                    raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {d - 1}")
-                index[key] = j
-                keys.append(key)
-                distances.append(d)
-                parents.append((i, letter))
-            images.append(j)
-        # x0 and x1 are the first and the third of BFS_LETTERS
-        edges += ((i, "x0", images[0]), (i, "x1", images[2]))
-        i += 1
-    return keys, index, distances, parents, edges
+
+    def __init__(self, root: _Key):
+        self.keys = [root]
+        self.index = {root: 0}
+        self.parents: list[_Parent] = [None]
+        self.edges: list[_Edge] = []
+        self.starts = [0, 1]
+
+    @property
+    def depth(self) -> int:
+        return len(self.starts) - 2
+
+    @property
+    def width(self) -> int:
+        return self.starts[-1] - self.starts[-2]
+
+    def grow(self, limit: int) -> bool:
+        """Add the next layer; False, and no layer, when it would hold more than limit vertices in all."""
+        keys, index, parents = self.keys, self.index, self.parents
+        for i in range(self.starts[-2], self.starts[-1]):
+            v, w = keys[i]
+            images = []
+            for letter, table in _BFS_STEPS:
+                key = _step(v, w, table)
+                j = index.get(key)
+                if j is None:
+                    j = len(keys)
+                    if j >= limit:
+                        return False
+                    index[key] = j
+                    keys.append(key)
+                    parents.append((i, letter))
+                images.append(j)
+            # x0 and x1 are the first and the third of BFS_LETTERS
+            self.edges += ((i, "x0", images[0]), (i, "x1", images[2]))
+        self.starts.append(len(keys))
+        return True
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -139,19 +138,28 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
 
     Edges are recorded for the positive letters only and only between
     discovered vertices, so every vertex strictly inside the ball carries
-    exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS gives
-    those of the vertices it expanded; only the boundary layer, the vertices
-    at the full radius, has its images computed here.
+    exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
+    gives those of the vertices it expanded; only the boundary layer, the
+    vertices at the full radius, has its images computed here.
     """
-    keys, index, distances, parents, edges = _bfs(seed, radius, vertex_cap)
-    for i in range(bisect_left(distances, radius), len(keys)):
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if vertex_cap < 1:
+        raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
+    tree = _Tree((seed.preperiod, seed.period))
+    while tree.depth < radius and tree.width:
+        if not tree.grow(vertex_cap):
+            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {tree.depth}")
+    keys, index, starts, edges = tree.keys, tree.index, tree.starts, tree.edges
+    for i in range(starts[-2], len(keys)):
         v, w = keys[i]
         for label, table in _EDGE_STEPS:
             j = index.get(_step(v, w, table))
             if j is not None:
                 edges.append((i, label, j))
     vertices = tuple(RationalPoint._canonical(v, w) for v, w in keys)
-    return SchreierBall(seed, radius, vertices, tuple(edges), tuple(parents), tuple(distances))
+    distances = tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
+    return SchreierBall(seed, radius, vertices, tuple(edges), tuple(tree.parents), distances)
 
 
 def same_orbit(p: RationalPoint, q: RationalPoint) -> bool:
@@ -177,18 +185,19 @@ def find_path(
 ) -> Word:
     """Least shortest word moving source to target, letters ordered as in BFS_LETTERS.
 
-    A forward ball around the source and a backward ball around the target
+    A forward BFS tree from the source and a backward one from the target
     (the graph is symmetric: every letter has its inverse among the four)
-    grow by whole layers, the smaller frontier first, until they meet at
-    depths df and db; the distance is then L = df + db, and the meeting
-    vertices are those at distance df from the source on a geodesic.  A
-    sweep back from them marks the geodesic vertices of the forward ball.
-    The word is then read greedily: from the source the least letter that
-    stays on a marked vertex one layer further, and from the meeting vertex
-    on the least letter that lowers the distance to the target by one.
+    grow by whole layers, the one with the smaller outermost layer first,
+    until a new layer meets the other tree.  At that point the trees have
+    depths df and db, the distance is L = df + db, and the meeting vertices
+    are the vertices at distance df from the source on a geodesic.  Within a
+    layer, discovery order is the order of the least words, so the least
+    geodesic starts with the forward tree's path to the meeting vertex of
+    least number; from there on it takes the least letter that lowers the
+    distance to the target by one.
 
     max_radius bounds L (None: unbounded) and vertex_cap bounds the two
-    balls together.  A pair in different orbits fails at once.
+    trees together.  A pair in different orbits fails at once.
     """
     if max_radius is not None and max_radius < 0:
         raise ValueError(f"radius must be >= 0, got {max_radius}")
@@ -196,56 +205,31 @@ def find_path(
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
     if not same_orbit(source, target):
         raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F")
-    start = (source.preperiod, source.period)
-    goal = (target.preperiod, target.period)
-    fdist, bdist = {start: 0}, {goal: 0}
-    ffront, bfront = [start], [goal]
-    df = db = 0
-    meet = [start] if start == goal else []
+    forward = _Tree((source.preperiod, source.period))
+    backward = _Tree((target.preperiod, target.period))
+    meet = [0] if source == target else []
     while not meet:
+        df, db = forward.depth, backward.depth
         if df + db == max_radius:
             raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}")
-        forward = len(ffront) <= len(bfront)
-        front, dist, other = (ffront, fdist, bdist) if forward else (bfront, bdist, fdist)
-        depth = (df if forward else db) + 1
-        room = vertex_cap - len(fdist) - len(bdist)
-        layer = []
-        for v, w in front:
-            for table in _BFS_TABLES:
-                key = _step(v, w, table)
-                if key not in dist:
-                    if len(layer) == room:
-                        raise BallCapacityError(
-                            vertex_cap,
-                            f"; the search from {source} to {target} held {vertex_cap} vertices,"
-                            f" complete to depth {df} from the source and {db} from the target",
-                        )
-                    dist[key] = depth
-                    layer.append(key)
-        if not layer:  # a closed, finite orbit: only an endpoint's, which same_orbit rules out
+        tree, other = (forward, backward) if forward.width <= backward.width else (backward, forward)
+        if not tree.grow(vertex_cap - len(other.keys)):
+            raise BallCapacityError(
+                vertex_cap,
+                f"; the search from {source} to {target} held {vertex_cap} vertices,"
+                f" complete to depth {df} from the source and {db} from the target",
+            )
+        if not tree.width:  # a closed, finite orbit: only an endpoint's, which same_orbit rules out
             raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting")
-        meet = [key for key in layer if key in other]
-        if forward:
-            ffront, df = layer, depth
-        else:
-            bfront, db = layer, depth
-    # on_path[k]: the vertices at distance k from the source on a geodesic
-    on_path = [set(meet)]
-    for k in range(df - 1, -1, -1):
-        below = set()
-        for v, w in on_path[-1]:
-            for table in _BFS_TABLES:
-                key = _step(v, w, table)
-                if fdist.get(key) == k:
-                    below.add(key)
-        on_path.append(below)
-    on_path.reverse()
-    word = []
-    v, w = start
-    for k in range(1, df + db + 1):
+        meet = [forward.index[key] for key in tree.keys[tree.starts[-2] :] if key in other.index]
+    vertex = min(meet)
+    word = list(_path_word(forward.parents, vertex))
+    v, w = forward.keys[vertex]
+    starts = backward.starts
+    for k in range(backward.depth - 1, -1, -1):
         for letter, table in _BFS_STEPS:
             key = _step(v, w, table)
-            if (key in on_path[k]) if k <= df else (bdist.get(key) == df + db - k):
+            if starts[k] <= backward.index.get(key, -1) < starts[k + 1]:
                 break
         word.append(letter)
         v, w = key

@@ -32,6 +32,7 @@ from .words import (
     conjugate,
     format_word,
     invert_word,
+    relator_words,
     stabilizer_period_word,
     xn_word,
     yn_word,
@@ -182,7 +183,6 @@ def verify_generators(
         report.add(f"generator {k} fixes {point} (sequence action)", act_word(point, word) == point)
         report.add(f"generator {k} fixes {point} (map evaluation)", word_to_plmap(word).evaluate(value) == value)
     pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
-    factors = range(len(pool))  # rng.choice on it draws what rng.choice(pool) draws
     start = (point.preperiod, point.period)
     images: dict[tuple[tuple[str, str], int], tuple[str, str]] = {}
     rng = SplitMix64(seed)
@@ -190,7 +190,7 @@ def verify_generators(
     for _ in range(samples):
         image = start
         for _ in range(1 + rng.below(max_factors)):
-            step = (image, rng.choice(factors))
+            step = (image, rng.below(len(pool)))
             if step not in images:
                 images[step] = _fold(*image, pool[step[1]])
             image = images[step]
@@ -231,11 +231,9 @@ def _stabilizer_relators() -> tuple[Check, ...]:
     checks = []
     ident = identity()
     for tag, g0, g1 in (("x2,x3", xn_word(2), xn_word(3)), ("y1,y2", yn_word(1), yn_word(2))):
-        u = invert_word(g1) + g0
-        v1 = g0 + g1 + invert_word(g0)
-        v2 = g0 + g0 + g1 + invert_word(g0) + invert_word(g0)
-        checks.append(Check(f"first relator of F transported to <{tag}>", word_to_plmap(commutator(u, v1)) == ident))
-        checks.append(Check(f"second relator of F transported to <{tag}>", word_to_plmap(commutator(u, v2)) == ident))
+        first, second = relator_words(g0, g1)
+        checks.append(Check(f"first relator of F transported to <{tag}>", word_to_plmap(first) == ident))
+        checks.append(Check(f"second relator of F transported to <{tag}>", word_to_plmap(second) == ident))
     for i in (2, 3):
         for j in (1, 2):
             checks.append(Check(f"[x{i}, y{j}] == 1", word_to_plmap(commutator(xn_word(i), yn_word(j))) == ident))

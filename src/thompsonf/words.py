@@ -24,6 +24,10 @@ class Letter(Enum):
     X1 = "b"
     X1_INV = "B"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # sound, and it runs in C where Enum's own hashes the member's name.
+    __hash__ = object.__hash__
+
     @property
     def inverse(self) -> "Letter":
         return _INVERSE[self]
@@ -93,40 +97,39 @@ def yn_word(n: int) -> Word:
     return (Letter.X0_INV,) * (n + 1) + (Letter.X1,) + (Letter.X0,) * n
 
 
+def relator_words(g0: Word, g1: Word) -> tuple[Word, Word]:
+    """The two defining relators of F with x0 -> g0 and x1 -> g1.
+
+    They are [x1^-1 x0, x0 x1 x0^-1] and [x1^-1 x0, x0^2 x1 x0^-2].
+    """
+    u = invert_word(g1) + g0
+    return commutator(u, conjugate(g1, g0)), commutator(u, conjugate(g1, g0 + g0))
+
+
+_A_WORD: Word = (Letter.X0_INV, Letter.X1)
+_B_WORD: Word = (Letter.X1,)
+
+
+def _substitute(text: str, images: dict[str, Word], what: str) -> Word:
+    letters: list[Letter] = []
+    for ch in text:
+        image = images.get(ch)
+        if image is None:
+            raise ValueError(f"{what} letters must be {' or '.join(images)}, got {ch!r}")
+        letters.extend(image)
+    return tuple(letters)
+
+
 def address_word(address: str) -> Word:
     """Expand an A/B vertex address: A -> x0^-1 x1, B -> x1."""
-    letters: list[Letter] = []
-    for ch in address:
-        if ch == "A":
-            letters.extend((Letter.X0_INV, Letter.X1))
-        elif ch == "B":
-            letters.append(Letter.X1)
-        else:
-            raise ValueError(f"address letters must be A or B, got {ch!r}")
-    return tuple(letters)
+    return _substitute(address, {"A": _A_WORD, "B": _B_WORD}, "address")
 
 
 def period_loop_word(period: str) -> Word:
     """Word closing the period loop: substitute 0 -> x1, 1 -> x0^-1 x1 into the reversed period."""
-    letters: list[Letter] = []
-    for ch in reversed(period):
-        if ch == "0":
-            letters.append(Letter.X1)
-        elif ch == "1":
-            letters.extend((Letter.X0_INV, Letter.X1))
-        else:
-            raise ValueError(f"period letters must be 0 or 1, got {ch!r}")
-    return tuple(letters)
+    return _substitute(period[::-1], {"0": _B_WORD, "1": _A_WORD}, "period")
 
 
 def stabilizer_period_word(period: str) -> Word:
     """Inverse of the period loop word: substitute 0 -> x1^-1, 1 -> x1^-1 x0 into the period."""
-    letters: list[Letter] = []
-    for ch in period:
-        if ch == "0":
-            letters.append(Letter.X1_INV)
-        elif ch == "1":
-            letters.extend((Letter.X1_INV, Letter.X0))
-        else:
-            raise ValueError(f"period letters must be 0 or 1, got {ch!r}")
-    return tuple(letters)
+    return invert_word(period_loop_word(period))

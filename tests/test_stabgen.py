@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ from thompsonf.words import (
 )
 
 F = Fraction
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_schreier_x_word_with_empty_label_is_a_shifted_generator():
@@ -166,6 +169,21 @@ def test_gens_for_a_nineteen_letter_preperiod():
     assert verify_generators(gens, samples=20).passed
     # about 0.06 s on a 2-vCPU Xeon; the budget leaves room for load
     assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
+
+
+def test_gens_text_of_long_searches_matches_the_frozen_fixture():
+    # Points whose conjugators take 16-29 letters, where the least geodesic
+    # is read off two search trees; the text is frozen, one header line and
+    # five generator lines per point.
+    lines = (FIXTURES / "gens_long_search.txt").read_text().splitlines(keepends=True)
+    blocks = ["".join(lines[k : k + 6]) for k in range(0, len(lines), 6)]
+    lengths = []
+    for block in blocks:
+        point = parse_point(block.split()[1].removeprefix("point="))
+        gens = stabilizer_generators(point)
+        assert format_generators(gens) == block
+        lengths.append(len(gens.conjugator))
+    assert len(blocks) >= 5 and min(lengths) >= 16 and max(lengths) == 29
 
 
 def test_conjugated_generators_for_a_non_base_point():

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from thompsonf.schreier import forbidden_prefix
 from thompsonf.words import (
     Letter,
     WordSyntaxError,
@@ -10,6 +13,7 @@ from thompsonf.words import (
     invert_word,
     parse_word,
     period_loop_word,
+    relator_words,
     stabilizer_period_word,
     xn_word,
     yn_word,
@@ -70,7 +74,7 @@ def test_address_word_substitution():
     assert address_word("") == ()
     assert address_word("A") == (AI, B)
     assert address_word("BBA") == (B, B, AI, B)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^address letters must be A or B, got 'C'$"):
         address_word("AC")
 
 
@@ -78,11 +82,38 @@ def test_period_loop_word_reads_reversed_period():
     assert period_loop_word("0") == (B,)
     assert period_loop_word("1") == (AI, B)
     assert period_loop_word("0100") == (B, B, AI, B, B)
-    with pytest.raises(ValueError):
-        period_loop_word("012")
+    for word in (period_loop_word, stabilizer_period_word):
+        with pytest.raises(ValueError, match=r"^period letters must be 0 or 1, got '2'$"):
+            word("012")
 
 
 def test_stabilizer_period_word_is_loop_word_inverse():
-    for w in ("0", "1", "01", "0100", "1101"):
-        assert stabilizer_period_word(w) == invert_word(period_loop_word(w))
+    # on every period of up to 10 letters, where the loop word is also the
+    # address word of the forbidden prefix
+    for length in range(1, 11):
+        for bits in product("01", repeat=length):
+            w = "".join(bits)
+            loop = period_loop_word(w)
+            assert loop == address_word(forbidden_prefix(w)), w
+            assert stabilizer_period_word(w) == invert_word(loop), w
     assert stabilizer_period_word("0100") == (BI, BI, A, BI, BI)
+
+
+def test_relator_words_of_the_generators_are_the_defining_relators():
+    first, second = relator_words((A,), (B,))
+    assert first == commutator((BI, A), (A, B, AI))
+    assert second == commutator((BI, A), (A, A, B, AI, AI))
+    g0, g1 = (A, B), (AI,)
+    assert relator_words(g0, g1) == (
+        commutator(invert_word(g1) + g0, g0 + g1 + invert_word(g0)),
+        commutator(invert_word(g1) + g0, g0 + g0 + g1 + invert_word(g0) + invert_word(g0)),
+    )
+
+
+def test_letters_hash_by_identity():
+    # dict lookups keyed by letters are on the hot paths of both actions, so
+    # the hash is object's C-level identity hash, not Enum's hash of the name
+    assert Letter.__hash__ is object.__hash__
+    for letter in Letter:
+        assert hash(letter) == object.__hash__(letter)
+        assert {letter: 1}[Letter(letter.value)] == 1
