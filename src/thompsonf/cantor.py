@@ -18,7 +18,10 @@ search build a RationalPoint only for the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with
-PeriodCapacityError, before they build it.
+PeriodCapacityError, before they build it.  The period of p/q has as many
+letters as the order of 2 modulo the odd part of q, which a baby-step
+giant-step search finds in O(sqrt(n)) steps for an order n, or rules out
+beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps.
 """
 
 from __future__ import annotations
@@ -222,6 +225,43 @@ def shift(point: RationalPoint) -> RationalPoint:
     return RationalPoint._trusted("", w[1:] + w[0])
 
 
+def _order_of_two(m: int) -> int | None:
+    """Least n >= 1 with 2^n = 1 (mod m) for odd m; None when n > MAX_PERIOD.
+
+    Shanks' baby-step giant-step.  The baby steps put 2^j mod m -> j in a
+    table for j < s, returning the first j >= 1 with 2^j = 1.  Past them,
+    the order n exceeds s and is i*s - j for i = ceil(n / s) and some j < s,
+    so the first giant step 2^(i*s) found in the table gives n = i*s - j
+    (the table's entries are distinct, as s < n).  Giant steps cover orders
+    up to s^2; s doubles from 32, the table growing with it, until s^2
+    reaches MAX_PERIOD.  An order n costs O(sqrt(n)) steps, a value past the
+    bound O(sqrt(MAX_PERIOD)).
+    """
+    cap = MAX_PERIOD
+    one = 1 % m
+    table: dict[int, int] = {}
+    j, power, s = 0, one, 32
+    while True:
+        while j < s:
+            table[power] = j
+            j += 1
+            power = power * 2 % m
+            if power == one:
+                return j if j <= cap else None
+        steps = min(s, -(-cap // s))
+        giant = power  # 2^s mod m
+        for i in range(1, steps + 1):
+            k = table.get(power)
+            if k is not None:
+                n = i * s - k
+                return n if n <= cap else None
+            power = power * giant % m
+        if steps * s >= cap:
+            return None
+        power = giant
+        s *= 2
+
+
 def value_to_point(value: Fraction | int) -> RationalPoint:
     """Binary expansion of a rational in [0, 1].
 
@@ -232,7 +272,8 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
     is in lowest terms.  Terminating expansions come out with the 0^inf tail,
     so dyadic rationals map to their 0-tail representative (the 1-tail twin
     is reachable by point syntax only).  Raises PeriodCapacityError when a
-    exceeds MAX_PERIOD, and as soon as n is known to exceed it.
+    or n exceeds MAX_PERIOD, before any digit is formatted; _order_of_two
+    finds n, or rules it out, in O(sqrt(n)) modular steps.
     """
     if isinstance(value, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
@@ -249,15 +290,12 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
             f" more than {MAX_PERIOD} (capacity exceeded)"
         )
     m = den >> a
-    n, power = 1, 2 % m
-    while power != 1 % m:
-        n += 1
-        if n > MAX_PERIOD:
-            raise PeriodCapacityError(
-                f"the binary period of a value whose denominator has an odd part of"
-                f" {m.bit_length()} bits is longer than {MAX_PERIOD} letters (capacity exceeded)"
-            )
-        power = power * 2 % m
+    n = _order_of_two(m)
+    if n is None:
+        raise PeriodCapacityError(
+            f"the binary period of a value whose denominator has an odd part of"
+            f" {m.bit_length()} bits is longer than {MAX_PERIOD} letters (capacity exceeded)"
+        )
     q, r = divmod(num, m)
     preperiod = format(q, f"0{a}b") if a else ""
     return RationalPoint._trusted(preperiod, format(r * ((1 << n) - 1) // m, f"0{n}b"))
@@ -268,9 +306,9 @@ def parse_point(text: str) -> RationalPoint:
     if "/" in text:
         slash = text.index("/")
         num_part, den_part = text[:slash], text[slash + 1:]
-        if not num_part.isdigit():
+        if not _is_ascii_digits(num_part):
             raise PointSyntaxError(text, 0, "expected an integer numerator")
-        if not den_part.isdigit():
+        if not _is_ascii_digits(den_part):
             raise PointSyntaxError(text, slash + 1, "expected an integer denominator")
         num, den = int(num_part), int(den_part)
         if den == 0:
@@ -299,6 +337,11 @@ def parse_point(text: str) -> RationalPoint:
                 f"{name} of {len(letters)} letters is longer than {MAX_PERIOD} (capacity exceeded)"
             )
     return canonicalize(preperiod, period)
+
+
+def _is_ascii_digits(s: str) -> bool:
+    """True for a nonempty run of 0-9; str.isdigit alone also takes "²" and "٣"."""
+    return s.isascii() and s.isdigit()
 
 
 def _first_non_binary(s: str) -> int | None:

@@ -9,10 +9,10 @@ bit-for-bit reproducible.
 The search works on (preperiod, period) string pairs, which hash and compare
 at C speed, and steps them with the head-table kernel of cantor.  Balls and
 shortest paths grow the same BFS tree, one whole layer at a time, recording
-the parent of every vertex and the x0 and x1 edges of every vertex it
-expands; a ball builds the RationalPoint of each vertex once, at the end,
-and computes the images of its boundary layer only, the vertices at the
-full radius.
+the parent of every vertex.  A ball's tree also records the x0 and x1 edges
+of every vertex it expands; a ball builds the RationalPoint of each vertex
+once, at the end, and computes the images of its boundary layer only, the
+vertices at the full radius.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -91,15 +91,16 @@ class _Tree:
     Vertices are (preperiod, period) keys numbered in discovery order, and
     keys[starts[d]:starts[d + 1]] is the layer at depth d.  Growing expands
     the outermost layer in vertex order, letters in BFS_LETTERS order, and
-    records the parent of every new vertex and the x0 and x1 edges of every
-    expanded one, so the edges come in vertex order.
+    records the parent of every new vertex.  Given an edge list, it also
+    appends the x0 and x1 edges of every expanded vertex to it, in vertex
+    order; balls pass one, shortest-path searches do not.
     """
 
-    def __init__(self, root: _Key):
+    def __init__(self, root: _Key, edges: list[_Edge] | None = None):
         self.keys = [root]
         self.index = {root: 0}
         self.parents: list[_Parent] = [None]
-        self.edges: list[_Edge] = []
+        self.edges = edges
         self.starts = [0, 1]
 
     @property
@@ -112,7 +113,7 @@ class _Tree:
 
     def grow(self, limit: int) -> bool:
         """Add the next layer; False, and no layer, when it would hold more than limit vertices in all."""
-        keys, index, parents = self.keys, self.index, self.parents
+        keys, index, parents, edges = self.keys, self.index, self.parents, self.edges
         for i in range(self.starts[-2], self.starts[-1]):
             v, w = keys[i]
             images = []
@@ -127,8 +128,9 @@ class _Tree:
                     keys.append(key)
                     parents.append((i, letter))
                 images.append(j)
-            # x0 and x1 are the first and the third of BFS_LETTERS
-            self.edges += ((i, "x0", images[0]), (i, "x1", images[2]))
+            if edges is not None:
+                # x0 and x1 are the first and the third of BFS_LETTERS
+                edges += ((i, "x0", images[0]), (i, "x1", images[2]))
         self.starts.append(len(keys))
         return True
 
@@ -146,11 +148,12 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
         raise ValueError(f"radius must be >= 0, got {radius}")
     if vertex_cap < 1:
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
-    tree = _Tree((seed.preperiod, seed.period))
+    edges: list[_Edge] = []
+    tree = _Tree((seed.preperiod, seed.period), edges)
     while tree.depth < radius and tree.width:
         if not tree.grow(vertex_cap):
             raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {tree.depth}")
-    keys, index, starts, edges = tree.keys, tree.index, tree.starts, tree.edges
+    keys, index, starts = tree.keys, tree.index, tree.starts
     for i in range(starts[-2], len(keys)):
         v, w = keys[i]
         for label, table in _EDGE_STEPS:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -15,6 +16,7 @@ from thompsonf.cantor import (
     PointSyntaxError,
     RationalPoint,
     ZERO_POINT,
+    _order_of_two,
     act_letter,
     act_word,
     canonicalize,
@@ -168,6 +170,103 @@ def test_period_bound():
     assert len(value_to_point(F(1, 1000003)).period) == 1000002
 
 
+def _reference_order(m, cap):
+    """Least n <= cap with 2^n = 1 (mod m), one doubling per step; None past cap."""
+    power = 2 % m
+    for n in range(1, cap + 1):
+        if power == 1 % m:
+            return n
+        power = power * 2 % m
+    return None
+
+
+def _factorization(n):
+    """{p: e} for the prime powers p^e of n, by trial division."""
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _order_by_factoring(m, cap):
+    """The reference loop's answer without its up to cap steps, for large m.
+
+    2^lambda(m) = 1 for Carmichael's lambda(m), the lcm of p^(e-1) (p - 1)
+    over the prime powers p^e of m, so the order divides it: it is lambda(m)
+    with every prime factor removed while 2 to the quotient is still 1.
+    """
+    n = lcm(*(p ** (e - 1) * (p - 1) for p, e in _factorization(m).items()))
+    for p in _factorization(n):
+        while n % p == 0 and pow(2, n // p, m) == 1 % m:
+            n //= p
+    return n if n <= cap else None
+
+
+def test_order_of_two_matches_the_reference_loop():
+    for m in range(1, 4096, 2):
+        expected = _reference_order(m, MAX_PERIOD)
+        assert _order_of_two(m) == expected, m
+        assert _order_by_factoring(m, MAX_PERIOD) == expected, m
+
+
+@pytest.mark.parametrize(
+    "m,order",
+    [(1000003, 1000002), (1048583, 524291), (1048589, None), (3**13, None)],
+)
+def test_order_of_two_on_moduli_near_the_bound(m, order):
+    # 3^13 = 1594323 has order 1062882, and the prime 1048589 has 1048588
+    assert _order_of_two(m) == order
+    assert _reference_order(m, MAX_PERIOD) == order
+
+
+def test_order_of_two_on_seeded_large_moduli():
+    # the reference loop would run up to 2^20 steps for each of these, so the
+    # factored order, which agrees with it on every odd m < 4096, stands in
+    rng = SplitMix64(24)
+    moduli = [2 * rng.below(1 << 23) + 1 for _ in range(500)]
+    outcomes = [_order_of_two(m) for m in moduli]
+    assert outcomes == [_order_by_factoring(m, MAX_PERIOD) for m in moduli]
+    assert None in outcomes and any(n is not None and n > 1 << 12 for n in outcomes)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 16, 31, 32, 33, 64, 1000])
+def test_order_of_two_applies_a_lowered_bound(monkeypatch, cap):
+    monkeypatch.setattr(cantor, "MAX_PERIOD", cap)
+    for m in range(1, 600, 2):
+        order = _reference_order(m, m)
+        got = _order_of_two(m)
+        assert got == _reference_order(m, cap), (m, cap)
+        assert (got is None) == (order > cap), (m, cap)
+
+
+def test_periods_near_the_bound_convert_fast():
+    def best_of_3(value):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            try:
+                point = value_to_point(value)
+            except PeriodCapacityError as err:
+                point = err
+            times.append(time.perf_counter() - start)
+        return point, min(times)
+
+    error, elapsed = best_of_3(F(1, 3**13))
+    assert str(error) == (
+        f"the binary period of a value whose denominator has an odd part of 21 bits"
+        f" is longer than {MAX_PERIOD} letters (capacity exceeded)"
+    )
+    assert elapsed < 0.03, f"best of 3 took {elapsed:.3f}s, budget is 0.03s"
+    point, elapsed = best_of_3(F(1, 1000003))
+    assert len(point.period) == 1000002
+    assert elapsed < 0.03, f"best of 3 took {elapsed:.3f}s, budget is 0.03s"
+
+
 def test_period_bound_message_states_the_size_of_the_denominator(monkeypatch):
     # a Fraction whose denominator has more than 4300 digits cannot be
     # formatted under the interpreter's int-to-str digit limit, so the message
@@ -308,6 +407,9 @@ def test_str_and_parse_point():
         ("a/2", 0),  # bad numerator
         ("1/q", 2),  # bad denominator
         ("1/0", 2),  # zero denominator
+        ("\u00b2/3", 0),  # superscript two: str.isdigit, but not int()
+        ("\u0661/\u0663", 0),  # Arabic-Indic digits, which int() reads as 1/3
+        ("1/\u0663", 2),
     ],
 )
 def test_parse_point_errors_carry_positions(text, position):

@@ -206,6 +206,20 @@ def test_malformed_point_exits_two(capsys):
     assert "error" in err
 
 
+def test_fraction_with_non_ascii_digits_exits_two(capsys):
+    # str.isdigit takes both; int() rejects the superscript and reads the
+    # Arabic-Indic digits as 1/3
+    code, out, err = run(capsys, "canon", "\u00b2/3")
+    assert (code, out) == (2, "")
+    assert "expected an integer numerator at position 0" in err
+    code, out, err = run(capsys, "canon", "\u0661/\u0663")
+    assert (code, out) == (2, "")
+    assert "expected an integer numerator at position 0" in err
+    code, out, err = run(capsys, "act", "1/\u0663", "a")
+    assert (code, out) == (2, "")
+    assert "expected an integer denominator at position 2" in err
+
+
 def test_malformed_word_exits_two(capsys):
     code, out, err = run(capsys, "act", "1(0)", "xyz")
     assert code == 2
