@@ -21,13 +21,15 @@ point whose period or preperiod would be longer than MAX_PERIOD letters with
 PeriodCapacityError, before they build it.  The period of p/q has as many
 letters as the order of 2 modulo the odd part of q, which a baby-step
 giant-step search finds in O(sqrt(n)) steps for an order n, or rules out
-beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps.
+beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps.  A p/q with more digits than
+2^(2 MAX_PERIOD) is refused the same way, before its digits are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 
 from .words import Letter, Word
 
@@ -302,7 +304,12 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
 
 
 def parse_point(text: str) -> RationalPoint:
-    """Parse v(w) point syntax or an exact fraction p/q."""
+    """Parse v(w) point syntax or an exact fraction p/q.
+
+    Every point within MAX_PERIOD has a lowest-terms value p / (2^a (2^n - 1))
+    with a, n <= MAX_PERIOD, so a p or q with more digits than 2^(2 MAX_PERIOD)
+    is refused before the quadratic int() reads it.
+    """
     if "/" in text:
         slash = text.index("/")
         num_part, den_part = text[:slash], text[slash + 1:]
@@ -310,6 +317,10 @@ def parse_point(text: str) -> RationalPoint:
             raise PointSyntaxError(text, 0, "expected an integer numerator")
         if not _is_ascii_digits(den_part):
             raise PointSyntaxError(text, slash + 1, "expected an integer denominator")
+        cap = int(2 * MAX_PERIOD * log10(2)) + 1  # the digits of 2^(2 MAX_PERIOD)
+        for name, part in (("numerator", num_part), ("denominator", den_part)):
+            if len(part) > cap:
+                raise PeriodCapacityError(f"{name} of {len(part)} digits is longer than {cap} (capacity exceeded)")
         num, den = int(num_part), int(den_part)
         if den == 0:
             raise PointSyntaxError(text, slash + 1, "denominator must be nonzero")

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
-from .plmap import check_relators, word_to_plmap
+from .plmap import MAX_DEPTH, check_relators, word_to_plmap
 from .report import Report
 from .schreier import (
+    MAX_LABEL_LEN,
     BallCapacityError,
     PathNotFoundError,
     ball,
@@ -30,6 +30,7 @@ from .schreier import (
     find_path,
 )
 from .stabgen import (
+    MAX_SAMPLES,
     check_reduction,
     check_stabilizer_relators,
     check_twin_points,
@@ -79,12 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the stabilizer generating set for a point")
     p.add_argument("point")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100, help=f"random products to check, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("selftest", help="run the full identity and uniqueness suites")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--label-len", type=int, default=5)
+    p.add_argument("--depth", type=int, default=8, help=f"index bound of the relator checks, 2 to {MAX_DEPTH}")
+    p.add_argument("--label-len", type=int, default=5, help=f"longest A/B address checked, 1 to {MAX_LABEL_LEN}")
     return parser
 
 
@@ -93,27 +94,15 @@ def _print_report(report: Report) -> int:
     return 0 if report.passed else 1
 
 
-def _print_value(prefix: str, value: Fraction) -> None:
-    """Print prefix and value with the int-to-str digit limit lifted meanwhile.
+def main(argv: list[str] | None = None) -> int:
+    """Run one command with the int-to-str digit limit lifted, as long-period values need.
 
-    Exact values of long-period points have numerators of thousands of
-    digits; MAX_PERIOD bounds their digit count.  Interpreters without the
-    limit have no sys.get_int_max_str_digits and need nothing lifted.
+    parse_point bounds the digits it reads; interpreters without the limit need nothing lifted.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit else None
+    args = _build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    try:
-        print(f"{prefix}{value}")
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
         return _dispatch(args)
     except (PointSyntaxError, WordSyntaxError, ValueError) as exc:
@@ -122,12 +111,15 @@ def main(argv: list[str] | None = None) -> int:
     except (PathNotFoundError, BallCapacityError, PeriodCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "canon":
         point = parse_point(args.point)
-        _print_value(f"{point} = ", point.value())
+        print(f"{point} = {point.value()}")
         return 0
     if args.command == "act":
         point = parse_point(args.point)
@@ -139,7 +131,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{t} -> {y}")
         return 0
     if args.command == "value":
-        _print_value("", parse_point(args.point).value())
+        print(parse_point(args.point).value())
         return 0
     if args.command == "graph":
         b = ball(parse_point(args.point), args.radius, args.cap)

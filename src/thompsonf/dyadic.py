@@ -2,9 +2,11 @@
 
 Breakpoint coordinates of the piecewise linear maps in this package are
 always dyadic, and Dyadic is their type at the API boundary: PLMap's public
-constructor takes Dyadic pairs (and validates them) and `PLMap.breakpoints`
-returns them.  Inside, a map keeps one exponent and integer numerators over
-that power of two, so no floating point is involved anywhere.
+constructor takes Dyadic pairs and `PLMap.breakpoints` returns them.  Inside,
+a map keeps one exponent and integer numerators over that power of two, so
+no floating point is involved anywhere: the constructor validates those
+numerators, and the package's closed forms are built from integers without
+a Dyadic.  Dyadic itself only normalizes, converts and prints.
 """
 
 from __future__ import annotations
@@ -58,25 +60,7 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
 
-    def in_unit_interval(self) -> bool:
-        return 0 <= self.numerator <= (1 << self.exponent)
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self.as_fraction() < other.as_fraction()
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self.as_fraction() <= other.as_fraction()
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
-
     def __str__(self) -> str:
         # normalized: the numerator is odd whenever the exponent is positive
         return f"{self.numerator}/{1 << self.exponent}" if self.exponent else str(self.numerator)
 
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)

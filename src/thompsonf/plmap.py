@@ -10,7 +10,8 @@ the package.
 Dyadic pairs are the API boundary.  Inside, a map keeps one exponent e and
 two tuples of integer numerators over 2^e, with e minimal, so all arithmetic
 is on ints; evaluate and preimage take and return Fractions.  Only the public
-constructor validates; compose, inverse and flip skip it.
+constructor validates, on the numerators; compose, inverse, flip and the
+closed forms of x0, x1, x_n and y_n, built from integers, skip it.
 
 Products follow the right-action convention: (f * g)(t) = g(f(t)), matching
 the left-to-right reading of words.
@@ -33,12 +34,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import or_
 from typing import Iterable, Sequence
 
 from .dyadic import Dyadic
 from .report import Report
 from .words import Letter, Word, relator_words
+
+MAX_DEPTH = 64
 
 
 class InvalidPLMapError(ValueError):
@@ -52,10 +56,10 @@ class PLMap:
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         points = tuple((t, y) for t, y in breakpoints)
-        _validate(points)
-        e = max(max(t.exponent, y.exponent) for t, y in points)
+        e = max((max(t.exponent, y.exponent) for t, y in points), default=0)
         ts = [t.numerator << (e - t.exponent) for t, _ in points]
         ys = [y.numerator << (e - y.exponent) for _, y in points]
+        _validate(points, ts, ys, 1 << e)
         normal = _trusted(e, ts, ys, range(1, len(ts) - 1))
         self._e, self._ts, self._ys = normal._e, normal._ts, normal._ys
 
@@ -76,12 +80,6 @@ class PLMap:
         if fr < 0 or fr > 1:
             raise ValueError(f"argument {fr} outside [0, 1]")
         return _interpolate(self._e, self._ts, self._ys, fr)
-
-    def __call__(self, t: Fraction | Dyadic | int) -> Fraction | Dyadic:
-        """Evaluate; dyadic input yields a Dyadic, rational input a Fraction."""
-        if isinstance(t, Dyadic):
-            return Dyadic.from_fraction(self.evaluate(t.as_fraction()))
-        return self.evaluate(t)
 
     def preimage(self, y: Fraction) -> Fraction:
         """Exact t with self(t) = y (the map is a bijection of [0, 1])."""
@@ -138,14 +136,8 @@ class PLMap:
             return NotImplemented
         return self.compose(other)
 
-    def __invert__(self) -> "PLMap":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "PLMap":
         return _product([self.inverse() if n < 0 else self] * abs(n))
-
-    def is_identity(self) -> bool:
-        return self == _IDENTITY
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLMap):
@@ -160,20 +152,24 @@ class PLMap:
         return f"PLMap[{pts}]"
 
 
-def _validate(points: Sequence[tuple[Dyadic, Dyadic]]) -> None:
+def _validate(points: Sequence[tuple[Dyadic, Dyadic]], ts: list[int], ys: list[int], one: int) -> None:
+    """Check breakpoints given as numerators ts, ys over one = 2^e; points, the same as Dyadics, name them."""
     if len(points) < 2:
         raise InvalidPLMapError("need at least the two endpoint breakpoints")
-    for t, y in points:
-        if not (t.in_unit_interval() and y.in_unit_interval()):
+    for i, (t, y) in enumerate(points):
+        if not (0 <= ts[i] <= one and 0 <= ys[i] <= one):
             raise InvalidPLMapError(f"breakpoint ({t}, {y}) outside the unit square")
-    if points[0] != (Dyadic(0), Dyadic(0)) or points[-1] != (Dyadic(1), Dyadic(1)):
+    if (ts[0], ys[0], ts[-1], ys[-1]) != (0, 0, one, one):
         raise InvalidPLMapError("endpoints must be fixed: (0, 0) and (1, 1)")
-    for (t0, y0), (t1, y1) in zip(points, points[1:]):
-        if not (t0 < t1 and y0 < y1):
+    for i in range(1, len(points)):
+        (t0, _), (t1, y1) = points[i - 1], points[i]
+        dt, dy = ts[i] - ts[i - 1], ys[i] - ys[i - 1]
+        if dt <= 0 or dy <= 0:
             raise InvalidPLMapError(f"breakpoints not strictly increasing near ({t1}, {y1})")
-        slope = (y1.as_fraction() - y0.as_fraction()) / (t1.as_fraction() - t0.as_fraction())
-        if slope.numerator & (slope.numerator - 1) or slope.denominator & (slope.denominator - 1):
-            raise InvalidPLMapError(f"slope {slope} on [{t0}, {t1}] is not a power of two")
+        g = gcd(dt, dy)
+        p, q = dy // g, dt // g
+        if p & (p - 1) or q & (q - 1):
+            raise InvalidPLMapError(f"slope {Fraction(dy, dt)} on [{t0}, {t1}] is not a power of two")
 
 
 def _from_ints(e: int, ts: tuple[int, ...], ys: tuple[int, ...]) -> PLMap:
@@ -274,34 +270,16 @@ def xn(n: int) -> PLMap:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    return PLMap(
-        (
-            (Dyadic(0), Dyadic(0)),
-            (Dyadic((1 << n) - 1, n), Dyadic((1 << n) - 1, n)),
-            (Dyadic((2 << n) - 1, n + 1), Dyadic((4 << n) - 3, n + 2)),
-            (Dyadic((4 << n) - 1, n + 2), Dyadic((2 << n) - 1, n + 1)),
-            (Dyadic(1), Dyadic(1)),
-        )
-    )
+    one = 4 << n  # numerators over 2^(n + 2); one - 1 is odd, so the exponent is minimal
+    return _from_ints(n + 2, (0, one - 4, one - 2, one - 1, one), (0, one - 4, one - 3, one - 2, one))
 
 
 def yn(n: int) -> PLMap:
-    """The element y_n = x0^-(n+1) x1 x0^n in closed form.
+    """The element y_n = x0^-(n+1) x1 x0^n: the image of xn(n) under the flip automorphism.
 
-    Supported on [0, 1/2^n] with slopes 2, 1, 1/2; the image of xn(n) under
-    the flip automorphism.
+    Supported on [0, 1/2^n] with slopes 2, 1, 1/2.
     """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return PLMap(
-        (
-            (Dyadic(0), Dyadic(0)),
-            (Dyadic(1, n + 2), Dyadic(1, n + 1)),
-            (Dyadic(1, n + 1), Dyadic(3, n + 2)),
-            (Dyadic(1, n), Dyadic(1, n)),
-            (Dyadic(1), Dyadic(1)),
-        )
-    )
+    return flip(xn(n))
 
 
 def flip(f: PLMap) -> PLMap:
@@ -310,26 +288,25 @@ def flip(f: PLMap) -> PLMap:
     return _from_ints(f._e, tuple(one - t for t in reversed(f._ts)), tuple(one - y for y in reversed(f._ys)))
 
 
-def _x_map(n: int) -> PLMap:
-    return _GEN_X0 if n == 0 else xn(n)
-
-
 def check_relators(depth: int = 8) -> Report:
     """Verify the defining relators of F as exact map identities.
 
     Covers the two finite-presentation relators, the shift relations
     x_k x_n x_k^-1 = x_{n+1} and y_k y_n y_k^-1 = y_{n+1} for indices up to
-    depth, and commutation of every x_i with every y_j up to depth.
+    depth, and commutation of every x_i with every y_j up to depth.  The
+    checks grow as depth^2, so depth is at most MAX_DEPTH.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_DEPTH}, got {depth}")
     report = Report("relators")
     ident = identity()
     first, second = relator_words((Letter.X0,), (Letter.X1,))
     report.add("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(first) == ident)
     report.add("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(second) == ident)
 
-    xs = {k: _x_map(k) for k in range(depth + 2)}
+    xs = {k: xn(k) if k else _GEN_X0 for k in range(depth + 2)}
     ys = {k: yn(k) for k in range(1, depth + 2)}
     for k in range(depth + 1):
         for n in range(k + 1, depth + 1):
@@ -346,26 +323,9 @@ def check_relators(depth: int = 8) -> Report:
     return report
 
 
-_IDENTITY = PLMap(((Dyadic(0), Dyadic(0)), (Dyadic(1), Dyadic(1))))
-
-_GEN_X0 = PLMap(
-    (
-        (Dyadic(0), Dyadic(0)),
-        (Dyadic(1, 1), Dyadic(1, 2)),
-        (Dyadic(3, 2), Dyadic(1, 1)),
-        (Dyadic(1), Dyadic(1)),
-    )
-)
-
-_GEN_X1 = PLMap(
-    (
-        (Dyadic(0), Dyadic(0)),
-        (Dyadic(1, 1), Dyadic(1, 1)),
-        (Dyadic(3, 2), Dyadic(5, 3)),
-        (Dyadic(7, 3), Dyadic(3, 2)),
-        (Dyadic(1), Dyadic(1)),
-    )
-)
+_IDENTITY = _from_ints(0, (0, 1), (0, 1))
+_GEN_X0 = _from_ints(2, (0, 2, 3, 4), (0, 1, 2, 4))  # numerators over 4
+_GEN_X1 = xn(1)
 
 _LETTER_MAPS = {
     Letter.X0: _GEN_X0,

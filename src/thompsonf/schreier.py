@@ -34,6 +34,7 @@ from .report import Report
 from .words import Letter, Word, address_word, period_loop_word
 
 BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
+MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 
 # Letters with their head tables, so a BFS step does no per-letter lookup.
 _BFS_STEPS = tuple((letter, _TABLES[letter]) for letter in BFS_LETTERS)
@@ -256,6 +257,8 @@ def check_addresses(period: str, max_len: int) -> Report:
     checks that they reach pairwise distinct points, and checks that the
     period loop word fixes the root.
     """
+    if max_len > MAX_LABEL_LEN:
+        raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_len}")
     if primitive_root(period) != period:
         raise ValueError(f"period {period!r} is a proper power")
     root = canonicalize("10", period)

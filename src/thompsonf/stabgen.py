@@ -23,7 +23,7 @@ from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canon
 from .plmap import identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
-from .schreier import find_path
+from .schreier import MAX_LABEL_LEN, find_path
 from .words import (
     Letter,
     Word,
@@ -37,6 +37,8 @@ from .words import (
     xn_word,
     yn_word,
 )
+
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
     """
     if max_label_len < 1 or max_n < 1:
         raise ValueError("bounds must be >= 1")
+    if max_label_len > MAX_LABEL_LEN:
+        raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_label_len}")
     report = Report("index reduction")
     x_maps = {k: xn(k) for k in range(2, max_n + max_label_len + 2)}
     y_maps = {k: yn(k) for k in range(1, max_n + max_label_len + 1)}
@@ -170,10 +174,12 @@ def verify_generators(
     The image of a product is the left fold of its factors' images, so each
     (image so far, factor) pair is folded once per call: for a sound set the
     image so far is always the point, and the products cost one fold per
-    generator and its inverse.
+    generator and its inverse.  samples is at most MAX_SAMPLES.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if max_factors < 1:
         raise ValueError(f"max_factors must be >= 1, got {max_factors}")
     report = Report(f"stabilizer generators for {gens.point}")

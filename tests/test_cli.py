@@ -1,11 +1,12 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from thompsonf import cli
+from thompsonf import cantor, cli
 from thompsonf.cantor import MAX_PERIOD
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,6 +74,67 @@ def test_long_period_values_print_in_full(capsys):
     assert code == 0
     assert out == f"{value}\n"
     assert get_limit() == limit  # the digit limit is restored after printing
+
+
+def test_long_values_read_back_in(capsys):
+    # 9033 characters, more than the int-from-str limit set here; main lifts it and puts it back
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    limit = get_limit()
+    set_limit(4321)
+    try:
+        code, value, _ = run(capsys, "value", "1(" + "0" * 14999 + "1)")
+        assert code == 0 and len(value) == 9034
+        code, out, err = run(capsys, "canon", value.strip())
+        assert (code, err) == (0, "")
+        assert out == f"(1{'0' * 14999}) = {value}"
+        code, out, _ = run(capsys, "value", value.strip())
+        assert (code, out) == (0, value)
+        assert run(capsys, "canon", "7/3")[0] == 2
+        assert get_limit() == (None if limit is None else 4321)  # restored after every command, failed ones too
+    finally:
+        set_limit(limit)
+
+
+def test_fractions_longer_than_the_bound_exit_one_before_parsing(capsys, monkeypatch):
+    # 2^(2 MAX_PERIOD) has 631306 digits; int() would take seconds on one more
+    for argv in (["canon", "1" * 631307 + "/3"], ["value", "1/" + "3" * 631307]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert "of 631307 digits is longer than 631306 (capacity exceeded)" in err
+    # with smaller bounds: the point whose value has the largest denominator reads back in,
+    # and one more digit than 2^(2 MAX_PERIOD) has is refused
+    for bound in (2, 3, 5, 16, 33):
+        monkeypatch.setattr(cantor, "MAX_PERIOD", bound)
+        digits = len(str(1 << 2 * bound))
+        point = "1" + "0" * (bound - 1) + "(" + "0" * (bound - 1) + "1)"
+        code, value, _ = run(capsys, "value", point)
+        assert code == 0
+        assert len(value.strip().split("/")[1]) <= digits
+        assert run(capsys, "canon", value.strip())[:2] == (0, f"{point} = {value}")
+        assert run(capsys, "canon", "0" * (digits - 1) + "1/1")[:2] == (0, "(1) = 1\n")
+        assert run(capsys, "canon", "0" * digits + "1/1")[0] == 1
+        assert run(capsys, "canon", "1/" + "0" * digits + "1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["selftest", "--label-len", "40"], "label length must be <= 12, got 40"),
+        (["selftest", "--label-len", "13"], "label length must be <= 12, got 13"),
+        (["selftest", "--depth", "1000"], "depth must be <= 64, got 1000"),
+        (["selftest", "--depth", "65"], "depth must be <= 64, got 65"),
+        (["verify", "4/15", "--samples", str(10 ** 12)], f"samples must be <= 100000, got {10 ** 12}"),
+        (["verify", "4/15", "--samples", "100001"], "samples must be <= 100000, got 100001"),
+    ],
+)
+def test_arguments_past_their_bounds_exit_two_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_period_longer_than_the_bound_exits_one(capsys):

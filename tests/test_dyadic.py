@@ -48,19 +48,6 @@ def test_from_fraction_rejects_odd_denominators():
         Dyadic.from_fraction(Fraction(4, 15))
 
 
-def test_ordering_matches_fractions():
-    values = [Dyadic(1, 2), Dyadic(1, 1), Dyadic(3, 2), Dyadic(0), Dyadic(1)]
-    assert sorted(values) == [Dyadic(0), Dyadic(1, 2), Dyadic(1, 1), Dyadic(3, 2), Dyadic(1)]
-
-
-def test_unit_interval_check():
-    assert Dyadic(1, 1).in_unit_interval()
-    assert Dyadic(0).in_unit_interval()
-    assert Dyadic(1).in_unit_interval()
-    assert not Dyadic(5, 2).in_unit_interval()
-    assert not Dyadic(-1, 2).in_unit_interval()
-
-
 def test_str_is_lowest_terms_fraction():
     assert str(Dyadic(2, 3)) == "1/4"
     assert str(Dyadic(0)) == "0"

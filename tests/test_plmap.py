@@ -69,13 +69,6 @@ def test_evaluate_rejects_out_of_range_and_floats():
         generator_x0().evaluate(0.5)
 
 
-def test_call_preserves_dyadic_type():
-    out = generator_x0()(Dyadic(1, 1))
-    assert isinstance(out, Dyadic)
-    assert out == Dyadic(1, 2)
-    assert isinstance(generator_x0()(F(1, 3)), Fraction)
-
-
 def test_compose_inverse_and_identity_laws():
     x0, x1 = generator_x0(), generator_x1()
     assert x0 * x0.inverse() == identity()
@@ -135,6 +128,90 @@ def test_validation_rejects_bad_data():
         PLMap.from_fractions([(F(0), F(0)), (F(1, 3), F(1, 3)), (F(1), F(1))])  # non-dyadic cut
 
 
+def _reference_validate(points):
+    """The validator as it was before the integer one: Fractions from each Dyadic."""
+    if len(points) < 2:
+        raise InvalidPLMapError("need at least the two endpoint breakpoints")
+    for t, y in points:
+        if not (0 <= t.as_fraction() <= 1 and 0 <= y.as_fraction() <= 1):
+            raise InvalidPLMapError(f"breakpoint ({t}, {y}) outside the unit square")
+    if points[0] != (Dyadic(0), Dyadic(0)) or points[-1] != (Dyadic(1), Dyadic(1)):
+        raise InvalidPLMapError("endpoints must be fixed: (0, 0) and (1, 1)")
+    for (t0, y0), (t1, y1) in zip(points, points[1:]):
+        if not (t0.as_fraction() < t1.as_fraction() and y0.as_fraction() < y1.as_fraction()):
+            raise InvalidPLMapError(f"breakpoints not strictly increasing near ({t1}, {y1})")
+        slope = (y1.as_fraction() - y0.as_fraction()) / (t1.as_fraction() - t0.as_fraction())
+        if slope.numerator & (slope.numerator - 1) or slope.denominator & (slope.denominator - 1):
+            raise InvalidPLMapError(f"slope {slope} on [{t0}, {t1}] is not a power of two")
+
+
+def _verdict(check, points):
+    """None when check accepts points, else the text of its InvalidPLMapError."""
+    try:
+        check(points)
+    except InvalidPLMapError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(rng, points):
+    """Seeded broken copies of a valid breakpoint list, one of each kind, by name."""
+    d = Dyadic.from_fraction
+    pts = [(t.as_fraction(), y.as_fraction()) for t, y in points]
+    i = 1 + rng.below(len(pts) - 3)  # pts[i] and pts[i + 1] are interior
+    k = rng.below(len(pts) - 1)  # a segment
+    (t0, y0), (t1, _) = pts[k], pts[k + 1]
+    step = min(t1 - t0, 1 - y0) / 4
+    cases = {
+        "swapped": pts[:i] + [pts[i + 1], pts[i]] + pts[i + 2:],
+        "slope 3": pts[:k + 1] + [(t0 + step, y0 + 3 * step)] + pts[k + 1:],
+        "missing endpoint": pts[1:] if rng.below(2) else pts[:-1],
+        "outside": pts[:i] + [(pts[i][0], F(5, 4) if rng.below(2) else F(-1, 8))] + pts[i + 1:],
+        "equal t": pts[:i] + [(pts[i - 1][0], pts[i][1])] + pts[i + 1:],
+    }
+    return {name: tuple((d(t), d(y)) for t, y in c) for name, c in cases.items()}
+
+
+def test_integer_validator_agrees_with_the_fraction_reference():
+    rng = SplitMix64(43)
+    d = Dyadic
+    valid = [m.breakpoints for m in (identity(), generator_x0(), generator_x1(), xn(5), yn(3))]
+    for _ in range(60):
+        m = word_to_plmap(random_word(rng, 1 + rng.below(30)))
+        valid += [m.breakpoints, m.inverse().breakpoints, flip(m).breakpoints]
+    # collinear points are valid input too: the constructor drops them
+    valid.append(((d(0), d(0)), (d(1, 3), d(1, 3)), (d(1, 1), d(1, 1)), (d(1), d(1))))
+    messages = {}
+    for points in valid:
+        assert _verdict(_reference_validate, points) is None
+        assert _verdict(PLMap, points) is None
+        if len(points) < 4:
+            continue
+        for name, broken in _corruptions(rng, points).items():
+            expected = _verdict(_reference_validate, broken)
+            assert expected is not None, (name, broken)
+            assert _verdict(PLMap, broken) == expected, (name, broken)
+            messages.setdefault(name, set()).add(expected.split(" ")[0])
+    for points in ((), ((d(0), d(0)),), ((d(1), d(1)), (d(0), d(0)))):
+        assert _verdict(PLMap, points) == _verdict(_reference_validate, points) is not None
+    assert set(messages) == {"swapped", "slope 3", "missing endpoint", "outside", "equal t"}
+    assert messages["slope 3"] == {"slope"} and messages["outside"] == {"breakpoint"}
+    assert messages["missing endpoint"] == {"endpoints"}
+    assert messages["equal t"] == {"breakpoints"}
+    assert messages["swapped"] == {"breakpoints", "slope"}  # the point before the pair can go either way
+
+
+def test_closed_forms_equal_their_validated_and_word_forms():
+    maps = [identity(), generator_x0(), generator_x1()] + [letter_map(letter) for letter in Letter]
+    for n in range(1, 41):
+        assert xn(n) == word_to_plmap(xn_word(n))
+        assert yn(n) == word_to_plmap(yn_word(n))
+        maps += [xn(n), yn(n)]
+    for m in maps:
+        rebuilt = PLMap(m.breakpoints)
+        assert rebuilt == m and rebuilt._e == m._e and hash(rebuilt) == hash(m)
+
+
 def test_collinear_interior_points_are_dropped():
     d = Dyadic
     m = PLMap(((d(0), d(0)), (d(1, 1), d(1, 1)), (d(1), d(1))))
@@ -155,10 +232,11 @@ def test_every_operation_produces_valid_breakpoints():
             assert rebuilt == m
             assert hash(rebuilt) == hash(m)
             assert len(rebuilt.breakpoints) == len(m.breakpoints)
-            for t, y in m.breakpoints:
-                assert t.in_unit_interval() and y.in_unit_interval()
-            slopes = set()
             pts = frs(m)
+            for t, y in pts:
+                assert 0 <= t <= 1 and 0 <= y <= 1
+                assert t.denominator & (t.denominator - 1) == 0 and y.denominator & (y.denominator - 1) == 0
+            slopes = set()
             for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
                 slopes.add((y1 - y0) / (t1 - t0))
             for s in slopes:
@@ -269,6 +347,8 @@ def test_check_relators_all_pass_at_depth_eight():
     assert "[x2, y1] == 1" in names
     with pytest.raises(ValueError):
         check_relators(1)
+    with pytest.raises(ValueError, match="depth must be <= 64, got 65"):
+        check_relators(65)
 
 
 def _string_oracle_image(word, t):

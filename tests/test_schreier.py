@@ -356,6 +356,8 @@ def test_check_addresses_counts_pruned_labels():
 def test_check_addresses_rejects_non_primitive_period():
     with pytest.raises(ValueError):
         check_addresses("0101", 4)
+    with pytest.raises(ValueError, match="label length must be <= 12, got 13"):
+        check_addresses("01", 13)
 
 
 def test_dot_export_matches_frozen_fixture():

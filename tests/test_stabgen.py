@@ -73,6 +73,8 @@ def test_reduction_identities_hold():
 def test_reduction_bounds_validated():
     with pytest.raises(ValueError):
         check_reduction(0, 4)
+    with pytest.raises(ValueError, match="label length must be <= 12, got 13"):
+        check_reduction(13, 4)
 
 
 def test_endpoint_stabilizer_is_the_whole_group():
@@ -224,6 +226,8 @@ def test_verify_generators_checks_both_oracles_and_products():
     assert "y4 == y1^2 y2 y1^-2" in names
     with pytest.raises(ValueError):
         verify_generators(gens, samples=0)
+    with pytest.raises(ValueError, match="samples must be <= 100000, got 100001"):
+        verify_generators(gens, samples=100_001)
     with pytest.raises(ValueError):
         verify_generators(gens, max_factors=0)
 
