@@ -12,9 +12,10 @@ at import time each letter gets a head table from those three letters to the
 length and the replacement of the matching rule.  One kernel, _step, applies
 a letter to a canonical (preperiod, period) pair of plain strings: it looks
 the rule up, rotates the period once by the letters the rule read past the
-preperiod, and absorbs trailing preperiod letters.  act_letter, act_word and
-the breadth-first search in schreier all go through it; act_word and the
-search build a RationalPoint only for the points they return.
+preperiod, and absorbs trailing preperiod letters.  act_letter and act_word
+go through it, and the breadth-first search in schreier does the same steps
+for all four letters at once from one lookup in a table built from these;
+act_word and the search build a RationalPoint only for the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with

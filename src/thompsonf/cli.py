@@ -17,7 +17,7 @@ import functools
 import sys
 
 from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
-from .plmap import MAX_DEPTH, check_relators, word_to_plmap
+from .plmap import MAX_DEPTH, check_relators, validate_depth, word_to_plmap
 from .report import Report
 from .schreier import (
     MAX_LABEL_LEN,
@@ -37,12 +37,15 @@ from .stabgen import (
     format_generators,
     generators_to_json,
     stabilizer_generators,
+    validate_reduction_bounds,
+    validate_samples,
     verify_generators,
 )
 from .words import WordSyntaxError, format_word, parse_word
 
 SELFTEST_PERIODS = ("0", "1", "01", "10", "0100", "011")
 TWIN_PREFIXES = ("", "1", "01")
+SELFTEST_MAX_N = 4  # greatest generator index of the reduction checks
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -150,14 +153,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             sys.stdout.write(format_generators(gens))
         return 0
     if args.command == "verify":
-        gens = stabilizer_generators(parse_point(args.point))
+        point = parse_point(args.point)
+        validate_samples(args.samples)  # before the conjugator search, which may take seconds
+        gens = stabilizer_generators(point)
         report = verify_generators(gens, samples=args.samples, seed=args.seed)
         report.merge(check_stabilizer_relators())
         report.title = f"verification of {gens.point}"
         return _print_report(report)
     if args.command == "selftest":
+        # every bound is checked before the first suite runs
+        validate_depth(args.depth)
+        validate_reduction_bounds(args.label_len, SELFTEST_MAX_N)
         report = check_relators(args.depth)
-        report.merge(check_reduction(args.label_len, 4))
+        report.merge(check_reduction(args.label_len, SELFTEST_MAX_N))
         for period in SELFTEST_PERIODS:
             report.merge(check_addresses(period, args.label_len))
         for prefix in TWIN_PREFIXES:

@@ -288,6 +288,14 @@ def flip(f: PLMap) -> PLMap:
     return _from_ints(f._e, tuple(one - t for t in reversed(f._ts)), tuple(one - y for y in reversed(f._ys)))
 
 
+def validate_depth(depth: int) -> None:
+    """Refuse a check_relators depth outside 2..MAX_DEPTH with ValueError."""
+    if depth < 2:
+        raise ValueError(f"depth must be >= 2, got {depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_DEPTH}, got {depth}")
+
+
 def check_relators(depth: int = 8) -> Report:
     """Verify the defining relators of F as exact map identities.
 
@@ -296,10 +304,7 @@ def check_relators(depth: int = 8) -> Report:
     depth, and commutation of every x_i with every y_j up to depth.  The
     checks grow as depth^2, so depth is at most MAX_DEPTH.
     """
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"depth must be <= {MAX_DEPTH}, got {depth}")
+    validate_depth(depth)
     report = Report("relators")
     ident = identity()
     first, second = relator_words((Letter.X0,), (Letter.X1,))

@@ -7,12 +7,17 @@ x0, x0^-1, x1, x1^-1, so ball construction, DOT output and JSON output are
 bit-for-bit reproducible.
 
 The search works on (preperiod, period) string pairs, which hash and compare
-at C speed, and steps them with the head-table kernel of cantor.  Balls and
-shortest paths grow the same BFS tree, one whole layer at a time, recording
-the parent of every vertex.  A ball's tree also records the x0 and x1 edges
-of every vertex it expands; a ball builds the RationalPoint of each vertex
-once, at the end, and computes the images of its boundary layer only, the
-vertices at the full radius.
+at C speed.  Balls and shortest paths grow the same BFS tree, one whole
+layer at a time, kept in flat lists: the keys in discovery order and, per
+vertex, the number of its parent and the slot in BFS_LETTERS of the letter
+that discovered it.  One head-table lookup gives the rules of all four
+letters at a vertex, and the letter that undoes the discovering one is not
+applied at all: it leads back to the parent.  A ball's tree also records the
+x0 and x1 edges of every vertex it expands, as a flat list; only the
+boundary layer, the vertices at the full radius, has its images computed
+afterwards.  A ball is a view of that tree: its RationalPoint vertices,
+parents, distances and edge tuples are built on first access, and the DOT
+and JSON exports write the keys and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -25,20 +30,21 @@ that descend the backward tree.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
-from .cantor import _TABLES, _step, RationalPoint, act_word, canonicalize, primitive_root
+from .cantor import _TABLES, _absorbed, _step, RationalPoint, act_word, canonicalize, primitive_root
 from .report import Report
 from .words import Letter, Word, address_word, period_loop_word
 
 BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 
-# Letters with their head tables, so a BFS step does no per-letter lookup.
-_BFS_STEPS = tuple((letter, _TABLES[letter]) for letter in BFS_LETTERS)
-_EDGE_STEPS = (("x0", _TABLES[Letter.X0]), ("x1", _TABLES[Letter.X1]))
+# (lhs length, rhs) of the rule of each of BFS_LETTERS, by the first three
+# letters of the sequence.  Slots 2k and 2k + 1 hold inverse letters, so the
+# slot that undoes slot s is s ^ 1.
+_HEADS = {head: tuple(_TABLES[letter][head] for letter in BFS_LETTERS) for head in _TABLES[Letter.X0]}
+_BFS_TABLES = tuple(_TABLES[letter] for letter in BFS_LETTERS)
 
 _Key = tuple[str, str]
 _Parent = tuple[int, Letter] | None
@@ -57,50 +63,25 @@ class PathNotFoundError(RuntimeError):
         super().__init__(f"no path from {source} to {target}{why}")
 
 
-@dataclass
-class SchreierBall:
-    """BFS-explored portion of the Schreier graph around a seed point."""
-
-    seed: RationalPoint
-    radius: int
-    vertices: tuple[RationalPoint, ...]
-    edges: tuple[_Edge, ...]
-    parents: tuple[_Parent, ...]
-    distances: tuple[int, ...]
-
-    def path_word(self, vertex: int) -> Word:
-        """Shortest word u with act_word(seed, u) = vertices[vertex]."""
-        return _path_word(self.parents, vertex)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def _path_word(parents: Sequence[_Parent], vertex: int) -> Word:
-    letters: list[Letter] = []
-    while vertex != 0:
-        parent = parents[vertex]
-        assert parent is not None
-        vertex, letter = parent
-        letters.append(letter)
-    return tuple(reversed(letters))
-
-
 class _Tree:
     """BFS tree over the four letters, grown one whole layer at a time.
 
     Vertices are (preperiod, period) keys numbered in discovery order, and
-    keys[starts[d]:starts[d + 1]] is the layer at depth d.  Growing expands
+    keys[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
+    number of the vertex that discovered vertex i and slot[i] the place in
+    BFS_LETTERS of the letter it took, both -1 for the root.  Growing expands
     the outermost layer in vertex order, letters in BFS_LETTERS order, and
-    records the parent of every new vertex.  Given an edge list, it also
-    appends the x0 and x1 edges of every expanded vertex to it, in vertex
-    order; balls pass one, shortest-path searches do not.
+    skips the letter slot[i] ^ 1, whose image is parent[i].  Given a list,
+    it also appends the x0 and x1 edges of every expanded vertex to it, in
+    vertex order and flat: source, "x0", target, source, "x1", target.
+    Balls pass one, shortest-path searches do not.
     """
 
-    def __init__(self, root: _Key, edges: list[_Edge] | None = None):
+    def __init__(self, root: _Key, edges: list[int | str] | None = None):
         self.keys = [root]
         self.index = {root: 0}
-        self.parents: list[_Parent] = [None]
+        self.parent = [-1]
+        self.slot = [-1]
         self.edges = edges
         self.starts = [0, 1]
 
@@ -114,12 +95,21 @@ class _Tree:
 
     def grow(self, limit: int) -> bool:
         """Add the next layer; False, and no layer, when it would hold more than limit vertices in all."""
-        keys, index, parents, edges = self.keys, self.index, self.parents, self.edges
+        keys, index, parent, slot, edges = self.keys, self.index, self.parent, self.slot, self.edges
         for i in range(self.starts[-2], self.starts[-1]):
             v, w = keys[i]
+            nv = len(v)
+            back = slot[i] ^ 1
             images = []
-            for letter, table in _BFS_STEPS:
-                key = _step(v, w, table)
+            for s, (n, rhs) in enumerate(_HEADS[v[:3] if nv > 2 else (v + w[:3] * 3)[:3]]):
+                if s == back:
+                    images.append(parent[i])
+                    continue
+                if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
+                    key = (rhs + v[n:], w)
+                else:
+                    c = (n - nv) % len(w)
+                    key = _absorbed(rhs, w[c:] + w[:c])
                 j = index.get(key)
                 if j is None:
                     j = len(keys)
@@ -127,13 +117,69 @@ class _Tree:
                         return False
                     index[key] = j
                     keys.append(key)
-                    parents.append((i, letter))
+                    parent.append(i)
+                    slot.append(s)
                 images.append(j)
             if edges is not None:
                 # x0 and x1 are the first and the third of BFS_LETTERS
-                edges += ((i, "x0", images[0]), (i, "x1", images[2]))
+                edges += (i, "x0", images[0], i, "x1", images[2])
         self.starts.append(len(keys))
         return True
+
+    def path_word(self, vertex: int) -> Word:
+        """The letters of the tree path from the root to the vertex."""
+        parent, slot = self.parent, self.slot
+        letters: list[Letter] = []
+        while vertex:
+            letters.append(BFS_LETTERS[slot[vertex]])
+            vertex = parent[vertex]
+        return tuple(reversed(letters))
+
+
+class SchreierBall:
+    """BFS-explored portion of the Schreier graph around a seed point.
+
+    A view of the BFS tree that grew it.  vertices, parents, distances and
+    edges are tuples built on first access and kept: the RationalPoint of
+    each vertex, None for the seed and (parent, letter) for the others, the
+    depth of each vertex, and the (source, "x0" | "x1", target) edges.
+    """
+
+    def __init__(self, seed: RationalPoint, radius: int, tree: _Tree):
+        self.seed = seed
+        self.radius = radius
+        self._tree = tree
+
+    @cached_property
+    def vertices(self) -> tuple[RationalPoint, ...]:
+        return tuple(RationalPoint._canonical(v, w) for v, w in self._tree.keys)
+
+    @cached_property
+    def parents(self) -> tuple[_Parent, ...]:
+        tree = self._tree
+        return (None,) + tuple((tree.parent[i], BFS_LETTERS[tree.slot[i]]) for i in range(1, len(tree.keys)))
+
+    @cached_property
+    def distances(self) -> tuple[int, ...]:
+        starts = self._tree.starts
+        return tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
+
+    @cached_property
+    def edges(self) -> tuple[_Edge, ...]:
+        return _edge_tuples(self._tree.edges)
+
+    def path_word(self, vertex: int) -> Word:
+        """Shortest word u with act_word(seed, u) = vertices[vertex]."""
+        return self._tree.path_word(vertex)
+
+    def __len__(self) -> int:
+        return len(self._tree.keys)
+
+
+def _edge_tuples(flat: list[int | str]) -> tuple[_Edge, ...]:
+    """The (source, label, target) triples of a flat edge list."""
+    it = iter(flat)
+    return tuple(zip(it, it, it))
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -143,27 +189,27 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     discovered vertices, so every vertex strictly inside the ball carries
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
     gives those of the vertices it expanded; only the boundary layer, the
-    vertices at the full radius, has its images computed here.
+    vertices at the full radius, has its images computed here, except an
+    image that is the vertex's parent.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if vertex_cap < 1:
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
-    edges: list[_Edge] = []
+    edges: list[int | str] = []
     tree = _Tree((seed.preperiod, seed.period), edges)
     while tree.depth < radius and tree.width:
         if not tree.grow(vertex_cap):
             raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {tree.depth}")
-    keys, index, starts = tree.keys, tree.index, tree.starts
-    for i in range(starts[-2], len(keys)):
+    keys, index, parent, slot = tree.keys, tree.index, tree.parent, tree.slot
+    for i in range(tree.starts[-2], len(keys)):
         v, w = keys[i]
-        for label, table in _EDGE_STEPS:
-            j = index.get(_step(v, w, table))
+        back = slot[i] ^ 1
+        for s, label in ((0, "x0"), (2, "x1")):
+            j = parent[i] if s == back else index.get(_step(v, w, _BFS_TABLES[s]))
             if j is not None:
-                edges.append((i, label, j))
-    vertices = tuple(RationalPoint._canonical(v, w) for v, w in keys)
-    distances = tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
-    return SchreierBall(seed, radius, vertices, tuple(edges), tuple(tree.parents), distances)
+                edges += (i, label, j)
+    return SchreierBall(seed, radius, tree)
 
 
 def same_orbit(p: RationalPoint, q: RationalPoint) -> bool:
@@ -227,11 +273,11 @@ def find_path(
             raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting")
         meet = [forward.index[key] for key in tree.keys[tree.starts[-2] :] if key in other.index]
     vertex = min(meet)
-    word = list(_path_word(forward.parents, vertex))
+    word = list(forward.path_word(vertex))
     v, w = forward.keys[vertex]
     starts = backward.starts
     for k in range(backward.depth - 1, -1, -1):
-        for letter, table in _BFS_STEPS:
+        for letter, table in zip(BFS_LETTERS, _BFS_TABLES):
             key = _step(v, w, table)
             if starts[k] <= backward.index.get(key, -1) < starts[k + 1]:
                 break
@@ -289,14 +335,18 @@ def check_addresses(period: str, max_len: int) -> Report:
     return report
 
 
+def _labels(b: SchreierBall) -> list[str]:
+    """The v(w) text of every vertex of the ball, in vertex order, from its keys."""
+    return [f"{v}({w})" for v, w in b._tree.keys]
+
+
 def export_dot(b: SchreierBall) -> str:
     """Deterministic DOT text: vertices in index order, edges in (source, label) order."""
-    lines = ["digraph schreier {"]
-    for i, point in enumerate(b.vertices):
-        marker = " [peripheries=2]" if i == 0 else ""
-        lines.append(f'  "{point}"{marker};')
-    for src, label, dst in b.edges:
-        lines.append(f'  "{b.vertices[src]}" -> "{b.vertices[dst]}" [label={label}];')
+    names = _labels(b)
+    lines = ["digraph schreier {", f'  "{names[0]}" [peripheries=2];']
+    lines += [f'  "{name}";' for name in names[1:]]
+    it = iter(b._tree.edges)
+    lines += [f'  "{names[src]}" -> "{names[dst]}" [label={label}];' for src, label, dst in zip(it, it, it)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -305,7 +355,7 @@ def export_json(b: SchreierBall) -> str:
     payload = {
         "seed": str(b.seed),
         "radius": b.radius,
-        "vertices": [str(p) for p in b.vertices],
-        "edges": b.edges,
+        "vertices": _labels(b),
+        "edges": _edge_tuples(b._tree.edges),
     }
     return json.dumps(payload)

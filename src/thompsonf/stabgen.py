@@ -73,16 +73,21 @@ def schreier_y_word(label: str, n: int) -> Word:
     return prefix + yn_word(n) + invert_word(prefix)
 
 
+def validate_reduction_bounds(max_label_len: int, max_n: int) -> None:
+    """Refuse check_reduction bounds below 1 or a label length over MAX_LABEL_LEN with ValueError."""
+    if max_label_len < 1 or max_n < 1:
+        raise ValueError("bounds must be >= 1")
+    if max_label_len > MAX_LABEL_LEN:
+        raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_label_len}")
+
+
 def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
     """Verify that conjugation by an address only shifts generator indices.
 
     For every A/B label W and every n, the x-type generator collapses to
     x_{n+1+#B(W)} and the y-type one to y_{n+#A(W)}, as exact map identities.
     """
-    if max_label_len < 1 or max_n < 1:
-        raise ValueError("bounds must be >= 1")
-    if max_label_len > MAX_LABEL_LEN:
-        raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_label_len}")
+    validate_reduction_bounds(max_label_len, max_n)
     report = Report("index reduction")
     x_maps = {k: xn(k) for k in range(2, max_n + max_label_len + 2)}
     y_maps = {k: yn(k) for k in range(1, max_n + max_label_len + 1)}
@@ -156,6 +161,14 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     return StabilizerGens(point, h, generators, w)
 
 
+def validate_samples(samples: int) -> None:
+    """Refuse a verify_generators sample count outside 1..MAX_SAMPLES with ValueError."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+
+
 def verify_generators(
     gens: StabilizerGens,
     samples: int = 100,
@@ -176,10 +189,7 @@ def verify_generators(
     image so far is always the point, and the products cost one fold per
     generator and its inverse.  samples is at most MAX_SAMPLES.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    validate_samples(samples)
     if max_factors < 1:
         raise ValueError(f"max_factors must be >= 1, got {max_factors}")
     report = Report(f"stabilizer generators for {gens.point}")

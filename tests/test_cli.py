@@ -137,6 +137,36 @@ def test_arguments_past_their_bounds_exit_two_at_once(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+WORKERS = (
+    "check_relators",
+    "check_reduction",
+    "check_addresses",
+    "check_twin_points",
+    "stabilizer_generators",
+    "verify_generators",
+    "check_stabilizer_relators",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["selftest", "--depth", "64", "--label-len", "40"], "label length must be <= 12, got 40"),
+        (["selftest", "--label-len", "0"], "bounds must be >= 1"),
+        (["selftest", "--depth", "65", "--label-len", "40"], "depth must be <= 64, got 65"),
+        (["selftest", "--depth", "1"], "depth must be >= 2, got 1"),
+        (["verify", "4/15", "--samples", "100001"], "samples must be <= 100000, got 100001"),
+        (["verify", "0110110110110110110(0011)", "--samples", "0"], "samples must be >= 1, got 0"),
+    ],
+)
+def test_bounds_are_checked_before_any_worker_runs(capsys, monkeypatch, argv, message):
+    called = []
+    for name in WORKERS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: called.append(name))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err, called) == (2, "", f"error: {message}\n", [])
+
+
 def test_period_longer_than_the_bound_exits_one(capsys):
     code, out, err = run(capsys, "canon", "1/1048589")
     assert code == 1

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import re
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from thompsonf.schreier import (
     same_orbit,
     vertex_at_address,
 )
+from thompsonf import cli
 from thompsonf.rng import SplitMix64
 from thompsonf.words import Letter, address_word
 
@@ -179,6 +182,79 @@ def test_ball_edges_match_the_letter_action_on_every_vertex():
     assert ball(ZERO_POINT, 0).edges == ball(ONE_POINT, 3).edges == ((0, "x0", 0), (0, "x1", 0))
     for radius, seed in zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")):
         _assert_ball_matches_reference(parse_point(seed), radius)
+
+
+def test_ball_matches_the_reference_on_every_short_point():
+    # Every canonical point with a preperiod and a period of at most 4
+    # letters, so every vertex is reached both through the inline rule and
+    # through a rotation, and expanded with the letter back to its parent skipped.
+    seeds = {
+        canonicalize("".join(v), "".join(w))
+        for nv in range(5)
+        for nw in range(1, 5)
+        for v in product("01", repeat=nv)
+        for w in product("01", repeat=nw)
+    }
+    assert ZERO_POINT in seeds and ONE_POINT in seeds and len(seeds) == 352
+    for seed in sorted(seeds, key=str):
+        _assert_ball_matches_reference(seed, 4)
+
+
+def test_ball_views_are_built_once():
+    b = ball(canonicalize("1", "0010"), 5)
+    assert b.vertices is b.vertices
+    assert b.parents is b.parents
+    assert b.distances is b.distances
+    assert b.edges is b.edges
+
+
+def test_graph_builds_no_point_per_vertex(capsys, monkeypatch):
+    built = []
+    canonical, post_init = RationalPoint._canonical, RationalPoint.__post_init__
+
+    def counted_canonical(cls, preperiod, period):
+        built.append((preperiod, period))
+        return canonical(preperiod, period)
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RationalPoint, "_canonical", classmethod(counted_canonical))
+    monkeypatch.setattr(RationalPoint, "__post_init__", counted_post_init)
+    for fmt in ("json", "dot"):
+        built.clear()
+        assert cli.main(["graph", "0110(011)", "--radius", "10", "--format", fmt]) == 0
+        assert capsys.readouterr().out.count("0110(011)") > 1
+        assert built == [("0110", "011")], fmt
+
+
+# sha256 of `graph POINT --radius 13 --format FORMAT`, frozen from the output
+# before balls became views of flat arrays.
+RADIUS_13_SHA256 = {
+    ("0110(011)", "json"): "ce0923c373e060fac6e3ae8be73202329ee4fc29ec47506047b6cc4c6d5dbb55",
+    ("0110(011)", "dot"): "e4f8107e9c54c5d8e7ad412a1464f61426b72db616cbbe0683fc92997e513db3",
+    ("10101(01101)", "json"): "d314838e0ef390553090f449a65118944b4de9a473157ed715eede8f258af88f",
+    ("10101(01101)", "dot"): "3dfc802958b7802da3069a08857759939c60a3702ef88aad35f5931ba99adb8d",
+    ("001(0110)", "json"): "859cbb192d6dc617481787ecf0ebcf3a7d3dcd7560b3114d41bd40da3e7f793e",
+    ("001(0110)", "dot"): "c748dde891969538444ece39fa20b97c9f0344239fc17901513949f52413281e",
+}
+
+
+def test_radius_13_graphs_match_their_frozen_digests(capsys):
+    for (point, fmt), digest in RADIUS_13_SHA256.items():
+        assert cli.main(["graph", point, "--radius", "13", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (point, fmt)
+
+
+def test_vertex_cap_tripped_inside_a_layer_names_the_complete_radius(capsys):
+    # radius 10 holds fewer than 1000 vertices and radius 11 more
+    message = "ball exploration exceeded the vertex cap of 1000; the ball was complete to radius 10"
+    with pytest.raises(BallCapacityError, match=f"^{re.escape(message)}$"):
+        ball(parse_point("0110(011)"), 13, vertex_cap=1000)
+    assert cli.main(["graph", "0110(011)", "--radius", "13", "--cap", "1000"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_ball_that_fills_the_vertex_cap_exactly():
