@@ -20,6 +20,7 @@ from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
 from .plmap import MAX_DEPTH, check_relators, validate_depth, word_to_plmap
 from .report import Report
 from .schreier import (
+    MAX_BALL_VERTICES,
     MAX_LABEL_LEN,
     BallCapacityError,
     PathNotFoundError,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="emit a Schreier-graph ball around a point")
     p.add_argument("point")
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=100_000, help=f"vertex cap of the ball, at most {MAX_BALL_VERTICES}")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("path", help="shortest word moving one point to another")

@@ -11,13 +11,16 @@ at C speed.  Balls and shortest paths grow the same BFS tree, one whole
 layer at a time, kept in flat lists: the keys in discovery order and, per
 vertex, the number of its parent and the slot in BFS_LETTERS of the letter
 that discovered it.  One head-table lookup gives the rules of all four
-letters at a vertex, and the letter that undoes the discovering one is not
-applied at all: it leads back to the parent.  A ball's tree also records the
-x0 and x1 edges of every vertex it expands, as a flat list; only the
+letters at a vertex, and two kinds of image are known without looking a key
+up: the letter that undoes the discovering one leads back to the parent,
+and a rule that rewrites its left side to itself (x1 and x1^-1 on a
+sequence that starts with 0) fixes the vertex.  A ball's tree also records
+the x0 and x1 edges of every vertex it expands, as a flat list; only the
 boundary layer, the vertices at the full radius, has its images computed
-afterwards.  A ball is a view of that tree: its RationalPoint vertices,
-parents, distances and edge tuples are built on first access, and the DOT
-and JSON exports write the keys and the flat edge list without them.
+afterwards, through the same head table and with the same two skips.  A
+ball is a view of that tree: its RationalPoint vertices, parents, distances
+and edge tuples are built on first access.  The DOT and JSON exports write
+their text from the keys and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -29,7 +32,6 @@ that descend the backward tree.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import product
 
@@ -39,11 +41,21 @@ from .words import Letter, Word, address_word, period_loop_word
 
 BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
+MAX_BALL_VERTICES = 1_000_000  # greatest vertex cap of a ball
 
 # (lhs length, rhs) of the rule of each of BFS_LETTERS, by the first three
 # letters of the sequence.  Slots 2k and 2k + 1 hold inverse letters, so the
-# slot that undoes slot s is s ^ 1.
-_HEADS = {head: tuple(_TABLES[letter][head] for letter in BFS_LETTERS) for head in _TABLES[Letter.X0]}
+# slot that undoes slot s is s ^ 1.  A rule that rewrites its left side to
+# itself (x1 and x1^-1 on a leading 0) has the lhs length _LOOP instead: the
+# letter fixes every sequence with that head, so its image is the vertex.
+_LOOP = -1
+_HEADS = {
+    head: tuple(
+        (_LOOP, rhs) if head[:n] == rhs else (n, rhs)
+        for n, rhs in (_TABLES[letter][head] for letter in BFS_LETTERS)
+    )
+    for head in _TABLES[Letter.X0]
+}
 _BFS_TABLES = tuple(_TABLES[letter] for letter in BFS_LETTERS)
 
 _Key = tuple[str, str]
@@ -70,8 +82,9 @@ class _Tree:
     keys[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
     number of the vertex that discovered vertex i and slot[i] the place in
     BFS_LETTERS of the letter it took, both -1 for the root.  Growing expands
-    the outermost layer in vertex order, letters in BFS_LETTERS order, and
-    skips the letter slot[i] ^ 1, whose image is parent[i].  Given a list,
+    the outermost layer in vertex order, letters in BFS_LETTERS order.  It
+    skips the letter slot[i] ^ 1, whose image is parent[i], and the letters
+    whose rule at vertex i is marked _LOOP, whose image is i.  Given a list,
     it also appends the x0 and x1 edges of every expanded vertex to it, in
     vertex order and flat: source, "x0", target, source, "x1", target.
     Balls pass one, shortest-path searches do not.
@@ -94,7 +107,11 @@ class _Tree:
         return self.starts[-1] - self.starts[-2]
 
     def grow(self, limit: int) -> bool:
-        """Add the next layer; False, and no layer, when it would hold more than limit vertices in all."""
+        """Add the next layer; False, and no layer, when it would hold more than limit vertices in all.
+
+        The image back to the parent and the image under a _LOOP rule, the
+        vertex itself, are set without building or looking up a key.
+        """
         keys, index, parent, slot, edges = self.keys, self.index, self.parent, self.slot, self.edges
         for i in range(self.starts[-2], self.starts[-1]):
             v, w = keys[i]
@@ -106,6 +123,9 @@ class _Tree:
                     images.append(parent[i])
                     continue
                 if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
+                    if n == _LOOP:  # below every nv: the letter fixes the vertex
+                        images.append(i)
+                        continue
                     key = (rhs + v[n:], w)
                 else:
                     c = (n - nv) % len(w)
@@ -189,13 +209,18 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     discovered vertices, so every vertex strictly inside the ball carries
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
     gives those of the vertices it expanded; only the boundary layer, the
-    vertices at the full radius, has its images computed here, except an
-    image that is the vertex's parent.
+    vertices at the full radius, has its images computed here.  Each of its
+    vertices takes one head-table lookup for both letters, and an image that
+    is the vertex's parent or, by a _LOOP rule, the vertex itself is not
+    looked up.  vertex_cap is at most MAX_BALL_VERTICES, checked before the
+    search starts.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if vertex_cap < 1:
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
+    if vertex_cap > MAX_BALL_VERTICES:
+        raise ValueError(f"vertex cap must be <= {MAX_BALL_VERTICES}, got {vertex_cap}")
     edges: list[int | str] = []
     tree = _Tree((seed.preperiod, seed.period), edges)
     while tree.depth < radius and tree.width:
@@ -204,11 +229,22 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     keys, index, parent, slot = tree.keys, tree.index, tree.parent, tree.slot
     for i in range(tree.starts[-2], len(keys)):
         v, w = keys[i]
+        nv = len(v)
         back = slot[i] ^ 1
+        rules = _HEADS[v[:3] if nv > 2 else (v + w[:3] * 3)[:3]]
         for s, label in ((0, "x0"), (2, "x1")):
-            j = parent[i] if s == back else index.get(_step(v, w, _BFS_TABLES[s]))
-            if j is not None:
-                edges += (i, label, j)
+            if s == back:
+                j = parent[i]
+            else:
+                n, rhs = rules[s]
+                if n < nv:
+                    j = i if n == _LOOP else index.get((rhs + v[n:], w))
+                else:
+                    c = (n - nv) % len(w)
+                    j = index.get(_absorbed(rhs, w[c:] + w[:c]))
+                if j is None:
+                    continue
+            edges += (i, label, j)
     return SchreierBall(seed, radius, tree)
 
 
@@ -352,10 +388,15 @@ def export_dot(b: SchreierBall) -> str:
 
 
 def export_json(b: SchreierBall) -> str:
-    payload = {
-        "seed": str(b.seed),
-        "radius": b.radius,
-        "vertices": _labels(b),
-        "edges": _edge_tuples(b._tree.edges),
-    }
-    return json.dumps(payload)
+    """The text json.dumps gives for the seed, radius, vertex labels and edge triples, written directly.
+
+    No label needs escaping: vertices are made of 0, 1, ( and ), and edges
+    are labelled x0 or x1.  The edge list goes through one format call.
+    """
+    flat = b._tree.edges
+    return '{"seed": "%s", "radius": %d, "vertices": ["%s"], "edges": [%s]}' % (
+        b.seed,
+        b.radius,
+        '", "'.join(_labels(b)),
+        ", ".join(['[%d, "%s", %d]'] * (len(flat) // 3)) % tuple(flat),
+    )

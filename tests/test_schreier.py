@@ -11,6 +11,8 @@ import pytest
 from oracles import fraction_ball_dot, string_ball_size
 from sampling import random_point, random_word
 from thompsonf.cantor import (
+    _RULES,
+    _TABLES,
     ONE_POINT,
     ZERO_POINT,
     RationalPoint,
@@ -20,7 +22,11 @@ from thompsonf.cantor import (
     parse_point,
 )
 from thompsonf.schreier import (
+    _HEADS,
+    _LOOP,
+    _Tree,
     BFS_LETTERS,
+    MAX_BALL_VERTICES,
     BallCapacityError,
     PathNotFoundError,
     ball,
@@ -113,14 +119,35 @@ def test_letter_action_is_injective_on_ball_vertices():
 
 def test_self_loop_characterization():
     # x1 fixes exactly the 0-started sequences plus 10^inf and 1^inf;
-    # x0 fixes only the two endpoint sequences
+    # x0 fixes only the two endpoint sequences; a ball has a self-loop
+    # exactly where a letter fixes the vertex
     ten = canonicalize("1", "0")
     for seed in (ten, canonicalize("", "0100"), canonicalize("10", "1")):
-        for p in ball(seed, 4).vertices:
+        b = ball(seed, 4)
+        loops = {(i, label) for i, label, j in b.edges if i == j}
+        for i, p in enumerate(b.vertices):
             expect_x1 = p.prefix(1) == "0" or p in (ten, ONE_POINT)
             assert (act_letter(p, Letter.X1) == p) == expect_x1
+            assert ((i, "x1") in loops) == expect_x1
             expect_x0 = p in (ZERO_POINT, ONE_POINT)
             assert (act_letter(p, Letter.X0) == p) == expect_x0
+            assert ((i, "x0") in loops) == expect_x0
+
+
+def test_loop_marks_are_exactly_the_identity_rules():
+    identities = {
+        (head, s)
+        for head in _HEADS
+        for s, letter in enumerate(BFS_LETTERS)
+        for lhs, rhs in _RULES[letter]
+        if head.startswith(lhs) and lhs == rhs
+    }
+    marked = {(head, s) for head, rules in _HEADS.items() for s, (n, _) in enumerate(rules) if n == _LOOP}
+    assert marked == identities == {(head, s) for head in _HEADS if head[0] == "0" for s in (2, 3)}
+    for head, rules in _HEADS.items():
+        for s, letter in enumerate(BFS_LETTERS):
+            if (head, s) not in marked:
+                assert rules[s] == _TABLES[letter][head]
 
 
 def _reference_bfs(seed, radius):
@@ -262,6 +289,7 @@ def test_ball_that_fills_the_vertex_cap_exactly():
     size = len(ball(seed, 6))
     b = _assert_ball_matches_reference(seed, 6, vertex_cap=size)
     assert len(b) == size
+    assert export_json(b) == _dumped(b)
     with pytest.raises(BallCapacityError):
         ball(seed, 6, vertex_cap=size - 1)
 
@@ -467,6 +495,44 @@ def test_json_export_round_trips():
     assert len(payload["vertices"]) == len(b)
     assert payload["edges"] == [[s, l, d] for s, l, d in b.edges]
     assert export_json(b) == export_json(ball(canonicalize("1", "0"), 2))
+
+
+def _dumped(b):
+    """export_json's text as json.dumps gives it, from the ball's public views."""
+    return json.dumps(
+        {"seed": str(b.seed), "radius": b.radius, "vertices": [str(p) for p in b.vertices], "edges": b.edges}
+    )
+
+
+def test_json_export_matches_json_dumps_on_every_short_point():
+    seeds = {
+        canonicalize("".join(v), "".join(w))
+        for nv in range(4)
+        for nw in range(1, 4)
+        for v in product("01", repeat=nv)
+        for w in product("01", repeat=nw)
+    }
+    assert {ZERO_POINT, ONE_POINT, canonicalize("1", "0")} <= seeds
+    for seed in sorted(seeds, key=str):
+        for radius in range(5):
+            b = ball(seed, radius)
+            assert export_json(b) == _dumped(b), (seed, radius)
+
+
+def test_graph_cap_past_its_bound_is_refused_before_any_search(capsys, monkeypatch):
+    def grow(self, limit):
+        raise AssertionError("a layer was grown")
+
+    monkeypatch.setattr(_Tree, "grow", grow)
+    message = f"vertex cap must be <= {MAX_BALL_VERTICES}, got {MAX_BALL_VERTICES + 1}"
+    assert MAX_BALL_VERTICES == 1_000_000
+    assert cli.main(["graph", "0110(011)", "--radius", "40", "--cap", "1000001"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ball(ZERO_POINT, 1, vertex_cap=MAX_BALL_VERTICES + 1)
+    monkeypatch.undo()
+    seed = parse_point("0110(011)")
+    assert export_json(ball(seed, 3, vertex_cap=MAX_BALL_VERTICES)) == export_json(ball(seed, 3))
 
 
 def test_ball_argument_validation():
