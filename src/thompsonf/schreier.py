@@ -33,9 +33,8 @@ that descend the backward tree.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
-from .cantor import _TABLES, _absorbed, _step, RationalPoint, act_word, canonicalize, primitive_root
+from .cantor import _TABLES, _absorbed, _fold, _step, RationalPoint, act_word, canonicalize, primitive_root
 from .report import Report
 from .words import Letter, Word, address_word, period_loop_word
 
@@ -335,34 +334,41 @@ def forbidden_prefix(period: str) -> str:
 def check_addresses(period: str, max_len: int) -> Report:
     """Verify unique A/B addressing of the vertices below 10 period^inf.
 
-    Enumerates all addresses up to max_len that avoid the forbidden prefix,
-    checks that they reach pairwise distinct points, and checks that the
-    period loop word fixes the root.
+    Enumerates all addresses of 1 to max_len letters that avoid the
+    forbidden prefix, with the empty one, checks that they reach pairwise
+    distinct points, and checks that the period loop word fixes the root.
+
+    The addresses are walked as a trie grown at the end: the image of a
+    label is its parent's, label[:-1], folded through the 1 or 2 letters of
+    the last address letter, so each label costs at most two letter steps.
+    The parent of a kept label is kept, since a label that starts with the
+    forbidden prefix makes every label below it start with it too.
     """
+    if max_len < 1:
+        raise ValueError(f"label length must be >= 1, got {max_len}")
     if max_len > MAX_LABEL_LEN:
         raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_len}")
     if primitive_root(period) != period:
         raise ValueError(f"period {period!r} is a proper power")
     root = canonicalize("10", period)
     banned = forbidden_prefix(period)
-    labels = [
-        "".join(bits)
-        for length in range(max_len + 1)
-        for bits in product("AB", repeat=length)
-        if not "".join(bits).startswith(banned)
-    ]
-    seen: dict[RationalPoint, str] = {}
-    collisions = []
-    for label in labels:
-        image = vertex_at_address(root, label)
-        if image in seen:
-            collisions.append((seen[image], label))
-        else:
-            seen[image] = label
+    steps = {c: address_word(c) for c in "AB"}
+    level = {"": (root.preperiod, root.period)}
+    images = set(level.values())
+    count = 1
+    for _ in range(max_len):
+        level = {
+            label + c: _fold(*image, steps[c])
+            for label, image in level.items()
+            for c in "AB"
+            if not (label + c).startswith(banned)
+        }
+        images.update(level.values())
+        count += len(level)
     report = Report(f"addresses for period {period}")
     report.add(
-        f"{len(labels)} addresses up to length {max_len} reach distinct points (period {period})",
-        not collisions,
+        f"{count} addresses up to length {max_len} reach distinct points (period {period})",
+        len(images) == count,
     )
     report.add(
         f"period loop word fixes 10({period})^inf",

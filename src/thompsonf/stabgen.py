@@ -9,7 +9,7 @@ found by the bidirectional search of schreier.find_path.
 Verification runs every generator through two independent oracles (the
 symbolic sequence action and exact evaluation of the PL map at the point's
 rational value) plus reproducible random products of generators, which are
-folded factor by factor.
+drawn only when some generator moves the point.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
-from .plmap import identity, word_to_plmap, xn, yn
+from .plmap import PLMap, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN, find_path
@@ -86,27 +85,47 @@ def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
 
     For every A/B label W and every n, the x-type generator collapses to
     x_{n+1+#B(W)} and the y-type one to y_{n+#A(W)}, as exact map identities.
+
+    The labels are walked as a trie grown at the front.  The address word
+    of cW is that of the letter c followed by that of W, so with S_c the
+    map of c's word, associativity gives the conjugate of a core by cW's
+    prefix as S_c C S_c^-1, where C is its conjugate by W's prefix: each
+    label's 2 max_n maps come from those of W = label[1:] by one letter.
+    Within the call, that conjugation is memoised on (c, C), so each
+    distinct pair costs two composes once.  In a sound run C is always one
+    of the targets, which leaves 2 (max_label_len + max_n - 1) pairs per
+    family, where conjugating by each label's prefix anew takes four
+    composes per label and n.  Every line still compares the exact map
+    P(W) core P(W)^-1 with its target, so a wrong identity fails on the
+    same lines as before.
     """
     validate_reduction_bounds(max_label_len, max_n)
     report = Report("index reduction")
     x_maps = {k: xn(k) for k in range(2, max_n + max_label_len + 2)}
     y_maps = {k: yn(k) for k in range(1, max_n + max_label_len + 1)}
-    x_cores = {n: word_to_plmap(xn_word(n + 1)) for n in range(1, max_n + 1)}
-    y_cores = {n: word_to_plmap(yn_word(n)) for n in range(1, max_n + 1)}
+    ns = range(1, max_n + 1)
+    # the conjugates of a label: x core, then y core, for each n in turn
+    level = {"": tuple(m for n in ns for m in (word_to_plmap(xn_word(n + 1)), word_to_plmap(yn_word(n))))}
+    letters = {c: word_to_plmap(address_word(c)) for c in "AB"}
+    memo: dict[tuple[str, PLMap], PLMap] = {}
+
+    def conjugated(c: str, core: PLMap) -> PLMap:
+        image = memo.get((c, core))
+        if image is None:
+            s = letters[c]
+            image = memo[c, core] = s * core * s.inverse()
+        return image
+
     for length in range(max_label_len + 1):
-        for bits in product("AB", repeat=length):
-            label = "".join(bits)
+        if length:  # product order: the first letter varies slowest
+            level = {c + label: tuple([conjugated(c, m) for m in maps]) for c in "AB" for label, maps in level.items()}
+        for label, maps in level.items():
             count_a = label.count("A")
             count_b = label.count("B")
             shown = label or "e"
-            # the conjugating prefix is shared by all n, so build its map once
-            prefix = word_to_plmap(address_word(label))
-            prefix_inv = prefix.inverse()
-            for n in range(1, max_n + 1):
-                ok_x = prefix * x_cores[n] * prefix_inv == x_maps[n + 1 + count_b]
-                report.add(f"x[{shown},{n}] == x{n + 1 + count_b}", ok_x)
-                ok_y = prefix * y_cores[n] * prefix_inv == y_maps[n + count_a]
-                report.add(f"y[{shown},{n}] == y{n + count_a}", ok_y)
+            for n in ns:
+                report.add(f"x[{shown},{n}] == x{n + 1 + count_b}", maps[2 * n - 2] == x_maps[n + 1 + count_b])
+                report.add(f"y[{shown},{n}] == y{n + count_a}", maps[2 * n - 1] == y_maps[n + count_a])
     return report
 
 
@@ -184,10 +203,14 @@ def verify_generators(
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
 
-    The image of a product is the left fold of its factors' images, so each
-    (image so far, factor) pair is folded once per call: for a sound set the
-    image so far is always the point, and the products cost one fold per
-    generator and its inverse.  samples is at most MAX_SAMPLES.
+    The point is folded through each generator and each inverse once, and
+    the generators' images give the sequence-action lines.  When all of
+    these words fix the point, so does every product of them, and the
+    products line passes with no draw: for a sound set it is implied by the
+    sequence-action lines, and stays so until products are also checked
+    against a generation certificate.  Otherwise the seeded products are
+    drawn and folded factor by factor from those images, each (image so
+    far, factor) pair once per call.  samples is at most MAX_SAMPLES.
     """
     validate_samples(samples)
     if max_factors < 1:
@@ -195,23 +218,24 @@ def verify_generators(
     report = Report(f"stabilizer generators for {gens.point}")
     point = gens.point
     value = point.value()
-    for k, word in enumerate(gens.generators, start=1):
-        report.add(f"generator {k} fixes {point} (sequence action)", act_word(point, word) == point)
-        report.add(f"generator {k} fixes {point} (map evaluation)", word_to_plmap(word).evaluate(value) == value)
-    pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
     start = (point.preperiod, point.period)
-    images: dict[tuple[tuple[str, str], int], tuple[str, str]] = {}
-    rng = SplitMix64(seed)
+    pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
+    images = {(start, i): _fold(*start, word) for i, word in enumerate(pool)}
+    for k, word in enumerate(gens.generators, start=1):
+        report.add(f"generator {k} fixes {point} (sequence action)", images[start, k - 1] == start)
+        report.add(f"generator {k} fixes {point} (map evaluation)", word_to_plmap(word).evaluate(value) == value)
     bad = 0
-    for _ in range(samples):
-        image = start
-        for _ in range(1 + rng.below(max_factors)):
-            step = (image, rng.below(len(pool)))
-            if step not in images:
-                images[step] = _fold(*image, pool[step[1]])
-            image = images[step]
-        if image != start:
-            bad += 1
+    if any(image != start for image in images.values()):
+        rng = SplitMix64(seed)
+        for _ in range(samples):
+            image = start
+            for _ in range(1 + rng.below(max_factors)):
+                step = (image, rng.below(len(pool)))
+                if step not in images:
+                    images[step] = _fold(*image, pool[step[1]])
+                image = images[step]
+            if image != start:
+                bad += 1
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
     report.checks.extend(_index_identities())
     return report

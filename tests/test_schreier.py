@@ -38,9 +38,10 @@ from thompsonf.schreier import (
     same_orbit,
     vertex_at_address,
 )
-from thompsonf import cli
+from thompsonf import cantor, cli, schreier
+from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
-from thompsonf.words import Letter, address_word
+from thompsonf.words import Letter, address_word, period_loop_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -462,6 +463,64 @@ def test_check_addresses_rejects_non_primitive_period():
         check_addresses("0101", 4)
     with pytest.raises(ValueError, match="label length must be <= 12, got 13"):
         check_addresses("01", 13)
+    for max_len in (0, -2):
+        with pytest.raises(ValueError, match=f"label length must be >= 1, got {max_len}"):
+            check_addresses("01", max_len)
+
+
+def _reference_check_addresses(period, max_len):
+    """check_addresses with every label's vertex found from the root by its whole address."""
+    root = canonicalize("10", period)
+    banned = forbidden_prefix(period)
+    labels = [
+        "".join(bits)
+        for length in range(max_len + 1)
+        for bits in product("AB", repeat=length)
+        if not "".join(bits).startswith(banned)
+    ]
+    seen = {}
+    collisions = []
+    for label in labels:
+        image = vertex_at_address(root, label)
+        if image in seen:
+            collisions.append((seen[image], label))
+        else:
+            seen[image] = label
+    report = Report(f"addresses for period {period}")
+    report.add(
+        f"{len(labels)} addresses up to length {max_len} reach distinct points (period {period})",
+        not collisions,
+    )
+    report.add(f"period loop word fixes 10({period})^inf", act_word(root, period_loop_word(period)) == root)
+    return report
+
+
+def test_check_addresses_along_the_label_trie_matches_the_per_label_reference():
+    for period in cli.SELFTEST_PERIODS:
+        for max_len in range(1, 9):
+            assert check_addresses(period, max_len).lines() == _reference_check_addresses(period, max_len).lines()
+
+
+def test_check_addresses_reports_collisions_as_the_reference_does(monkeypatch):
+    # with A -> x1, as B, every A/B swap of a label collides
+    monkeypatch.setattr(schreier, "address_word", lambda label: (Letter.X1,) * len(label))
+    for period in ("01", "0100"):
+        report = check_addresses(period, 3)
+        assert report.lines() == _reference_check_addresses(period, 3).lines()
+        assert not report.checks[0].passed
+
+
+def test_check_addresses_takes_at_most_two_letter_steps_per_label(monkeypatch):
+    step = cantor._step
+    steps = [0]
+
+    def counted(v, w, table):
+        steps[0] += 1
+        return step(v, w, table)
+
+    monkeypatch.setattr(cantor, "_step", counted)
+    assert check_addresses("0100", 12).passed
+    assert 0 < steps[0] <= 2 * (2 ** 13 - 1)  # folding every address from the root takes 127,242
 
 
 def test_dot_export_matches_frozen_fixture():

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from thompsonf import stabgen
 from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_word, canonicalize, parse_point, value_to_point
-from thompsonf.plmap import identity, word_to_plmap, xn, yn
+from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
 from thompsonf.schreier import PathNotFoundError, find_path
 from thompsonf.stabgen import (
+    MAX_SAMPLES,
     StabilizerGens,
     base_generator_words,
     base_rotation,
@@ -75,6 +77,56 @@ def test_reduction_bounds_validated():
         check_reduction(0, 4)
     with pytest.raises(ValueError, match="label length must be <= 12, got 13"):
         check_reduction(13, 4)
+
+
+def _reference_check_reduction(max_label_len, max_n):
+    """check_reduction with every label's prefix map built from its whole address word."""
+    report = Report("index reduction")
+    for length in range(max_label_len + 1):
+        for bits in product("AB", repeat=length):
+            label = "".join(bits)
+            count_a, count_b = label.count("A"), label.count("B")
+            shown = label or "e"
+            prefix = word_to_plmap(stabgen.address_word(label))
+            prefix_inv = prefix.inverse()
+            for n in range(1, max_n + 1):
+                ok_x = prefix * word_to_plmap(xn_word(n + 1)) * prefix_inv == xn(n + 1 + count_b)
+                report.add(f"x[{shown},{n}] == x{n + 1 + count_b}", ok_x)
+                ok_y = prefix * word_to_plmap(yn_word(n)) * prefix_inv == yn(n + count_a)
+                report.add(f"y[{shown},{n}] == y{n + count_a}", ok_y)
+    return report
+
+
+def test_reduction_along_the_label_trie_matches_the_per_label_reference():
+    for max_label_len in range(1, 8):
+        for max_n in range(1, 5):
+            report = check_reduction(max_label_len, max_n)
+            assert report.lines() == _reference_check_reduction(max_label_len, max_n).lines()
+
+
+def test_reduction_memo_hides_no_failure(monkeypatch):
+    # A -> x0^-1 alone breaks the x identities below every A and shifts the y ones
+    expand = {"A": (Letter.X0_INV,), "B": (Letter.X1,)}
+    monkeypatch.setattr(stabgen, "address_word", lambda label: tuple(x for ch in label for x in expand[ch]))
+    for max_label_len, max_n in ((1, 1), (4, 2), (6, 4)):
+        report = check_reduction(max_label_len, max_n)
+        reference = _reference_check_reduction(max_label_len, max_n)
+        assert report.lines() == reference.lines()
+        assert report.failures() and report.failures() == reference.failures()
+    assert "FAIL  x[A,1] == x2" in check_reduction(1, 1).lines()
+
+
+def test_reduction_composes_once_per_distinct_letter_and_map(monkeypatch):
+    compose = PLMap.compose
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(PLMap, "compose", counted)
+    assert check_reduction(12, 4).passed
+    assert calls[0] <= 200  # a prefix map per label and four composes per label and n take 192,519
 
 
 def test_endpoint_stabilizer_is_the_whole_group():
@@ -279,6 +331,30 @@ def test_verify_generators_matches_the_unmemoised_fold():
         assert report.checks[:5] == _reference_verify(letters, 1, 4, seed).checks
         verdicts.append(report.checks[4].passed)
     assert 20 <= sum(verdicts) <= 180
+
+
+def test_verify_draws_only_when_a_pool_word_moves_the_point(monkeypatch):
+    next_u64 = SplitMix64.next_u64
+    draws = [0]
+
+    def counted(self):
+        draws[0] += 1
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    sound = stabilizer_generators(value_to_point(F(4, 15)))
+    assert verify_generators(sound, samples=MAX_SAMPLES).passed
+    assert draws[0] == 0
+    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ((Letter.X0,),) + sound.generators[3:], sound.period)
+    letters = StabilizerGens(sound.point, (), ((Letter.X0,), (Letter.X0_INV,)), sound.period)
+    for gens in (broken, letters):
+        for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
+            draws[0] = 0
+            verify_generators(gens, samples, max_factors, seed)
+            drawn = draws[0]
+            draws[0] = 0
+            _reference_verify(gens, samples, max_factors, seed)
+            assert drawn == draws[0] > 0
 
 
 def test_verify_reports_are_reproducible():
