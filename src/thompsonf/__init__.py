@@ -63,7 +63,7 @@ from .stabgen import (
     verify_generators,
 )
 from .words import (
-    Letter,
+    LETTERS,
     Word,
     WordSyntaxError,
     address_word,

@@ -7,15 +7,18 @@ Canonical forms are unique, so structural equality decides point equality.
 
 The generators of F act by rewriting a short prefix of the sequence.  The
 rules of each letter, in _RULES, form a complete prefix code of words of at
-most three letters, so the first three letters of a sequence pick its rule:
-at import time each letter gets a head table from those three letters to the
-length and the replacement of the matching rule.  One kernel, _step, applies
-a letter to a canonical (preperiod, period) pair of plain strings: it looks
-the rule up, rotates the period once by the letters the rule read past the
-preperiod, and absorbs trailing preperiod letters.  act_letter and act_word
-go through it, and the breadth-first search in schreier does the same steps
-for all four letters at once from one lookup in a table built from these;
-act_word and the search build a RationalPoint only for the points they return.
+most three letters, so the first three letters of a sequence pick its rule.
+At import time they become the one rule table of the package, _HEADS: from
+those three letters to the length and the replacement of the matching rule
+of each of the four letters, in the order of LETTERS, with the rules that
+rewrite their left side to itself marked.  One kernel, _step, applies the
+letter in a slot of that table to a canonical (preperiod, period) pair of
+plain strings: it looks the rule up, rotates the period once by the letters
+the rule read past the preperiod, and absorbs trailing preperiod letters.
+act_letter and act_word go through it, and the breadth-first search in
+schreier reads the rules of all four letters at once from one lookup in the
+same table; act_word and the search build a RationalPoint only for the
+points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
 
-from .words import Letter, Word
+from .words import LETTERS, Word
 
 MAX_PERIOD = 1 << 20
 
@@ -163,55 +166,59 @@ def canonicalize(preperiod: str, period: str) -> RationalPoint:
 ZERO_POINT = RationalPoint("", "0")
 ONE_POINT = RationalPoint("", "1")
 
-# Prefix rewriting rules for the four letters; the rule sets are complete
-# prefix codes, so exactly one rule matches any binary sequence.
-_RULES: dict[Letter, tuple[tuple[str, str], ...]] = {
-    Letter.X0: (("0", "00"), ("10", "01"), ("11", "1")),
-    Letter.X0_INV: (("00", "0"), ("01", "10"), ("1", "11")),
-    Letter.X1: (("0", "0"), ("10", "100"), ("110", "101"), ("111", "11")),
-    Letter.X1_INV: (("0", "0"), ("100", "10"), ("101", "110"), ("11", "111")),
+# Prefix rewriting rules for the four letters, in the order of LETTERS; the
+# rule sets are complete prefix codes, so exactly one rule matches any binary
+# sequence.
+_RULES: dict[str, tuple[tuple[str, str], ...]] = {
+    "a": (("0", "00"), ("10", "01"), ("11", "1")),
+    "A": (("00", "0"), ("01", "10"), ("1", "11")),
+    "b": (("0", "0"), ("10", "100"), ("110", "101"), ("111", "11")),
+    "B": (("0", "0"), ("100", "10"), ("101", "110"), ("11", "111")),
+}
+_SLOT = {letter: s for s, letter in enumerate(LETTERS)}
+
+# (lhs length, rhs) of the rule of each letter, one slot per letter of
+# LETTERS, by the first three letters of the sequence.  Slots 2k and 2k + 1
+# hold inverse letters, so the slot that undoes slot s is s ^ 1.  A rule that
+# rewrites its left side to itself (x1 and x1^-1 on a leading 0) has the lhs
+# length _LOOP instead: the letter fixes every sequence with that head.
+_LOOP = -1
+_HEADS = {
+    head: tuple(
+        next((_LOOP if lhs == rhs else len(lhs), rhs) for lhs, rhs in _RULES[letter] if head.startswith(lhs))
+        for letter in LETTERS
+    )
+    for head in (format(bits, "03b") for bits in range(8))
 }
 
-_HeadTable = dict[str, tuple[int, str]]
 
-
-def _head_table(rules: tuple[tuple[str, str], ...]) -> _HeadTable:
-    """(lhs length, rhs) of the one rule matching each 3-letter head."""
-    return {
-        head: next((len(lhs), rhs) for lhs, rhs in rules if head.startswith(lhs))
-        for head in (format(bits, "03b") for bits in range(8))
-    }
-
-
-_TABLES: dict[Letter, _HeadTable] = {letter: _head_table(rules) for letter, rules in _RULES.items()}
-
-
-def _step(v: str, w: str, table: _HeadTable) -> tuple[str, str]:
-    """Canonical (preperiod, period) of the image of the canonical pair (v, w).
+def _step(v: str, w: str, s: int) -> tuple[str, str]:
+    """Canonical pair of the image of the canonical pair (v, w) under the letter in slot s.
 
     The rule is looked up by the first three letters of the sequence.  A
-    rule shorter than the preperiod keeps its last letter, so that image is
-    canonical as it stands.  A rule that reads c >= 0 letters past the
-    preperiod leaves the period rotated left by c letters behind its
-    replacement, whose trailing letters may then be absorbed.
+    _LOOP rule fixes the pair.  A rule shorter than the preperiod keeps its
+    last letter, so that image is canonical as it stands.  A rule that reads
+    c >= 0 letters past the preperiod leaves the period rotated left by c
+    letters behind its replacement, whose trailing letters may then be
+    absorbed.
     """
-    n, rhs = table[v[:3] if len(v) > 2 else (v + w[:3] * 3)[:3]]
+    n, rhs = _HEADS[v[:3] if len(v) > 2 else (v + w[:3] * 3)[:3]][s]
     consumed = n - len(v)
-    if consumed < 0:
-        return rhs + v[n:], w
+    if consumed < 0:  # _LOOP is below every preperiod length
+        return (v, w) if n == _LOOP else (rhs + v[n:], w)
     c = consumed % len(w)
     return _absorbed(rhs, w[c:] + w[:c])
 
 
-def act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
+def act_letter(point: RationalPoint, letter: str) -> RationalPoint:
     """Image of the point under one generator letter."""
-    return RationalPoint._canonical(*_step(point.preperiod, point.period, _TABLES[letter]))
+    return RationalPoint._canonical(*_step(point.preperiod, point.period, _SLOT[letter]))
 
 
 def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
     """Canonical pair of the image of the canonical pair (v, w) under the word."""
     for letter in word:
-        v, w = _step(v, w, _TABLES[letter])
+        v, w = _step(v, w, _SLOT[letter])
     return v, w
 
 
@@ -348,7 +355,7 @@ def parse_point(text: str) -> RationalPoint:
             raise PeriodCapacityError(
                 f"{name} of {len(letters)} letters is longer than {MAX_PERIOD} (capacity exceeded)"
             )
-    return canonicalize(preperiod, period)
+    return RationalPoint._trusted(preperiod, primitive_root(period))
 
 
 def _is_ascii_digits(s: str) -> bool:

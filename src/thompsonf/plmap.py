@@ -33,14 +33,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 from operator import or_
 from typing import Iterable, Sequence
 
 from .dyadic import Dyadic
-from .report import Report
-from .words import Letter, Word, relator_words
+from .report import Check, Report
+from .words import LETTERS, Word, relator_words
 
 MAX_DEPTH = 64
 
@@ -220,7 +220,7 @@ def generator_x1() -> PLMap:
     return _GEN_X1
 
 
-def letter_map(letter: Letter) -> PLMap:
+def letter_map(letter: str) -> PLMap:
     return _LETTER_MAPS[letter]
 
 
@@ -234,9 +234,9 @@ def word_to_plmap(word: Word) -> PLMap:
     have at most as many breakpoints together as the leaves, so the work is
     O(n log n) breakpoint steps where a left fold can need O(n^2).
     """
-    reduced: list[Letter] = []
+    reduced: list[str] = []
     for letter in word:
-        if reduced and reduced[-1] is letter.inverse:
+        if reduced and reduced[-1] == letter.swapcase():
             reduced.pop()
         else:
             reduced.append(letter)
@@ -302,42 +302,44 @@ def check_relators(depth: int = 8) -> Report:
     Covers the two finite-presentation relators, the shift relations
     x_k x_n x_k^-1 = x_{n+1} and y_k y_n y_k^-1 = y_{n+1} for indices up to
     depth, and commutation of every x_i with every y_j up to depth.  The
-    checks grow as depth^2, so depth is at most MAX_DEPTH.
+    checks grow as depth^2, so depth is at most MAX_DEPTH.  They do not
+    depend on anything but the depth, so each depth is proved once per
+    process.
     """
     validate_depth(depth)
-    report = Report("relators")
-    ident = identity()
-    first, second = relator_words((Letter.X0,), (Letter.X1,))
-    report.add("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(first) == ident)
-    report.add("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(second) == ident)
+    return Report("relators", list(_relator_checks(depth)))
 
+
+@cache
+def _relator_checks(depth: int) -> tuple[Check, ...]:
+    ident = identity()
+    first, second = relator_words("a", "b")
+    checks = [
+        Check("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(first) == ident),
+        Check("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(second) == ident),
+    ]
     xs = {k: xn(k) if k else _GEN_X0 for k in range(depth + 2)}
     ys = {k: yn(k) for k in range(1, depth + 2)}
     for k in range(depth + 1):
         for n in range(k + 1, depth + 1):
             ok = xs[k] * xs[n] * xs[k].inverse() == xs[n + 1]
-            report.add(f"x{k} x{n} x{k}^-1 == x{n + 1}", ok)
+            checks.append(Check(f"x{k} x{n} x{k}^-1 == x{n + 1}", ok))
     for k in range(1, depth + 1):
         for n in range(k + 1, depth + 1):
             ok = ys[k] * ys[n] * ys[k].inverse() == ys[n + 1]
-            report.add(f"y{k} y{n} y{k}^-1 == y{n + 1}", ok)
+            checks.append(Check(f"y{k} y{n} y{k}^-1 == y{n + 1}", ok))
     for i in range(1, depth + 1):
         for j in range(1, depth + 1):
             ok = xs[i] * ys[j] == ys[j] * xs[i]
-            report.add(f"[x{i}, y{j}] == 1", ok)
-    return report
+            checks.append(Check(f"[x{i}, y{j}] == 1", ok))
+    return tuple(checks)
 
 
 _IDENTITY = _from_ints(0, (0, 1), (0, 1))
 _GEN_X0 = _from_ints(2, (0, 2, 3, 4), (0, 1, 2, 4))  # numerators over 4
 _GEN_X1 = xn(1)
 
-_LETTER_MAPS = {
-    Letter.X0: _GEN_X0,
-    Letter.X0_INV: _GEN_X0.inverse(),
-    Letter.X1: _GEN_X1,
-    Letter.X1_INV: _GEN_X1.inverse(),
-}
+_LETTER_MAPS = {"a": _GEN_X0, "A": _GEN_X0.inverse(), "b": _GEN_X1, "B": _GEN_X1.inverse()}
 
 # The leaves of word_to_plmap's product tree: every two-letter product.
-_PAIR_MAPS = {(a, b): _LETTER_MAPS[a].compose(_LETTER_MAPS[b]) for a in Letter for b in Letter}
+_PAIR_MAPS = {(a, b): _LETTER_MAPS[a].compose(_LETTER_MAPS[b]) for a in LETTERS for b in LETTERS}

@@ -10,17 +10,18 @@ The search works on (preperiod, period) string pairs, which hash and compare
 at C speed.  Balls and shortest paths grow the same BFS tree, one whole
 layer at a time, kept in flat lists: the keys in discovery order and, per
 vertex, the number of its parent and the slot in BFS_LETTERS of the letter
-that discovered it.  One head-table lookup gives the rules of all four
-letters at a vertex, and two kinds of image are known without looking a key
+that discovered it.  The rules come from cantor's one rule table, _HEADS,
+whose slots follow BFS_LETTERS: one lookup gives the rules of all four
+letters at a vertex.  Two kinds of image are known without looking a key
 up: the letter that undoes the discovering one leads back to the parent,
-and a rule that rewrites its left side to itself (x1 and x1^-1 on a
-sequence that starts with 0) fixes the vertex.  A ball's tree also records
-the x0 and x1 edges of every vertex it expands, as a flat list; only the
-boundary layer, the vertices at the full radius, has its images computed
-afterwards, through the same head table and with the same two skips.  A
-ball is a view of that tree: its RationalPoint vertices, parents, distances
-and edge tuples are built on first access.  The DOT and JSON exports write
-their text from the keys and the flat edge list without them.
+and a rule marked _LOOP, one that rewrites its left side to itself (x1 and
+x1^-1 on a sequence that starts with 0), fixes the vertex.  A ball's tree
+also records the x0 and x1 edges of every vertex it expands, as a flat
+list; only the boundary layer, the vertices at the full radius, has its
+images computed afterwards, through the same table and with the same two
+skips.  A ball is a view of that tree: its RationalPoint vertices, parents,
+distances and edge tuples are built on first access.  The DOT and JSON
+exports write their text from the keys and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -34,31 +35,16 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .cantor import _TABLES, _absorbed, _fold, _step, RationalPoint, act_word, canonicalize, primitive_root
+from .cantor import _HEADS, _LOOP, _absorbed, _fold, _step, RationalPoint, act_word, canonicalize, primitive_root
 from .report import Report
-from .words import Letter, Word, address_word, period_loop_word
+from .words import LETTERS, Word, address_word, period_loop_word
 
-BFS_LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
+BFS_LETTERS = LETTERS
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 MAX_BALL_VERTICES = 1_000_000  # greatest vertex cap of a ball
 
-# (lhs length, rhs) of the rule of each of BFS_LETTERS, by the first three
-# letters of the sequence.  Slots 2k and 2k + 1 hold inverse letters, so the
-# slot that undoes slot s is s ^ 1.  A rule that rewrites its left side to
-# itself (x1 and x1^-1 on a leading 0) has the lhs length _LOOP instead: the
-# letter fixes every sequence with that head, so its image is the vertex.
-_LOOP = -1
-_HEADS = {
-    head: tuple(
-        (_LOOP, rhs) if head[:n] == rhs else (n, rhs)
-        for n, rhs in (_TABLES[letter][head] for letter in BFS_LETTERS)
-    )
-    for head in _TABLES[Letter.X0]
-}
-_BFS_TABLES = tuple(_TABLES[letter] for letter in BFS_LETTERS)
-
 _Key = tuple[str, str]
-_Parent = tuple[int, Letter] | None
+_Parent = tuple[int, str] | None
 _Edge = tuple[int, str, int]
 
 
@@ -148,11 +134,11 @@ class _Tree:
     def path_word(self, vertex: int) -> Word:
         """The letters of the tree path from the root to the vertex."""
         parent, slot = self.parent, self.slot
-        letters: list[Letter] = []
+        letters = []
         while vertex:
             letters.append(BFS_LETTERS[slot[vertex]])
             vertex = parent[vertex]
-        return tuple(reversed(letters))
+        return "".join(reversed(letters))
 
 
 class SchreierBall:
@@ -209,7 +195,7 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
     gives those of the vertices it expanded; only the boundary layer, the
     vertices at the full radius, has its images computed here.  Each of its
-    vertices takes one head-table lookup for both letters, and an image that
+    vertices takes one _HEADS lookup for both letters, and an image that
     is the vertex's parent or, by a _LOOP rule, the vertex itself is not
     looked up.  vertex_cap is at most MAX_BALL_VERTICES, checked before the
     search starts.
@@ -308,17 +294,17 @@ def find_path(
             raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting")
         meet = [forward.index[key] for key in tree.keys[tree.starts[-2] :] if key in other.index]
     vertex = min(meet)
-    word = list(forward.path_word(vertex))
+    word = [forward.path_word(vertex)]
     v, w = forward.keys[vertex]
     starts = backward.starts
     for k in range(backward.depth - 1, -1, -1):
-        for letter, table in zip(BFS_LETTERS, _BFS_TABLES):
-            key = _step(v, w, table)
+        for s, letter in enumerate(BFS_LETTERS):
+            key = _step(v, w, s)
             if starts[k] <= backward.index.get(key, -1) < starts[k + 1]:
                 break
         word.append(letter)
         v, w = key
-    return tuple(word)
+    return "".join(word)
 
 
 def vertex_at_address(root: RationalPoint, address: str) -> RationalPoint:

@@ -24,7 +24,6 @@ from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN, find_path
 from .words import (
-    Letter,
     Word,
     address_word,
     commutator,
@@ -60,16 +59,14 @@ def schreier_x_word(label: str, n: int) -> Word:
     """Generator for the n-th loop on the black ray below the labelled vertex."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    prefix = address_word(label)
-    return prefix + xn_word(n + 1) + invert_word(prefix)
+    return conjugate(xn_word(n + 1), address_word(label))
 
 
 def schreier_y_word(label: str, n: int) -> Word:
     """Generator for the n-th bottom edge of the white ray below the labelled vertex."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    prefix = address_word(label)
-    return prefix + yn_word(n) + invert_word(prefix)
+    return conjugate(yn_word(n), address_word(label))
 
 
 def validate_reduction_bounds(max_label_len: int, max_n: int) -> None:
@@ -169,10 +166,10 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     conjugated.  The search is bounded by find_path's vertex cap only.
     """
     if point in (ZERO_POINT, ONE_POINT):
-        return StabilizerGens(point, (), ((Letter.X0,), (Letter.X1,)), point.period)
+        return StabilizerGens(point, "", ("a", "b"), point.period)
     rotation = base_rotation(point)
     if rotation is not None:
-        return StabilizerGens(point, (), base_generator_words(rotation), rotation)
+        return StabilizerGens(point, "", base_generator_words(rotation), rotation)
     w = point.period
     target = canonicalize("10", w)
     h = find_path(point, target)

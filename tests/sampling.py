@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from thompsonf.cantor import RationalPoint, canonicalize
 from thompsonf.rng import SplitMix64
-from thompsonf.words import Letter, Word
+from thompsonf.words import Word
 
-LETTERS = (Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV)
+LETTERS = "aAbB"
 
 
 def random_word(rng: SplitMix64, max_len: int) -> Word:
-    return tuple(rng.choice(LETTERS) for _ in range(rng.below(max_len + 1)))
+    return "".join([rng.choice(LETTERS) for _ in range(rng.below(max_len + 1))])
 
 
 def random_point(rng: SplitMix64, max_preperiod: int, max_period: int) -> RationalPoint:

@@ -111,7 +111,7 @@ def test_07_base_point_generating_sets():
             point = canonicalize("10", w)
             gens = stabilizer_generators(point)
             assert len(gens.generators) == 5
-            assert gens.conjugator == ()
+            assert gens.conjugator == ""
             value = point.value()
             for word in gens.generators:
                 assert act_word(point, word) == point
@@ -147,10 +147,10 @@ def test_09_product_structure_over_one_half():
         x_pool = (xn_word(1), xn_word(2), invert_word(xn_word(1)), invert_word(xn_word(2)))
         y_pool = (yn_word(1), yn_word(2), invert_word(yn_word(1)), invert_word(yn_word(2)))
         for _ in range(50):
-            u = ()
+            u = ""
             for _ in range(1 + rng.below(6)):
                 u += rng.choice(x_pool)
-            v = ()
+            v = ""
             for _ in range(1 + rng.below(6)):
                 v += rng.choice(y_pool)
             fu, fv = word_to_plmap(u), word_to_plmap(v)

@@ -17,6 +17,7 @@ from thompsonf.cantor import (
     RationalPoint,
     ZERO_POINT,
     _order_of_two,
+    _step,
     act_letter,
     act_word,
     canonicalize,
@@ -28,7 +29,7 @@ from thompsonf.cantor import (
 from thompsonf.plmap import word_to_plmap
 from thompsonf.rng import SplitMix64
 from thompsonf.schreier import ball
-from thompsonf.words import Letter, parse_word
+from thompsonf.words import invert_word, parse_word
 
 F = Fraction
 
@@ -102,20 +103,20 @@ def test_equality_agrees_with_prefix_comparison():
 
 def test_letter_action_rewrites_prefixes():
     p = canonicalize("10", "0100")
-    assert act_letter(p, Letter.X0) == canonicalize("01", "0100")
-    assert act_letter(canonicalize("", "01"), Letter.X1) == canonicalize("", "01")
-    assert act_letter(ONE_POINT, Letter.X0) == ONE_POINT
-    assert act_letter(ZERO_POINT, Letter.X0) == ZERO_POINT
-    assert act_letter(ZERO_POINT, Letter.X1) == ZERO_POINT
-    assert act_letter(ONE_POINT, Letter.X1) == ONE_POINT
+    assert act_letter(p, "a") == canonicalize("01", "0100")
+    assert act_letter(canonicalize("", "01"), "b") == canonicalize("", "01")
+    assert act_letter(ONE_POINT, "a") == ONE_POINT
+    assert act_letter(ZERO_POINT, "a") == ZERO_POINT
+    assert act_letter(ZERO_POINT, "b") == ZERO_POINT
+    assert act_letter(ONE_POINT, "b") == ONE_POINT
 
 
 def test_word_action_folds_letters():
     p = canonicalize("10", "0100")
-    assert act_word(p, ()) == p
-    assert act_word(p, (Letter.X0, Letter.X0_INV)) == p
+    assert act_word(p, "") == p
+    assert act_word(p, "aA") == p
     half = canonicalize("1", "0")
-    assert act_word(half, (Letter.X1,)) == half
+    assert act_word(half, "b") == half
 
 
 def test_action_matches_rule_oracle_on_random_points():
@@ -124,7 +125,7 @@ def test_action_matches_rule_oracle_on_random_points():
         p = random_point(rng, 8, 6)
         letter = rng.choice(LETTERS)
         image = act_letter(p, letter)
-        raw_prefix, raw_period = naive_act(p.preperiod, p.period, letter.value)
+        raw_prefix, raw_period = naive_act(p.preperiod, p.period, letter)
         n = len(raw_prefix) + 3 * len(raw_period) + 8
         assert image.prefix(n) == unroll(raw_prefix, raw_period, n)
 
@@ -134,7 +135,7 @@ def test_each_letter_acts_bijectively():
     for _ in range(150):
         p = random_point(rng, 8, 6)
         for letter in LETTERS:
-            assert act_letter(act_letter(p, letter), letter.inverse) == p
+            assert act_letter(act_letter(p, letter), invert_word(letter)) == p
 
 
 def test_point_values():
@@ -331,7 +332,7 @@ def _random_bits(rng: SplitMix64, n: int) -> str:
     return "".join(format(rng.next_u64(), "064b") for _ in range(-(-n // 64)))[:n]
 
 
-def _rule_loop_act_letter(point: RationalPoint, letter: Letter) -> RationalPoint:
+def _rule_loop_act_letter(point: RationalPoint, letter: str) -> RationalPoint:
     """The sequence action as a loop over the rules of _RULES, canonicalised afterwards."""
     v, w = point.preperiod, point.period
     head = (v[:3] + w[:3] * 3)[:3]
@@ -345,7 +346,7 @@ def _rule_loop_act_letter(point: RationalPoint, letter: Letter) -> RationalPoint
     raise AssertionError("the rules of a letter cover every binary sequence")
 
 
-def _assert_kernel_matches_rule_loop(p: RationalPoint, letter: Letter) -> RationalPoint:
+def _assert_kernel_matches_rule_loop(p: RationalPoint, letter: str) -> RationalPoint:
     image = act_letter(p, letter)
     assert image == _rule_loop_act_letter(p, letter), (str(p), letter)
     # the image is built unchecked, so it must pass every check of the public constructor
@@ -357,7 +358,7 @@ def test_long_period_action_matches_map_evaluation():
     rng = SplitMix64(47)
     for _ in range(12):
         p = canonicalize(_random_bits(rng, rng.below(9)), _random_bits(rng, 1000 + rng.below(9001)))
-        word = tuple(rng.choice(LETTERS) for _ in range(20 + rng.below(41)))
+        word = "".join([rng.choice(LETTERS) for _ in range(20 + rng.below(41))])
         image = p
         for letter in word:
             image = _assert_kernel_matches_rule_loop(image, letter)
@@ -378,6 +379,20 @@ def test_head_table_kernel_matches_the_rule_loop_on_all_short_points():
     for p in points:
         for letter in LETTERS:
             _assert_kernel_matches_rule_loop(p, letter)
+
+
+def test_loop_rules_return_the_pair_untouched():
+    # x1 and x1^-1 fix every sequence that starts with 0: the kernel hands the
+    # canonical pair back as it is, with no rotation of a long period
+    rng = SplitMix64(59)
+    for v in ("", "0", "01", "0110"):
+        w = "1" + _random_bits(rng, 5000) if v else "0" + _random_bits(rng, 5000) + "1"
+        p = canonicalize(v, w)
+        assert p.prefix(1) == "0"
+        for s, letter in ((2, "b"), (3, "B")):
+            image = _step(p.preperiod, p.period, s)
+            assert image[0] is p.preperiod and image[1] is p.period
+            assert act_letter(p, letter) == p == _rule_loop_act_letter(p, letter)
 
 
 def test_twin_sequences_have_disjoint_orbits():

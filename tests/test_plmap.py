@@ -20,7 +20,7 @@ from thompsonf.plmap import (
     yn,
 )
 from thompsonf.rng import SplitMix64
-from thompsonf.words import Letter, commutator, conjugate, invert_word, parse_word, xn_word, yn_word
+from thompsonf.words import commutator, conjugate, invert_word, parse_word, relator_words, xn_word, yn_word
 
 F = Fraction
 
@@ -96,21 +96,21 @@ def test_defining_relator_gives_identity_map():
 
 
 def test_word_to_plmap_basics():
-    assert word_to_plmap(()) == identity()
+    assert word_to_plmap("") == identity()
     assert word_to_plmap(parse_word("aA")) == identity()
     assert word_to_plmap(parse_word("abA")) == xn(2)
 
 
 def test_conjugated_word_matches_map_product():
-    word = conjugate((Letter.X1,), (Letter.X0,))
+    word = conjugate("b", "a")
     assert word_to_plmap(word) == xn(2)
-    h = word_to_plmap((Letter.X0,))
+    h = word_to_plmap("a")
     assert word_to_plmap(word) == h * generator_x1() * h.inverse()
 
 
 def test_letter_map_inverses():
-    for letter in Letter:
-        assert letter_map(letter) * letter_map(letter.inverse) == identity()
+    for letter in LETTERS:
+        assert letter_map(letter) * letter_map(invert_word(letter)) == identity()
 
 
 def test_validation_rejects_bad_data():
@@ -202,7 +202,7 @@ def test_integer_validator_agrees_with_the_fraction_reference():
 
 
 def test_closed_forms_equal_their_validated_and_word_forms():
-    maps = [identity(), generator_x0(), generator_x1()] + [letter_map(letter) for letter in Letter]
+    maps = [identity(), generator_x0(), generator_x1()] + [letter_map(letter) for letter in LETTERS]
     for n in range(1, 41):
         assert xn(n) == word_to_plmap(xn_word(n))
         assert yn(n) == word_to_plmap(yn_word(n))
@@ -351,11 +351,49 @@ def test_check_relators_all_pass_at_depth_eight():
         check_relators(65)
 
 
+def _relator_lines(depth):
+    """The report lines of check_relators, each identity proved afresh in the same order."""
+    first, second = relator_words("a", "b")
+    checks = [
+        ("[x1^-1 x0, x0 x1 x0^-1] == 1", word_to_plmap(first) == identity()),
+        ("[x1^-1 x0, x0^2 x1 x0^-2] == 1", word_to_plmap(second) == identity()),
+    ]
+    xs = [generator_x0()] + [xn(k) for k in range(1, depth + 2)]
+    checks += [
+        (f"x{k} x{n} x{k}^-1 == x{n + 1}", xs[k] * xs[n] * xs[k].inverse() == xs[n + 1])
+        for k in range(depth + 1)
+        for n in range(k + 1, depth + 1)
+    ]
+    checks += [
+        (f"y{k} y{n} y{k}^-1 == y{n + 1}", yn(k) * yn(n) * yn(k).inverse() == yn(n + 1))
+        for k in range(1, depth + 1)
+        for n in range(k + 1, depth + 1)
+    ]
+    checks += [(f"[x{i}, y{j}] == 1", xn(i) * yn(j) == yn(j) * xn(i)) for i in range(1, depth + 1) for j in range(1, depth + 1)]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks]
+    return lines + [f"relators: {len(checks)} checks, all passed"]
+
+
+def test_check_relators_proves_each_depth_once(monkeypatch):
+    expected = {depth: _relator_lines(depth) for depth in range(2, 9)}
+    for depth, lines in expected.items():
+        assert check_relators(depth).lines() == lines
+    calls = []
+    compose = PLMap.compose
+    monkeypatch.setattr(PLMap, "compose", lambda self, other: calls.append(1) or compose(self, other))
+    for depth, lines in expected.items():
+        report = check_relators(depth)
+        assert report.lines() == lines
+        report.add("extra", False)  # a caller's report is its own: the cached checks stay as they were
+        assert check_relators(depth).lines() == lines
+    assert calls == []
+
+
 def _string_oracle_image(word, t):
     """Image of t: prefix rewriting on its binary expansion, read back as a number."""
     prefix, period = fraction_to_vw(t)
     for letter in word:
-        prefix, period = naive_act(prefix, period, letter.value)
+        prefix, period = naive_act(prefix, period, letter)
     top = (1 << len(period)) - 1
     return F(int("0" + prefix, 2) * top + int(period, 2), top << len(prefix))
 
@@ -406,7 +444,7 @@ def _left_fold(word):
 def _reduced_length(word):
     stack = []
     for letter in word:
-        if stack and stack[-1] == letter.inverse:
+        if stack and stack[-1] == invert_word(letter):
             stack.pop()
         else:
             stack.append(letter)
@@ -415,14 +453,14 @@ def _reduced_length(word):
 
 def test_product_tree_matches_the_left_fold():
     rng = SplitMix64(53)
-    words = [tuple(rng.choice(LETTERS) for _ in range(n)) for n in range(0, 301, 2)]
-    words += [(x, y) * k for x in LETTERS for y in LETTERS for k in (1, 2, 7, 40, 75)]
+    words = ["".join([rng.choice(LETTERS) for _ in range(n)]) for n in range(0, 301, 2)]
+    words += [(x + y) * k for x in LETTERS for y in LETTERS for k in (1, 2, 7, 40, 75)]
     words += [commutator(random_word(rng, 40), random_word(rng, 40)) for _ in range(30)]
     for _ in range(30):  # long cancelling runs inside, and words that reduce to nothing
         u, v, w = random_word(rng, 30), random_word(rng, 30), random_word(rng, 100)
         words.append(u + w + invert_word(w) + v)
         words.append(w + u + invert_word(u) + invert_word(w))
-    words += [(Letter.X1,) * 150 + (Letter.X1_INV,) * 150, (Letter.X0, Letter.X0_INV) * 60]
+    words += ["b" * 150 + "B" * 150, "aA" * 60]
     assert len(words) >= 300
     assert max(map(len, words)) == 300
     assert {_reduced_length(w) % 2 for w in words} == {0, 1}
@@ -444,7 +482,7 @@ def test_product_tree_work_is_n_log_n(monkeypatch):
 
     monkeypatch.setattr(PLMap, "compose", counted)
     rng = SplitMix64(61)
-    for word in (parse_word("ab" * 512), tuple(rng.choice(LETTERS) for _ in range(1024))):
+    for word in (parse_word("ab" * 512), "".join([rng.choice(LETTERS) for _ in range(1024)])):
         work.update(calls=0, breakpoints=0)
         word_to_plmap(word)
         assert work["calls"] > 0

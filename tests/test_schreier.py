@@ -11,8 +11,9 @@ import pytest
 from oracles import fraction_ball_dot, string_ball_size
 from sampling import random_point, random_word
 from thompsonf.cantor import (
+    _HEADS,
+    _LOOP,
     _RULES,
-    _TABLES,
     ONE_POINT,
     ZERO_POINT,
     RationalPoint,
@@ -22,8 +23,6 @@ from thompsonf.cantor import (
     parse_point,
 )
 from thompsonf.schreier import (
-    _HEADS,
-    _LOOP,
     _Tree,
     BFS_LETTERS,
     MAX_BALL_VERTICES,
@@ -41,7 +40,7 @@ from thompsonf.schreier import (
 from thompsonf import cantor, cli, schreier
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
-from thompsonf.words import Letter, address_word, period_loop_word
+from thompsonf.words import LETTERS, address_word, period_loop_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,7 +112,7 @@ def test_interior_vertices_have_unique_successors():
 
 def test_letter_action_is_injective_on_ball_vertices():
     b = ball(canonicalize("", "0100"), 4)
-    for letter in (Letter.X0, Letter.X1):
+    for letter in "ab":
         images = [act_letter(p, letter) for p in b.vertices]
         assert len(set(images)) == len(images)
 
@@ -128,10 +127,10 @@ def test_self_loop_characterization():
         loops = {(i, label) for i, label, j in b.edges if i == j}
         for i, p in enumerate(b.vertices):
             expect_x1 = p.prefix(1) == "0" or p in (ten, ONE_POINT)
-            assert (act_letter(p, Letter.X1) == p) == expect_x1
+            assert (act_letter(p, "b") == p) == expect_x1
             assert ((i, "x1") in loops) == expect_x1
             expect_x0 = p in (ZERO_POINT, ONE_POINT)
-            assert (act_letter(p, Letter.X0) == p) == expect_x0
+            assert (act_letter(p, "a") == p) == expect_x0
             assert ((i, "x0") in loops) == expect_x0
 
 
@@ -145,10 +144,17 @@ def test_loop_marks_are_exactly_the_identity_rules():
     }
     marked = {(head, s) for head, rules in _HEADS.items() for s, (n, _) in enumerate(rules) if n == _LOOP}
     assert marked == identities == {(head, s) for head in _HEADS if head[0] == "0" for s in (2, 3)}
+    assert BFS_LETTERS == LETTERS == "".join(_RULES)
+    assert sorted(_HEADS) == ["".join(bits) for bits in product("01", repeat=3)]
     for head, rules in _HEADS.items():
+        assert len(rules) == 4
         for s, letter in enumerate(BFS_LETTERS):
+            matching = [(len(lhs), rhs) for lhs, rhs in _RULES[letter] if head.startswith(lhs)]
+            assert len(matching) == 1, (head, letter)
             if (head, s) not in marked:
-                assert rules[s] == _TABLES[letter][head]
+                assert rules[s] == matching[0]
+            else:
+                assert rules[s] == (_LOOP, matching[0][1])
 
 
 def _reference_bfs(seed, radius):
@@ -175,7 +181,7 @@ def _reference_word(parents, vertex):
     while parents[vertex] is not None:
         vertex, letter = parents[vertex]
         letters.append(letter)
-    return tuple(reversed(letters))
+    return "".join(reversed(letters))
 
 
 def _reference_edges(vertices):
@@ -183,7 +189,7 @@ def _reference_edges(vertices):
     index = {p: i for i, p in enumerate(vertices)}
     edges = []
     for i, p in enumerate(vertices):
-        for letter, label in ((Letter.X0, "x0"), (Letter.X1, "x1")):
+        for letter, label in (("a", "x0"), ("b", "x1")):
             j = index.get(act_letter(p, letter))
             if j is not None:
                 edges.append((i, label, j))
@@ -381,10 +387,10 @@ def test_find_path_vertex_cap_bounds_both_balls_and_says_what_was_searched():
 
 def test_find_path_trivial_and_one_step():
     p = canonicalize("", "0100")
-    assert find_path(p, p, 5) == ()
+    assert find_path(p, p, 5) == ""
     src = canonicalize("01", "0100")
     dst = canonicalize("10", "0100")
-    assert find_path(src, dst, 5) == (Letter.X0_INV,)
+    assert find_path(src, dst, 5) == "A"
 
 
 def test_find_path_words_verify_and_are_shortest():
@@ -422,7 +428,7 @@ def test_vertex_addresses():
 
 
 def test_address_word_expansion_used_by_addresses():
-    assert address_word("BBA") == (Letter.X1, Letter.X1, Letter.X0_INV, Letter.X1)
+    assert address_word("BBA") == "bbAb"
 
 
 def test_vertex_addresses_agree_with_map_evaluation():
@@ -503,7 +509,7 @@ def test_check_addresses_along_the_label_trie_matches_the_per_label_reference():
 
 def test_check_addresses_reports_collisions_as_the_reference_does(monkeypatch):
     # with A -> x1, as B, every A/B swap of a label collides
-    monkeypatch.setattr(schreier, "address_word", lambda label: (Letter.X1,) * len(label))
+    monkeypatch.setattr(schreier, "address_word", lambda label: "b" * len(label))
     for period in ("01", "0100"):
         report = check_addresses(period, 3)
         assert report.lines() == _reference_check_addresses(period, 3).lines()
@@ -514,9 +520,9 @@ def test_check_addresses_takes_at_most_two_letter_steps_per_label(monkeypatch):
     step = cantor._step
     steps = [0]
 
-    def counted(v, w, table):
+    def counted(v, w, s):
         steps[0] += 1
-        return step(v, w, table)
+        return step(v, w, s)
 
     monkeypatch.setattr(cantor, "_step", counted)
     assert check_addresses("0100", 12).passed

@@ -27,7 +27,6 @@ from thompsonf.stabgen import (
     verify_generators,
 )
 from thompsonf.words import (
-    Letter,
     conjugate,
     format_word,
     invert_word,
@@ -44,7 +43,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_schreier_x_word_with_empty_label_is_a_shifted_generator():
-    assert schreier_x_word("", 1) == (Letter.X0, Letter.X1, Letter.X0_INV)
+    assert schreier_x_word("", 1) == "abA"
     assert word_to_plmap(schreier_x_word("", 1)) == xn(2)
     assert word_to_plmap(schreier_x_word("", 3)) == xn(4)
 
@@ -106,8 +105,8 @@ def test_reduction_along_the_label_trie_matches_the_per_label_reference():
 
 def test_reduction_memo_hides_no_failure(monkeypatch):
     # A -> x0^-1 alone breaks the x identities below every A and shifts the y ones
-    expand = {"A": (Letter.X0_INV,), "B": (Letter.X1,)}
-    monkeypatch.setattr(stabgen, "address_word", lambda label: tuple(x for ch in label for x in expand[ch]))
+    expand = {"A": "A", "B": "b"}
+    monkeypatch.setattr(stabgen, "address_word", lambda label: "".join(expand[ch] for ch in label))
     for max_label_len, max_n in ((1, 1), (4, 2), (6, 4)):
         report = check_reduction(max_label_len, max_n)
         reference = _reference_check_reduction(max_label_len, max_n)
@@ -132,20 +131,20 @@ def test_reduction_composes_once_per_distinct_letter_and_map(monkeypatch):
 def test_endpoint_stabilizer_is_the_whole_group():
     for point in (ZERO_POINT, ONE_POINT):
         gens = stabilizer_generators(point)
-        assert gens.conjugator == ()
-        assert gens.generators == ((Letter.X0,), (Letter.X1,))
+        assert gens.conjugator == ""
+        assert gens.generators == ("a", "b")
 
 
 def test_generators_for_one_half():
     gens = stabilizer_generators(canonicalize("1", "0"))
-    assert gens.conjugator == ()
+    assert gens.conjugator == ""
     assert gens.period == "0"
     assert gens.generators == (
         xn_word(2),
         xn_word(3),
         yn_word(1),
         yn_word(2),
-        (Letter.X1_INV,),
+        "B",
     )
     assert verify_generators(gens).passed
 
@@ -155,10 +154,10 @@ def test_base_point_detection_uses_the_matching_rotation():
     # rotation 0100 that exhibits it as a base point, with no conjugator
     point = canonicalize("10", "0100")
     gens = stabilizer_generators(point)
-    assert gens.conjugator == ()
+    assert gens.conjugator == ""
     assert gens.period == "0100"
     assert gens.generators[4] == stabilizer_period_word("0100")
-    assert gens.generators[4] == tuple(parse_word("BBaBB"))
+    assert gens.generators[4] == parse_word("BBaBB") == "BBaBB"
     assert verify_generators(gens).passed
 
 
@@ -243,7 +242,7 @@ def test_gens_text_of_long_searches_matches_the_frozen_fixture():
 def test_conjugated_generators_for_a_non_base_point():
     point = value_to_point(F(4, 15))
     gens = stabilizer_generators(point)
-    assert gens.conjugator != ()
+    assert gens.conjugator != ""
     assert act_word(point, gens.conjugator) == canonicalize("10", gens.period)
     for word in gens.generators:
         assert act_word(point, word) == point
@@ -296,7 +295,7 @@ def _reference_verify(gens, samples, max_factors, seed):
     rng = SplitMix64(seed)
     bad = 0
     for _ in range(samples):
-        word = ()
+        word = ""
         for _ in range(1 + rng.below(max_factors)):
             word += rng.choice(pool)
         bad += act_word(point, word) != point
@@ -310,9 +309,9 @@ def test_verify_generators_matches_the_unmemoised_fold():
     # one generator of 4/15's set replaced by a word that moves the point:
     # every product that uses it, and only those, must be folded in full
     sound = cases[0]
-    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ((Letter.X0,),) + sound.generators[3:], sound.period)
+    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ("a",) + sound.generators[3:], sound.period)
     cases.append(broken)
-    cases.append(StabilizerGens(sound.point, (), ((Letter.X0,), (Letter.X0_INV,)), sound.period))
+    cases.append(StabilizerGens(sound.point, "", ("a", "A"), sound.period))
     for gens in cases:
         for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
             report = verify_generators(gens, samples, max_factors, seed)
@@ -345,8 +344,8 @@ def test_verify_draws_only_when_a_pool_word_moves_the_point(monkeypatch):
     sound = stabilizer_generators(value_to_point(F(4, 15)))
     assert verify_generators(sound, samples=MAX_SAMPLES).passed
     assert draws[0] == 0
-    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ((Letter.X0,),) + sound.generators[3:], sound.period)
-    letters = StabilizerGens(sound.point, (), ((Letter.X0,), (Letter.X0_INV,)), sound.period)
+    broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ("a",) + sound.generators[3:], sound.period)
+    letters = StabilizerGens(sound.point, "", ("a", "A"), sound.period)
     for gens in (broken, letters):
         for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
             draws[0] = 0
@@ -367,7 +366,7 @@ def test_verify_reports_are_reproducible():
 
 def test_verify_catches_a_wrong_generator():
     point = canonicalize("1", "0")
-    broken = StabilizerGens(point, (), ((Letter.X0,),), "0")
+    broken = StabilizerGens(point, "", ("a",), "0")
     report = verify_generators(broken, samples=10)
     assert not report.passed
 

@@ -2,9 +2,14 @@ from itertools import product
 
 import pytest
 
-from thompsonf.schreier import forbidden_prefix
+from sampling import random_point, random_word
+from thompsonf.cantor import act_word
+from thompsonf.plmap import identity, word_to_plmap
+from thompsonf.rng import SplitMix64
+from thompsonf.schreier import ball, find_path, forbidden_prefix
+from thompsonf.stabgen import stabilizer_generators
 from thompsonf.words import (
-    Letter,
+    LETTERS,
     WordSyntaxError,
     address_word,
     commutator,
@@ -19,15 +24,13 @@ from thompsonf.words import (
     yn_word,
 )
 
-A, AI, B, BI = Letter.X0, Letter.X0_INV, Letter.X1, Letter.X1_INV
-
 
 def test_parse_and_format_round_trip():
     for text in ("a", "abAB", "AAbaa", "1"):
         assert format_word(parse_word(text)) == text
-    assert parse_word("") == ()
-    assert parse_word("1") == ()
-    assert format_word(()) == "1"
+    assert parse_word("") == ""
+    assert parse_word("1") == ""
+    assert format_word("") == "1"
 
 
 def test_parse_reports_position_of_bad_letter():
@@ -36,52 +39,61 @@ def test_parse_reports_position_of_bad_letter():
             parse_word(text)
         assert err.value.position == position
         assert str(err.value) == f"invalid letter {text[position]!r} at position {position} in {text!r}"
-    assert parse_word("aAbB") == (A, AI, B, BI)
+    assert parse_word("aAbB") == "aAbB" == LETTERS
 
 
 def test_inverse_reverses_and_inverts():
-    assert invert_word((A, B)) == (BI, AI)
-    assert invert_word(()) == ()
-    assert invert_word(invert_word((A, B, AI))) == (A, B, AI)
+    assert invert_word("ab") == "BA"
+    assert invert_word("") == ""
+    assert invert_word(invert_word("abA")) == "abA"
+
+
+def test_inverse_is_an_involution_that_cancels_in_the_map():
+    rng = SplitMix64(14)
+    words = [""] + [random_word(rng, 40) for _ in range(299)]
+    assert len(set(words)) > 250
+    for word in words:
+        assert invert_word(invert_word(word)) == word
+        assert word_to_plmap(word + invert_word(word)) == identity()
 
 
 def test_conjugate_by_empty_word_is_identity_operation():
-    assert conjugate((B,), ()) == (B,)
-    assert conjugate((B,), (A,)) == (A, B, AI)
+    assert conjugate("b", "") == "b"
+    assert conjugate("b", "a") == "abA"
 
 
 def test_commutator_shape():
-    assert commutator((A,), (B,)) == (A, B, AI, BI)
+    assert commutator("a", "b") == "abAB"
 
 
 def test_xn_words():
-    assert xn_word(0) == (A,)
-    assert xn_word(1) == (B,)
-    assert xn_word(2) == (A, B, AI)
-    assert xn_word(4) == (A, A, A, B, AI, AI, AI)
+    assert xn_word(0) == "a"
+    assert xn_word(1) == "b"
+    assert xn_word(2) == "abA"
+    assert xn_word(4) == "aaabAAA"
     with pytest.raises(ValueError):
         xn_word(-1)
 
 
 def test_yn_words():
-    assert yn_word(1) == (AI, AI, B, A)
-    assert yn_word(2) == (AI, AI, AI, B, A, A)
+    assert yn_word(1) == "AAba"
+    assert yn_word(2) == "AAAbaa"
     with pytest.raises(ValueError):
         yn_word(0)
 
 
 def test_address_word_substitution():
-    assert address_word("") == ()
-    assert address_word("A") == (AI, B)
-    assert address_word("BBA") == (B, B, AI, B)
+    assert address_word("") == ""
+    assert address_word("A") == "Ab"
+    assert address_word("BBA") == "bbAb"
     with pytest.raises(ValueError, match=r"^address letters must be A or B, got 'C'$"):
         address_word("AC")
 
 
 def test_period_loop_word_reads_reversed_period():
-    assert period_loop_word("0") == (B,)
-    assert period_loop_word("1") == (AI, B)
-    assert period_loop_word("0100") == (B, B, AI, B, B)
+    assert period_loop_word("0") == "b"
+    assert period_loop_word("1") == "Ab"
+    assert period_loop_word("0100") == "bbAbb"
     for word in (period_loop_word, stabilizer_period_word):
         with pytest.raises(ValueError, match=r"^period letters must be 0 or 1, got '2'$"):
             word("012")
@@ -96,24 +108,35 @@ def test_stabilizer_period_word_is_loop_word_inverse():
             loop = period_loop_word(w)
             assert loop == address_word(forbidden_prefix(w)), w
             assert stabilizer_period_word(w) == invert_word(loop), w
-    assert stabilizer_period_word("0100") == (BI, BI, A, BI, BI)
+    assert stabilizer_period_word("0100") == "BBaBB"
 
 
 def test_relator_words_of_the_generators_are_the_defining_relators():
-    first, second = relator_words((A,), (B,))
-    assert first == commutator((BI, A), (A, B, AI))
-    assert second == commutator((BI, A), (A, A, B, AI, AI))
-    g0, g1 = (A, B), (AI,)
+    first, second = relator_words("a", "b")
+    assert first == commutator("Ba", "abA")
+    assert second == commutator("Ba", "aabAA")
+    g0, g1 = "ab", "A"
     assert relator_words(g0, g1) == (
         commutator(invert_word(g1) + g0, g0 + g1 + invert_word(g0)),
         commutator(invert_word(g1) + g0, g0 + g0 + g1 + invert_word(g0) + invert_word(g0)),
     )
 
 
-def test_letters_hash_by_identity():
-    # dict lookups keyed by letters are on the hot paths of both actions, so
-    # the hash is object's C-level identity hash, not Enum's hash of the name
-    assert Letter.__hash__ is object.__hash__
-    for letter in Letter:
-        assert hash(letter) == object.__hash__(letter)
-        assert {letter: 1}[Letter(letter.value)] == 1
+def test_every_word_returned_is_text_that_round_trips():
+    rng = SplitMix64(41)
+    returned = []
+    for _ in range(20):
+        p = random_point(rng, 5, 4)
+        q = act_word(p, random_word(rng, 6))
+        returned.append(find_path(p, q))
+        b = ball(p, 3)
+        returned += [b.path_word(i) for i in range(len(b))]
+        gens = stabilizer_generators(p)
+        returned += [gens.conjugator, *gens.generators]
+    returned += [address_word(label) for label in ("", "A", "B", "ABBA")]
+    returned += [period_loop_word(w) for w in ("0", "1", "0100", "011")]
+    returned += relator_words(xn_word(2), yn_word(1))
+    assert "" in returned and len(set(returned)) > 100
+    for word in returned:
+        assert type(word) is str
+        assert parse_word(format_word(word)) == word
