@@ -28,6 +28,7 @@ from .plmap import (
     InvalidPLMapError,
     PLMap,
     check_relators,
+    evaluate_word,
     flip,
     generator_x0,
     generator_x1,

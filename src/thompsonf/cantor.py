@@ -11,14 +11,19 @@ most three letters, so the first three letters of a sequence pick its rule.
 At import time they become the one rule table of the package, _HEADS: from
 those three letters to the length and the replacement of the matching rule
 of each of the four letters, in the order of LETTERS, with the rules that
-rewrite their left side to itself marked.  One kernel, _step, applies the
-letter in a slot of that table to a canonical (preperiod, period) pair of
-plain strings: it looks the rule up, rotates the period once by the letters
-the rule read past the preperiod, and absorbs trailing preperiod letters.
-act_letter and act_word go through it, and the breadth-first search in
-schreier reads the rules of all four letters at once from one lookup in the
-same table; act_word and the search build a RationalPoint only for the
-points they return.
+rewrite their left side to itself marked.  Two kernels read that table.
+_step applies the letter in a slot to a canonical (preperiod, period) pair
+of plain strings: it looks the rule up, rotates the period once by the
+letters the rule read past the preperiod, and absorbs trailing preperiod
+letters, so a letter costs O(|preperiod| + |period|).  act_letter goes
+through it, and so do find_path's walk down the backward tree and words of
+at most two letters.  _fold, behind act_word, folds a longer word over the
+preperiod as a reversed list and a read offset into the unrotated period,
+reading the table with each head and replacement reversed, so a letter
+costs O(1) and the pair is made canonical once, at the end.
+The breadth-first search in schreier reads the rules of all four letters at
+once from one lookup in the same table; act_word and the search build a
+RationalPoint only for the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with
@@ -190,6 +195,10 @@ _HEADS = {
     )
     for head in (format(bits, "03b") for bits in range(8))
 }
+# _HEADS as _fold reads it off the end of a reversed preperiod: each head and
+# each replacement reversed, so that a rule is one lookup and one slice
+# assignment at the end of the list.
+_REVERSED_HEADS = {head[::-1]: tuple((n, rhs[::-1]) for n, rhs in rules) for head, rules in _HEADS.items()}
 
 
 def _step(v: str, w: str, s: int) -> tuple[str, str]:
@@ -216,10 +225,39 @@ def act_letter(point: RationalPoint, letter: str) -> RationalPoint:
 
 
 def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
-    """Canonical pair of the image of the canonical pair (v, w) under the word."""
+    """Canonical pair of the image of the canonical pair (v, w) under the word.
+
+    A word of at most two letters goes through _step.  A longer one is folded
+    over a private state that need not be canonical between letters, since
+    the rules read only the sequence: the preperiod as a list in reverse
+    order, whose end holds the first letters of the sequence, and a read
+    offset r into the unrotated period, whose letters from r on are read by
+    index.  A rule pops and pushes at most three letters, and one that reads
+    past the preperiod only moves r, so a letter costs O(1) however long v
+    and w are.  The pair is canonicalised once, at the end, by _absorbed.
+    """
+    if len(word) < 3:
+        for letter in word:
+            v, w = _step(v, w, _SLOT[letter])
+        return v, w
+    stack = list(v[::-1])
+    n = len(w)
+    ahead = w + (w * 2)[:2]  # ahead[r:r + 3] starts the period rotated left by r, even for |w| < 3
+    r = 0
     for letter in word:
-        v, w = _step(v, w, _SLOT[letter])
-    return v, w
+        size = len(stack)
+        if size > 2:
+            k, rhs = _REVERSED_HEADS["".join(stack[-3:])][_SLOT[letter]]
+            if k != _LOOP:
+                stack[-k:] = rhs
+            continue
+        k, rhs = _REVERSED_HEADS[ahead[r:r + 3 - size][::-1] + "".join(stack)][_SLOT[letter]]
+        if k > size:  # the rule reads k - size letters of the period
+            r = (r + k - size) % n
+            stack[:] = rhs
+        elif k != _LOOP:
+            stack[-k:] = rhs
+    return _absorbed("".join(stack[::-1]), w[r:] + w[:r])
 
 
 def act_word(point: RationalPoint, word: Word) -> RationalPoint:

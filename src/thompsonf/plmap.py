@@ -27,6 +27,9 @@ tree add up to at most the breakpoints of the leaves, and a reduced word of
 n letters costs O(n log n) breakpoint steps.  A left fold composes letter k
 into a map that may already have O(k) breakpoints, which is quadratic when
 they grow with the length, as they do for (x0 x1)^k.
+
+To evaluate a word at one point, evaluate_word builds no map: it folds the
+exact value through the pieces of the letter maps, one letter at a time.
 """
 
 from __future__ import annotations
@@ -244,6 +247,51 @@ def word_to_plmap(word: Word) -> PLMap:
     if len(reduced) % 2:
         leaves.append(_LETTER_MAPS[reduced[-1]])
     return _product(leaves)
+
+
+def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
+    """Exact image of t under the map of the word, without building that map.
+
+    The value is folded through the pieces of _LETTER_MAPS, one letter at a
+    time.  It is kept as N / (D 2^k), with D the odd part of t's
+    denominator: a piece y = Y + 2^j (t - T), with dyadic T and Y, sends such
+    a value to another one over the same D, so each letter costs a few
+    shifts and a floor division by D to find its piece, and the common
+    factors of two are shifted out instead of found by a gcd.  A word of n
+    letters costs n such steps, where word_to_plmap builds a map that can
+    have O(n) breakpoints over 2^n.
+    """
+    if isinstance(t, float):
+        raise TypeError("refusing float input; pass Fraction for exactness")
+    fr = Fraction(t)
+    if fr < 0 or fr > 1:
+        raise ValueError(f"argument {fr} outside [0, 1]")
+    num, den = fr.numerator, fr.denominator
+    k = (den & -den).bit_length() - 1
+    d = den >> k
+    # per letter: its exponent e, the numerators of its breakpoints but the
+    # last, and per piece (T D 2^e, Y D 2^e, log2 of the slope split into
+    # its positive and negative parts)
+    pieces = {}
+    for letter, m in _LETTER_MAPS.items():
+        ts, ys = m._ts, m._ys
+        steps = []
+        for i in range(len(ts) - 1):
+            dt, dy = ts[i + 1] - ts[i], ys[i + 1] - ys[i]
+            up = (dy // dt).bit_length() - 1 if dy >= dt else 0
+            down = (dt // dy).bit_length() - 1 if dt > dy else 0
+            steps.append((ts[i] * d, ys[i] * d, up, down))
+        pieces[letter] = (m._e, ts[:-1], steps)
+    for letter in word:
+        e, ts, steps = pieces[letter]
+        scaled = num << e  # t D 2^(k + e)
+        td, yd, up, down = steps[bisect_right(ts, scaled // (d << k)) - 1]
+        num = (yd << (k + down)) + ((scaled - (td << k)) << up)
+        k += e + down
+        z = min((num & -num).bit_length() - 1, k) if num else k
+        num >>= z
+        k -= z
+    return Fraction(num, d << k)
 
 
 def _product(maps: list[PLMap]) -> PLMap:

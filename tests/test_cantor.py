@@ -16,6 +16,7 @@ from thompsonf.cantor import (
     PointSyntaxError,
     RationalPoint,
     ZERO_POINT,
+    _fold,
     _order_of_two,
     _step,
     act_letter,
@@ -393,6 +394,51 @@ def test_loop_rules_return_the_pair_untouched():
             image = _step(p.preperiod, p.period, s)
             assert image[0] is p.preperiod and image[1] is p.period
             assert act_letter(p, letter) == p == _rule_loop_act_letter(p, letter)
+
+
+def _stepwise_fold(v: str, w: str, word: str) -> tuple[tuple[str, str], int]:
+    """_fold's reference: one _step per letter; also how often an inner letter leaves no preperiod."""
+    empties = 0
+    for k, letter in enumerate(word, start=1):
+        v, w = _step(v, w, LETTERS.index(letter))
+        empties += v == "" and k < len(word)
+    return (v, w), empties
+
+
+def _runs_word(rng: SplitMix64, runs: int) -> str:
+    """Runs of one letter each, 1-8 long: x0^-1 runs eat a preperiod that x0 runs built up, and back."""
+    return "".join([rng.choice(LETTERS) * (1 + rng.below(8)) for _ in range(runs)])
+
+
+def test_fold_matches_the_per_letter_kernel():
+    # the fold keeps the preperiod reversed and an offset into the unrotated
+    # period, and canonicalises only at the end
+    rng = SplitMix64(61)
+    kinds = {"one-letter period": 0, "long period": 0, "emptied twice": 0, "long word": 0}
+    for case in range(2400):
+        if case % 4 == 0:
+            w = "01"[rng.below(2)]
+            kinds["one-letter period"] += 1
+        elif case % 4 == 1:
+            w = _random_bits(rng, 1000 + rng.below(1001))
+            kinds["long period"] += 1
+        else:
+            w = _random_bits(rng, 2 + rng.below(11))
+        p = canonicalize(_random_bits(rng, rng.below(3)), w)
+        v, w = p.preperiod, p.period
+        if case % 3 == 0:
+            word = _runs_word(rng, 1 + rng.below(12))
+        elif case % 3 == 1:
+            word = random_word(rng, 30)
+        else:
+            word = "".join([rng.choice(LETTERS) for _ in range(100 + rng.below(101))])
+            kinds["long word"] += 1
+        image = _fold(v, w, word)
+        reference, empties = _stepwise_fold(v, w, word)
+        assert image == reference, (str(p), word)
+        assert RationalPoint(*image) == act_word(p, word)
+        kinds["emptied twice"] += empties >= 2 and len(word) > 2
+    assert min(kinds.values()) >= 300, kinds
 
 
 def test_twin_sequences_have_disjoint_orbits():

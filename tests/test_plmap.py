@@ -10,6 +10,7 @@ from thompsonf.plmap import (
     InvalidPLMapError,
     PLMap,
     check_relators,
+    evaluate_word,
     flip,
     generator_x0,
     generator_x1,
@@ -67,6 +68,45 @@ def test_evaluate_rejects_out_of_range_and_floats():
         generator_x0().evaluate(-1)
     with pytest.raises(TypeError):
         generator_x0().evaluate(0.5)
+
+
+def test_evaluate_word_matches_the_built_map():
+    # the value fold through the letter pieces against evaluating the whole map
+    rng = SplitMix64(67)
+    special = [F(0), F(1), F(1, 2), F(3, 4), F(7, 8), F(1, 4), F(5, 8)]
+    seen = {"empty word": 0, "special t": 0, "dyadic t": 0, "non-dyadic t": 0, "long word": 0}
+    for case in range(2400):
+        word = "" if case % 40 == 0 else random_word(rng, 200 if case % 4 == 0 else 12)
+        kind = case % 3
+        if kind == 0:
+            t = special[rng.below(len(special))]
+            seen["special t"] += 1
+        elif kind == 1:
+            e = rng.below(40)
+            t = F(rng.below((1 << e) + 1), 1 << e)
+            seen["dyadic t"] += t.denominator > 8
+        else:
+            q = (3 + 2 * rng.below(5000)) << rng.below(12)
+            t = F(rng.below(q + 1), q)
+            seen["non-dyadic t"] += t.denominator & (t.denominator - 1) != 0
+        seen["empty word"] += word == ""
+        seen["long word"] += len(word) > 100
+        m = word_to_plmap(word)
+        assert evaluate_word(word, t) == m.evaluate(t), (word, t)
+        if case % 10 == 0:  # the word's own breakpoints, where two pieces of some letter meet
+            for b, y in m.breakpoints:
+                assert evaluate_word(word, b.as_fraction()) == y.as_fraction()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_evaluate_word_refuses_what_evaluate_refuses():
+    assert evaluate_word("ab", 1) == 1 and evaluate_word("ab", 0) == 0
+    with pytest.raises(ValueError):
+        evaluate_word("a", F(3, 2))
+    with pytest.raises(ValueError):
+        evaluate_word("a", -1)
+    with pytest.raises(TypeError):
+        evaluate_word("a", 0.5)
 
 
 def test_compose_inverse_and_identity_laws():

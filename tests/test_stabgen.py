@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import stabgen
+from thompsonf import plmap, stabgen
 from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_word, canonicalize, parse_point, value_to_point
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Report
@@ -369,6 +369,54 @@ def test_verify_catches_a_wrong_generator():
     broken = StabilizerGens(point, "", ("a",), "0")
     report = verify_generators(broken, samples=10)
     assert not report.passed
+
+
+def test_map_evaluation_does_not_lean_on_the_sequence_action(monkeypatch):
+    # with x0's map wrong, only the map-evaluation lines can notice
+    gens = stabilizer_generators(value_to_point(F(4, 15)))
+    assert verify_generators(gens).passed
+    monkeypatch.setitem(plmap._LETTER_MAPS, "a", plmap._LETTER_MAPS["A"])
+    lines = {c.name: c.passed for c in verify_generators(gens).checks}
+    for k in range(1, 6):
+        assert lines[f"generator {k} fixes {gens.point} (sequence action)"]
+        assert not lines[f"generator {k} fixes {gens.point} (map evaluation)"]
+
+
+def test_verify_builds_no_map_once_the_point_independent_suites_are_cached(monkeypatch):
+    sound = stabilizer_generators(value_to_point(F(4, 15)))
+    cases = [sound, StabilizerGens(sound.point, "", ("a", "A"), sound.period)]
+    cases += [stabilizer_generators(parse_point(text)) for text in ("0110(011)", "1/20011", "7/24")]
+    verify_generators(sound, samples=5)
+    compose = PLMap.compose
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(PLMap, "compose", counted)
+    for gens in cases:
+        report = verify_generators(gens, samples=40)
+        assert len([c for c in report.checks if "(map evaluation)" in c.name]) == len(gens.generators)
+    assert calls[0] == 0
+    word_to_plmap("abA")  # the counter sees a product of two leaves
+    assert calls[0] == 1
+
+
+def test_verify_for_a_long_period_takes_linear_time():
+    # 1/20011 has a 6670-letter period and a fifth generator of 10,065
+    # letters.  Building its map took about 2.4 s; folding b's value through
+    # the letter maps and the sequence through a read offset takes about
+    # 0.05 s on a 2-vCPU Xeon, so the budget leaves room for load
+    gens = stabilizer_generators(value_to_point(F(1, 20011)))
+    assert len(gens.period) == 6670 and len(gens.generators[4]) == 10065
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        report = verify_generators(gens)
+        times.append(time.perf_counter() - start)
+    assert report.passed and len(report.checks) == 22
+    assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
 
 
 def test_stabilizer_relators_all_hold():
