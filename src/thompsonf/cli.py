@@ -7,13 +7,15 @@ the identity.  All output is exact; fractions are printed in lowest terms.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
 failed search or a period or preperiod longer than MAX_PERIOD letters, 2 on
-a usage error.
+a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when stdout
+is closed before all of the output is written, as in `selftest | head -n 1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
@@ -47,6 +49,7 @@ from .words import WordSyntaxError, format_word, parse_word
 SELFTEST_PERIODS = ("0", "1", "01", "10", "0100", "011")
 TWIN_PREFIXES = ("", "1", "01")
 SELFTEST_MAX_N = 4  # greatest generator index of the reduction checks
+CLOSED_PIPE_STATUS = 141  # what a shell reports for a process that SIGPIPE ended
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -177,7 +180,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script: main(), ended quietly with CLOSED_PIPE_STATUS when standard output is closed."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:  # what is still buffered goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE_STATUS
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ x1^-1 on a sequence that starts with 0), fixes the vertex.  A ball's tree
 also records the x0 and x1 edges of every vertex it expands, as a flat
 list; only the boundary layer, the vertices at the full radius, has its
 images computed afterwards, through the same table and with the same two
-skips.  A ball is a view of that tree: its RationalPoint vertices, parents,
-distances and edge tuples are built on first access.  The DOT and JSON
+skips.  A ball is that tree: its RationalPoint vertices, parents,
+distances and edge tuples are views built on first access.  The DOT and JSON
 exports write their text from the keys and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
@@ -72,15 +72,15 @@ class _Tree:
     whose rule at vertex i is marked _LOOP, whose image is i.  Given a list,
     it also appends the x0 and x1 edges of every expanded vertex to it, in
     vertex order and flat: source, "x0", target, source, "x1", target.
-    Balls pass one, shortest-path searches do not.
+    Balls pass one as flat_edges, shortest-path searches do not.
     """
 
-    def __init__(self, root: _Key, edges: list[int | str] | None = None):
+    def __init__(self, root: _Key, flat_edges: list[int | str] | None = None):
         self.keys = [root]
         self.index = {root: 0}
         self.parent = [-1]
         self.slot = [-1]
-        self.edges = edges
+        self.flat_edges = flat_edges
         self.starts = [0, 1]
 
     @property
@@ -97,7 +97,7 @@ class _Tree:
         The image back to the parent and the image under a _LOOP rule, the
         vertex itself, are set without building or looking up a key.
         """
-        keys, index, parent, slot, edges = self.keys, self.index, self.parent, self.slot, self.edges
+        keys, index, parent, slot, edges = self.keys, self.index, self.parent, self.slot, self.flat_edges
         for i in range(self.starts[-2], self.starts[-1]):
             v, w = keys[i]
             nv = len(v)
@@ -141,50 +141,41 @@ class _Tree:
         return "".join(reversed(letters))
 
 
-class SchreierBall:
+class SchreierBall(_Tree):
     """BFS-explored portion of the Schreier graph around a seed point.
 
-    A view of the BFS tree that grew it.  vertices, parents, distances and
-    edges are tuples built on first access and kept: the RationalPoint of
-    each vertex, None for the seed and (parent, letter) for the others, the
-    depth of each vertex, and the (source, "x0" | "x1", target) edges.
+    The BFS tree that grew it, with the seed point and the radius.  vertices,
+    parents, distances and edges are tuples built on first access and kept:
+    the RationalPoint of each vertex, None for the seed and (parent, letter)
+    for the others, the depth of each vertex, and the (source, "x0" | "x1",
+    target) edges.  path_word(vertex) is the shortest word u with
+    act_word(seed, u) = vertices[vertex].
     """
 
-    def __init__(self, seed: RationalPoint, radius: int, tree: _Tree):
-        self.seed = seed
-        self.radius = radius
-        self._tree = tree
+    seed: RationalPoint
+    radius: int
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
-        return tuple(RationalPoint._canonical(v, w) for v, w in self._tree.keys)
+        return tuple(RationalPoint._canonical(v, w) for v, w in self.keys)
 
     @cached_property
     def parents(self) -> tuple[_Parent, ...]:
-        tree = self._tree
-        return (None,) + tuple((tree.parent[i], BFS_LETTERS[tree.slot[i]]) for i in range(1, len(tree.keys)))
+        parent, slot = self.parent, self.slot
+        return (None,) + tuple((parent[i], BFS_LETTERS[slot[i]]) for i in range(1, len(self.keys)))
 
     @cached_property
     def distances(self) -> tuple[int, ...]:
-        starts = self._tree.starts
+        starts = self.starts
         return tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
 
     @cached_property
     def edges(self) -> tuple[_Edge, ...]:
-        return _edge_tuples(self._tree.edges)
-
-    def path_word(self, vertex: int) -> Word:
-        """Shortest word u with act_word(seed, u) = vertices[vertex]."""
-        return self._tree.path_word(vertex)
+        it = iter(self.flat_edges)
+        return tuple(zip(it, it, it))
 
     def __len__(self) -> int:
-        return len(self._tree.keys)
-
-
-def _edge_tuples(flat: list[int | str]) -> tuple[_Edge, ...]:
-    """The (source, label, target) triples of a flat edge list."""
-    it = iter(flat)
-    return tuple(zip(it, it, it))
+        return len(self.keys)
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -207,12 +198,13 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     if vertex_cap > MAX_BALL_VERTICES:
         raise ValueError(f"vertex cap must be <= {MAX_BALL_VERTICES}, got {vertex_cap}")
     edges: list[int | str] = []
-    tree = _Tree((seed.preperiod, seed.period), edges)
-    while tree.depth < radius and tree.width:
-        if not tree.grow(vertex_cap):
-            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {tree.depth}")
-    keys, index, parent, slot = tree.keys, tree.index, tree.parent, tree.slot
-    for i in range(tree.starts[-2], len(keys)):
+    b = SchreierBall((seed.preperiod, seed.period), edges)
+    b.seed, b.radius = seed, radius
+    while b.depth < radius and b.width:
+        if not b.grow(vertex_cap):
+            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {b.depth}")
+    keys, index, parent, slot = b.keys, b.index, b.parent, b.slot
+    for i in range(b.starts[-2], len(keys)):
         v, w = keys[i]
         nv = len(v)
         back = slot[i] ^ 1
@@ -230,7 +222,7 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
                 if j is None:
                     continue
             edges += (i, label, j)
-    return SchreierBall(seed, radius, tree)
+    return b
 
 
 def same_orbit(p: RationalPoint, q: RationalPoint) -> bool:
@@ -365,7 +357,7 @@ def check_addresses(period: str, max_len: int) -> Report:
 
 def _labels(b: SchreierBall) -> list[str]:
     """The v(w) text of every vertex of the ball, in vertex order, from its keys."""
-    return [f"{v}({w})" for v, w in b._tree.keys]
+    return [f"{v}({w})" for v, w in b.keys]
 
 
 def export_dot(b: SchreierBall) -> str:
@@ -373,7 +365,7 @@ def export_dot(b: SchreierBall) -> str:
     names = _labels(b)
     lines = ["digraph schreier {", f'  "{names[0]}" [peripheries=2];']
     lines += [f'  "{name}";' for name in names[1:]]
-    it = iter(b._tree.edges)
+    it = iter(b.flat_edges)
     lines += [f'  "{names[src]}" -> "{names[dst]}" [label={label}];' for src, label, dst in zip(it, it, it)]
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -385,7 +377,7 @@ def export_json(b: SchreierBall) -> str:
     No label needs escaping: vertices are made of 0, 1, ( and ), and edges
     are labelled x0 or x1.  The edge list goes through one format call.
     """
-    flat = b._tree.edges
+    flat = b.flat_edges
     return '{"seed": "%s", "radius": %d, "vertices": ["%s"], "edges": [%s]}' % (
         b.seed,
         b.radius,

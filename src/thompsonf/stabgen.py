@@ -6,14 +6,16 @@ into w.  For an arbitrary rational point b the set is conjugated by a word h
 moving b to a base point: the least shortest path in the Schreier graph,
 found by the bidirectional search of schreier.find_path.
 
-Verification runs every generator through two independent oracles (the
-symbolic sequence action and exact evaluation of the PL map at the point's
-rational value) plus reproducible random products of generators, which are
-drawn only when some generator moves the point.  Neither oracle builds the
-map of a word: the sequence is folded through cantor's rule table with a
-read offset into the period, at O(1) per letter, and the value through the
-pieces of the letter maps by plmap.evaluate_word, at a few operations per
-letter on integers about the size of the point's denominator.
+Verification folds the point once through each generator, five folds for a
+generic point, under each of two independent oracles (the symbolic sequence
+action and exact evaluation of the PL map at the point's rational value),
+plus reproducible random products of generators and their inverses, which
+are built and drawn only when some generator moves the point.  Neither
+oracle builds the map of a word: the sequence is folded through cantor's
+rule table with a read offset into the period, at O(1) per letter, and the
+value through the pieces of the letter maps by plmap.evaluate_word, at a
+few operations per letter on integers about the size of the point's
+denominator.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .words import (
 )
 
 MAX_SAMPLES = 100_000
+MAX_FACTORS = 12  # most generators in one seeded random product of verify_generators
 
 
 @dataclass(frozen=True)
@@ -189,56 +192,46 @@ def validate_samples(samples: int) -> None:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
 
 
-def verify_generators(
-    gens: StabilizerGens,
-    samples: int = 100,
-    max_factors: int = 12,
-    seed: int = 1,
-) -> Report:
+def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -> Report:
     """Soundness checks for a generating set.
 
     Every generator must fix the point under both the sequence action and
     exact PL-map evaluation at the point's rational value; seeded random
-    products of generators and their inverses must fix the point as well.
-    The map of a generator is never built: evaluate_word folds the value
-    through the pieces of the letter maps, one letter at a time, so the cost
-    is linear in the word, where the map of a word of n letters can have
-    O(n) breakpoints over 2^n.
+    products of 1 to MAX_FACTORS generators and their inverses must fix the
+    point as well.  The map of a generator is never built: evaluate_word
+    folds the value through the pieces of the letter maps, one letter at a
+    time, so the cost is linear in the word, where the map of a word of n
+    letters can have O(n) breakpoints over 2^n.
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
 
-    The point is folded through each generator and each inverse once, and
-    the generators' images give the sequence-action lines.  When all of
-    these words fix the point, so does every product of them, and the
-    products line passes with no draw: for a sound set it is implied by the
-    sequence-action lines, and stays so until products are also checked
-    against a generation certificate.  Otherwise the seeded products are
-    drawn and folded factor by factor from those images, each (image so
-    far, factor) pair once per call.  samples is at most MAX_SAMPLES.
+    The point is folded once through each generator, and these images give
+    the sequence-action lines.  A word fixes the point exactly when its
+    inverse does, so when every generator fixes it, so does every product,
+    and the products line passes with no draw: for a sound set it is
+    implied by the sequence-action lines, and stays so until products are
+    also checked against a generation certificate.  Only when a generator
+    moves the point are the inverses built and the seeded products drawn,
+    each folded factor by factor.  samples is at most MAX_SAMPLES.
     """
     validate_samples(samples)
-    if max_factors < 1:
-        raise ValueError(f"max_factors must be >= 1, got {max_factors}")
     report = Report(f"stabilizer generators for {gens.point}")
     point = gens.point
     value = point.value()
     start = (point.preperiod, point.period)
-    pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
-    images = {(start, i): _fold(*start, word) for i, word in enumerate(pool)}
+    images = [_fold(*start, word) for word in gens.generators]
     for k, word in enumerate(gens.generators, start=1):
-        report.add(f"generator {k} fixes {point} (sequence action)", images[start, k - 1] == start)
+        report.add(f"generator {k} fixes {point} (sequence action)", images[k - 1] == start)
         report.add(f"generator {k} fixes {point} (map evaluation)", evaluate_word(word, value) == value)
     bad = 0
-    if any(image != start for image in images.values()):
+    if any(image != start for image in images):
+        pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
         rng = SplitMix64(seed)
         for _ in range(samples):
             image = start
-            for _ in range(1 + rng.below(max_factors)):
-                step = (image, rng.below(len(pool)))
-                if step not in images:
-                    images[step] = _fold(*image, pool[step[1]])
-                image = images[step]
+            for _ in range(1 + rng.below(MAX_FACTORS)):
+                image = _fold(*image, pool[rng.below(len(pool))])
             if image != start:
                 bad += 1
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)

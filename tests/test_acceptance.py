@@ -116,7 +116,7 @@ def test_07_base_point_generating_sets():
             for word in gens.generators:
                 assert act_word(point, word) == point
                 assert word_to_plmap(word).evaluate(value) == value
-            report = verify_generators(gens, samples=100, max_factors=12, seed=7)
+            report = verify_generators(gens, samples=100, seed=7)
             assert report.passed, (w, report.failures())
 
 

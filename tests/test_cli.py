@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ from thompsonf import cantor, cli
 from thompsonf.cantor import MAX_PERIOD
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -354,3 +357,14 @@ def test_reused_parser_prints_the_same_usage_errors_and_help(capsys):
             outputs.append((exc.value.code, captured.out, captured.err))
         assert outputs[0] == outputs[1] == outputs[2], argv
         assert outputs[0][1] or outputs[0][2]
+
+
+def test_a_closed_pipe_ends_the_script_quietly():
+    # the read end is closed before the child writes, so its first write breaks the pipe
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "thompsonf.cli", "selftest", "--label-len", "12"]
+    child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == cli.CLOSED_PIPE_STATUS == 141
+    assert err == b""

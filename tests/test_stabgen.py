@@ -12,6 +12,7 @@ from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
 from thompsonf.schreier import PathNotFoundError, find_path
 from thompsonf.stabgen import (
+    MAX_FACTORS,
     MAX_SAMPLES,
     StabilizerGens,
     base_generator_words,
@@ -267,7 +268,7 @@ def test_fifth_generator_inverts_the_period_loop():
 
 def test_verify_generators_checks_both_oracles_and_products():
     gens = stabilizer_generators(canonicalize("1", "10"))
-    report = verify_generators(gens, samples=60, max_factors=10, seed=99)
+    report = verify_generators(gens, samples=60, seed=99)
     assert report.passed
     names = [c.name for c in report.checks]
     assert any("sequence action" in n for n in names)
@@ -279,11 +280,9 @@ def test_verify_generators_checks_both_oracles_and_products():
         verify_generators(gens, samples=0)
     with pytest.raises(ValueError, match="samples must be <= 100000, got 100001"):
         verify_generators(gens, samples=100_001)
-    with pytest.raises(ValueError):
-        verify_generators(gens, max_factors=0)
 
 
-def _reference_verify(gens, samples, max_factors, seed):
+def _reference_verify(gens, samples, seed):
     """verify_generators with each random product spelled out and folded whole."""
     point = gens.point
     value = point.value()
@@ -296,7 +295,7 @@ def _reference_verify(gens, samples, max_factors, seed):
     bad = 0
     for _ in range(samples):
         word = ""
-        for _ in range(1 + rng.below(max_factors)):
+        for _ in range(1 + rng.below(MAX_FACTORS)):
             word += rng.choice(pool)
         bad += act_word(point, word) != point
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
@@ -313,9 +312,9 @@ def test_verify_generators_matches_the_unmemoised_fold():
     cases.append(broken)
     cases.append(StabilizerGens(sound.point, "", ("a", "A"), sound.period))
     for gens in cases:
-        for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
-            report = verify_generators(gens, samples, max_factors, seed)
-            reference = _reference_verify(gens, samples, max_factors, seed)
+        for samples, seed in ((100, 1), (40, 7), (1, 5)):
+            report = verify_generators(gens, samples, seed)
+            reference = _reference_verify(gens, samples, seed)
             assert report.title == reference.title
             assert report.checks[:len(reference.checks)] == reference.checks
     products = verify_generators(broken).checks[10]
@@ -326,8 +325,8 @@ def test_verify_generators_matches_the_unmemoised_fold():
     letters = cases[-1]
     verdicts = []
     for seed in range(200):
-        report = verify_generators(letters, 1, 4, seed)
-        assert report.checks[:5] == _reference_verify(letters, 1, 4, seed).checks
+        report = verify_generators(letters, 1, seed)
+        assert report.checks[:5] == _reference_verify(letters, 1, seed).checks
         verdicts.append(report.checks[4].passed)
     assert 20 <= sum(verdicts) <= 180
 
@@ -347,13 +346,33 @@ def test_verify_draws_only_when_a_pool_word_moves_the_point(monkeypatch):
     broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ("a",) + sound.generators[3:], sound.period)
     letters = StabilizerGens(sound.point, "", ("a", "A"), sound.period)
     for gens in (broken, letters):
-        for samples, max_factors, seed in ((100, 12, 1), (40, 3, 7), (1, 1, 5)):
+        for samples, seed in ((100, 1), (40, 7), (1, 5)):
             draws[0] = 0
-            verify_generators(gens, samples, max_factors, seed)
+            verify_generators(gens, samples, seed)
             drawn = draws[0]
             draws[0] = 0
-            _reference_verify(gens, samples, max_factors, seed)
+            _reference_verify(gens, samples, seed)
             assert drawn == draws[0] > 0
+
+
+def test_verify_folds_each_generator_once_and_inverts_none_of_a_sound_set(monkeypatch):
+    calls = {"fold": 0, "invert": 0}
+    fold, invert = stabgen._fold, stabgen.invert_word
+
+    def counted_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    def counted_invert(word):
+        calls["invert"] += 1
+        return invert(word)
+
+    monkeypatch.setattr(stabgen, "_fold", counted_fold)
+    monkeypatch.setattr(stabgen, "invert_word", counted_invert)
+    for gens in (stabilizer_generators(value_to_point(F(4, 15))), stabilizer_generators(ZERO_POINT)):
+        calls.update(fold=0, invert=0)
+        assert verify_generators(gens, samples=MAX_SAMPLES).passed
+        assert calls == {"fold": len(gens.generators), "invert": 0}
 
 
 def test_verify_reports_are_reproducible():
