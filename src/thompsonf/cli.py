@@ -4,6 +4,11 @@ Subcommands: canon, act, eval, value, graph, path, gens, verify, selftest.
 Points are written as v(w), e.g. 10(0100) or (01), or as exact fractions
 p/q; words use the letters a = x0, A = x0^-1, b = x1, B = x1^-1 and "1" for
 the identity.  All output is exact; fractions are printed in lowest terms.
+A point or word given as - is read from standard input, without its
+surrounding whitespace, so that one longer than the system's limit on a
+single argument (131,072 bytes on Linux) can be passed, as in
+`thompsonf act - abAB < point.txt`; at most one argument of a
+command may be -.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
 failed search or a period or preperiod longer than MAX_PERIOD letters, 2 on
@@ -50,6 +55,7 @@ SELFTEST_PERIODS = ("0", "1", "01", "10", "0100", "011")
 TWIN_PREFIXES = ("", "1", "01")
 SELFTEST_MAX_N = 4  # greatest generator index of the reduction checks
 CLOSED_PIPE_STATUS = 141  # what a shell reports for a process that SIGPIPE ended
+STDIN = "-"  # a point or word argument that is read from standard input
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -97,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_report(report: Report) -> int:
-    print(report)
-    return 0 if report.passed else 1
+    text, passed = report.render()
+    print(text)
+    return 0 if passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        _read_stdin_argument(args)
         return _dispatch(args)
     except (PointSyntaxError, WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -121,6 +129,15 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def _read_stdin_argument(args: argparse.Namespace) -> None:
+    """Replace the one point or word argument given as STDIN by standard input, stripped."""
+    named = [name for name in ("point", "word", "source", "target") if getattr(args, name, None) == STDIN]
+    if len(named) > 1:
+        raise ValueError(f"only one argument may be {STDIN!r}, read from standard input; got {' and '.join(named)}")
+    if named:
+        setattr(args, named[0], sys.stdin.read().strip())
 
 
 def _dispatch(args: argparse.Namespace) -> int:

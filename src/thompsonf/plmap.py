@@ -249,6 +249,9 @@ def word_to_plmap(word: Word) -> PLMap:
     return _product(leaves)
 
 
+_LOW_BITS = (1 << 64) - 1
+
+
 def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     """Exact image of t under the map of the word, without building that map.
 
@@ -256,10 +259,11 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     time.  It is kept as N / (D 2^k), with D the odd part of t's
     denominator: a piece y = Y + 2^j (t - T), with dyadic T and Y, sends such
     a value to another one over the same D, so each letter costs a few
-    shifts and a floor division by D to find its piece, and the common
-    factors of two are shifted out instead of found by a gcd.  A word of n
-    letters costs n such steps, where word_to_plmap builds a map that can
-    have O(n) breakpoints over 2^n.
+    shifts and additions.  The piece is found from the top bits of N, a
+    small number, by a floor division by D, and the common factors of two
+    are counted in the low 64 bits of N and shifted out instead of found by
+    a gcd.  A word of n letters costs n such steps, where word_to_plmap
+    builds a map that can have O(n) breakpoints over 2^n.
     """
     if isinstance(t, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
@@ -284,13 +288,16 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
         pieces[letter] = (m._e, ts[:-1], steps)
     for letter in word:
         e, ts, steps = pieces[letter]
-        scaled = num << e  # t D 2^(k + e)
-        td, yd, up, down = steps[bisect_right(ts, scaled // (d << k)) - 1]
-        num = (yd << (k + down)) + ((scaled - (td << k)) << up)
+        # floor(t 2^e) picks the piece; the shift leaves a small number, so it costs O(1)
+        top = (num >> (k - e) if k >= e else num << (e - k)) // d
+        td, yd, up, down = steps[bisect_right(ts, top) - 1]
+        num = (yd << (k + down)) + (((num << e) - (td << k)) << up)  # over D 2^(k + e + down)
         k += e + down
-        z = min((num & -num).bit_length() - 1, k) if num else k
-        num >>= z
-        k -= z
+        low = num & _LOW_BITS or num  # the low bits, in O(1), unless they are all 0
+        z = min((low & -low).bit_length() - 1, k) if low else k
+        if z:
+            num >>= z
+            k -= z
     return Fraction(num, d << k)
 
 

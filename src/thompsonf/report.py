@@ -30,10 +30,27 @@ class Report:
         return [check for check in self.checks if not check.passed]
 
     def lines(self) -> list[str]:
-        out = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}" for c in self.checks]
-        verdict = "all passed" if self.passed else f"{len(self.failures())} FAILED"
+        """One PASS or FAIL line per check, then the verdict line."""
+        return self._walk()[0]
+
+    def render(self) -> tuple[str, bool]:
+        """str(self) and self.passed, from one walk over the checks."""
+        lines, failed = self._walk()
+        return "\n".join(lines), not failed
+
+    def _walk(self) -> tuple[list[str], int]:
+        """The lines and the number of failed checks."""
+        out = []
+        failed = 0
+        for check in self.checks:
+            if check.passed:
+                out.append("PASS  " + check.name)
+            else:
+                failed += 1
+                out.append("FAIL  " + check.name)
+        verdict = f"{failed} FAILED" if failed else "all passed"
         out.append(f"{self.title}: {len(self.checks)} checks, {verdict}")
-        return out
+        return out, failed
 
     def __str__(self) -> str:
         return "\n".join(self.lines())

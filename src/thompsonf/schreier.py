@@ -33,10 +33,10 @@ that descend the backward tree.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cantor import _HEADS, _LOOP, _absorbed, _fold, _step, RationalPoint, act_word, canonicalize, primitive_root
-from .report import Report
+from .report import Check, Report
 from .words import LETTERS, Word, address_word, period_loop_word
 
 BFS_LETTERS = LETTERS
@@ -315,12 +315,8 @@ def check_addresses(period: str, max_len: int) -> Report:
     Enumerates all addresses of 1 to max_len letters that avoid the
     forbidden prefix, with the empty one, checks that they reach pairwise
     distinct points, and checks that the period loop word fixes the root.
-
-    The addresses are walked as a trie grown at the end: the image of a
-    label is its parent's, label[:-1], folded through the 1 or 2 letters of
-    the last address letter, so each label costs at most two letter steps.
-    The parent of a kept label is kept, since a label that starts with the
-    forbidden prefix makes every label below it start with it too.
+    The checks depend on the arguments only, so each pair is proved once
+    per process; every call gets a fresh Report.
     """
     if max_len < 1:
         raise ValueError(f"label length must be >= 1, got {max_len}")
@@ -328,6 +324,19 @@ def check_addresses(period: str, max_len: int) -> Report:
         raise ValueError(f"label length must be <= {MAX_LABEL_LEN}, got {max_len}")
     if primitive_root(period) != period:
         raise ValueError(f"period {period!r} is a proper power")
+    return Report(f"addresses for period {period}", list(_address_checks(period, max_len)))
+
+
+@cache
+def _address_checks(period: str, max_len: int) -> tuple[Check, Check]:
+    """The two checks of check_addresses.
+
+    The addresses are walked as a trie grown at the end: the image of a
+    label is its parent's, label[:-1], folded through the 1 or 2 letters of
+    the last address letter, so each label costs at most two letter steps.
+    The parent of a kept label is kept, since a label that starts with the
+    forbidden prefix makes every label below it start with it too.
+    """
     root = canonicalize("10", period)
     banned = forbidden_prefix(period)
     steps = {c: address_word(c) for c in "AB"}
@@ -343,16 +352,13 @@ def check_addresses(period: str, max_len: int) -> Report:
         }
         images.update(level.values())
         count += len(level)
-    report = Report(f"addresses for period {period}")
-    report.add(
-        f"{count} addresses up to length {max_len} reach distinct points (period {period})",
-        len(images) == count,
+    return (
+        Check(
+            f"{count} addresses up to length {max_len} reach distinct points (period {period})",
+            len(images) == count,
+        ),
+        Check(f"period loop word fixes 10({period})^inf", act_word(root, period_loop_word(period)) == root),
     )
-    report.add(
-        f"period loop word fixes 10({period})^inf",
-        act_word(root, period_loop_word(period)) == root,
-    )
-    return report
 
 
 def _labels(b: SchreierBall) -> list[str]:

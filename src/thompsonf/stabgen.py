@@ -3,8 +3,13 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to a base point: the least shortest path in the Schreier graph,
-found by the bidirectional search of schreier.find_path.
+moving b to a base point.  h is built by greedy preperiod shortening: while
+the preperiod has more than two letters, the least word of at most three
+letters that shortens it, at O(1) per step on a reversed preperiod; then
+the bidirectional search of schreier.find_path finishes.  On every point
+the tests compare, up to preperiods of 24 letters, h is the least geodesic
+that the search alone finds; the search alone grows exponentially with the
+preperiod and exceeds its vertex cap from about 32 letters.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -15,7 +20,13 @@ oracle builds the map of a word: the sequence is folded through cantor's
 rule table with a read offset into the period, at O(1) per letter, and the
 value through the pieces of the letter maps by plmap.evaluate_word, at a
 few operations per letter on integers about the size of the point's
-denominator.
+denominator; the conjugator's share of the five words, h and h^-1, is
+evaluated once.
+
+The suites that do not depend on a point, check_reduction,
+check_twin_points, check_stabilizer_relators and the index identities of
+verify_generators, are proved once per process for each argument, and each
+call reports them in a fresh Report.
 """
 
 from __future__ import annotations
@@ -23,13 +34,16 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 
-from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
+from .cantor import _HEADS, _LOOP, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
 from .plmap import PLMap, evaluate_word, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN, find_path
 from .words import (
+    LETTERS,
     Word,
     address_word,
     commutator,
@@ -89,6 +103,16 @@ def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
 
     For every A/B label W and every n, the x-type generator collapses to
     x_{n+1+#B(W)} and the y-type one to y_{n+#A(W)}, as exact map identities.
+    They do not depend on the point, so each pair of bounds is proved once
+    per process; every call gets a fresh Report.
+    """
+    validate_reduction_bounds(max_label_len, max_n)
+    return Report("index reduction", list(_reduction_checks(max_label_len, max_n)))
+
+
+@functools.cache
+def _reduction_checks(max_label_len: int, max_n: int) -> tuple[Check, ...]:
+    """The checks of check_reduction.
 
     The labels are walked as a trie grown at the front.  The address word
     of cW is that of the letter c followed by that of W, so with S_c the
@@ -103,8 +127,7 @@ def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
     P(W) core P(W)^-1 with its target, so a wrong identity fails on the
     same lines as before.
     """
-    validate_reduction_bounds(max_label_len, max_n)
-    report = Report("index reduction")
+    checks = []
     x_maps = {k: xn(k) for k in range(2, max_n + max_label_len + 2)}
     y_maps = {k: yn(k) for k in range(1, max_n + max_label_len + 1)}
     ns = range(1, max_n + 1)
@@ -128,9 +151,10 @@ def check_reduction(max_label_len: int = 5, max_n: int = 4) -> Report:
             count_b = label.count("B")
             shown = label or "e"
             for n in ns:
-                report.add(f"x[{shown},{n}] == x{n + 1 + count_b}", maps[2 * n - 2] == x_maps[n + 1 + count_b])
-                report.add(f"y[{shown},{n}] == y{n + count_a}", maps[2 * n - 1] == y_maps[n + count_a])
-    return report
+                x, y = n + 1 + count_b, n + count_a
+                checks.append(Check(f"x[{shown},{n}] == x{x}", maps[2 * n - 2] == x_maps[x]))
+                checks.append(Check(f"y[{shown},{n}] == y{y}", maps[2 * n - 1] == y_maps[y]))
+    return tuple(checks)
 
 
 def base_generator_words(period: str) -> tuple[Word, ...]:
@@ -168,9 +192,12 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
 
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
-    for u is returned directly; otherwise the least shortest conjugator h
-    with h(point) = 10 period^inf is found by find_path and the base set is
-    conjugated.  The search is bounded by find_path's vertex cap only.
+    for u is returned directly; otherwise the base set is conjugated by the
+    word h with h(point) = 10 period^inf that _conjugator finds: greedy
+    preperiod shortening, in linear time, down to a preperiod of at most two
+    letters, then find_path, bounded by its vertex cap only.  The whole word
+    is find_path's least geodesic on every point the tests compare, up to
+    preperiods of 24 letters (see _conjugator).
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
@@ -178,10 +205,105 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     if rotation is not None:
         return StabilizerGens(point, "", base_generator_words(rotation), rotation)
     w = point.period
-    target = canonicalize("10", w)
-    h = find_path(point, target)
+    h = _conjugator(point)
     generators = tuple(conjugate(g, h) for g in base_generator_words(w))
     return StabilizerGens(point, h, generators, w)
+
+
+# The words that greedy preperiod shortening tries, in the order it tries
+# them: every word of one to three letters, shortest first, then in LETTERS
+# order.  A rule reads at most three letters and drops at most one, so a word
+# of n letters reads at most n + 2 letters of a sequence: _HEAD for them all.
+_SHORT_WORDS = tuple("".join(letters) for n in (1, 2, 3) for letters in product(LETTERS, repeat=n))
+_HEAD = 5
+
+
+def _rewrite(head: str, word: Word) -> tuple[int, str]:
+    """(k, r): the word rewrites the first k letters of every sequence that starts with the head into r."""
+    s, k = head, 0  # s is r + head[k:]
+    for letter in word:
+        n, rhs = _HEADS[s[:3]][_SLOT[letter]]
+        if n != _LOOP:
+            k = max(k, n - len(s) + len(head))
+            s = rhs + s[n:]
+    return k, s[: len(s) - len(head) + k]
+
+
+def _shortening_tables() -> tuple[dict[str, tuple[Word, int, str]], dict[str, tuple[tuple[Word, int], ...]]]:
+    """The tables of _conjugator, from the rules in cantor's _HEADS, by each head of _HEAD letters.
+
+    The first holds the least word of _SHORT_WORDS whose r is shorter than
+    its k, with that k and r, by the head and r reversed, as they read off
+    the end of a reversed preperiod.  Each of these words reads at most
+    three letters.  The second holds, with their k, the words before it
+    that read three letters or more: only these may read past a preperiod
+    of three to _HEAD letters, into the period, and shorten it there.
+    """
+    shortening, readers = {}, {}
+    for head in map("".join, product("01", repeat=_HEAD)):
+        earlier = []
+        for word in _SHORT_WORDS:
+            k, r = _rewrite(head, word)
+            if len(r) < k:
+                shortening[head[::-1]] = (word, k, r[::-1])
+                break
+            if k >= 3:
+                earlier.append((word, k))
+        readers[head] = tuple(earlier)
+    return shortening, readers
+
+
+_SHORTENING, _READERS = _shortening_tables()
+
+
+def _conjugator(point: RationalPoint) -> Word:
+    """A word moving the point to 10 period^inf, by greedy preperiod shortening, then find_path.
+
+    While the canonical preperiod has more than two letters, the least word
+    of _SHORT_WORDS that makes it strictly shorter is appended; find_path
+    then finishes at 10 period^inf from a point whose preperiod has at most
+    two letters.  On a preperiod of more than _HEAD letters no word of
+    _SHORT_WORDS reads past it, so its last letter stays and the image is
+    canonical: the word is _SHORTENING's for the first _HEAD letters.  The
+    preperiod is then a list in reverse order, as _fold keeps it, whose end
+    holds the first letters of the sequence; the period is not read, so
+    _fold's read offset stays 0, and a step costs O(1).  On a preperiod of
+    three to _HEAD letters a word of _READERS may read into the period,
+    whose letters may then be absorbed, so each that reads that far is
+    folded exactly, before _SHORTENING's word, which shortens it for sure.
+
+    The word is find_path's least geodesic, the least in LETTERS order among
+    the shortest, on every point the tests compare it on: every canonical
+    point with a preperiod of at most 12 letters and a period of at most 4,
+    and seeded points with preperiods of up to 24 letters.  Beyond that it
+    is a hypothesis, in line with Savchuk's description of these Schreier
+    graphs as trees with short cycles (Geom. Dedicata 2015); it moves the
+    point to the base point either way.  A search from the point grows by
+    about 1.85 times per letter of distance, and exceeds its vertex cap
+    from preperiods of about 32 letters.
+    """
+    v, w = point.preperiod, point.period
+    words = []
+    stack = list(v[::-1])
+    while len(stack) > _HEAD:
+        word, k, rhs = _SHORTENING["".join(stack[-_HEAD:])]
+        stack[-k:] = rhs
+        words.append(word)
+    v = "".join(stack[::-1])
+    while len(v) > 2:
+        head = (v + w[:_HEAD] * _HEAD)[:_HEAD]
+        for word, k in _READERS[head]:
+            if k >= len(v):
+                image = _fold(v, w, word)
+                if len(image[0]) < len(v):
+                    break
+        else:
+            word, k, rhs = _SHORTENING[head[::-1]]
+            image = (rhs[::-1] + v[k:], w) if k < len(v) else _fold(v, w, word)
+        words.append(word)
+        v, w = image
+    words.append(find_path(RationalPoint._canonical(v, w), canonicalize("10", point.period)))
+    return "".join(words)
 
 
 def validate_samples(samples: int) -> None:
@@ -201,7 +323,9 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     point as well.  The map of a generator is never built: evaluate_word
     folds the value through the pieces of the letter maps, one letter at a
     time, so the cost is linear in the word, where the map of a word of n
-    letters can have O(n) breakpoints over 2^n.
+    letters can have O(n) breakpoints over 2^n; the conjugator h and the
+    h^-1 that ends each conjugated generator are evaluated once for all the
+    words (see _evaluations).
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
@@ -221,9 +345,9 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     value = point.value()
     start = (point.preperiod, point.period)
     images = [_fold(*start, word) for word in gens.generators]
-    for k, word in enumerate(gens.generators, start=1):
-        report.add(f"generator {k} fixes {point} (sequence action)", images[k - 1] == start)
-        report.add(f"generator {k} fixes {point} (map evaluation)", evaluate_word(word, value) == value)
+    for k, (image, image_value) in enumerate(zip(images, _evaluations(gens, value)), start=1):
+        report.add(f"generator {k} fixes {point} (sequence action)", image == start)
+        report.add(f"generator {k} fixes {point} (map evaluation)", image_value == value)
     bad = 0
     if any(image != start for image in images):
         pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
@@ -237,6 +361,36 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
     report.checks.extend(_index_identities())
     return report
+
+
+def _evaluations(gens: StabilizerGens, value: Fraction) -> list[Fraction]:
+    """evaluate_word(word, value) for each generator word, with the conjugator's share evaluated once.
+
+    Evaluation folds the letters in turn, so a word h u t, with h the
+    conjugator and t as long as h, is evaluated as t after u after h: h
+    once for all such words, and t once per distinct pair of t and its
+    argument, for a sound set once, where every t is h^-1 and every u fixes
+    h's image of the point.  A letter costs time linear in the bits of the
+    value, about as many as the letters of the point's preperiod, so on a
+    long preperiod this folds 2|h| letters where the five words take 10|h|.
+    """
+    h = gens.conjugator
+    if not h:
+        return [evaluate_word(word, value) for word in gens.generators]
+    n = len(h)
+    at_h = evaluate_word(h, value)
+    tails: dict[tuple[Word, Fraction], Fraction] = {}
+    values = []
+    for word in gens.generators:
+        if len(word) < 2 * n or not word.startswith(h):
+            values.append(evaluate_word(word, value))
+            continue
+        key = (word[-n:], evaluate_word(word[n:-n], at_h))
+        image = tails.get(key)
+        if image is None:
+            image = tails[key] = evaluate_word(*key)
+        values.append(image)
+    return values
 
 
 @functools.cache
@@ -282,18 +436,23 @@ def check_twin_points(prefix: str) -> Report:
     """Stabilizers of the twin sequences prefix10^inf and prefix01^inf agree.
 
     The two sequences denote the same number in [0, 1], so each point's
-    generating set must fix the other point as well.
+    generating set must fix the other point as well.  The checks depend on
+    the prefix only, so each prefix is proved once per process; every call
+    gets a fresh Report.
     """
     p = canonicalize(prefix + "1", "0")
     q = canonicalize(prefix + "0", "1")
-    gens_p = stabilizer_generators(p)
-    gens_q = stabilizer_generators(q)
-    report = Report(f"twin stabilizers of {p} and {q}")
-    for k, word in enumerate(gens_p.generators, start=1):
-        report.add(f"generator {k} of {p} fixes twin {q}", act_word(q, word) == q)
-    for k, word in enumerate(gens_q.generators, start=1):
-        report.add(f"generator {k} of {q} fixes twin {p}", act_word(p, word) == p)
-    return report
+    return Report(f"twin stabilizers of {p} and {q}", list(_twin_checks(p, q)))
+
+
+@functools.cache
+def _twin_checks(p: RationalPoint, q: RationalPoint) -> tuple[Check, ...]:
+    """The checks of check_twin_points for the twin points p and q."""
+    checks = []
+    for this, twin in ((p, q), (q, p)):
+        for k, word in enumerate(stabilizer_generators(this).generators, start=1):
+            checks.append(Check(f"generator {k} of {this} fixes twin {twin}", act_word(twin, word) == twin))
+    return tuple(checks)
 
 
 def format_generators(gens: StabilizerGens) -> str:

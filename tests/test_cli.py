@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import cantor, cli
+from thompsonf import cantor, cli, schreier, stabgen
 from thompsonf.cantor import MAX_PERIOD
+from thompsonf.plmap import PLMap
+from thompsonf.report import Check, Report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -295,6 +298,55 @@ def test_selftest_small_run(capsys):
     assert "all passed" in out.splitlines()[-1]
 
 
+def test_a_repeated_selftest_proves_nothing_again(capsys, monkeypatch):
+    argv = ("selftest", "--depth", "6", "--label-len", "4")
+    first = run(capsys, *argv)
+    calls = {"fold": 0, "compose": 0}
+    fold, compose = cantor._fold, PLMap.compose
+
+    def counted_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    def counted_compose(self, other):
+        calls["compose"] += 1
+        return compose(self, other)
+
+    for module in (cantor, schreier, stabgen):
+        monkeypatch.setattr(module, "_fold", counted_fold)
+    monkeypatch.setattr(PLMap, "compose", counted_compose)
+    second = run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert calls == {"fold": 0, "compose": 0}
+    assert run(capsys, "verify", "4/15")[0] == 0  # the counters see the work of a new point
+    assert calls["fold"] > 0
+
+
+class _CountedCheck:
+    """A check that counts how often its verdict is read."""
+
+    reads = 0
+
+    def __init__(self, name, passed):
+        self.name, self._passed = name, passed
+
+    @property
+    def passed(self):
+        _CountedCheck.reads += 1
+        return self._passed
+
+
+@pytest.mark.parametrize("verdicts", [(True, True, True), (True, False, True, False)])
+def test_a_printed_report_reads_each_verdict_once(capsys, monkeypatch, verdicts):
+    report = Report("suite", [_CountedCheck(f"check {k}", passed) for k, passed in enumerate(verdicts)])
+    expected = str(Report("suite", [Check(c.name, c._passed) for c in report.checks]))
+    monkeypatch.setattr(_CountedCheck, "reads", 0)
+    assert cli._print_report(report) == (0 if all(verdicts) else 1)
+    assert _CountedCheck.reads == len(verdicts)
+    assert capsys.readouterr().out == expected + "\n"
+    assert expected.endswith("4 checks, 2 FAILED" if len(verdicts) == 4 else "3 checks, all passed")
+
+
 def test_malformed_point_exits_two(capsys):
     code, out, err = run(capsys, "canon", "10(01")
     assert code == 2
@@ -357,6 +409,49 @@ def test_reused_parser_prints_the_same_usage_errors_and_help(capsys):
             outputs.append((exc.value.code, captured.out, captured.err))
         assert outputs[0] == outputs[1] == outputs[2], argv
         assert outputs[0][1] or outputs[0][2]
+
+
+def test_a_point_or_word_is_read_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("10(0100)\n"))
+    assert run(capsys, "canon", "-") == (0, "1(0010) = 17/30\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(" abAB\n"))
+    assert run(capsys, "act", "1/3", "-") == (0, "(01)\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("10(0100)"))
+    assert run(capsys, "path", "(0100)", "-") == (0, "ABB\n", "")
+
+
+def test_two_stdin_arguments_are_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(0100)"))
+    code, out, err = run(capsys, "path", "-", "-")
+    assert (code, out) == (2, "")
+    assert "only one argument may be '-'" in err and "source and target" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(0100)"))
+    assert run(capsys, "act", "-", "-")[0] == 2
+    assert sys.stdin.read() == "(0100)"  # refused before it is read
+
+
+def test_points_past_the_argument_limit_go_through_stdin():
+    # Linux refuses a single argument of more than 131,072 bytes before the program starts
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    preperiod = "1" + "0" * 200_000
+    point = f"{preperiod}(011)"
+    assert len(point) > 200_000
+
+    def thompsonf(*argv):
+        cmd = [sys.executable, "-m", "thompsonf.cli", *argv]
+        return subprocess.run(cmd, input=point, capture_output=True, text=True, env=env, timeout=120)
+
+    canon = thompsonf("canon", "-")
+    assert (canon.returncode, canon.stderr) == (0, "")
+    shown, value = canon.stdout.rstrip("\n").split(" = ")
+    assert shown == point
+    num, den = value.split("/")
+    assert (_decimal(num), _decimal(den)) == (int(preperiod, 2) * 7 + 3, 7 << len(preperiod))
+    act = thompsonf("act", "-", "abAB")
+    assert (act.returncode, act.stderr) == (0, "")
+    expected = cantor.act_word(cantor.parse_point(point), "abAB")
+    assert act.stdout == f"{expected}\n"
 
 
 def test_a_closed_pipe_ends_the_script_quietly():

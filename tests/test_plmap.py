@@ -99,6 +99,18 @@ def test_evaluate_word_matches_the_built_map():
     assert min(seen.values()) >= 50, seen
 
 
+def test_evaluate_word_on_values_wider_than_its_low_bits():
+    # denominators of 2^64 to 2^300 times an odd part: the piece comes from
+    # the top bits and the factors of two from the low 64 bits of the numerator
+    rng = SplitMix64(71)
+    for case in range(300):
+        word = random_word(rng, 60)
+        a = 64 + rng.below(237)
+        bits = int("".join("01"[rng.below(2)] for _ in range(a)), 2)  # below(n) takes n < 2^64 only
+        t = F(bits | (case % 2), (1 + 2 * rng.below(1000)) << a)
+        assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
+
+
 def test_evaluate_word_refuses_what_evaluate_refuses():
     assert evaluate_word("ab", 1) == 1 and evaluate_word("ab", 0) == 0
     with pytest.raises(ValueError):

@@ -6,11 +6,21 @@ from pathlib import Path
 import pytest
 
 from thompsonf import plmap, stabgen
-from thompsonf.cantor import ONE_POINT, ZERO_POINT, act_word, canonicalize, parse_point, value_to_point
+from thompsonf.cantor import (
+    _step,
+    ONE_POINT,
+    ZERO_POINT,
+    RationalPoint,
+    act_word,
+    canonicalize,
+    parse_point,
+    primitive_root,
+    value_to_point,
+)
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
-from thompsonf.schreier import PathNotFoundError, find_path
+from thompsonf.schreier import _Tree, BFS_LETTERS, PathNotFoundError, ball, find_path
 from thompsonf.stabgen import (
     MAX_FACTORS,
     MAX_SAMPLES,
@@ -238,6 +248,131 @@ def test_gens_text_of_long_searches_matches_the_frozen_fixture():
         assert format_generators(gens) == block
         lengths.append(len(gens.conjugator))
     assert len(blocks) >= 5 and min(lengths) >= 16 and max(lengths) == 29
+
+
+def _least_geodesics(target, radius):
+    """find_path(point, target) for many points, from one BFS ball of the radius around the target.
+
+    Inside the ball the least geodesic takes, at each vertex, the least
+    letter that lowers the distance to the target by one.  From a point
+    outside it, a BFS tree grows from the point until a layer meets the
+    ball; every vertex of that layer in the ball is at the full radius, so
+    the least geodesic runs through the one the tree discovered first.
+    """
+    around = ball(target, radius)
+    index, distances = around.index, around.distances
+    memo = {(target.preperiod, target.period): ""}
+
+    def descend(key):
+        path = []
+        while key not in memo:
+            d = distances[index[key]]
+            for s, letter in enumerate(BFS_LETTERS):
+                image = _step(*key, s)
+                if image in index and distances[index[image]] == d - 1:
+                    break
+            path.append((key, letter))
+            key = image
+        word = memo[key]
+        for key, letter in reversed(path):
+            word = memo[key] = letter + word
+        return word
+
+    def least(point):
+        tree = _Tree((point.preperiod, point.period))
+        while True:
+            met = [key for key in tree.keys[tree.starts[-2] :] if key in index]
+            if met:
+                return tree.path_word(tree.index[met[0]]) + descend(met[0])
+            assert tree.grow(100_000)
+
+    return least
+
+
+def test_least_geodesic_reference_is_find_path():
+    for text in ("0110110(0011)", "0111(0)", "(0100)", "0101100(01)", "11101(001)", "110(1)"):
+        point = parse_point(text)
+        target = canonicalize("10", point.period)
+        expected = find_path(point, target)
+        assert len(expected) > 0
+        for radius in (0, 3, 8):
+            assert _least_geodesics(target, radius)(point) == expected, (text, radius)
+
+
+def test_greedy_conjugator_is_the_least_geodesic_on_every_short_point():
+    # every canonical point but the endpoints with a preperiod of at most 12
+    # letters and a period of at most 4; find_path on each takes about 50 s,
+    # the reference about 2 s
+    periods = [w for n in range(1, 5) for w in map("".join, product("01", repeat=n)) if primitive_root(w) == w]
+    compared = 0
+    for w in periods:
+        least = _least_geodesics(canonicalize("10", w), 14)
+        for n in range(13):
+            for bits in product("01", repeat=n):
+                v = "".join(bits)
+                if v[-1:] != w[-1] and (v or len(w) > 1):
+                    point = RationalPoint(v, w)
+                    assert stabgen._conjugator(point) == least(point), point
+                    compared += 1
+    assert len(periods) == 22 and compared == 22 * 4096 - 2
+
+
+def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
+    # preperiods of up to 24 letters, the shorter ones more often, since a
+    # search takes about 1.9 times longer per letter, and periods of 1 to 7
+    rng = SplitMix64(20_241)
+    lengths = []
+    while len(lengths) < 2000:
+        v = "".join("01"[rng.below(2)] for _ in range(min(rng.below(25), rng.below(25))))
+        point = canonicalize(v, "".join("01"[rng.below(2)] for _ in range(1 + rng.below(7))))
+        if point.is_endpoint() or base_rotation(point) is not None:
+            continue
+        h = stabilizer_generators(point).conjugator
+        assert h == find_path(point, canonicalize("10", point.period)), point
+        lengths.append((len(point.preperiod), len(point.period)))
+    assert max(lengths)[0] == 24 and {n for _, n in lengths} == set(range(1, 8))
+    assert sum(n == 1 for _, n in lengths) > 200  # dyadic points
+
+
+@pytest.mark.parametrize("length", [50, 200, 1000])
+def test_gens_and_verify_are_fast_on_long_preperiods(length):
+    # the search from the point exceeded its vertex cap from about 32
+    # letters; on a 2-vCPU Xeon, 1000 letters take about 2 ms for gens and
+    # 20 ms for verify, so the budget leaves room for load
+    rng = SplitMix64(length)
+    v = "".join("01"[rng.below(2)] for _ in range(length - 1)) + "0"
+    point = canonicalize(v, "0011")
+    start = time.perf_counter()
+    gens = stabilizer_generators(point)
+    made = time.perf_counter()
+    report = verify_generators(gens)
+    checked = time.perf_counter()
+    assert len(point.preperiod) == length
+    assert act_word(point, gens.conjugator) == canonicalize("10", "0011")
+    assert report.passed
+    assert made - start < 1 and checked - made < 1, (made - start, checked - made)
+
+
+def test_verify_evaluates_the_conjugator_once_and_matches_whole_words(monkeypatch):
+    gens = stabilizer_generators(parse_point("0110110110(0011)"))
+    h = gens.conjugator
+    words = []
+    evaluate = stabgen.evaluate_word
+
+    def counted(word, t):
+        words.append(word)
+        return evaluate(word, t)
+
+    monkeypatch.setattr(stabgen, "evaluate_word", counted)
+    value = gens.point.value()
+    assert [evaluate(word, value) for word in gens.generators] == [value] * 5
+    assert verify_generators(gens).passed
+    assert words.count(h) == 1 and words.count(invert_word(h)) == 1 and len(words) == 7
+    # a word of the form h u t with u moving h's image is evaluated in full, and fails
+    wrong = StabilizerGens(gens.point, h, gens.generators[:4] + (h + "a" + invert_word(h),), gens.period)
+    lines = {c.name: c.passed for c in verify_generators(wrong).checks}
+    assert not lines[f"generator 5 fixes {gens.point} (map evaluation)"]
+    assert evaluate(h + "a" + invert_word(h), value) != value
 
 
 def test_conjugated_generators_for_a_non_base_point():
