@@ -16,14 +16,15 @@ _step applies the letter in a slot to a canonical (preperiod, period) pair
 of plain strings: it looks the rule up, rotates the period once by the
 letters the rule read past the preperiod, and absorbs trailing preperiod
 letters, so a letter costs O(|preperiod| + |period|).  act_letter goes
-through it, and so do find_path's walk down the backward tree and words of
-at most two letters.  _fold, behind act_word, folds a longer word over the
-preperiod as a reversed list and a read offset into the unrotated period,
-reading the table with each head and replacement reversed, so a letter
-costs O(1) and the pair is made canonical once, at the end.
+through it, and so do words of at most two letters.  _fold, behind
+act_word, folds a longer word over the preperiod as a reversed list and a
+read offset into the unrotated period, reading the table with each head and
+replacement reversed, so a letter costs O(1) and the pair is made canonical
+once, at the end.
 The breadth-first search in schreier reads the rules of all four letters at
-once from one lookup in the same table; act_word and the search build a
-RationalPoint only for the points they return.
+once from one lookup in the same table, on preperiods and rotation offsets
+into one shared period; act_word and the search build a RationalPoint only
+for the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with

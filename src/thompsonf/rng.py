@@ -27,9 +27,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection, so no modulo bias."""
+        """Uniform integer in [0, n) by rejection, so no modulo bias.
+
+        One 64-bit draw gives at most 2^64 values, so n must be at most 2^64;
+        a larger n raises ValueError.
+        """
         if n <= 0:
             raise ValueError(f"need a positive bound, got {n}")
+        if n > 1 << 64:
+            raise ValueError(f"need a bound of at most 2^64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             value = self.next_u64()

@@ -6,78 +6,118 @@ vertices are numbered in BFS discovery order with letters tried in the order
 x0, x0^-1, x1, x1^-1, so ball construction, DOT output and JSON output are
 bit-for-bit reproducible.
 
-The search works on (preperiod, period) string pairs, which hash and compare
-at C speed.  Balls and shortest paths grow the same BFS tree, one whole
-layer at a time, kept in flat lists: the keys in discovery order and, per
-vertex, the number of its parent and the slot in BFS_LETTERS of the letter
-that discovered it.  The rules come from cantor's one rule table, _HEADS,
-whose slots follow BFS_LETTERS: one lookup gives the rules of all four
-letters at a vertex.  Two kinds of image are known without looking a key
-up: the letter that undoes the discovering one leads back to the parent,
-and a rule marked _LOOP, one that rewrites its left side to itself (x1 and
-x1^-1 on a sequence that starts with 0), fixes the vertex.  A ball's tree
-also records the x0 and x1 edges of every vertex it expands, as a flat
-list; only the boundary layer, the vertices at the full radius, has its
-images computed afterwards, through the same table and with the same two
-skips.  A ball is that tree: its RationalPoint vertices, parents,
-distances and edge tuples are views built on first access.  The DOT and JSON
-exports write their text from the keys and the flat edge list without them.
+A letter rewrites a prefix and keeps the tail, so every vertex of an orbit
+has a rotation of one primitive period W.  A search tree holds W once, and
+each vertex only as its preperiod string and a rotation offset r: its period
+is W[r:] + W[:r].  The index is one dict per rotation, from preperiod to
+vertex number, so no key tuple is built and no period is copied per vertex.
+Balls and shortest paths grow the same BFS tree, one whole layer at a time,
+kept in flat lists: the preperiods and the rotations in discovery order and,
+per vertex, the number of its parent and the slot in BFS_LETTERS of the
+letter that discovered it.  The rules come from cantor's one rule table,
+_HEADS, whose slots follow BFS_LETTERS: one lookup gives the rules of all
+four letters at a vertex.  A rule inside the preperiod keeps r; one that
+reads c letters past it moves r to r + c and absorbs the trailing letters of
+its replacement, at most three, by stepping r back while they continue the
+period.  Two kinds of image are known without looking a key up: the letter
+that undoes the discovering one leads back to the parent, and a rule marked
+_LOOP, one that rewrites its left side to itself (x1 and x1^-1 on a sequence
+that starts with 0), fixes the vertex.  A ball's tree also records the x0
+and x1 edges of every vertex it expands, as a flat list; only the boundary
+layer, the vertices at the full radius, has its images computed afterwards,
+through the same table and with the same two skips.  A ball is that tree:
+its RationalPoint vertices, parents, distances and edge tuples are views
+built on first access, with each rotation's period text built once.  The
+DOT and JSON exports write their text from the preperiods, the rotation
+texts and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
-about two balls of radius L/2 instead of one of radius L.  The word returned
-is the least geodesic in the letter order above: the forward tree's parent
-path to the meeting vertex it discovered first, then the least letters
-that descend the backward tree.
+about two balls of radius L/2 instead of one of radius L.  Both trees share
+the source's period, the target's root sitting at the rotation that gives
+its period.  The word returned is the least geodesic in the letter order
+above: the forward tree's parent path to the meeting vertex it discovered
+first, then the least letters that descend the backward tree.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from operator import add
 
-from .cantor import _HEADS, _LOOP, _absorbed, _fold, _step, RationalPoint, act_word, canonicalize, primitive_root
+from .cantor import _HEADS, _LOOP, _fold, RationalPoint, act_word, canonicalize, primitive_root
 from .report import Check, Report
 from .words import LETTERS, Word, address_word, period_loop_word
 
 BFS_LETTERS = LETTERS
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 MAX_BALL_VERTICES = 1_000_000  # greatest vertex cap of a ball
+# _HEADS with each rule led by its slot, so that grow unpacks one flat triple per letter
+_SLOTTED = {head: tuple((s, n, rhs) for s, (n, rhs) in enumerate(rules)) for head, rules in _HEADS.items()}
 
-_Key = tuple[str, str]
 _Parent = tuple[int, str] | None
 _Edge = tuple[int, str, int]
 
 
+def _absorb(rhs: str, q: int, period: str) -> tuple[str, int]:
+    """A rule's replacement rhs before the period rotated left by q, made canonical.
+
+    The trailing letters of rhs that continue the period are dropped, at
+    most three, each stepping q back by one: O(1) however long the period.
+    """
+    while rhs and rhs[-1] == period[q - 1]:
+        rhs, q = rhs[:-1], (q - 1) % len(period)
+    return rhs, q
+
+
 class BallCapacityError(RuntimeError):
-    def __init__(self, cap: int, searched: str):
+    """A ball or a search reached its vertex cap.
+
+    vertices is the number of vertices held when it stopped, both trees
+    together for a search, and radius the radius the search had completed:
+    the ball's depth, or the sum of the two trees' depths.
+    """
+
+    def __init__(self, cap: int, searched: str, vertices: int, radius: int):
         self.cap = cap
+        self.vertices = vertices
+        self.radius = radius
         super().__init__(f"ball exploration exceeded the vertex cap of {cap}{searched}")
 
 
 class PathNotFoundError(RuntimeError):
-    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int | None, why: str):
+    """No path within the bound; vertices is the number the two trees held, 0 when nothing was searched."""
+
+    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int | None, why: str, vertices: int):
         self.explored_radius = radius
+        self.vertices = vertices
         super().__init__(f"no path from {source} to {target}{why}")
 
 
 class _Tree:
     """BFS tree over the four letters, grown one whole layer at a time.
 
-    Vertices are (preperiod, period) keys numbered in discovery order, and
-    keys[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
-    number of the vertex that discovered vertex i and slot[i] the place in
-    BFS_LETTERS of the letter it took, both -1 for the root.  Growing expands
-    the outermost layer in vertex order, letters in BFS_LETTERS order.  It
-    skips the letter slot[i] ^ 1, whose image is parent[i], and the letters
-    whose rule at vertex i is marked _LOOP, whose image is i.  Given a list,
-    it also appends the x0 and x1 edges of every expanded vertex to it, in
-    vertex order and flat: source, "x0", target, source, "x1", target.
-    Balls pass one as flat_edges, shortest-path searches do not.
+    All vertices have a rotation of the primitive period W, held once.
+    Vertex i is the preperiod pre[i] followed by (W[rot[i]:] + W[:rot[i]])^inf,
+    vertices are numbered in discovery order, and index[r][v] is the number
+    of the vertex with preperiod v and rotation r.  pre[starts[d]:starts[d + 1]]
+    is the layer at depth d.  parent[i] is the number of the vertex that
+    discovered vertex i and slot[i] the place in BFS_LETTERS of the letter it
+    took, both -1 for the root.  Growing expands the outermost layer in
+    vertex order, letters in BFS_LETTERS order.  It skips the letter
+    slot[i] ^ 1, whose image is parent[i], and the letters whose rule at
+    vertex i is marked _LOOP, whose image is i.  Given a list, it also
+    appends the x0 and x1 edges of every expanded vertex to it, in vertex
+    order and flat: source, "x0", target, source, "x1", target.  Balls pass
+    one as flat_edges, shortest-path searches do not.
     """
 
-    def __init__(self, root: _Key, flat_edges: list[int | str] | None = None):
-        self.keys = [root]
-        self.index = {root: 0}
+    def __init__(self, period: str, root: str, rotation: int = 0, flat_edges: list[int | str] | None = None):
+        self.period = period
+        self.ahead = period + (period * 3)[:3]  # ahead[r:r + 3] starts W rotated left by r, even for |W| < 3
+        self.pre = [root]
+        self.rot = [rotation]
+        self.index = {rotation: {root: 0}}
         self.parent = [-1]
         self.slot = [-1]
         self.flat_edges = flat_edges
@@ -97,13 +137,17 @@ class _Tree:
         The image back to the parent and the image under a _LOOP rule, the
         vertex itself, are set without building or looking up a key.
         """
-        keys, index, parent, slot, edges = self.keys, self.index, self.parent, self.slot, self.flat_edges
+        pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.flat_edges
+        period, ahead, m = self.period, self.ahead, len(self.period)
+        count = len(pre)
         for i in range(self.starts[-2], self.starts[-1]):
-            v, w = keys[i]
+            v = pre[i]
+            r = rot[i]
+            own = index[r]
             nv = len(v)
             back = slot[i] ^ 1
             images = []
-            for s, (n, rhs) in enumerate(_HEADS[v[:3] if nv > 2 else (v + w[:3] * 3)[:3]]):
+            for s, n, rhs in _SLOTTED[v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]:
                 if s == back:
                     images.append(parent[i])
                     continue
@@ -111,25 +155,39 @@ class _Tree:
                     if n == _LOOP:  # below every nv: the letter fixes the vertex
                         images.append(i)
                         continue
-                    key = (rhs + v[n:], w)
-                else:
-                    c = (n - nv) % len(w)
-                    key = _absorbed(rhs, w[c:] + w[:c])
-                j = index.get(key)
+                    u, q, at = rhs + v[n:], r, own
+                else:  # the rule reads n - nv letters of the period
+                    u, q = _absorb(rhs, (r + n - nv) % m, period)
+                    at = index.setdefault(q, {})
+                j = at.get(u)
                 if j is None:
-                    j = len(keys)
-                    if j >= limit:
+                    if count >= limit:
                         return False
-                    index[key] = j
-                    keys.append(key)
+                    j = at[u] = count
+                    count += 1
+                    pre.append(u)
+                    rot.append(q)
                     parent.append(i)
                     slot.append(s)
                 images.append(j)
             if edges is not None:
                 # x0 and x1 are the first and the third of BFS_LETTERS
                 edges += (i, "x0", images[0], i, "x1", images[2])
-        self.starts.append(len(keys))
+        self.starts.append(count)
         return True
+
+    def step(self, v: str, r: int, s: int) -> tuple[str, int]:
+        """The preperiod and rotation of the image of (v, r) under the letter in slot s, as grow finds them."""
+        nv = len(v)
+        n, rhs = _HEADS[v[:3] if nv > 2 else (v + self.ahead[r : r + 3])[:3]][s]
+        if n < nv:
+            return (v, r) if n == _LOOP else (rhs + v[n:], r)
+        return _absorb(rhs, (r + n - nv) % len(self.period), self.period)
+
+    def periods(self) -> dict[int, str]:
+        """The period text W[r:] + W[:r] of every rotation r the tree holds, each built once."""
+        w = self.period
+        return {r: w[r:] + w[:r] for r in self.index}
 
     def path_word(self, vertex: int) -> Word:
         """The letters of the tree path from the root to the vertex."""
@@ -144,9 +202,10 @@ class _Tree:
 class SchreierBall(_Tree):
     """BFS-explored portion of the Schreier graph around a seed point.
 
-    The BFS tree that grew it, with the seed point and the radius.  vertices,
-    parents, distances and edges are tuples built on first access and kept:
-    the RationalPoint of each vertex, None for the seed and (parent, letter)
+    The BFS tree that grew it, on the seed's period, with the seed point and
+    the radius.  vertices, parents, distances and edges are tuples built on
+    first access and kept: the RationalPoint of each vertex, whose periods
+    share one string per rotation, None for the seed and (parent, letter)
     for the others, the depth of each vertex, and the (source, "x0" | "x1",
     target) edges.  path_word(vertex) is the shortest word u with
     act_word(seed, u) = vertices[vertex].
@@ -157,12 +216,13 @@ class SchreierBall(_Tree):
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
-        return tuple(RationalPoint._canonical(v, w) for v, w in self.keys)
+        periods = self.periods()
+        return tuple(map(RationalPoint._canonical, self.pre, map(periods.__getitem__, self.rot)))
 
     @cached_property
     def parents(self) -> tuple[_Parent, ...]:
         parent, slot = self.parent, self.slot
-        return (None,) + tuple((parent[i], BFS_LETTERS[slot[i]]) for i in range(1, len(self.keys)))
+        return (None,) + tuple((parent[i], BFS_LETTERS[slot[i]]) for i in range(1, len(self.pre)))
 
     @cached_property
     def distances(self) -> tuple[int, ...]:
@@ -175,7 +235,7 @@ class SchreierBall(_Tree):
         return tuple(zip(it, it, it))
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.pre)
 
 
 def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> SchreierBall:
@@ -198,27 +258,29 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     if vertex_cap > MAX_BALL_VERTICES:
         raise ValueError(f"vertex cap must be <= {MAX_BALL_VERTICES}, got {vertex_cap}")
     edges: list[int | str] = []
-    b = SchreierBall((seed.preperiod, seed.period), edges)
+    b = SchreierBall(seed.period, seed.preperiod, 0, edges)
     b.seed, b.radius = seed, radius
     while b.depth < radius and b.width:
         if not b.grow(vertex_cap):
-            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {b.depth}")
-    keys, index, parent, slot = b.keys, b.index, b.parent, b.slot
-    for i in range(b.starts[-2], len(keys)):
-        v, w = keys[i]
+            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {b.depth}", len(b), b.depth)
+    pre, rot, index, parent, slot = b.pre, b.rot, b.index, b.parent, b.slot
+    period, ahead, m = b.period, b.ahead, len(b.period)
+    for i in range(b.starts[-2], len(pre)):
+        v = pre[i]
+        r = rot[i]
         nv = len(v)
         back = slot[i] ^ 1
-        rules = _HEADS[v[:3] if nv > 2 else (v + w[:3] * 3)[:3]]
+        rules = _HEADS[v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
         for s, label in ((0, "x0"), (2, "x1")):
             if s == back:
                 j = parent[i]
             else:
                 n, rhs = rules[s]
                 if n < nv:
-                    j = i if n == _LOOP else index.get((rhs + v[n:], w))
+                    j = i if n == _LOOP else index[r].get(rhs + v[n:])
                 else:
-                    c = (n - nv) % len(w)
-                    j = index.get(_absorbed(rhs, w[c:] + w[:c]))
+                    u, q = _absorb(rhs, (r + n - nv) % m, period)
+                    j = index[q].get(u) if q in index else None
                 if j is None:
                     continue
             edges += (i, label, j)
@@ -251,13 +313,15 @@ def find_path(
     A forward BFS tree from the source and a backward one from the target
     (the graph is symmetric: every letter has its inverse among the four)
     grow by whole layers, the one with the smaller outermost layer first,
-    until a new layer meets the other tree.  At that point the trees have
-    depths df and db, the distance is L = df + db, and the meeting vertices
-    are the vertices at distance df from the source on a geodesic.  Within a
-    layer, discovery order is the order of the least words, so the least
-    geodesic starts with the forward tree's path to the meeting vertex of
-    least number; from there on it takes the least letter that lowers the
-    distance to the target by one.
+    until a new layer meets the other tree.  Both trees hold the source's
+    period W; the target's period is W rotated by its one offset in W + W,
+    since W is primitive.  At that point the trees have depths df and db,
+    the distance is L = df + db, and the meeting vertices are the vertices
+    at distance df from the source on a geodesic.  Within a layer, discovery
+    order is the order of the least words, so the least geodesic starts
+    with the forward tree's path to the meeting vertex of least number; from
+    there on it takes the least letter that lowers the distance to the
+    target by one.
 
     max_radius bounds L (None: unbounded) and vertex_cap bounds the two
     trees together.  A pair in different orbits fails at once.
@@ -267,35 +331,41 @@ def find_path(
     if vertex_cap < 1:
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
     if not same_orbit(source, target):
-        raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F")
-    forward = _Tree((source.preperiod, source.period))
-    backward = _Tree((target.preperiod, target.period))
+        raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F", 0)
+    period = source.period
+    forward = _Tree(period, source.preperiod)
+    backward = _Tree(period, target.preperiod, (period + period).find(target.period))
     meet = [0] if source == target else []
     while not meet:
         df, db = forward.depth, backward.depth
         if df + db == max_radius:
-            raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}")
+            held = len(forward.pre) + len(backward.pre)
+            raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}", held)
         tree, other = (forward, backward) if forward.width <= backward.width else (backward, forward)
-        if not tree.grow(vertex_cap - len(other.keys)):
+        if not tree.grow(vertex_cap - len(other.pre)):
             raise BallCapacityError(
                 vertex_cap,
                 f"; the search from {source} to {target} held {vertex_cap} vertices,"
                 f" complete to depth {df} from the source and {db} from the target",
+                len(forward.pre) + len(backward.pre),
+                df + db,
             )
         if not tree.width:  # a closed, finite orbit: only an endpoint's, which same_orbit rules out
-            raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting")
-        meet = [forward.index[key] for key in tree.keys[tree.starts[-2] :] if key in other.index]
+            held = len(forward.pre) + len(backward.pre)
+            raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting", held)
+        start, seen, index = tree.starts[-2], other.index, forward.index
+        meet = [index[r][v] for v, r in zip(tree.pre[start:], tree.rot[start:]) if v in seen.get(r, ())]
     vertex = min(meet)
     word = [forward.path_word(vertex)]
-    v, w = forward.keys[vertex]
-    starts = backward.starts
+    v, r = forward.pre[vertex], forward.rot[vertex]
+    starts, index = backward.starts, backward.index
     for k in range(backward.depth - 1, -1, -1):
         for s, letter in enumerate(BFS_LETTERS):
-            key = _step(v, w, s)
-            if starts[k] <= backward.index.get(key, -1) < starts[k + 1]:
+            v2, r2 = backward.step(v, r, s)
+            if r2 in index and starts[k] <= index[r2].get(v2, -1) < starts[k + 1]:
                 break
         word.append(letter)
-        v, w = key
+        v, r = v2, r2
     return "".join(word)
 
 
@@ -362,8 +432,9 @@ def _address_checks(period: str, max_len: int) -> tuple[Check, Check]:
 
 
 def _labels(b: SchreierBall) -> list[str]:
-    """The v(w) text of every vertex of the ball, in vertex order, from its keys."""
-    return [f"{v}({w})" for v, w in b.keys]
+    """The v(w) text of every vertex of the ball, in vertex order: each rotation's "(w)" text is built once."""
+    texts = {r: f"({w})" for r, w in b.periods().items()}
+    return list(map(add, b.pre, map(texts.__getitem__, b.rot)))
 
 
 def export_dot(b: SchreierBall) -> str:

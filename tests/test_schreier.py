@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -406,6 +407,51 @@ def test_find_path_failure_reports_radius():
     with pytest.raises(PathNotFoundError) as err:
         find_path(canonicalize("1", "0"), canonicalize("0", "1"), 6)
     assert err.value.explored_radius == 6
+
+
+def test_capped_ball_says_how_many_vertices_it_held_and_the_radius_it_completed():
+    seed = parse_point("0110(011)")
+    with pytest.raises(BallCapacityError) as err:
+        ball(seed, 13, vertex_cap=1000)
+    assert (err.value.cap, err.value.vertices, err.value.radius) == (1000, 1000, 10)
+    assert len(ball(seed, 10)) < 1000 < len(ball(seed, 11))
+
+
+def test_capped_find_path_says_how_many_vertices_both_trees_held():
+    point = parse_point("0110110110110110110(0011)")
+    with pytest.raises(BallCapacityError) as err:
+        find_path(point, canonicalize("10", "0011"), vertex_cap=1000)
+    depths = re.search(r"complete to depth (\d+) from the source and (\d+) from the target", str(err.value))
+    assert err.value.vertices == 1000
+    assert err.value.radius == int(depths[1]) + int(depths[2])
+
+
+def test_find_path_bounded_by_radius_says_how_many_vertices_both_trees_held():
+    src, dst = canonicalize("", "0100"), canonicalize("10", "0100")
+    radius = len(find_path(src, dst)) - 1
+    with pytest.raises(PathNotFoundError) as err:
+        find_path(src, dst, radius)
+    assert err.value.explored_radius == radius
+    # the two trees split the radius between them, each a whole ball
+    splits = [len(ball(src, k)) + len(ball(dst, radius - k)) for k in range(radius + 1)]
+    assert err.value.vertices in splits
+    with pytest.raises(PathNotFoundError) as err:
+        find_path(canonicalize("1", "0"), canonicalize("0", "1"), 6)
+    assert err.value.vertices == 0
+
+
+def test_long_period_path_holds_its_period_once():
+    # the path from (0^8191 1) to 10(0^8191 1) is a^-8191; a tree that copied
+    # the period at each vertex on it peaked near 100 MB
+    period = "0" * 8191 + "1"
+    tracemalloc.start()
+    try:
+        word = find_path(RationalPoint("", period), RationalPoint("10", period))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == "A" * 8191
+    assert peak < 60 * 2**20
 
 
 def test_parent_words_reconstruct_bfs_paths():

@@ -7,10 +7,10 @@ import pytest
 
 from thompsonf import plmap, stabgen
 from thompsonf.cantor import (
-    _step,
     ONE_POINT,
     ZERO_POINT,
     RationalPoint,
+    act_letter,
     act_word,
     canonicalize,
     parse_point,
@@ -20,7 +20,7 @@ from thompsonf.cantor import (
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
-from thompsonf.schreier import _Tree, BFS_LETTERS, PathNotFoundError, ball, find_path
+from thompsonf.schreier import BFS_LETTERS, PathNotFoundError, ball, find_path
 from thompsonf.stabgen import (
     MAX_FACTORS,
     MAX_SAMPLES,
@@ -255,36 +255,50 @@ def _least_geodesics(target, radius):
 
     Inside the ball the least geodesic takes, at each vertex, the least
     letter that lowers the distance to the target by one.  From a point
-    outside it, a BFS tree grows from the point until a layer meets the
-    ball; every vertex of that layer in the ball is at the full radius, so
-    the least geodesic runs through the one the tree discovered first.
+    outside it, a plain BFS over act_letter, letters in BFS_LETTERS order,
+    grows from the point until a layer meets the ball; every vertex of that
+    layer in the ball is at the full radius, so the least geodesic runs
+    through the one discovered first.  Only the public views of a ball and
+    act_letter are used; points are keyed by their (preperiod, period)
+    fields, which hash faster than the points.
     """
     around = ball(target, radius)
-    index, distances = around.index, around.distances
+    index = {(p.preperiod, p.period): i for i, p in enumerate(around.vertices)}
+    distances = around.distances
     memo = {(target.preperiod, target.period): ""}
 
-    def descend(key):
+    def descend(point):
         path = []
+        key = (point.preperiod, point.period)
         while key not in memo:
             d = distances[index[key]]
-            for s, letter in enumerate(BFS_LETTERS):
-                image = _step(*key, s)
-                if image in index and distances[index[image]] == d - 1:
+            for letter in BFS_LETTERS:
+                image = act_letter(point, letter)
+                after = (image.preperiod, image.period)
+                if after in index and distances[index[after]] == d - 1:
                     break
             path.append((key, letter))
-            key = image
+            point, key = image, after
         word = memo[key]
         for key, letter in reversed(path):
             word = memo[key] = letter + word
         return word
 
     def least(point):
-        tree = _Tree((point.preperiod, point.period))
+        layer, seen = [(point, "")], {(point.preperiod, point.period)}
         while True:
-            met = [key for key in tree.keys[tree.starts[-2] :] if key in index]
+            met = [(p, word) for p, word in layer if (p.preperiod, p.period) in index]
             if met:
-                return tree.path_word(tree.index[met[0]]) + descend(met[0])
-            assert tree.grow(100_000)
+                return met[0][1] + descend(met[0][0])
+            after = []
+            for p, word in layer:
+                for letter in BFS_LETTERS:
+                    image = act_letter(p, letter)
+                    key = (image.preperiod, image.period)
+                    if key not in seen:
+                        seen.add(key)
+                        after.append((image, word + letter))
+            layer = after
 
     return least
 
