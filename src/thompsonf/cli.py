@@ -150,9 +150,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(act_word(point, parse_word(args.word)))
         return 0
     if args.command == "eval":
-        plmap = word_to_plmap(parse_word(args.word))
-        for t, y in plmap.breakpoints:
-            print(f"{t} -> {y}")
+        texts = word_to_plmap(parse_word(args.word)).breakpoint_texts()
+        sys.stdout.write("".join([f"{t} -> {y}\n" for t, y in texts]))
         return 0
     if args.command == "value":
         print(parse_point(args.point).value())

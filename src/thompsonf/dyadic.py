@@ -6,7 +6,9 @@ constructor takes Dyadic pairs and `PLMap.breakpoints` returns them.  Inside,
 a map keeps one exponent and integer numerators over that power of two, so
 no floating point is involved anywhere: the constructor validates those
 numerators, and the package's closed forms are built from integers without
-a Dyadic.  Dyadic itself only normalizes, converts and prints.
+a Dyadic.  Dyadic itself only normalizes, converts and prints, and it prints
+through _format, which the `eval` command calls on a map's numerators
+directly, so no Dyadic is built to print a breakpoint.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ class Dyadic:
         return Fraction(self.numerator, 1 << self.exponent)
 
     def __str__(self) -> str:
-        # normalized: the numerator is odd whenever the exponent is positive
-        return f"{self.numerator}/{1 << self.exponent}" if self.exponent else str(self.numerator)
+        return _format(self.numerator, self.exponent)
+
+
+def _format(n: int, e: int) -> str:
+    """n / 2**e (e >= 0) in lowest terms, as str prints a Fraction: "p/q", or the integer alone."""
+    k = min((n & -n).bit_length() - 1, e) if n else e  # trailing zero bits to shift out
+    return f"{n >> k}/{1 << (e - k)}" if e > k else str(n >> k)
 

@@ -18,15 +18,21 @@ the left-to-right reading of words.
 
 A word becomes a map in three exact steps.  A stack pass cancels every
 adjacent x x^-1, so the reduced word has no factor that the maps would only
-undo.  Its letters are then taken two at a time from a table of the sixteen
-two-letter products, and a product tree multiplies adjacent maps pairwise,
-level by level, until one is left.  Maps are normalized, so any bracketing
-gives the same breakpoints as the left fold.  A product has at most as many
-breakpoints as its two factors together, so the operands of one level of the
-tree add up to at most the breakpoints of the leaves, and a reduced word of
-n letters costs O(n log n) breakpoint steps.  A left fold composes letter k
-into a map that may already have O(k) breakpoints, which is quadratic when
-they grow with the length, as they do for (x0 x1)^k.
+undo.  The reduced word is cut into pieces of six letters (the last may be
+shorter), and the product of each piece is looked up in a memo keyed by its
+text.  A piece is a freely reduced word of at most six letters, so the memo
+holds at most 4 (1 + 3 + ... + 3^5) = 1456 maps; a piece not in it yet is
+built from its two halves, themselves memoized.  The pieces are multiplied
+by splitting the word at the piece boundary nearest its middle and each half
+likewise, so a word of n letters costs about n/6 composes, and none of them
+redoes one of the small products that words share.  Maps are normalized, so
+any bracketing gives the same breakpoints as the left fold.  A product has
+at most as many breakpoints as its two factors together, and the split keeps
+the tree balanced, so the operands of one level of it add up to at most the
+breakpoints of the pieces, and a reduced word of n letters costs O(n log n)
+breakpoint steps.  A left fold composes letter k into a map that may already
+have O(k) breakpoints, which is quadratic when they grow with the length, as
+they do for (x0 x1)^k.
 
 To evaluate a word at one point, evaluate_word builds no map: it folds the
 exact value through the pieces of the letter maps, one letter at a time.
@@ -41,11 +47,12 @@ from math import gcd
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _format
 from .report import Check, Report
-from .words import LETTERS, Word, relator_words
+from .words import Word, relator_words
 
 MAX_DEPTH = 64
+_PIECE_LETTERS = 6  # the longest word whose map word_to_plmap memoizes
 
 
 class InvalidPLMapError(ValueError):
@@ -74,6 +81,11 @@ class PLMap:
     def breakpoints(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
         e, reduced = self._e, Dyadic._reduced
         return tuple([(reduced(t, e), reduced(y, e)) for t, y in zip(self._ts, self._ys)])
+
+    def breakpoint_texts(self) -> list[tuple[str, str]]:
+        """The breakpoints as str prints their Dyadics, written from the numerators without building one."""
+        e = self._e
+        return [(_format(t, e), _format(y, e)) for t, y in zip(self._ts, self._ys)]
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -140,7 +152,14 @@ class PLMap:
         return self.compose(other)
 
     def __pow__(self, n: int) -> "PLMap":
-        return _product([self.inverse() if n < 0 else self] * abs(n))
+        """By repeated squaring: the powers of one map commute, so any bracketing gives the same map."""
+        base = self.inverse() if n < 0 else self
+        power = _IDENTITY
+        for bit in format(abs(n), "b"):
+            power = power.compose(power)
+            if bit == "1":
+                power = power.compose(base)
+        return power
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLMap):
@@ -151,7 +170,7 @@ class PLMap:
         return hash((self._e, self._ts, self._ys))
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({t}, {y})" for t, y in self.breakpoints)
+        pts = ", ".join(f"({t}, {y})" for t, y in self.breakpoint_texts())
         return f"PLMap[{pts}]"
 
 
@@ -230,12 +249,12 @@ def letter_map(letter: str) -> PLMap:
 def word_to_plmap(word: Word) -> PLMap:
     """Left-to-right product of the letter maps; the empty word is the identity.
 
-    The word is freely reduced first, then its letters are paired into maps
-    from _PAIR_MAPS (an odd last letter stays a letter map) and the pairs are
-    multiplied as a product tree.  A reduced word of n letters takes about
-    n/2 composes over about log2(n) levels, and the operands of each level
-    have at most as many breakpoints together as the leaves, so the work is
-    O(n log n) breakpoint steps where a left fold can need O(n^2).
+    The word is freely reduced first.  Then it is split at the multiple of
+    _PIECE_LETTERS letters nearest its middle, each half likewise, down to
+    pieces of at most _PIECE_LETTERS letters, which come from the memo of
+    _piece.  The tree is balanced, so the operands of each level have at most
+    as many breakpoints together as the pieces, and the work is O(n log n)
+    breakpoint steps where a left fold can need O(n^2).
     """
     reduced: list[str] = []
     for letter in word:
@@ -243,10 +262,25 @@ def word_to_plmap(word: Word) -> PLMap:
             reduced.pop()
         else:
             reduced.append(letter)
-    leaves = [_PAIR_MAPS[pair] for pair in zip(reduced[::2], reduced[1::2])]
-    if len(reduced) % 2:
-        leaves.append(_LETTER_MAPS[reduced[-1]])
-    return _product(leaves)
+    return _split("".join(reduced)) if reduced else _IDENTITY
+
+
+def _split(text: str) -> PLMap:
+    """Product of a nonempty freely reduced word, split at the multiple of _PIECE_LETTERS nearest its middle."""
+    n = len(text)
+    if n <= _PIECE_LETTERS:
+        return _piece(text)
+    mid = (n + _PIECE_LETTERS) // (2 * _PIECE_LETTERS) * _PIECE_LETTERS  # strictly inside, as n > _PIECE_LETTERS
+    return _split(text[:mid]).compose(_split(text[mid:]))
+
+
+@cache
+def _piece(text: str) -> PLMap:
+    """Product of a freely reduced word of 1 to _PIECE_LETTERS letters, built from its two halves."""
+    if len(text) == 1:
+        return _LETTER_MAPS[text]
+    mid = len(text) // 2
+    return _piece(text[:mid]).compose(_piece(text[mid:]))
 
 
 _LOW_BITS = (1 << 64) - 1
@@ -299,22 +333,6 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
             num >>= z
             k -= z
     return Fraction(num, d << k)
-
-
-def _product(maps: list[PLMap]) -> PLMap:
-    """Left-to-right product of maps as a product tree; no maps give the identity.
-
-    Adjacent maps are composed pairwise, level by level, so every operand of
-    a compose is the product of a contiguous run of at most 2^level maps.
-    """
-    if not maps:
-        return _IDENTITY
-    while len(maps) > 1:
-        paired = [f.compose(g) for f, g in zip(maps[::2], maps[1::2])]
-        if len(maps) % 2:
-            paired.append(maps[-1])
-        maps = paired
-    return maps[0]
 
 
 def xn(n: int) -> PLMap:
@@ -395,6 +413,3 @@ _GEN_X0 = _from_ints(2, (0, 2, 3, 4), (0, 1, 2, 4))  # numerators over 4
 _GEN_X1 = xn(1)
 
 _LETTER_MAPS = {"a": _GEN_X0, "A": _GEN_X0.inverse(), "b": _GEN_X1, "B": _GEN_X1.inverse()}
-
-# The leaves of word_to_plmap's product tree: every two-letter product.
-_PAIR_MAPS = {(a, b): _LETTER_MAPS[a].compose(_LETTER_MAPS[b]) for a in LETTERS for b in LETTERS}

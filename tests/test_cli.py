@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,8 @@ from thompsonf import cantor, cli, schreier, stabgen
 from thompsonf.cantor import MAX_PERIOD
 from thompsonf.plmap import PLMap
 from thompsonf.report import Check, Report
+from thompsonf.rng import SplitMix64
+from thompsonf.words import commutator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,6 +49,38 @@ def test_eval_prints_breakpoints(capsys):
     code, out, _ = run(capsys, "eval", "abA")
     assert code == 0
     assert out.splitlines() == ["0 -> 0", "3/4 -> 3/4", "7/8 -> 13/16", "15/16 -> 7/8", "1 -> 1"]
+
+
+# sha256 of the stdout of every eval on _eval_corpus(), in order, as printed
+# when eval still built a Dyadic per coordinate and multiplied the word as a
+# product tree over the sixteen two-letter maps
+EVAL_CORPUS_SHA256 = "b991ff3b4992069b510b2cad5a601ada1f9d04e2b3c7f5ac0cf76f2887230a19"
+
+
+def _eval_corpus() -> list[str]:
+    """304 words: the uniform, power and commutator shapes of the words benchmark, and edge cases."""
+    rng = SplitMix64(19)
+
+    def word(lo: int, hi: int) -> str:
+        return "".join([rng.choice("aAbB") for _ in range(lo + rng.below(hi - lo + 1))])
+
+    words = ["1", "aA", "abBA", "ab" * 2048]
+    for _ in range(100):
+        words.append(word(20, 120))
+        base = rng.choice("aA") + rng.choice("bB")
+        words.append((base[::-1] if rng.below(2) else base) * (10 + rng.below(31)))
+        n = 5 + rng.below(15)
+        words.append(commutator(word(n, n), word(n, n)))
+    return words
+
+
+def test_eval_output_matches_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for word in _eval_corpus():
+        code, out, err = run(capsys, "eval", word)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == EVAL_CORPUS_SHA256
 
 
 def test_value_prints_exact_fraction(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sampling import random_word
-from thompsonf.dyadic import Dyadic
+from thompsonf.dyadic import Dyadic, _format
 from thompsonf.plmap import word_to_plmap
 from thompsonf.rng import SplitMix64
 
@@ -52,6 +52,22 @@ def test_str_is_lowest_terms_fraction():
     assert str(Dyadic(2, 3)) == "1/4"
     assert str(Dyadic(0)) == "0"
     assert str(Dyadic(1)) == "1"
+
+
+def test_format_prints_what_str_prints_for_the_fraction():
+    for e in range(201):
+        one = 1 << e
+        for n in {0, 1, one - 1, one, 2, 6, one - 2, 3 << max(e - 3, 0), one + 2, -one // 2}:
+            assert _format(n, e) == str(Fraction(n, one)) == str(Dyadic(n, e))
+
+
+def test_breakpoint_texts_and_repr_print_the_breakpoints():
+    rng = SplitMix64(79)
+    for _ in range(30):
+        m = word_to_plmap(random_word(rng, 40))
+        texts = [(str(t), str(y)) for t, y in m.breakpoints]
+        assert m.breakpoint_texts() == texts
+        assert repr(m) == "PLMap[" + ", ".join(f"({t}, {y})" for t, y in texts) + "]"
 
 
 def test_trusted_constructor_matches_the_validating_one():

@@ -1,10 +1,12 @@
+import functools
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
 from oracles import fraction_to_vw, naive_act
 from sampling import LETTERS, random_word
+from thompsonf import plmap
 from thompsonf.dyadic import Dyadic
 from thompsonf.plmap import (
     InvalidPLMapError,
@@ -486,11 +488,8 @@ def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
 
 
 def _left_fold(word):
-    """Reference product: compose the letter maps one at a time, left to right."""
-    m = identity()
-    for letter in word:
-        m = m.compose(letter_map(letter))
-    return m
+    """Reference product: the letter maps composed one at a time, left to right, without the piece memo or the split."""
+    return functools.reduce(PLMap.compose, map(letter_map, word), identity())
 
 
 def _reduced_length(word):
@@ -542,3 +541,51 @@ def test_product_tree_work_is_n_log_n(monkeypatch):
     work.update(calls=0, breakpoints=0)
     assert word_to_plmap(parse_word("abBA" * 100 + "aBbA")) == identity()
     assert work["calls"] == 0
+
+
+def _planted_words(rng, count, max_len):
+    """Random words with x x^-1 pairs planted at every offset mod 6, so that cancellations cross piece boundaries."""
+    words = []
+    for k in range(count):
+        planted = 1 + rng.below(4)
+        word = "".join([rng.choice(LETTERS) for _ in range(rng.below(max_len - 2 * planted + 1))])
+        for j in range(planted):
+            at = min(6 * rng.below(len(word) // 6 + 1) + (k + j) % 6, len(word))
+            x = rng.choice(LETTERS)
+            word = word[:at] + x + x.swapcase() + word[at:]
+        words.append(word)
+    return words
+
+
+def test_word_to_plmap_matches_the_left_fold_on_every_short_word():
+    words = ["".join(letters) for n in range(1, 7) for letters in product(LETTERS, repeat=n)]
+    assert len(words) == 5460
+    for word in words:
+        assert word_to_plmap(word) == _left_fold(word)
+
+
+def test_word_to_plmap_matches_the_left_fold_across_piece_boundaries():
+    rng = SplitMix64(67)
+    words = _planted_words(rng, 300, 400)
+    assert max(map(len, words)) <= 400
+    assert {len(w) % 6 for w in words} == set(range(6))
+    assert {_reduced_length(w) % 6 for w in words} == set(range(6))
+    for word in words:
+        assert word_to_plmap(word) == _left_fold(word)
+
+
+def test_piece_memo_holds_only_short_reduced_words(monkeypatch):
+    keys = []
+
+    def recorded(text):
+        keys.append(text)
+        return build(text)
+
+    build = plmap._piece.__wrapped__
+    monkeypatch.setattr(plmap, "_piece", functools.cache(recorded))
+    rng = SplitMix64(73)
+    for word in _planted_words(rng, 2000, 120):
+        word_to_plmap(word)
+    assert len(keys) == len(set(keys)) == plmap._piece.cache_info().currsize
+    assert 1000 < len(keys) <= 4 * (1 + 3 + 9 + 27 + 81 + 243) == 1456
+    assert all(0 < len(key) <= 6 and _reduced_length(key) == len(key) for key in keys)

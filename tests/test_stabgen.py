@@ -567,8 +567,9 @@ def test_verify_builds_no_map_once_the_point_independent_suites_are_cached(monke
         report = verify_generators(gens, samples=40)
         assert len([c for c in report.checks if "(map evaluation)" in c.name]) == len(gens.generators)
     assert calls[0] == 0
-    word_to_plmap("abA")  # the counter sees a product of two leaves
-    assert calls[0] == 1
+    plmap._piece.cache_clear()
+    word_to_plmap("abA")  # the counter sees a piece built from its halves: b A, then a (b A)
+    assert calls[0] == 2
 
 
 def test_verify_for_a_long_period_takes_linear_time():
