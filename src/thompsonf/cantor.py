@@ -12,19 +12,17 @@ At import time they become the one rule table of the package, _HEADS: from
 those three letters to the length and the replacement of the matching rule
 of each of the four letters, in the order of LETTERS, with the rules that
 rewrite their left side to itself marked.  Two kernels read that table.
-_step applies the letter in a slot to a canonical (preperiod, period) pair
-of plain strings: it looks the rule up, rotates the period once by the
-letters the rule read past the preperiod, and absorbs trailing preperiod
-letters, so a letter costs O(|preperiod| + |period|).  act_letter goes
-through it, and so do words of at most two letters.  _fold, behind
-act_word, folds a longer word over the preperiod as a reversed list and a
-read offset into the unrotated period, reading the table with each head and
-replacement reversed, so a letter costs O(1) and the pair is made canonical
-once, at the end.
-The breadth-first search in schreier reads the rules of all four letters at
-once from one lookup in the same table, on preperiods and rotation offsets
-into one shared period; act_word and the search build a RationalPoint only
-for the points they return.
+_step applies the letter in a slot to v (w[r:] + w[:r])^inf, given as a
+canonical preperiod v and a rotation r of a primitive period w: it moves r
+by the letters the rule read past v and absorbs the trailing letters of the
+replacement by stepping r back, so no period is copied.  act_letter calls it
+at r = 0, and rotates the period once.  _fold, behind act_word, folds a
+word over the preperiod as a reversed list and a read offset into the
+unrotated period, reading the table with each head and replacement
+reversed, so a letter costs O(1) and the pair is made canonical once.
+The breadth-first search in schreier inlines _step, reading the rules of
+all four letters at once from one lookup; act_word and the search build a
+RationalPoint only for the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with
@@ -202,48 +200,48 @@ _HEADS = {
 _REVERSED_HEADS = {head[::-1]: tuple((n, rhs[::-1]) for n, rhs in rules) for head, rules in _HEADS.items()}
 
 
-def _step(v: str, w: str, s: int) -> tuple[str, str]:
-    """Canonical pair of the image of the canonical pair (v, w) under the letter in slot s.
+def _absorb(rhs: str, q: int, w: str) -> tuple[str, int]:
+    """rhs before w rotated left by q, made canonical: each trailing letter of rhs that continues w steps q back."""
+    while rhs and rhs[-1] == w[q - 1]:
+        rhs, q = rhs[:-1], (q - 1) % len(w)
+    return rhs, q
 
-    The rule is looked up by the first three letters of the sequence.  A
-    _LOOP rule fixes the pair.  A rule shorter than the preperiod keeps its
-    last letter, so that image is canonical as it stands.  A rule that reads
-    c >= 0 letters past the preperiod leaves the period rotated left by c
-    letters behind its replacement, whose trailing letters may then be
-    absorbed.
+
+def _step(v: str, r: int, w: str, s: int) -> tuple[str, int]:
+    """Canonical preperiod and rotation of the image of v (w[r:] + w[:r])^inf under the letter in slot s.
+
+    A _LOOP rule fixes the pair.  A rule shorter than v keeps its last
+    letter, so that image is canonical as it stands.  A rule that reads
+    c >= 0 letters past v moves r to r + c behind its replacement, whose
+    trailing letters _absorb may then drop.
     """
-    n, rhs = _HEADS[v[:3] if len(v) > 2 else (v + w[:3] * 3)[:3]][s]
-    consumed = n - len(v)
-    if consumed < 0:  # _LOOP is below every preperiod length
-        return (v, w) if n == _LOOP else (rhs + v[n:], w)
-    c = consumed % len(w)
-    return _absorbed(rhs, w[c:] + w[:c])
+    nv = len(v)
+    n, rhs = _HEADS[v[:3] if nv > 2 else (v + w[r : r + 3] + w[:3] * 3)[:3]][s]
+    if n < nv:  # _LOOP is below every preperiod length
+        return (v, r) if n == _LOOP else (rhs + v[n:], r)
+    return _absorb(rhs, (r + n - nv) % len(w), w)
 
 
 def act_letter(point: RationalPoint, letter: str) -> RationalPoint:
-    """Image of the point under one generator letter."""
-    return RationalPoint._canonical(*_step(point.preperiod, point.period, _SLOT[letter]))
+    """Image of the point under one generator letter; an unrotated period, w[0:] + w[:0], is w, not a copy."""
+    w = point.period
+    v, q = _step(point.preperiod, 0, w, _SLOT[letter])
+    return RationalPoint._canonical(v, w[q:] + w[:q])
 
 
 def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
     """Canonical pair of the image of the canonical pair (v, w) under the word.
 
-    A word of at most two letters goes through _step.  A longer one is folded
-    over a private state that need not be canonical between letters, since
-    the rules read only the sequence: the preperiod as a list in reverse
-    order, whose end holds the first letters of the sequence, and a read
-    offset r into the unrotated period, whose letters from r on are read by
-    index.  A rule pops and pushes at most three letters, and one that reads
-    past the preperiod only moves r, so a letter costs O(1) however long v
-    and w are.  The pair is canonicalised once, at the end, by _absorbed.
+    Every word is folded over a state the rules can read, canonical or not:
+    the preperiod as a list in reverse order, whose end holds the first
+    letters of the sequence, and a read offset r into the unrotated period.
+    A rule pops and pushes at most three letters, and one that reads past
+    the preperiod only moves r, so a letter costs O(1) however long v and w
+    are.  _absorbed makes the pair canonical at the end.
     """
-    if len(word) < 3:
-        for letter in word:
-            v, w = _step(v, w, _SLOT[letter])
-        return v, w
     stack = list(v[::-1])
     n = len(w)
-    ahead = w + (w * 2)[:2]  # ahead[r:r + 3] starts the period rotated left by r, even for |w| < 3
+    wrap = w[:2] * 2  # w[r:r + 3] + wrap starts the period rotated left by r, even for |w| < 3; w is not copied
     r = 0
     for letter in word:
         size = len(stack)
@@ -252,7 +250,7 @@ def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
             if k != _LOOP:
                 stack[-k:] = rhs
             continue
-        k, rhs = _REVERSED_HEADS[ahead[r:r + 3 - size][::-1] + "".join(stack)][_SLOT[letter]]
+        k, rhs = _REVERSED_HEADS[(w[r:r + 3] + wrap)[:3 - size][::-1] + "".join(stack)][_SLOT[letter]]
         if k > size:  # the rule reads k - size letters of the period
             r = (r + k - size) % n
             stack[:] = rhs

@@ -32,10 +32,8 @@ class Dyadic:
     def __post_init__(self) -> None:
         if self.exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {self.exponent}")
-        n, e = self.numerator, self.exponent
-        k = min((n & -n).bit_length() - 1, e) if n else e  # trailing zero bits to shift out
-        object.__setattr__(self, "numerator", n >> k)
-        object.__setattr__(self, "exponent", e - k)
+        fields = self.__dict__  # where the frozen dataclass keeps them, as in _reduced
+        fields["numerator"], fields["exponent"] = _lowest(self.numerator, self.exponent)
 
     @classmethod
     def _reduced(cls, n: int, e: int) -> "Dyadic":
@@ -44,11 +42,8 @@ class Dyadic:
         The fields go straight into the instance dict, which is where the
         frozen dataclass keeps them; __post_init__ is not run.
         """
-        k = min((n & -n).bit_length() - 1, e) if n else e
         d = object.__new__(cls)
-        fields = d.__dict__
-        fields["numerator"] = n >> k
-        fields["exponent"] = e - k
+        d.__dict__["numerator"], d.__dict__["exponent"] = _lowest(n, e)
         return d
 
     @classmethod
@@ -66,8 +61,14 @@ class Dyadic:
         return _format(self.numerator, self.exponent)
 
 
+def _lowest(n: int, e: int) -> tuple[int, int]:
+    """The numerator and the least exponent of n / 2**e (e >= 0): its trailing zero bits shifted out."""
+    k = min((n & -n).bit_length() - 1, e) if n else e
+    return n >> k, e - k
+
+
 def _format(n: int, e: int) -> str:
     """n / 2**e (e >= 0) in lowest terms, as str prints a Fraction: "p/q", or the integer alone."""
-    k = min((n & -n).bit_length() - 1, e) if n else e  # trailing zero bits to shift out
-    return f"{n >> k}/{1 << (e - k)}" if e > k else str(n >> k)
+    n, e = _lowest(n, e)
+    return f"{n}/{1 << e}" if e else str(n)
 

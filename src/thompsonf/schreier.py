@@ -14,22 +14,19 @@ vertex number, so no key tuple is built and no period is copied per vertex.
 Balls and shortest paths grow the same BFS tree, one whole layer at a time,
 kept in flat lists: the preperiods and the rotations in discovery order and,
 per vertex, the number of its parent and the slot in BFS_LETTERS of the
-letter that discovered it.  The rules come from cantor's one rule table,
-_HEADS, whose slots follow BFS_LETTERS: one lookup gives the rules of all
-four letters at a vertex.  A rule inside the preperiod keeps r; one that
-reads c letters past it moves r to r + c and absorbs the trailing letters of
-its replacement, at most three, by stepping r back while they continue the
-period.  Two kinds of image are known without looking a key up: the letter
-that undoes the discovering one leads back to the parent, and a rule marked
-_LOOP, one that rewrites its left side to itself (x1 and x1^-1 on a sequence
-that starts with 0), fixes the vertex.  A ball's tree also records the x0
-and x1 edges of every vertex it expands, as a flat list; only the boundary
-layer, the vertices at the full radius, has its images computed afterwards,
-through the same table and with the same two skips.  A ball is that tree:
-its RationalPoint vertices, parents, distances and edge tuples are views
-built on first access, with each rotation's period text built once.  The
-DOT and JSON exports write their text from the preperiods, the rotation
-texts and the flat edge list without them.
+letter that discovered it.  The search inlines cantor._step on its rule
+table, _HEADS, whose slots follow BFS_LETTERS: one lookup gives the rules of
+all four letters at a vertex.  Two kinds of image are known without looking
+a key up: the letter that undoes the discovering one leads back to the
+parent, and a rule marked _LOOP, one that rewrites its left side to itself
+(x1 and x1^-1 on a sequence that starts with 0), fixes the vertex.  A ball's
+tree also records the x0 and x1 edges of every vertex it expands, as a flat
+list; only the boundary layer, the vertices at the full radius, has its
+images computed afterwards, through the same table and with the same two
+skips.  A ball is that tree: its RationalPoint vertices, parents, distances
+and edge tuples are views built on first access, with each rotation's period
+text built once.  The DOT and JSON exports write their text from the
+preperiods, the rotation texts and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -45,7 +42,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from operator import add
 
-from .cantor import _HEADS, _LOOP, _fold, RationalPoint, act_word, canonicalize, primitive_root
+from .cantor import _HEADS, _LOOP, _SLOT, RationalPoint, _absorb, _step, act_word, canonicalize, primitive_root
 from .report import Check, Report
 from .words import LETTERS, Word, address_word, period_loop_word
 
@@ -57,17 +54,6 @@ _SLOTTED = {head: tuple((s, n, rhs) for s, (n, rhs) in enumerate(rules)) for hea
 
 _Parent = tuple[int, str] | None
 _Edge = tuple[int, str, int]
-
-
-def _absorb(rhs: str, q: int, period: str) -> tuple[str, int]:
-    """A rule's replacement rhs before the period rotated left by q, made canonical.
-
-    The trailing letters of rhs that continue the period are dropped, at
-    most three, each stepping q back by one: O(1) however long the period.
-    """
-    while rhs and rhs[-1] == period[q - 1]:
-        rhs, q = rhs[:-1], (q - 1) % len(period)
-    return rhs, q
 
 
 class BallCapacityError(RuntimeError):
@@ -109,7 +95,8 @@ class _Tree:
     vertex i is marked _LOOP, whose image is i.  Given a list, it also
     appends the x0 and x1 edges of every expanded vertex to it, in vertex
     order and flat: source, "x0", target, source, "x1", target.  Balls pass
-    one as flat_edges, shortest-path searches do not.
+    one as flat_edges, shortest-path searches do not.  Outside grow and
+    ball, one letter's image is cantor._step's on period.
     """
 
     def __init__(self, period: str, root: str, rotation: int = 0, flat_edges: list[int | str] | None = None):
@@ -137,6 +124,8 @@ class _Tree:
         The image back to the parent and the image under a _LOOP rule, the
         vertex itself, are set without building or looking up a key.
         """
+        # cantor._step is inlined here and in ball's boundary pass: calling it per
+        # image made radius-13 balls 44% and 13% slower (2-vCPU Xeon, Python 3.11)
         pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.flat_edges
         period, ahead, m = self.period, self.ahead, len(self.period)
         count = len(pre)
@@ -175,14 +164,6 @@ class _Tree:
                 edges += (i, "x0", images[0], i, "x1", images[2])
         self.starts.append(count)
         return True
-
-    def step(self, v: str, r: int, s: int) -> tuple[str, int]:
-        """The preperiod and rotation of the image of (v, r) under the letter in slot s, as grow finds them."""
-        nv = len(v)
-        n, rhs = _HEADS[v[:3] if nv > 2 else (v + self.ahead[r : r + 3])[:3]][s]
-        if n < nv:
-            return (v, r) if n == _LOOP else (rhs + v[n:], r)
-        return _absorb(rhs, (r + n - nv) % len(self.period), self.period)
 
     def periods(self) -> dict[int, str]:
         """The period text W[r:] + W[:r] of every rotation r the tree holds, each built once."""
@@ -361,7 +342,7 @@ def find_path(
     starts, index = backward.starts, backward.index
     for k in range(backward.depth - 1, -1, -1):
         for s, letter in enumerate(BFS_LETTERS):
-            v2, r2 = backward.step(v, r, s)
+            v2, r2 = _step(v, r, period, s)
             if r2 in index and starts[k] <= index[r2].get(v2, -1) < starts[k + 1]:
                 break
         word.append(letter)
@@ -401,22 +382,30 @@ def check_addresses(period: str, max_len: int) -> Report:
 def _address_checks(period: str, max_len: int) -> tuple[Check, Check]:
     """The two checks of check_addresses.
 
-    The addresses are walked as a trie grown at the end: the image of a
-    label is its parent's, label[:-1], folded through the 1 or 2 letters of
-    the last address letter, so each label costs at most two letter steps.
-    The parent of a kept label is kept, since a label that starts with the
-    forbidden prefix makes every label below it start with it too.
+    The addresses are walked as a trie grown at the end, on _step's
+    (preperiod, rotation) pairs: the image of a label is its parent's,
+    label[:-1], stepped through the 1 or 2 letters of its last address
+    letter (through _fold, the walk took 1.9 times as long).  The parent of
+    a kept label is kept, since a label that starts with the forbidden
+    prefix makes every label below it start with it too.
     """
     root = canonicalize("10", period)
+    w = root.period
     banned = forbidden_prefix(period)
-    steps = {c: address_word(c) for c in "AB"}
-    level = {"": (root.preperiod, root.period)}
+    slots = {c: [_SLOT[letter] for letter in address_word(c)] for c in "AB"}
+
+    def image(v: str, r: int, c: str) -> tuple[str, int]:
+        for s in slots[c]:
+            v, r = _step(v, r, w, s)
+        return v, r
+
+    level = {"": (root.preperiod, 0)}
     images = set(level.values())
     count = 1
     for _ in range(max_len):
         level = {
-            label + c: _fold(*image, steps[c])
-            for label, image in level.items()
+            label + c: image(*pair, c)
+            for label, pair in level.items()
             for c in "AB"
             if not (label + c).startswith(banned)
         }

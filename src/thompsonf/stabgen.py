@@ -302,7 +302,7 @@ def _conjugator(point: RationalPoint) -> Word:
             image = (rhs[::-1] + v[k:], w) if k < len(v) else _fold(v, w, word)
         words.append(word)
         v, w = image
-    words.append(find_path(RationalPoint._canonical(v, w), canonicalize("10", point.period)))
+    words.append(find_path(RationalPoint._canonical(v, w), RationalPoint._trusted("10", point.period)))
     return "".join(words)
 
 

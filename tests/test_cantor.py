@@ -368,18 +368,44 @@ def test_long_period_action_matches_map_evaluation():
         assert value_to_point(p.value()) == p
 
 
-def test_head_table_kernel_matches_the_rule_loop_on_all_short_points():
-    points = {
+def _short_points() -> set[RationalPoint]:
+    """Every canonical point with a preperiod of at most 6 letters and a period of at most 5."""
+    return {
         canonicalize("".join(v), "".join(w))
         for pre_len in range(7)
         for per_len in range(1, 6)
         for v in product("01", repeat=pre_len)
         for w in product("01", repeat=per_len)
     }
+
+
+def test_head_table_kernel_matches_the_rule_loop_on_all_short_points():
+    points = _short_points()
     assert len(points) > 2000
     for p in points:
         for letter in LETTERS:
             _assert_kernel_matches_rule_loop(p, letter)
+
+
+def test_step_and_short_folds_match_the_rule_loop_at_every_rotation():
+    # act_letter reaches _step at rotation 0 only; find_path and ball step
+    # on rotations of one shared period
+    rotated = 0
+    words = list(LETTERS) + ["".join(pair) for pair in product(LETTERS, repeat=2)]
+    for p in _short_points():
+        v, w = p.preperiod, p.period
+        for r in range(len(w)):
+            if v and v[-1] == w[r - 1]:  # v (w[r:] + w[:r])^inf is not canonical
+                continue
+            point = RationalPoint(v, w[r:] + w[:r])
+            rotated += r > 0
+            for s, letter in enumerate(LETTERS):
+                u, q = _step(v, r, w, s)
+                assert 0 <= q < len(w)
+                assert RationalPoint(u, w[q:] + w[:q]) == _rule_loop_act_letter(point, letter), (str(point), letter)
+        for word in words:
+            assert _fold(v, w, word) == _stepwise_fold(v, w, word)[0], (str(p), word)
+    assert rotated > 2000
 
 
 def test_loop_rules_return_the_pair_untouched():
@@ -391,18 +417,20 @@ def test_loop_rules_return_the_pair_untouched():
         p = canonicalize(v, w)
         assert p.prefix(1) == "0"
         for s, letter in ((2, "b"), (3, "B")):
-            image = _step(p.preperiod, p.period, s)
-            assert image[0] is p.preperiod and image[1] is p.period
+            image = _step(p.preperiod, 0, p.period, s)
+            assert image[0] is p.preperiod and image[1] == 0
+            assert act_letter(p, letter).period is p.period
             assert act_letter(p, letter) == p == _rule_loop_act_letter(p, letter)
 
 
 def _stepwise_fold(v: str, w: str, word: str) -> tuple[tuple[str, str], int]:
-    """_fold's reference: one _step per letter; also how often an inner letter leaves no preperiod."""
+    """_fold's reference: the rule loop one letter at a time; also how often an inner letter leaves no preperiod."""
+    p = RationalPoint(v, w)
     empties = 0
     for k, letter in enumerate(word, start=1):
-        v, w = _step(v, w, LETTERS.index(letter))
-        empties += v == "" and k < len(word)
-    return (v, w), empties
+        p = _rule_loop_act_letter(p, letter)
+        empties += p.preperiod == "" and k < len(word)
+    return (p.preperiod, p.period), empties
 
 
 def _runs_word(rng: SplitMix64, runs: int) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from thompsonf import cantor, cli, schreier, stabgen
-from thompsonf.cantor import MAX_PERIOD
+from thompsonf.cantor import MAX_PERIOD, act_word, parse_point
 from thompsonf.plmap import PLMap
 from thompsonf.report import Check, Report
 from thompsonf.rng import SplitMix64
@@ -81,6 +81,57 @@ def test_eval_output_matches_the_pinned_digest(capsys):
         assert (code, err) == (0, "")
         digest.update(out.encode())
     assert digest.hexdigest() == EVAL_CORPUS_SHA256
+
+
+# sha256 of the exit code, stdout and stderr of every invocation of
+# _sequence_corpus(), in order, as printed when act_letter, act_word's words
+# of one or two letters, find_path's descent and check_addresses each had a
+# letter step of their own
+SEQUENCE_CORPUS_SHA256 = "0f34fdc0187bee6cf2124b379cb550708f069e21af4e43bca18ba1f29d4cb3b6"
+
+
+def _bits(rng: SplitMix64, n: int) -> str:
+    return "".join("01"[rng.below(2)] for _ in range(n))
+
+
+def _sequence_corpus() -> list[list[str]]:
+    """About 300 invocations of the commands on the sequence action: act, path, gens, verify and selftest."""
+    rng = SplitMix64(23)
+
+    def word(n: int, letters: str = "aAbB") -> str:
+        return "".join([rng.choice(letters) for _ in range(n)])
+
+    def point(max_pre: int, lo: int, hi: int) -> str:
+        return f"{_bits(rng, rng.below(max_pre + 1))}({_bits(rng, lo + rng.below(hi - lo + 1))})"
+
+    calls = []
+    for k in range(160):
+        n = (1, 2, 3, 50 + rng.below(151))[k % 4]
+        if k % 8 < 4:
+            calls.append(["act", point(8, 1, 6), word(n)])
+        elif k % 16 < 12:
+            calls.append(["act", point(8, 1000, 16000), word(n)])
+        else:  # x1 and x1^-1 fix a sequence that starts with 0 by a loop rule
+            calls.append(["act", "0" + point(3, 1000, 16000), word(n, "bB")])
+    for _ in range(40):
+        source = point(6, 1, 5)
+        calls.append(["path", source, str(act_word(parse_point(source), word(rng.below(9))))])
+    for k in range(60):
+        source = point(14, 1, 5) if k % 3 else point(2, 20, 200)
+        calls.append(["gens", source] + (["--format", "json"] if k % 2 else []))
+    for k in range(28):
+        source = ("(0)", "(1)")[k] if k < 2 else point(10, 1, 6)
+        calls.append(["verify", source, "--samples", "8", "--seed", str(k)])
+    calls += [["selftest", "--depth", "3", "--label-len", str(n)] for n in range(1, 13)]
+    return calls
+
+
+def test_sequence_commands_match_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _sequence_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == SEQUENCE_CORPUS_SHA256
 
 
 def test_value_prints_exact_fraction(capsys):
@@ -336,25 +387,31 @@ def test_selftest_small_run(capsys):
 def test_a_repeated_selftest_proves_nothing_again(capsys, monkeypatch):
     argv = ("selftest", "--depth", "6", "--label-len", "4")
     first = run(capsys, *argv)
-    calls = {"fold": 0, "compose": 0}
-    fold, compose = cantor._fold, PLMap.compose
+    calls = {"fold": 0, "step": 0, "compose": 0}
+    fold, step, compose = cantor._fold, cantor._step, PLMap.compose
 
     def counted_fold(*args):
         calls["fold"] += 1
         return fold(*args)
 
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
     def counted_compose(self, other):
         calls["compose"] += 1
         return compose(self, other)
 
-    for module in (cantor, schreier, stabgen):
+    for module in (cantor, stabgen):
         monkeypatch.setattr(module, "_fold", counted_fold)
+    for module in (cantor, schreier):
+        monkeypatch.setattr(module, "_step", counted_step)
     monkeypatch.setattr(PLMap, "compose", counted_compose)
     second = run(capsys, *argv)
     assert first == second and first[0] == 0
-    assert calls == {"fold": 0, "compose": 0}
+    assert calls == {"fold": 0, "step": 0, "compose": 0}
     assert run(capsys, "verify", "4/15")[0] == 0  # the counters see the work of a new point
-    assert calls["fold"] > 0
+    assert calls["fold"] > 0 and calls["step"] > 0
 
 
 class _CountedCheck:

@@ -38,7 +38,7 @@ from thompsonf.schreier import (
     same_orbit,
     vertex_at_address,
 )
-from thompsonf import cantor, cli, schreier
+from thompsonf import cli, schreier
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
 from thompsonf.words import LETTERS, address_word, period_loop_word
@@ -563,14 +563,14 @@ def test_check_addresses_reports_collisions_as_the_reference_does(monkeypatch):
 
 
 def test_check_addresses_takes_at_most_two_letter_steps_per_label(monkeypatch):
-    step = cantor._step
+    step = schreier._step
     steps = [0]
 
-    def counted(v, w, s):
+    def counted(v, r, w, s):
         steps[0] += 1
-        return step(v, w, s)
+        return step(v, r, w, s)
 
-    monkeypatch.setattr(cantor, "_step", counted)
+    monkeypatch.setattr(schreier, "_step", counted)
     assert check_addresses("0100", 12).passed
     assert 0 < steps[0] <= 2 * (2 ** 13 - 1)  # folding every address from the root takes 127,242
 
