@@ -11,9 +11,11 @@ single argument (131,072 bytes on Linux) can be passed, as in
 command may be -.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
-failed search or a period or preperiod longer than MAX_PERIOD letters, 2 on
-a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when stdout
-is closed before all of the output is written, as in `selftest | head -n 1`.
+failed search, a period or preperiod longer than MAX_PERIOD letters or a
+command that runs out of memory, each with one `error: ...` line on stderr,
+2 on a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when
+stdout is closed before all of the output is written, as in
+`selftest | head -n 1`.
 """
 
 from __future__ import annotations
@@ -58,48 +60,94 @@ CLOSED_PIPE_STATUS = 141  # what a shell reports for a process that SIGPIPE ende
 STDIN = "-"  # a point or word argument that is read from standard input
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="thompsonf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("canon", help="print the canonical form and exact value of a point")
+def _point(p: argparse.ArgumentParser) -> None:
     p.add_argument("point")
 
-    p = sub.add_parser("act", help="apply a word to a point")
+
+def _act(p: argparse.ArgumentParser) -> None:
     p.add_argument("point")
     p.add_argument("word")
 
-    p = sub.add_parser("eval", help="print the breakpoints of the map of a word")
+
+def _eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("word")
 
-    p = sub.add_parser("value", help="print the exact rational value of a point")
-    p.add_argument("point")
 
-    p = sub.add_parser("graph", help="emit a Schreier-graph ball around a point")
+def _graph(p: argparse.ArgumentParser) -> None:
     p.add_argument("point")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--cap", type=int, default=100_000, help=f"vertex cap of the ball, at most {MAX_BALL_VERTICES}")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
-    p = sub.add_parser("path", help="shortest word moving one point to another")
+
+def _path(p: argparse.ArgumentParser) -> None:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--radius", type=int, default=32)
 
-    p = sub.add_parser("gens", help="stabilizer generating set for a point")
+
+def _gens(p: argparse.ArgumentParser) -> None:
     p.add_argument("point")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("verify", help="verify the stabilizer generating set for a point")
+
+def _verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("point")
     p.add_argument("--samples", type=int, default=100, help=f"random products to check, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=1)
 
-    p = sub.add_parser("selftest", help="run the full identity and uniqueness suites")
+
+def _selftest(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=8, help=f"index bound of the relator checks, 2 to {MAX_DEPTH}")
     p.add_argument("--label-len", type=int, default=5, help=f"longest A/B address checked, 1 to {MAX_LABEL_LEN}")
+
+
+# name -> (help text, function that adds the command's arguments to its parser)
+COMMANDS = {
+    "canon": ("print the canonical form and exact value of a point", _point),
+    "act": ("apply a word to a point", _act),
+    "eval": ("print the breakpoints of the map of a word", _eval),
+    "value": ("print the exact rational value of a point", _point),
+    "graph": ("emit a Schreier-graph ball around a point", _graph),
+    "path": ("shortest word moving one point to another", _path),
+    "gens": ("stabilizer generating set for a point", _gens),
+    "verify": ("verify the stabilizer generating set for a point", _verify),
+    "selftest": ("run the full identity and uniqueness suites", _selftest),
+}
+
+
+@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser, for the usage, help and errors of the program as a whole."""
+    parser = argparse.ArgumentParser(prog="thompsonf", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, the same as the full parser's subparser for it."""
+    parser = argparse.ArgumentParser(prog=f"thompsonf {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed in one pass of its command's own parser.
+
+    The full parser, which prints the same help and the same errors, parses
+    instead when argv[0] is not a command, or when the command's parser
+    leaves arguments it does not know: those are an error of the program as
+    a whole, reported with the full parser's usage.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, unknown = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _print_report(report: Report) -> int:
@@ -113,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parse_point bounds the digits it reads; interpreters without the limit need nothing lifted.
     """
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
@@ -125,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PathNotFoundError, BallCapacityError, PeriodCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input needs more than this process can allocate", file=sys.stderr)
         return 1
     finally:
         if limit is not None:

@@ -32,7 +32,6 @@ call reports them in a fresh Report.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -302,7 +301,8 @@ def _conjugator(point: RationalPoint) -> Word:
             image = (rhs[::-1] + v[k:], w) if k < len(v) else _fold(v, w, word)
         words.append(word)
         v, w = image
-    words.append(find_path(RationalPoint._canonical(v, w), RationalPoint._trusted("10", point.period)))
+    if (v, w) != ("10", point.period):  # on 10(W) itself the search would find the empty word
+        words.append(find_path(RationalPoint._canonical(v, w), RationalPoint._trusted("10", point.period)))
     return "".join(words)
 
 
@@ -463,6 +463,8 @@ def format_generators(gens: StabilizerGens) -> str:
 
 
 def generators_to_json(gens: StabilizerGens) -> str:
+    import json  # here, not at the top: no other command pays for loading it
+
     payload = {
         "point": str(gens.point),
         "h": format_word(gens.conjugator),

@@ -134,6 +134,118 @@ def test_sequence_commands_match_the_pinned_digest(capsys):
     assert digest.hexdigest() == SEQUENCE_CORPUS_SHA256
 
 
+def _numeral(n: int) -> str:
+    """The decimal numeral of n, past the interpreter's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _outcome(capsys, call, argv: list[str]) -> tuple[object, str, str]:
+    """What call returns for argv, or the status it exits with when argparse ends it, and what it prints."""
+    try:
+        result = call(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# sha256 of the exit code, stdout and stderr of every invocation of
+# _values_corpus(), in order, as printed when main ran both of argparse's
+# passes on the full parser for every request
+VALUES_CORPUS_SHA256 = "9af21521713a2334d2130ea7aca92879a437aaa50e86923d7090d456a0d4b3c3"
+
+
+def _values_corpus() -> list[list[str]]:
+    """About 300 invocations: canon and value, graph as DOT and as JSON at radius 1-10, and every usage and capacity error."""
+    rng = SplitMix64(29)
+
+    def point(max_pre: int, lo: int, hi: int) -> str:
+        return f"{_bits(rng, rng.below(max_pre + 1))}({_bits(rng, lo + rng.below(hi - lo + 1))})"
+
+    calls = []
+    for k in range(80):  # short points, some not canonical: a period that is a proper power, or a 1-tail
+        preperiod, period = _bits(rng, rng.below(9)), _bits(rng, 1 + rng.below(6))
+        calls.append([("canon", "value")[k % 2], f"{preperiod}({(period, period, period * 2, '1')[k % 4]})"])
+    for k in range(20):
+        calls.append([("canon", "value")[k % 2], point(2000, 500, 3500)])
+    for k in range(80):  # fractions, dyadic ones and ones not in lowest terms among them
+        den = (1 + rng.below(64), 1 + rng.below(5000), (1 + 2 * rng.below(50)) << rng.below(60))[k % 3]
+        scale = 1 + rng.below(3) if k % 5 == 0 else 1
+        calls.append([("canon", "value")[k % 2], f"{rng.below(den + 1) * scale}/{den * scale}"])
+    for radius in range(1, 11):
+        for source in ("(0)", "1/2", point(6, 1, 4), point(3, 1, 8)):
+            for fmt in ("dot", "json"):
+                calls.append(["graph", source, "--radius", str(radius), "--format", fmt])
+    # usage errors, exit 2: argparse's first, then the program's own.  An invalid
+    # choice is left out: how argparse quotes the choices differs between
+    # patch releases of one Python version (3.13.0 and 3.13.13)
+    calls += [
+        [],
+        ["canon"],
+        ["act", "1/3"],
+        ["path", "1/3"],
+        ["canon", "1/3", "extra"],
+        ["graph", "1/3", "--radius", "x"],
+        ["gens", "1/3", "--radius", "5"],
+        ["verify", "1/3", "--samples", "many"],
+        ["selftest", "--depth", "2.5"],
+        ["selftest", "4"],
+        ["canon", "x/3"],
+        ["value", "1/y"],
+        ["canon", "1/0"],
+        ["value", "4/3"],
+        ["canon", "0101"],
+        ["value", "012(01)"],
+        ["canon", "(01)1"],
+        ["canon", "(0)(1)"],
+        ["value", "1()"],
+        ["canon", "(012)"],
+        ["act", "1/3", "abX"],
+        ["eval", "ab c"],
+        ["graph", "1/3", "--radius", "-1"],
+        ["graph", "1/3", "--cap", "0"],
+        ["graph", "1/3", "--cap", "1000001"],
+        ["path", "1/3", "2/3", "--radius", "-1"],
+        ["selftest", "--depth", "1"],
+        ["selftest", "--depth", "65"],
+        ["selftest", "--label-len", "0"],
+        ["selftest", "--label-len", "13"],
+        ["verify", "1/3", "--samples", "0"],
+        ["verify", "1/3", "--samples", "100001"],
+        ["path", "-", "-"],
+        ["act", "-", "-"],
+    ]
+    calls += [  # capacity and search errors, exit 1
+        ["canon", "1" * 631307 + "/3"],
+        ["value", "1/" + "3" * 631307],
+        ["canon", "1/1048589"],
+        ["value", "1/" + _numeral(1 << MAX_PERIOD + 1)],
+        ["act", "0" * (MAX_PERIOD + 1) + "(1)", "a"],
+        ["canon", "(" + "0" * MAX_PERIOD + "1)"],
+        ["graph", "1/2", "--radius", "6", "--cap", "10"],
+        ["path", "(0011)", "01101001100101101001011010010110(0011)", "--radius", "99"],
+        ["path", "(01)", "101010101010101010101010(01)"],
+        ["path", "1/3", "1/5"],
+    ]
+    return calls
+
+
+def test_values_graphs_and_errors_match_the_pinned_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal's width
+    digest = hashlib.sha256()
+    for argv in _values_corpus():
+        code, out, err = _outcome(capsys, cli.main, argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == VALUES_CORPUS_SHA256
+
+
 def test_value_prints_exact_fraction(capsys):
     code, out, _ = run(capsys, "value", "1(0)")
     assert code == 0
@@ -477,30 +589,70 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert err.value.code == 2
 
 
+# argv that main parses, each compared with what a fresh full parser makes of it
+PARSER_CASES = (
+    [],
+    ["--help"],
+    ["-h", "gens"],
+    ["gens", "--help"],
+    ["frobnicate"],
+    ["act", "1/3"],
+    ["act", "--", "1/3", "ab"],
+    ["path", "1/3", "2/3", "--rad", "3"],
+    ["graph", "1/3", "--radius", "x"],
+    ["graph", "1/3", "--radius", "x", "extra"],
+    ["gens", "1/3", "--format", "xml"],
+    ["gens", "1/3", "--radius", "5"],
+    ["verify", "1/3", "--radius", "5"],
+)
+
+
 def test_reused_parser_prints_the_same_usage_errors_and_help(capsys):
-    # main builds its parser once; every later call must print what a fresh parser prints
+    # main builds each parser once; every later call must print what a fresh full parser prints
     assert cli._build_parser() is cli._build_parser()
+    assert cli._command_parser("gens") is cli._command_parser("gens")
     assert run(capsys, "canon", "1/3")[0] == 0
-    cases = (
-        [],
-        ["--help"],
-        ["gens", "--help"],
-        ["frobnicate"],
-        ["act", "1/3"],
-        ["graph", "1/3", "--radius", "x"],
-        ["gens", "1/3", "--format", "xml"],
-        ["gens", "1/3", "--radius", "5"],
-        ["verify", "1/3", "--radius", "5"],
-    )
-    for argv in cases:
-        outputs = []
-        for parse in (cli.main, cli._build_parser.__wrapped__().parse_args, cli.main):
-            with pytest.raises(SystemExit) as exc:
-                parse(list(argv))
-            captured = capsys.readouterr()
-            outputs.append((exc.value.code, captured.out, captured.err))
+    for argv in PARSER_CASES:
+        parsers = (cli._parse_args, cli._build_parser.__wrapped__().parse_args, cli._parse_args)
+        outputs = [_outcome(capsys, parse, argv) for parse in parsers]
         assert outputs[0] == outputs[1] == outputs[2], argv
-        assert outputs[0][1] or outputs[0][2]
+        if isinstance(outputs[0][0], int):  # an exit: main takes it too, with the same output
+            assert _outcome(capsys, cli.main, argv) == outputs[0], argv
+            assert outputs[0][1] or outputs[0][2]
+
+
+def test_each_command_parser_prints_the_help_and_usage_of_the_full_parser():
+    full = cli._build_parser.__wrapped__()
+    subparsers = next(action for action in full._actions if action.dest == "command").choices
+    assert list(subparsers) == list(cli.COMMANDS)
+    for name, subparser in subparsers.items():
+        alone = cli._command_parser.__wrapped__(name)
+        assert alone.format_usage() == subparser.format_usage(), name
+        assert alone.format_help() == subparser.format_help(), name
+
+
+def test_a_command_that_prints_no_json_does_not_load_it():
+    # a fresh interpreter without site, which would load modules of its own
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); assert 'json' not in sys.modules; "
+        "from thompsonf import cli; assert 'json' not in sys.modules, 'json loaded by the import'; "
+        "assert cli.main(['gens', '5/11']) == 0; assert 'json' not in sys.modules, 'json loaded by gens'; "
+        "assert cli._build_parser.cache_info().currsize == 0, 'full parser built'; "
+        "assert cli._command_parser.cache_info().currsize == 1, 'other command parsers built'"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("# point=(0111010001) h=AAbb w=0111010001\n")
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_one(capsys, monkeypatch):
+    def exhausted(point):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stabilizer_generators", exhausted)
+    code, out, err = run(capsys, "gens", "(0001)")
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: the input needs more than this process can allocate\n"
 
 
 def test_a_point_or_word_is_read_from_stdin(capsys, monkeypatch):

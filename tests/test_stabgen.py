@@ -348,6 +348,21 @@ def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
     assert sum(n == 1 for _, n in lengths) > 200  # dyadic points
 
 
+def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
+    # greedy shortening takes 10100(0111) to 10(0111) itself, and 1011(01) to 1(10), which the search finishes
+    landed, short = canonicalize("10100", "0111"), canonicalize("1011", "01")
+    words = {point: find_path(point, canonicalize("10", point.period)) for point in (landed, short)}
+    searched = []
+
+    def counted_find_path(source, target, *args):
+        searched.append(source)
+        return find_path(source, target, *args)
+
+    monkeypatch.setattr(stabgen, "find_path", counted_find_path)
+    assert [stabilizer_generators(point).conjugator for point in (landed, short)] == [words[landed], words[short]]
+    assert searched == [canonicalize("1", "10")]
+
+
 @pytest.mark.parametrize("length", [50, 200, 1000])
 def test_gens_and_verify_are_fast_on_long_preperiods(length):
     # the search from the point exceeded its vertex cap from about 32
