@@ -163,6 +163,74 @@ def test_value_to_point():
                 assert value_to_point(F(p, q)) == canonicalize(*fraction_to_vw(F(p, q)))
 
 
+class _Rebuilt(Exception):
+    pass
+
+
+def test_a_point_made_from_a_fraction_keeps_it_as_its_value(monkeypatch):
+    points = {
+        F(5, 11): parse_point("5/11"),
+        F(3, 11): parse_point("6/22"),
+        F(17, 30): value_to_point(F(17, 30)),
+        F(3, 1 << 40): value_to_point(F(3, 1 << 40)),
+        F(0): value_to_point(0),
+    }
+
+    def rebuilt(*args):
+        raise _Rebuilt(args)
+
+    monkeypatch.setattr(cantor, "Fraction", rebuilt)
+    for value, point in points.items():
+        assert point.value() == value
+    with pytest.raises(_Rebuilt):  # a point made from bits still builds its value
+        canonicalize("", "0100").value()
+
+
+def test_a_point_made_from_a_fraction_matches_the_one_made_from_its_bits():
+    rng = SplitMix64(22)
+    for i in range(1000):
+        kind, q = i % 5, rng.below(200) + 1  # kind 4 keeps any p/q
+        if kind == 0:
+            q = 1 << rng.below(12)  # dyadic
+        p = rng.below(q + 1)
+        if kind == 1:  # a common factor, as in 6/22
+            c = rng.below(9) + 2
+            p, q = p * c, q * c
+        elif kind == 2:
+            p = 0
+        elif kind == 3:
+            p = q
+        twin = canonicalize(*fraction_to_vw(F(p, q)))
+        for point in (value_to_point(F(p, q)), parse_point(f"{p}/{q}")):
+            assert point == twin and hash(point) == hash(twin) and repr(point) == repr(twin), (p, q)
+            assert point.value() == twin.value() == F(p, q), (p, q)
+
+
+def test_the_shared_points_keep_no_value():
+    assert value_to_point(1) is ONE_POINT
+    assert value_to_point(F(7, 7)) is ONE_POINT
+    assert parse_point("7/7") is ONE_POINT
+    value_to_point(0)
+    assert "_value" not in ONE_POINT.__dict__
+    assert "_value" not in ZERO_POINT.__dict__
+
+
+@pytest.mark.parametrize(
+    "value,error,message",
+    [
+        (0.5, TypeError, "refusing float input; pass Fraction for exactness"),
+        (F(-1, 3), ValueError, "value -1/3 outside [0, 1]"),
+        (-1, ValueError, "value -1 outside [0, 1]"),
+        (F(3, 2), ValueError, "value 3/2 outside [0, 1]"),
+        (2, ValueError, "value 2 outside [0, 1]"),
+    ],
+)
+def test_value_to_point_refuses_floats_and_values_outside_the_interval(value, error, message):
+    with pytest.raises(error) as err:
+        value_to_point(value)
+    assert str(err.value) == message
+
+
 def test_period_bound():
     # the order of 2 modulo the prime 1048589 is 1048588 > MAX_PERIOD = 2^20
     with pytest.raises(PeriodCapacityError):
@@ -244,6 +312,23 @@ def test_order_of_two_applies_a_lowered_bound(monkeypatch, cap):
         got = _order_of_two(m)
         assert got == _reference_order(m, cap), (m, cap)
         assert (got is None) == (order > cap), (m, cap)
+
+
+# the giant-step rounds rule out orders up to 1024, 4096, 16384 and 65536
+_ROUND_EDGES = (1024, 1025, 4096, 4097, 16384, 16385, 65536, 65537)
+
+
+@pytest.mark.parametrize("k", _ROUND_EDGES)
+def test_order_of_two_at_the_giant_step_round_edges(k):
+    # 2 has order k modulo 2^k - 1
+    assert _order_of_two((1 << k) - 1) == k
+
+
+@pytest.mark.parametrize("cap", [1024, 1025, 4096])
+def test_order_of_two_at_the_round_edges_under_a_lowered_bound(monkeypatch, cap):
+    monkeypatch.setattr(cantor, "MAX_PERIOD", cap)
+    for k in sorted({*_ROUND_EDGES, cap + 1}):
+        assert _order_of_two((1 << k) - 1) == (k if k <= cap else None), (k, cap)
 
 
 def test_periods_near_the_bound_convert_fast():
