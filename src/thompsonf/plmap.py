@@ -284,32 +284,41 @@ def _piece(text: str) -> PLMap:
 
 
 _LOW_BITS = (1 << 64) - 1
+# per letter: its exponent, its breakpoints' t numerators but the last, and its pieces (see _value_pieces)
+_Pieces = dict[str, tuple[int, list[int], list[tuple[int, int, int, int]]]]
 
 
 def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     """Exact image of t under the map of the word, without building that map.
 
     The value is folded through the pieces of _LETTER_MAPS, one letter at a
-    time.  It is kept as N / (D 2^k), with D the odd part of t's
-    denominator: a piece y = Y + 2^j (t - T), with dyadic T and Y, sends such
-    a value to another one over the same D, so each letter costs a few
-    shifts and additions.  The piece is found from the top bits of N, a
-    small number, by a floor division by D, and the common factors of two
-    are counted in the low 64 bits of N and shifted out instead of found by
-    a gcd.  A word of n letters costs n such steps, where word_to_plmap
-    builds a map that can have O(n) breakpoints over 2^n.
+    time, by _fold_value, with the pieces scaled for t's denominator by
+    _value_pieces.  A word of n letters costs n steps of a few shifts and
+    additions, where word_to_plmap builds a map that can have O(n)
+    breakpoints over 2^n.
     """
     if isinstance(t, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
     fr = Fraction(t)
     if fr < 0 or fr > 1:
         raise ValueError(f"argument {fr} outside [0, 1]")
-    num, den = fr.numerator, fr.denominator
-    k = (den & -den).bit_length() - 1
-    d = den >> k
-    # per letter: its exponent e, the numerators of its breakpoints but the
-    # last, and per piece (T D 2^e, Y D 2^e, log2 of the slope split into
-    # its positive and negative parts)
+    return _fold_value(word, fr, _value_pieces(_odd_part(fr.denominator)))
+
+
+def _odd_part(n: int) -> int:
+    """n without its factors of two, for n > 0."""
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def _value_pieces(d: int) -> _Pieces:
+    """The pieces of each letter map, as _fold_value reads them for values whose denominator has odd part d.
+
+    Per letter: its exponent e, the numerators of its breakpoints but the
+    last, and per piece (T d 2^e, Y d 2^e, log2 of the slope split into its
+    positive and negative parts).  Every image of such a value under F has
+    the same odd part d, so one table serves all the words folded at it and
+    at its images.
+    """
     pieces = {}
     for letter, m in _LETTER_MAPS.items():
         ts, ys = m._ts, m._ys
@@ -320,12 +329,28 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
             down = (dt // dy).bit_length() - 1 if dt > dy else 0
             steps.append((ts[i] * d, ys[i] * d, up, down))
         pieces[letter] = (m._e, ts[:-1], steps)
+    return pieces
+
+
+def _fold_value(word: Word, t: Fraction, pieces: _Pieces) -> Fraction:
+    """Exact image of t in [0, 1] under the word, given _value_pieces(d) for the odd part d of t's denominator.
+
+    The value is kept as N / (d 2^k): a piece y = Y + 2^j (t - T), with
+    dyadic T and Y, sends such a value to another one over the same d, so
+    each letter costs a few shifts and additions.  The piece is found from
+    the top bits of N, a small number, by a floor division by d, and the
+    common factors of two are counted in the low 64 bits of N and shifted
+    out instead of found by a gcd.
+    """
+    num, den = t.numerator, t.denominator
+    k = (den & -den).bit_length() - 1
+    d = den >> k
     for letter in word:
         e, ts, steps = pieces[letter]
         # floor(t 2^e) picks the piece; the shift leaves a small number, so it costs O(1)
         top = (num >> (k - e) if k >= e else num << (e - k)) // d
         td, yd, up, down = steps[bisect_right(ts, top) - 1]
-        num = (yd << (k + down)) + (((num << e) - (td << k)) << up)  # over D 2^(k + e + down)
+        num = (yd << (k + down)) + (((num << e) - (td << k)) << up)  # over d 2^(k + e + down)
         k += e + down
         low = num & _LOW_BITS or num  # the low bits, in O(1), unless they are all 0
         z = min((low & -low).bit_length() - 1, k) if low else k

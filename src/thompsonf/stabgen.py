@@ -3,13 +3,18 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to a base point.  h is built by greedy preperiod shortening: while
-the preperiod has more than two letters, the least word of at most three
-letters that shortens it, at O(1) per step on a reversed preperiod; then
-the bidirectional search of schreier.find_path finishes.  On every point
-the tests compare, up to preperiods of 24 letters, h is the least geodesic
-that the search alone finds; the search alone grows exponentially with the
-preperiod and exceeds its vertex cap from about 32 letters.
+moving b to a base point.  h is built in three parts.  Greedy preperiod
+shortening: while the preperiod has more than two letters, the least word of
+at most three letters that shortens it, at O(1) per step on a reversed
+preperiod.  The descent: while the sequence starts with 0, x0^-1, and while
+it starts with 11, x0, at O(1) per step on a rotation of the period, until
+it starts with 10.  Then the bidirectional search of schreier.find_path
+finishes at 10 w^inf, and only where the descent did not land there.  On
+every point the tests compare, up to preperiods of 24 letters and, from a
+preperiod of at most two letters, up to periods of 10, h is the least
+geodesic that the search alone finds; the search alone grows exponentially
+with the preperiod, exceeds its vertex cap from about 32 letters, and holds
+gigabytes on a period of 2^16 letters that the descent crosses in one walk.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -18,10 +23,11 @@ plus reproducible random products of generators and their inverses, which
 are built and drawn only when some generator moves the point.  Neither
 oracle builds the map of a word: the sequence is folded through cantor's
 rule table with a read offset into the period, at O(1) per letter, and the
-value through the pieces of the letter maps by plmap.evaluate_word, at a
-few operations per letter on integers about the size of the point's
-denominator; the conjugator's share of the five words, h and h^-1, is
-evaluated once.
+value through the pieces of the letter maps, as plmap.evaluate_word folds
+it, at a few operations per letter on integers about the size of the
+point's denominator; the pieces, scaled for that denominator, are built
+once per call, and the conjugator's share of the five words, h and h^-1,
+is evaluated once.
 
 The suites that do not depend on a point, check_reduction,
 check_twin_points, check_stabilizer_relators and the index identities of
@@ -36,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cantor import _HEADS, _LOOP, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
-from .plmap import PLMap, evaluate_word, identity, word_to_plmap, xn, yn
+from .cantor import _HEADS, _LOOP, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, _step, act_word, canonicalize
+from .plmap import PLMap, _fold_value, _odd_part, _value_pieces, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN, find_path
@@ -194,9 +200,10 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     for u is returned directly; otherwise the base set is conjugated by the
     word h with h(point) = 10 period^inf that _conjugator finds: greedy
     preperiod shortening, in linear time, down to a preperiod of at most two
-    letters, then find_path, bounded by its vertex cap only.  The whole word
-    is find_path's least geodesic on every point the tests compare, up to
-    preperiods of 24 letters (see _conjugator).
+    letters, then the descent to a sequence that starts with 10, in time
+    linear in the period, then find_path from where the descent lands,
+    bounded by its vertex cap only.  The whole word is find_path's least
+    geodesic on every point the tests compare (see _conjugator).
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
@@ -256,30 +263,43 @@ _SHORTENING, _READERS = _shortening_tables()
 
 
 def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf, by greedy preperiod shortening, then find_path.
+    """A word moving the point to 10 period^inf: greedy preperiod shortening, the descent, then find_path.
 
     While the canonical preperiod has more than two letters, the least word
-    of _SHORT_WORDS that makes it strictly shorter is appended; find_path
-    then finishes at 10 period^inf from a point whose preperiod has at most
-    two letters.  On a preperiod of more than _HEAD letters no word of
-    _SHORT_WORDS reads past it, so its last letter stays and the image is
-    canonical: the word is _SHORTENING's for the first _HEAD letters.  The
-    preperiod is then a list in reverse order, as _fold keeps it, whose end
-    holds the first letters of the sequence; the period is not read, so
-    _fold's read offset stays 0, and a step costs O(1).  On a preperiod of
-    three to _HEAD letters a word of _READERS may read into the period,
-    whose letters may then be absorbed, so each that reads that far is
-    folded exactly, before _SHORTENING's word, which shortens it for sure.
+    of _SHORT_WORDS that makes it strictly shorter is appended.  On a
+    preperiod of more than _HEAD letters no word of _SHORT_WORDS reads past
+    it, so its last letter stays and the image is canonical: the word is
+    _SHORTENING's for the first _HEAD letters.  The preperiod is then a list
+    in reverse order, as _fold keeps it, whose end holds the first letters
+    of the sequence; the period is not read, so _fold's read offset stays 0,
+    and a step costs O(1).  On a preperiod of three to _HEAD letters a word
+    of _READERS may read into the period, whose letters may then be
+    absorbed, so each that reads that far is folded exactly, before
+    _SHORTENING's word, which shortens it for sure.
+
+    The descent then walks down the sequence's first run: while it starts
+    with 0, A (00 -> 0, then 01 -> 10), and while it starts with 11, a
+    (11 -> 1), until it starts with 10.  It steps with cantor's _step on a
+    preperiod of at most two letters and a rotation r of the period, and
+    reads the first two letters from them, so a step costs O(1) and the
+    rotated period is built once, where the descent lands.  find_path
+    finishes from there at 10 period^inf, compared in canonical form, so a
+    landing on it, as on 1(0 ...) when the period ends in 0, runs no search.
+    On (0^(n-1) 1) the descent is A^(n-1) and on (1^(n-1) 0) it is a^(n-2),
+    and no search runs; the search alone held a tree of about 2 GB on
+    n = 2^16.
 
     The word is find_path's least geodesic, the least in LETTERS order among
     the shortest, on every point the tests compare it on: every canonical
     point with a preperiod of at most 12 letters and a period of at most 4,
-    and seeded points with preperiods of up to 24 letters.  Beyond that it
-    is a hypothesis, in line with Savchuk's description of these Schreier
-    graphs as trees with short cycles (Geom. Dedicata 2015); it moves the
-    point to the base point either way.  A search from the point grows by
-    about 1.85 times per letter of distance, and exceeds its vertex cap
-    from preperiods of about 32 letters.
+    seeded points with preperiods of up to 24 letters, and every non-base
+    point with a preperiod of at most 2 letters and a period of at most 10.
+    Beyond that it is a hypothesis, in line with Savchuk's description of
+    these Schreier graphs as trees with short cycles (Geom. Dedicata 2015),
+    in which the descent walks toward the cycle; it moves the point to the
+    base point either way.  A search from the point grows by about 1.85
+    times per letter of distance, and exceeds its vertex cap from
+    preperiods of about 32 letters.
     """
     v, w = point.preperiod, point.period
     words = []
@@ -301,8 +321,18 @@ def _conjugator(point: RationalPoint) -> Word:
             image = (rhs[::-1] + v[k:], w) if k < len(v) else _fold(v, w, word)
         words.append(word)
         v, w = image
-    if (v, w) != ("10", point.period):  # on 10(W) itself the search would find the empty word
-        words.append(find_path(RationalPoint._canonical(v, w), RationalPoint._trusted("10", point.period)))
+    r = 0
+    while True:  # the descent, on (preperiod, rotation) pairs over w: v has at most two letters throughout
+        head = v[:2] if len(v) > 1 else (v + w[r : r + 2] + w[:2] * 2)[:2]
+        if head == "10":
+            break
+        slot = _SLOT["A"] if head[0] == "0" else _SLOT["a"]
+        v, r = _step(v, r, w, slot)
+        words.append(LETTERS[slot])
+    landed = RationalPoint._canonical(v, w[r:] + w[:r])
+    target = RationalPoint._trusted("10", point.period)
+    if landed != target:  # on 10(W) itself the search would find the empty word
+        words.append(find_path(landed, target))
     return "".join(words)
 
 
@@ -320,12 +350,13 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     Every generator must fix the point under both the sequence action and
     exact PL-map evaluation at the point's rational value; seeded random
     products of 1 to MAX_FACTORS generators and their inverses must fix the
-    point as well.  The map of a generator is never built: evaluate_word
-    folds the value through the pieces of the letter maps, one letter at a
-    time, so the cost is linear in the word, where the map of a word of n
-    letters can have O(n) breakpoints over 2^n; the conjugator h and the
-    h^-1 that ends each conjugated generator are evaluated once for all the
-    words (see _evaluations).
+    point as well.  The map of a generator is never built: the value is
+    folded through the pieces of the letter maps, one letter at a time, as
+    evaluate_word folds it, so the cost is linear in the word, where the
+    map of a word of n letters can have O(n) breakpoints over 2^n; the
+    pieces are scaled for the value's denominator once, and the conjugator
+    h and the h^-1 that ends each conjugated generator are evaluated once
+    for all the words (see _evaluations).
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
@@ -366,29 +397,33 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
 def _evaluations(gens: StabilizerGens, value: Fraction) -> list[Fraction]:
     """evaluate_word(word, value) for each generator word, with the conjugator's share evaluated once.
 
-    Evaluation folds the letters in turn, so a word h u t, with h the
-    conjugator and t as long as h, is evaluated as t after u after h: h
-    once for all such words, and t once per distinct pair of t and its
-    argument, for a sound set once, where every t is h^-1 and every u fixes
-    h's image of the point.  A letter costs time linear in the bits of the
-    value, about as many as the letters of the point's preperiod, so on a
-    long preperiod this folds 2|h| letters where the five words take 10|h|.
+    The value and all its images share one odd part d of their
+    denominators, so the letter pieces scaled by d are built once, and
+    every word is folded with them.  Evaluation folds the letters in turn,
+    so a word h u t, with h the conjugator and t as long as h, is evaluated
+    as t after u after h: h once for all such words, and t once per
+    distinct pair of t and its argument, for a sound set once, where every
+    t is h^-1 and every u fixes h's image of the point.  A letter costs
+    time linear in the bits of the value, about as many as the letters of
+    the point's preperiod, so on a long preperiod this folds 2|h| letters
+    where the five words take 10|h|.
     """
+    pieces = _value_pieces(_odd_part(value.denominator))
     h = gens.conjugator
     if not h:
-        return [evaluate_word(word, value) for word in gens.generators]
+        return [_fold_value(word, value, pieces) for word in gens.generators]
     n = len(h)
-    at_h = evaluate_word(h, value)
+    at_h = _fold_value(h, value, pieces)
     tails: dict[tuple[Word, Fraction], Fraction] = {}
     values = []
     for word in gens.generators:
         if len(word) < 2 * n or not word.startswith(h):
-            values.append(evaluate_word(word, value))
+            values.append(_fold_value(word, value, pieces))
             continue
-        key = (word[-n:], evaluate_word(word[n:-n], at_h))
+        key = (word[-n:], _fold_value(word[n:-n], at_h, pieces))
         image = tails.get(key)
         if image is None:
-            image = tails[key] = evaluate_word(*key)
+            image = tails[key] = _fold_value(*key, pieces)
         values.append(image)
     return values
 

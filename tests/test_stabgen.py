@@ -349,9 +349,13 @@ def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
 
 
 def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
-    # greedy shortening takes 10100(0111) to 10(0111) itself, and 1011(01) to 1(10), which the search finishes
-    landed, short = canonicalize("10100", "0111"), canonicalize("1011", "01")
-    words = {point: find_path(point, canonicalize("10", point.period)) for point in (landed, short)}
+    # greedy shortening takes 10100(0111) to 10(0111) itself, and 101(10) to 1(10), from which the
+    # descent's a lands on (10), the canonical form of 10(10); on 11(0100) the descent's a lands on
+    # 1(0100), from which the search finishes at 1(0010); on 01(0100), whose period ends in 0, the
+    # descent's A lands on 1(0010), the canonical form of 10(0100), and no search runs
+    points = [canonicalize(v, w) for v, w in (("10100", "0111"), ("1011", "01"), ("11", "0100"), ("01", "0100"))]
+    words = [find_path(point, canonicalize("10", point.period)) for point in points]
+    assert words == ["BaBB", "Ba", "ab", "A"]
     searched = []
 
     def counted_find_path(source, target, *args):
@@ -359,8 +363,49 @@ def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
         return find_path(source, target, *args)
 
     monkeypatch.setattr(stabgen, "find_path", counted_find_path)
-    assert [stabilizer_generators(point).conjugator for point in (landed, short)] == [words[landed], words[short]]
-    assert searched == [canonicalize("1", "10")]
+    assert [stabilizer_generators(point).conjugator for point in points] == words
+    assert searched == [canonicalize("1", "0100")]
+
+
+def test_descent_and_search_give_find_paths_word_on_every_short_tail():
+    # every canonical non-base point with a preperiod of at most 2 letters and a primitive period of at
+    # most 10: no greedy step runs, so the word is the descent's, then the search's from where it lands
+    compared = 0
+    for n in range(1, 11):
+        for w in map("".join, product("01", repeat=n)):
+            if primitive_root(w) != w:
+                continue
+            for v in ("", "0", "1", "00", "01", "10", "11"):
+                if v[-1:] == w[-1] or (not v and n == 1):
+                    continue
+                point = RationalPoint(v, w)
+                if base_rotation(point) is None:
+                    assert stabgen._conjugator(point) == find_path(point, canonicalize("10", w)), point
+                    compared += 1
+    assert compared == 5896
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 4096])
+def test_descent_reaches_the_base_point_of_one_run_periods_without_a_search(monkeypatch, n):
+    # (0^(n-1) 1) takes A^(n-1) and (1^(n-1) 0) takes a^(n-2), (10) being a base point; the search
+    # alone needs about 2 GB at n = 2^16, so it is compared only where it is quick
+    cases = [
+        (RationalPoint("", "0" * (n - 1) + "1"), "A" * (n - 1)),
+        (RationalPoint("", "1" * (n - 1) + "0"), "a" * (n - 2)),
+    ]
+    if n <= 17:
+        assert [find_path(point, canonicalize("10", point.period)) for point, _ in cases] == [h for _, h in cases]
+    searched = []
+
+    def counted_find_path(source, target, *args):
+        searched.append(source)
+        return find_path(source, target, *args)
+
+    monkeypatch.setattr(stabgen, "find_path", counted_find_path)
+    for point, h in cases:
+        assert stabilizer_generators(point).conjugator == h
+        assert act_word(point, h) == canonicalize("10", point.period)
+    assert searched == []
 
 
 @pytest.mark.parametrize("length", [50, 200, 1000])
@@ -386,13 +431,14 @@ def test_verify_evaluates_the_conjugator_once_and_matches_whole_words(monkeypatc
     gens = stabilizer_generators(parse_point("0110110110(0011)"))
     h = gens.conjugator
     words = []
-    evaluate = stabgen.evaluate_word
+    evaluate = plmap.evaluate_word
+    fold = stabgen._fold_value
 
-    def counted(word, t):
+    def counted(word, t, pieces):
         words.append(word)
-        return evaluate(word, t)
+        return fold(word, t, pieces)
 
-    monkeypatch.setattr(stabgen, "evaluate_word", counted)
+    monkeypatch.setattr(stabgen, "_fold_value", counted)
     value = gens.point.value()
     assert [evaluate(word, value) for word in gens.generators] == [value] * 5
     assert verify_generators(gens).passed
@@ -402,6 +448,24 @@ def test_verify_evaluates_the_conjugator_once_and_matches_whole_words(monkeypatc
     lines = {c.name: c.passed for c in verify_generators(wrong).checks}
     assert not lines[f"generator 5 fixes {gens.point} (map evaluation)"]
     assert evaluate(h + "a" + invert_word(h), value) != value
+
+
+def test_verify_builds_the_letter_pieces_once_per_call(monkeypatch):
+    # the pieces scaled by the odd part of the point's denominator serve every word of the call, also
+    # when a wrong set makes it draw and fold random products
+    sound = [stabilizer_generators(parse_point(text)) for text in ("4/15", "0110110110(0011)", "1/20011", "7/24")]
+    wrong = StabilizerGens(sound[0].point, "", ("a", "A"), sound[0].period)
+    built = []
+    pieces = stabgen._value_pieces
+
+    def counted(d):
+        built.append(d)
+        return pieces(d)
+
+    monkeypatch.setattr(stabgen, "_value_pieces", counted)
+    assert [verify_generators(gens, samples=20).passed for gens in sound + [wrong]] == [True] * 4 + [False]
+    assert built == [plmap._odd_part(gens.point.value().denominator) for gens in sound + [wrong]]
+    assert built[:4] == [15, 5, 20011, 3]
 
 
 def test_conjugated_generators_for_a_non_base_point():
