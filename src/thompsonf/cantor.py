@@ -19,7 +19,8 @@ replacement by stepping r back, so no period is copied.  act_letter calls it
 at r = 0, and rotates the period once.  _fold, behind act_word, folds a
 word over the preperiod as a reversed list and a read offset into the
 unrotated period, reading the table with each head and replacement
-reversed, so a letter costs O(1) and the pair is made canonical once.
+reversed, so a letter costs O(1) and the pair is made canonical once;
+stabgen's conjugator reads _REVERSED_HEADS the same way on a long preperiod.
 The breadth-first search in schreier inlines _step, reading the rules of
 all four letters at once from one lookup; act_word and the search build a
 RationalPoint only for the points they return.

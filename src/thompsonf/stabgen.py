@@ -3,18 +3,17 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to a base point.  h is built in three parts.  Greedy preperiod
-shortening: while the preperiod has more than two letters, the least word of
-at most three letters that shortens it, at O(1) per step on a reversed
-preperiod.  The descent: while the sequence starts with 0, x0^-1, and while
-it starts with 11, x0, at O(1) per step on a rotation of the period, until
-it starts with 10.  Then the bidirectional search of schreier.find_path
-finishes at 10 w^inf, and only where the descent did not land there.  On
-every point the tests compare, up to preperiods of 24 letters and, from a
-preperiod of at most two letters, up to periods of 10, h is the least
-geodesic that the search alone finds; the search alone grows exponentially
-with the preperiod, exceeds its vertex cap from about 32 letters, and holds
-gigabytes on a period of 2^16 letters that the descent crosses in one walk.
+moving b to a base point: one letter rule, then a search.  The rule reads the
+first two letters of the sequence and the length of its preperiod, and
+appends x0^-1, x0 or x1^-1 at O(1) per letter, until the sequence starts with
+10 and the preperiod has at most two letters.  The bidirectional search of
+schreier.find_path finishes from there at 10 w^inf, and only where the rule
+did not land there.  On every point the tests compare, up to preperiods of
+24 letters and, from a preperiod of at most two letters, up to periods of
+10, h is the least geodesic that the search alone finds; the search alone
+grows exponentially with the preperiod, exceeds its vertex cap from about 32
+letters, and holds gigabytes on a period of 2^16 letters that the rule
+crosses in one walk.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -40,15 +39,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .cantor import _HEADS, _LOOP, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, _step, act_word, canonicalize
+from .cantor import _REVERSED_HEADS, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, _step, act_word, canonicalize
 from .plmap import PLMap, _fold_value, _odd_part, _value_pieces, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN, find_path
 from .words import (
-    LETTERS,
     Word,
     address_word,
     commutator,
@@ -198,12 +195,11 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
     for u is returned directly; otherwise the base set is conjugated by the
-    word h with h(point) = 10 period^inf that _conjugator finds: greedy
-    preperiod shortening, in linear time, down to a preperiod of at most two
-    letters, then the descent to a sequence that starts with 10, in time
-    linear in the period, then find_path from where the descent lands,
-    bounded by its vertex cap only.  The whole word is find_path's least
-    geodesic on every point the tests compare (see _conjugator).
+    word h with h(point) = 10 period^inf that _conjugator finds: one letter
+    rule on the sequence, at O(1) per letter, down to a sequence that starts
+    with 10 and a preperiod of at most two letters, then find_path from
+    there, bounded by its vertex cap only.  The whole word is find_path's
+    least geodesic on every point the tests compare (see _conjugator).
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
@@ -216,78 +212,46 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     return StabilizerGens(point, h, generators, w)
 
 
-# The words that greedy preperiod shortening tries, in the order it tries
-# them: every word of one to three letters, shortest first, then in LETTERS
-# order.  A rule reads at most three letters and drops at most one, so a word
-# of n letters reads at most n + 2 letters of a sequence: _HEAD for them all.
-_SHORT_WORDS = tuple("".join(letters) for n in (1, 2, 3) for letters in product(LETTERS, repeat=n))
-_HEAD = 5
+def _next_letter(head: str, long: bool) -> Word | None:
+    """The conjugator's letter on a sequence that starts with head, or None where it stops.
 
-
-def _rewrite(head: str, word: Word) -> tuple[int, str]:
-    """(k, r): the word rewrites the first k letters of every sequence that starts with the head into r."""
-    s, k = head, 0  # s is r + head[k:]
-    for letter in word:
-        n, rhs = _HEADS[s[:3]][_SLOT[letter]]
-        if n != _LOOP:
-            k = max(k, n - len(s) + len(head))
-            s = rhs + s[n:]
-    return k, s[: len(s) - len(head) + k]
-
-
-def _shortening_tables() -> tuple[dict[str, tuple[Word, int, str]], dict[str, tuple[tuple[Word, int], ...]]]:
-    """The tables of _conjugator, from the rules in cantor's _HEADS, by each head of _HEAD letters.
-
-    The first holds the least word of _SHORT_WORDS whose r is shorter than
-    its k, with that k and r, by the head and r reversed, as they read off
-    the end of a reversed preperiod.  Each of these words reads at most
-    three letters.  The second holds, with their k, the words before it
-    that read three letters or more: only these may read past a preperiod
-    of three to _HEAD letters, into the period, and shorten it there.
+    long says that the canonical preperiod has more than two letters.
     """
-    shortening, readers = {}, {}
-    for head in map("".join, product("01", repeat=_HEAD)):
-        earlier = []
-        for word in _SHORT_WORDS:
-            k, r = _rewrite(head, word)
-            if len(r) < k:
-                shortening[head[::-1]] = (word, k, r[::-1])
-                break
-            if k >= 3:
-                earlier.append((word, k))
-        readers[head] = tuple(earlier)
-    return shortening, readers
+    if head[0] == "0":
+        return "A"  # 00 -> 0, or 01 -> 10
+    if head[1] == "1":
+        return "a"  # 11 -> 1
+    return "B" if long else None  # 100 -> 10, or 101 -> 110
 
 
-_SHORTENING, _READERS = _shortening_tables()
+# _next_letter on a preperiod of more than three letters, by its first three
+# letters reversed, as they end a reversed preperiod, with that letter's rule
+# in cantor's _REVERSED_HEADS, none of them a _LOOP: (letter, k, reversed rhs).
+_LONG_STEPS = {
+    head: (letter, *_REVERSED_HEADS[head][_SLOT[letter]])
+    for head in _REVERSED_HEADS
+    for letter in [_next_letter(head[::-1], True)]
+}
 
 
 def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf: greedy preperiod shortening, the descent, then find_path.
+    """A word moving the point to 10 period^inf: one letter rule, then find_path.
 
-    While the canonical preperiod has more than two letters, the least word
-    of _SHORT_WORDS that makes it strictly shorter is appended.  On a
-    preperiod of more than _HEAD letters no word of _SHORT_WORDS reads past
-    it, so its last letter stays and the image is canonical: the word is
-    _SHORTENING's for the first _HEAD letters.  The preperiod is then a list
-    in reverse order, as _fold keeps it, whose end holds the first letters
-    of the sequence; the period is not read, so _fold's read offset stays 0,
-    and a step costs O(1).  On a preperiod of three to _HEAD letters a word
-    of _READERS may read into the period, whose letters may then be
-    absorbed, so each that reads that far is folded exactly, before
-    _SHORTENING's word, which shortens it for sure.
+    _next_letter reads the first two letters of the sequence and whether
+    the canonical preperiod has more than two letters.  There no letter
+    lengthens the preperiod, and within three letters one shortens it: 00
+    takes A, 010 AB, 011 ABa, 100 B, 101 Ba and 11 a.  From two letters
+    down, the rule walks the sequence's first run until it starts with 10.
 
-    The descent then walks down the sequence's first run: while it starts
-    with 0, A (00 -> 0, then 01 -> 10), and while it starts with 11, a
-    (11 -> 1), until it starts with 10.  It steps with cantor's _step on a
-    preperiod of at most two letters and a rotation r of the period, and
-    reads the first two letters from them, so a step costs O(1) and the
-    rotated period is built once, where the descent lands.  find_path
-    finishes from there at 10 period^inf, compared in canonical form, so a
-    landing on it, as on 1(0 ...) when the period ends in 0, runs no search.
-    On (0^(n-1) 1) the descent is A^(n-1) and on (1^(n-1) 0) it is a^(n-2),
-    and no search runs; the search alone held a tree of about 2 GB on
-    n = 2^16.
+    Above three letters no rule reads past the preperiod, so its last
+    letter stays and the image is canonical: the preperiod is a reversed
+    list, as _fold keeps it, stepped at its end by _LONG_STEPS at O(1).
+    From three letters down, cantor's _step steps the preperiod and a
+    rotation r of the period, also at O(1), and the rotated period is built
+    once, where the rule stops.  find_path finishes from there at
+    10 period^inf, compared in canonical form, so a landing on it, as on
+    1(0 ...) for a period that ends in 0, or on (0^(n-1) 1) after A^(n-1),
+    runs no search; the search alone held about 2 GB on n = 2^16.
 
     The word is find_path's least geodesic, the least in LETTERS order among
     the shortest, on every point the tests compare it on: every canonical
@@ -296,41 +260,25 @@ def _conjugator(point: RationalPoint) -> Word:
     point with a preperiod of at most 2 letters and a period of at most 10.
     Beyond that it is a hypothesis, in line with Savchuk's description of
     these Schreier graphs as trees with short cycles (Geom. Dedicata 2015),
-    in which the descent walks toward the cycle; it moves the point to the
-    base point either way.  A search from the point grows by about 1.85
-    times per letter of distance, and exceeds its vertex cap from
-    preperiods of about 32 letters.
+    in which the rule walks toward the cycle; it moves the point to the
+    base point either way.
     """
     v, w = point.preperiod, point.period
     words = []
     stack = list(v[::-1])
-    while len(stack) > _HEAD:
-        word, k, rhs = _SHORTENING["".join(stack[-_HEAD:])]
+    while len(stack) > 3:
+        letter, k, rhs = _LONG_STEPS["".join(stack[-3:])]
         stack[-k:] = rhs
-        words.append(word)
-    v = "".join(stack[::-1])
-    while len(v) > 2:
-        head = (v + w[:_HEAD] * _HEAD)[:_HEAD]
-        for word, k in _READERS[head]:
-            if k >= len(v):
-                image = _fold(v, w, word)
-                if len(image[0]) < len(v):
-                    break
-        else:
-            word, k, rhs = _SHORTENING[head[::-1]]
-            image = (rhs[::-1] + v[k:], w) if k < len(v) else _fold(v, w, word)
-        words.append(word)
-        v, w = image
-    r = 0
-    while True:  # the descent, on (preperiod, rotation) pairs over w: v has at most two letters throughout
-        head = v[:2] if len(v) > 1 else (v + w[r : r + 2] + w[:2] * 2)[:2]
-        if head == "10":
+        words.append(letter)
+    v, r = "".join(stack[::-1]), 0
+    while True:  # on (preperiod, rotation) pairs over w: v has at most three letters throughout
+        letter = _next_letter((v + w[r : r + 2] + w[:2] * 2)[:2], len(v) > 2)
+        if letter is None:
             break
-        slot = _SLOT["A"] if head[0] == "0" else _SLOT["a"]
-        v, r = _step(v, r, w, slot)
-        words.append(LETTERS[slot])
+        v, r = _step(v, r, w, _SLOT[letter])
+        words.append(letter)
     landed = RationalPoint._canonical(v, w[r:] + w[:r])
-    target = RationalPoint._trusted("10", point.period)
+    target = RationalPoint._trusted("10", w)
     if landed != target:  # on 10(W) itself the search would find the empty word
         words.append(find_path(landed, target))
     return "".join(words)

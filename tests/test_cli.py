@@ -134,6 +134,28 @@ def test_sequence_commands_match_the_pinned_digest(capsys):
     assert digest.hexdigest() == SEQUENCE_CORPUS_SHA256
 
 
+# sha256 of the exit code, stdout and stderr of gens on every point of
+# _long_preperiod_points(), in order, as printed when the conjugator shortened
+# a preperiod greedily by the least word of at most three letters, read from a
+# table of 5-letter heads; a search from such a point exceeds its vertex cap,
+# so only a pinned digest compares the conjugators there
+LONG_PREPERIOD_SHA256 = "024a6315a273bdd2a9a02d45482447c68f9bb3d7b60a2229353d7a1bca2bd2f6"
+
+
+def _long_preperiod_points() -> list[str]:
+    """200 seeded points with preperiods of 25 to 5000 letters and periods of 1 to 64."""
+    rng = SplitMix64(24)
+    return [f"{_bits(rng, 25 + rng.below(4976))}({_bits(rng, 1 + rng.below(64))})" for _ in range(200)]
+
+
+def test_gens_on_long_preperiods_matches_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for point in _long_preperiod_points():
+        code, out, err = run(capsys, "gens", point)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == LONG_PREPERIOD_SHA256
+
+
 def _numeral(n: int) -> str:
     """The decimal numeral of n, past the interpreter's int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -349,10 +349,10 @@ def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
 
 
 def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
-    # greedy shortening takes 10100(0111) to 10(0111) itself, and 101(10) to 1(10), from which the
-    # descent's a lands on (10), the canonical form of 10(10); on 11(0100) the descent's a lands on
-    # 1(0100), from which the search finishes at 1(0010); on 01(0100), whose period ends in 0, the
-    # descent's A lands on 1(0010), the canonical form of 10(0100), and no search runs
+    # the letter rule takes 10100(0111) to 10(0111) itself, and 101(10) by B to 1(10), then by a
+    # to (10), the canonical form of 10(10); on 11(0100) its a lands on 1(0100), from which the
+    # search finishes at 1(0010); on 01(0100), whose period ends in 0, its A lands on 1(0010), the
+    # canonical form of 10(0100), and no search runs
     points = [canonicalize(v, w) for v, w in (("10100", "0111"), ("1011", "01"), ("11", "0100"), ("01", "0100"))]
     words = [find_path(point, canonicalize("10", point.period)) for point in points]
     assert words == ["BaBB", "Ba", "ab", "A"]
@@ -369,7 +369,8 @@ def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
 
 def test_descent_and_search_give_find_paths_word_on_every_short_tail():
     # every canonical non-base point with a preperiod of at most 2 letters and a primitive period of at
-    # most 10: no greedy step runs, so the word is the descent's, then the search's from where it lands
+    # most 10: the letter rule never takes B there, so the word is its walk down the first run of the
+    # sequence, then the search's from where it lands
     compared = 0
     for n in range(1, 11):
         for w in map("".join, product("01", repeat=n)):
@@ -383,6 +384,31 @@ def test_descent_and_search_give_find_paths_word_on_every_short_tail():
                     assert stabgen._conjugator(point) == find_path(point, canonicalize("10", w)), point
                     compared += 1
     assert compared == 5896
+
+
+def test_letter_rule_shortens_a_long_preperiod_within_three_letters():
+    # the rule's termination argument: while the canonical preperiod has more than two letters, no
+    # letter makes it longer and one of every three makes it shorter; each point takes at most three
+    # letters per preperiod letter, so the test stays bounded even under a wrong rule
+    periods = [w for n in range(1, 4) for w in map("".join, product("01", repeat=n)) if primitive_root(w) == w]
+    heads = set()
+    for n in range(3, 7):
+        for v in map("".join, product("01", repeat=n)):
+            for w in periods:
+                point = canonicalize(v, w)
+                if len(point.preperiod) > 2:
+                    heads.add(point.preperiod[:3])
+                while len(point.preperiod) > 2:
+                    before = point
+                    for _ in range(3):
+                        letter = stabgen._next_letter(point.prefix(2), len(point.preperiod) > 2)
+                        assert letter is not None, (v, w, point)
+                        point = act_letter(point, letter)
+                        assert len(point.preperiod) <= len(before.preperiod), (v, w, before, point)
+                        if len(point.preperiod) < len(before.preperiod):
+                            break
+                    assert len(point.preperiod) < len(before.preperiod), (v, w, before)
+    assert heads == set(map("".join, product("01", repeat=3)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 4096])
