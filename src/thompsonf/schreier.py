@@ -15,18 +15,24 @@ Balls and shortest paths grow the same BFS tree, one whole layer at a time,
 kept in flat lists: the preperiods and the rotations in discovery order and,
 per vertex, the number of its parent and the slot in BFS_LETTERS of the
 letter that discovered it.  The search inlines cantor._step on its rule
-table, _HEADS, whose slots follow BFS_LETTERS: one lookup gives the rules of
-all four letters at a vertex.  Two kinds of image are known without looking
-a key up: the letter that undoes the discovering one leads back to the
-parent, and a rule marked _LOOP, one that rewrites its left side to itself
-(x1 and x1^-1 on a sequence that starts with 0), fixes the vertex.  A ball's
-tree also records the x0 and x1 edges of every vertex it expands, as a flat
-list; only the boundary layer, the vertices at the full radius, has its
-images computed afterwards, through the same table and with the same two
-skips.  A ball is that tree: its RationalPoint vertices, parents, distances
-and edge tuples are views built on first access, with each rotation's period
-text built once.  The DOT and JSON exports write their text from the
-preperiods, the rotation texts and the flat edge list without them.
+table, _HEADS, whose slots follow BFS_LETTERS.  Which letters it applies is
+settled at import, in one plan per discovering letter and head, the first
+three letters of the sequence: _PLANS, derived from _HEADS.  Three kinds of
+image are known without building or looking up a key.  The letter that
+undoes the discovering one leads back to the parent.  A rule marked _LOOP,
+one that rewrites its left side to itself (x1 and x1^-1 on a sequence that
+starts with 0), fixes the vertex.  And two twin letters give the same point
+on every sequence with the head: x0^-1 and x1^-1 on 11, x0 and x1 on 111,
+the parallel edges of the Schreier graph.  The later twin shares the earlier
+one's image, and a twin of the letter back leads to the parent too.  A plan
+lists the other letters as its steps, with their rules, and says where the
+x0 and x1 images are.  A ball's tree also records the x0 and x1 edges of
+every vertex it expands, as a flat list; only the boundary layer, the
+vertices at the full radius, has its images computed afterwards, from the
+same plans.  A ball is that tree: its RationalPoint vertices, parents,
+distances and edge tuples are views built on first access, with each
+rotation's period text built once.  The DOT and JSON exports write their text
+from the preperiods, the rotation texts and the flat edge list without them.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -49,11 +55,57 @@ from .words import LETTERS, Word, address_word, period_loop_word
 BFS_LETTERS = LETTERS
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 MAX_BALL_VERTICES = 1_000_000  # greatest vertex cap of a ball
-# _HEADS with each rule led by its slot, so that grow unpacks one flat triple per letter
-_SLOTTED = {head: tuple((s, n, rhs) for s, (n, rhs) in enumerate(rules)) for head, rules in _HEADS.items()}
 
 _Parent = tuple[int, str] | None
 _Edge = tuple[int, str, int]
+_Step = tuple[int, int, str]
+_Plan = tuple[tuple[_Step, ...], tuple[int, ...]]
+
+# where a plan finds an image: in [parent, vertex, image of steps[0], image of steps[1], ...]
+_PARENT, _SELF = 0, 1
+
+
+def _plan(found_by: int, head: str) -> _Plan:
+    """The letters to apply to a vertex whose sequence starts with head, discovered by the letter in slot found_by.
+
+    found_by is -1 for a root.  Returns steps, the (slot, lhs length, rhs)
+    of each letter whose image can be a new vertex, in BFS_LETTERS order,
+    and where, whose entry s says where the image of the letter in slot s
+    is: _PARENT, _SELF, or 2 + k for the image of steps[k].  Two letters are
+    twins on the head when their rules (n1, r1) and (n2, r2), n1 <= n2,
+    satisfy r2 == r1 + head[n1:n2]: on every sequence with that head they
+    give the same point, as x0^-1 and x1^-1 do on 11 and x0 and x1 on 111.
+    A _LOOP rule leads to the vertex itself, the letter that undoes the
+    discovering one and its twins to the parent, and a twin of an earlier
+    letter to that letter's image.  A skipped letter's image is known before
+    it comes up in BFS order, so skipping it numbers no vertex differently.
+    """
+    rules = _HEADS[head]
+
+    def twins(s: int, t: int) -> bool:
+        (n1, r1), (n2, r2) = sorted((rules[s], rules[t]))
+        return n1 != _LOOP and r2 == r1 + head[n1:n2]
+
+    back = found_by ^ 1  # the slot of the inverse letter; -2 for a root, which has no parent
+    steps: list[_Step] = []
+    where: list[int] = []
+    for s, (n, rhs) in enumerate(rules):
+        if n == _LOOP:
+            where.append(_SELF)
+        elif back >= 0 and (s == back or twins(s, back)):
+            where.append(_PARENT)
+        else:
+            twin = next((t for t in range(s) if twins(s, t)), None)
+            if twin is None:
+                steps.append((s, n, rhs))
+                where.append(1 + len(steps))
+            else:
+                where.append(where[twin])
+    return tuple(steps), tuple(where)
+
+
+# _PLANS[found_by][head] is _plan(found_by, head); the root's plan, found_by -1, is the last entry
+_PLANS = tuple({head: _plan(found_by, head) for head in _HEADS} for found_by in (*range(len(BFS_LETTERS)), -1))
 
 
 class BallCapacityError(RuntimeError):
@@ -90,13 +142,15 @@ class _Tree:
     is the layer at depth d.  parent[i] is the number of the vertex that
     discovered vertex i and slot[i] the place in BFS_LETTERS of the letter it
     took, both -1 for the root.  Growing expands the outermost layer in
-    vertex order, letters in BFS_LETTERS order.  It skips the letter
-    slot[i] ^ 1, whose image is parent[i], and the letters whose rule at
-    vertex i is marked _LOOP, whose image is i.  Given a list, it also
-    appends the x0 and x1 edges of every expanded vertex to it, in vertex
-    order and flat: source, "x0", target, source, "x1", target.  Balls pass
-    one as flat_edges, shortest-path searches do not.  Outside grow and
-    ball, one letter's image is cantor._step's on period.
+    vertex order, letters in BFS_LETTERS order.  At vertex i it applies only
+    the steps of _PLANS[slot[i]][head], head the first three letters of the
+    sequence: the letters whose image can be a new vertex.  Each other
+    letter leads to parent[i], to i by a _LOOP rule, or to the image of an
+    earlier twin letter.  Given a list, it also appends the x0 and x1 edges
+    of every expanded vertex to it, in vertex order and flat: source, "x0",
+    target, source, "x1", target.  Balls pass one as flat_edges,
+    shortest-path searches do not.  Outside grow and ball, one letter's
+    image is cantor._step's on period.
     """
 
     def __init__(self, period: str, root: str, rotation: int = 0, flat_edges: list[int | str] | None = None):
@@ -121,29 +175,29 @@ class _Tree:
     def grow(self, limit: int) -> bool:
         """Add the next layer; False, and no layer, when it would hold more than limit vertices in all.
 
-        The image back to the parent and the image under a _LOOP rule, the
-        vertex itself, are set without building or looking up a key.
+        Each vertex applies only the steps of its plan.  In every ball of
+        radius 12 or 13 measured, two lookups found a known vertex: the one
+        cycle edge seen from both ends, or two self-images of 1(0) or of an
+        endpoint.  A ball's tree keeps the images of a vertex in a list after
+        its parent and itself, and the plan's where gives the places of x0
+        and x1 in it; a tree that records no edges keeps no list.
         """
         # cantor._step is inlined here and in ball's boundary pass: calling it per
-        # image made radius-13 balls 44% and 13% slower (2-vCPU Xeon, Python 3.11)
+        # image made 40 seeded radius-13 balls 31% and 12% slower (2-vCPU Xeon, Python 3.11)
         pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.flat_edges
         period, ahead, m = self.period, self.ahead, len(self.period)
+        keep = edges is not None
         count = len(pre)
         for i in range(self.starts[-2], self.starts[-1]):
             v = pre[i]
             r = rot[i]
             own = index[r]
             nv = len(v)
-            back = slot[i] ^ 1
-            images = []
-            for s, n, rhs in _SLOTTED[v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]:
-                if s == back:
-                    images.append(parent[i])
-                    continue
+            steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
+            if keep:
+                images = [parent[i], i]
+            for s, n, rhs in steps:
                 if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
-                    if n == _LOOP:  # below every nv: the letter fixes the vertex
-                        images.append(i)
-                        continue
                     u, q, at = rhs + v[n:], r, own
                 else:  # the rule reads n - nv letters of the period
                     u, q = _absorb(rhs, (r + n - nv) % m, period)
@@ -158,10 +212,11 @@ class _Tree:
                     rot.append(q)
                     parent.append(i)
                     slot.append(s)
-                images.append(j)
-            if edges is not None:
+                if keep:
+                    images.append(j)
+            if keep:
                 # x0 and x1 are the first and the third of BFS_LETTERS
-                edges += (i, "x0", images[0], i, "x1", images[2])
+                edges += (i, "x0", images[where[0]], i, "x1", images[where[2]])
         self.starts.append(count)
         return True
 
@@ -227,10 +282,10 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
     gives those of the vertices it expanded; only the boundary layer, the
     vertices at the full radius, has its images computed here.  Each of its
-    vertices takes one _HEADS lookup for both letters, and an image that
-    is the vertex's parent or, by a _LOOP rule, the vertex itself is not
-    looked up.  vertex_cap is at most MAX_BALL_VERTICES, checked before the
-    search starts.
+    vertices reads its plan once for both letters, and only an image that
+    the plan gives as a step is looked up; the parent and, by a _LOOP rule,
+    the vertex itself are not.  vertex_cap is at most MAX_BALL_VERTICES,
+    checked before the search starts.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -250,15 +305,16 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
         v = pre[i]
         r = rot[i]
         nv = len(v)
-        back = slot[i] ^ 1
-        rules = _HEADS[v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
-        for s, label in ((0, "x0"), (2, "x1")):
-            if s == back:
+        steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
+        for k, label in ((where[0], "x0"), (where[2], "x1")):
+            if k == _PARENT:
                 j = parent[i]
+            elif k == _SELF:
+                j = i
             else:
-                n, rhs = rules[s]
+                _, n, rhs = steps[k - 2]
                 if n < nv:
-                    j = i if n == _LOOP else index[r].get(rhs + v[n:])
+                    j = index[r].get(rhs + v[n:])
                 else:
                     u, q = _absorb(rhs, (r + n - nv) % m, period)
                     j = index[q].get(u) if q in index else None

@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -16,8 +17,10 @@ from thompsonf.cantor import (
     PointSyntaxError,
     RationalPoint,
     ZERO_POINT,
+    _PLAIN_DIGITS,
     _fold,
     _order_of_two,
+    _read_digits,
     _step,
     act_letter,
     act_word,
@@ -590,6 +593,29 @@ def test_parse_point_errors_carry_positions(text, position):
     with pytest.raises(PointSyntaxError) as err:
         parse_point(text)
     assert err.value.position == position
+
+
+def test_long_numerals_read_by_halves_equal_int():
+    rng = SplitMix64(41)
+
+    def numeral(n: int) -> str:
+        return "".join(format(rng.next_u64(), "020d") for _ in range(n // 20 + 1))[:n]
+
+    edge = [1, 2, _PLAIN_DIGITS - 1, _PLAIN_DIGITS, _PLAIN_DIGITS + 1, 2 * _PLAIN_DIGITS, 2 * _PLAIN_DIGITS + 1, 20_000]
+    texts = [numeral(n) for n in edge + [1 + rng.below(20_000) for _ in range(40)]]
+    texts += ["0" * (1 + rng.below(6000)) + text for text in texts[::3]]  # leading zeros
+    # zeros across the joins: every low part starts with a run of zeros, and a numeral of zeros only
+    texts += ["7" + "0" * (n - 2) + "3" for n in edge[2:]] + ["0" * 20_000]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for text in texts:
+            assert _read_digits(text) == int(text), len(text)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert parse_point("1/" + "0" * 9000 + "3") == parse_point("1/3")
 
 
 def test_prefix_unrolls_the_period():

@@ -268,6 +268,45 @@ def test_values_graphs_and_errors_match_the_pinned_digest(capsys, monkeypatch):
     assert digest.hexdigest() == VALUES_CORPUS_SHA256
 
 
+# sha256 of the exit code, stdout and stderr of every invocation of
+# _radius_corpus(), in order, as printed when the search looked up the image
+# of every letter but the one back to the parent and the _LOOP rules
+RADIUS_CORPUS_SHA256 = "8000883d1854599e24c9fc1706c9d899bdf197690a05e5d6d60a2709bdd67823"
+
+
+def _radius_corpus() -> list[list[str]]:
+    """graph as DOT and JSON at radius 11-13, path on seeded pairs and capped radius-13 balls: the orbits workload's sizes."""
+    rng = SplitMix64(31)
+
+    def point() -> str:  # a preperiod of 0-8 letters and a period of 1-6, as the orbits workload draws them
+        return f"{_bits(rng, rng.below(9))}({_bits(rng, 1 + rng.below(6))})"
+
+    sources = ["1/2", "1/3", "(0)", "(01)"] + [point() for _ in range(20)]
+    calls = [
+        ["graph", source, "--radius", str(radius), "--format", fmt]
+        for source in sources
+        for radius in (11, 12, 13)
+        for fmt in ("dot", "json")
+    ]
+    for _ in range(100):
+        source = point()
+        word = "".join([rng.choice("aAbB") for _ in range(4 + rng.below(7))])
+        calls.append(["path", source, str(act_word(parse_point(source), word))])
+    calls += [
+        ["graph", "0110(011)", "--radius", "13", "--cap", "3000"],
+        ["graph", "1/2", "--radius", "13", "--cap", "700"],
+    ]
+    return calls
+
+
+def test_graphs_and_paths_at_the_benchmark_radius_match_the_pinned_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _radius_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == RADIUS_CORPUS_SHA256
+
+
 def test_value_prints_exact_fraction(capsys):
     code, out, _ = run(capsys, "value", "1(0)")
     assert code == 0

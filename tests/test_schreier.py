@@ -22,8 +22,12 @@ from thompsonf.cantor import (
     act_word,
     canonicalize,
     parse_point,
+    primitive_root,
 )
 from thompsonf.schreier import (
+    _PARENT,
+    _PLANS,
+    _SELF,
     _Tree,
     BFS_LETTERS,
     MAX_BALL_VERTICES,
@@ -156,6 +160,41 @@ def test_loop_marks_are_exactly_the_identity_rules():
                 assert rules[s] == matching[0]
             else:
                 assert rules[s] == (_LOOP, matching[0][1])
+
+
+def test_each_plan_names_the_image_of_every_letter_it_leaves_out():
+    # Every sequence with a preperiod of at most 5 letters and a primitive
+    # period of at most 3, as a vertex discovered by each letter and as a root
+    periods = [w for n in range(1, 4) for w in map("".join, product("01", repeat=n)) if primitive_root(w) == w]
+    points = {canonicalize("".join(v), w) for n in range(6) for v in product("01", repeat=n) for w in periods}
+    heads = set()
+    for x in sorted(points, key=str):
+        head = x.prefix(3)
+        heads.add(head)
+        for found_by, plans in zip((0, 1, 2, 3, -1), _PLANS):
+            steps, where = plans[head]
+            slots = [s for s, _, _ in steps]
+            assert slots == sorted(slots)
+            assert all((n, rhs) == _HEADS[head][s] for s, n, rhs in steps)
+            parent = act_letter(x, BFS_LETTERS[found_by ^ 1]) if found_by >= 0 else None
+            images = [parent, x] + [act_letter(x, BFS_LETTERS[s]) for s in slots]
+            for s, letter in enumerate(BFS_LETTERS):
+                k = where[s]
+                if s in slots:
+                    assert k == 2 + slots.index(s)
+                else:  # the parent, the vertex itself or the image of an earlier step
+                    assert k in (_PARENT, _SELF) or slots[k - 2] < s, (x, found_by, s)
+                    assert found_by >= 0 or k != _PARENT
+                assert act_letter(x, letter) == images[k], (x, found_by, letter)
+    assert heads == set(_HEADS)
+    # the twins a root's plan finds: x0^-1 and x1^-1 on 110, and both pairs on 111
+    twins = {
+        (head, steps[where[s] - 2][0], s)
+        for head, (steps, where) in _PLANS[-1].items()
+        for s in range(4)
+        if where[s] >= 2 and steps[where[s] - 2][0] != s
+    }
+    assert twins == {("110", 1, 3), ("111", 0, 2), ("111", 1, 3)}
 
 
 def _reference_bfs(seed, radius):
