@@ -33,9 +33,9 @@ point whose period or preperiod would be longer than MAX_PERIOD letters with
 PeriodCapacityError, before they build it.  The period of p/q has as many
 letters as the order of 2 modulo the odd part of q, which a baby-step
 giant-step search finds in O(sqrt(n)) steps for an order n, or rules out
-beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps; each round of giant steps
-starts past the orders the earlier rounds ruled out.  A p/q with more digits
-than 2^(2 MAX_PERIOD) is refused the same way, before its digits are read.
+beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps, and at once for an odd part
+of more than MAX_PERIOD bits.  A p/q with more digits than 2^(2 MAX_PERIOD)
+is refused the same way, before its digits are read.
 A point made from a fraction keeps that fraction as its value.
 """
 
@@ -299,9 +299,13 @@ def _order_of_two(m: int) -> int | None:
     reaches MAX_PERIOD.  Each round starts at the first i whose orders the
     earlier rounds have not ruled out, so no order is tested twice.  An
     order n costs O(sqrt(n)) steps, a value past the bound O(sqrt(MAX_PERIOD)):
-    1024 baby and 1520 giant steps at MAX_PERIOD = 2^20.
+    1024 baby and 1520 giant steps at MAX_PERIOD = 2^20.  As m divides
+    2^n - 1 < 2^n, n is at least the bit length of m, so an m of more than
+    MAX_PERIOD bits is refused before any step.
     """
     cap = MAX_PERIOD
+    if m.bit_length() > cap:
+        return None
     one = 1 % m
     table: dict[int, int] = {}
     j, power, s, covered = 0, one, 32, 0

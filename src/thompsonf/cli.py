@@ -225,7 +225,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "verify":
         point = parse_point(args.point)
-        validate_samples(args.samples)  # before the conjugator search, which may take seconds
+        validate_samples(args.samples)  # before any generator is built
         gens = stabilizer_generators(point)
         report = verify_generators(gens, samples=args.samples, seed=args.seed)
         report.merge(check_stabilizer_relators())

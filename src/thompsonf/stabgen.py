@@ -3,17 +3,12 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to a base point: one letter rule, then a search.  The rule reads the
-first two letters of the sequence and the length of its preperiod, and
-appends x0^-1, x0 or x1^-1 at O(1) per letter, until the sequence starts with
-10 and the preperiod has at most two letters.  The bidirectional search of
-schreier.find_path finishes from there at 10 w^inf, and only where the rule
-did not land there.  On every point the tests compare, up to preperiods of
-24 letters and, from a preperiod of at most two letters, up to periods of
-10, h is the least geodesic that the search alone finds; the search alone
-grows exponentially with the preperiod, exceeds its vertex cap from about 32
-letters, and holds gigabytes on a period of 2^16 letters that the rule
-crosses in one walk.
+moving b to 10 w^inf, read off the binary expansion of b: a letter rule
+appends x0^-1, x0 or x1^-1 by the first two letters of the sequence and the
+length of its preperiod, at O(1) per letter, down to a base point 10 w'^inf
+for a rotation w' of w, and h ends in the shorter arc from there to 10 w^inf
+of the cycle that the fifth generator closes.  On every point the tests
+compare, h is a least geodesic of the Schreier graph.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -44,7 +39,7 @@ from .cantor import _REVERSED_HEADS, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT
 from .plmap import PLMap, _fold_value, _odd_part, _value_pieces, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
-from .schreier import MAX_LABEL_LEN, find_path
+from .schreier import MAX_LABEL_LEN
 from .words import (
     Word,
     address_word,
@@ -52,6 +47,7 @@ from .words import (
     conjugate,
     format_word,
     invert_word,
+    period_loop_word,
     relator_words,
     stabilizer_period_word,
     xn_word,
@@ -195,11 +191,8 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
     for u is returned directly; otherwise the base set is conjugated by the
-    word h with h(point) = 10 period^inf that _conjugator finds: one letter
-    rule on the sequence, at O(1) per letter, down to a sequence that starts
-    with 10 and a preperiod of at most two letters, then find_path from
-    there, bounded by its vertex cap only.  The whole word is find_path's
-    least geodesic on every point the tests compare (see _conjugator).
+    word h with h(point) = 10 period^inf that _conjugator builds: one letter
+    rule on the sequence, then the shorter arc of the period cycle.
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
@@ -235,7 +228,7 @@ _LONG_STEPS = {
 
 
 def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf: one letter rule, then find_path.
+    """A word moving the point to 10 period^inf: one letter rule, then an arc of the period cycle.
 
     _next_letter reads the first two letters of the sequence and whether
     the canonical preperiod has more than two letters.  There no letter
@@ -247,21 +240,23 @@ def _conjugator(point: RationalPoint) -> Word:
     letter stays and the image is canonical: the preperiod is a reversed
     list, as _fold keeps it, stepped at its end by _LONG_STEPS at O(1).
     From three letters down, cantor's _step steps the preperiod and a
-    rotation r of the period, also at O(1), and the rotated period is built
-    once, where the rule stops.  find_path finishes from there at
-    10 period^inf, compared in canonical form, so a landing on it, as on
-    1(0 ...) for a period that ends in 0, or on (0^(n-1) 1) after A^(n-1),
-    runs no search; the search alone held about 2 GB on n = 2^16.
+    rotation r of the period, also at O(1), and no period is copied.
 
-    The word is find_path's least geodesic, the least in LETTERS order among
-    the shortest, on every point the tests compare it on: every canonical
-    point with a preperiod of at most 12 letters and a period of at most 4,
-    seeded points with preperiods of up to 24 letters, and every non-base
-    point with a preperiod of at most 2 letters and a period of at most 10.
-    Beyond that it is a hypothesis, in line with Savchuk's description of
-    these Schreier graphs as trees with short cycles (Geom. Dedicata 2015),
-    in which the rule walks toward the cycle; it moves the point to the
-    base point either way.
+    The rule stops only where v (W[r:] + W[:r])^inf starts with 10 and v
+    has at most two letters, on 10(W[j:] + W[:j]) for j = r + 2 - |v| mod
+    |W|: base_rotation's three cases, v = 10, v = 1 and an empty v.  Both
+    arcs of the cycle that the fifth generator closes lead from there to
+    10(W): period_loop_word(W[:j]) and stabilizer_period_word(W[j:]).  The
+    word ends in the shorter, the loop arc on a tie.
+
+    The word is the least geodesic of the Schreier graph, the least in
+    LETTERS order among the shortest, on every point the tests compare:
+    preperiods of at most 12 letters with periods of at most 4, seeded
+    preperiods of up to 24 letters, non-base points with preperiods of at
+    most 2 letters and periods of at most 10, and 10(W[j:] + W[:j]) for
+    |W| <= 10.  Beyond that it is a hypothesis, in line with Savchuk's
+    description of these Schreier graphs as trees with cycles (Geom.
+    Dedicata 2015); it moves the point to the base point either way.
     """
     v, w = point.preperiod, point.period
     words = []
@@ -270,18 +265,18 @@ def _conjugator(point: RationalPoint) -> Word:
         letter, k, rhs = _LONG_STEPS["".join(stack[-3:])]
         stack[-k:] = rhs
         words.append(letter)
-    v, r = "".join(stack[::-1]), 0
-    while True:  # on (preperiod, rotation) pairs over w: v has at most three letters throughout
-        letter = _next_letter((v + w[r : r + 2] + w[:2] * 2)[:2], len(v) > 2)
-        if letter is None:
-            break
+    v, r = "".join(stack[::-1]), 0  # from here a (preperiod, rotation) pair over w, v of at most three letters
+    while (letter := _next_letter((v + w[r : r + 2] + w[:2] * 2)[:2], len(v) > 2)) is not None:
         v, r = _step(v, r, w, _SLOT[letter])
         words.append(letter)
-    landed = RationalPoint._canonical(v, w[r:] + w[:r])
-    target = RationalPoint._trusted("10", w)
-    if landed != target:  # on 10(W) itself the search would find the empty word
-        words.append(find_path(landed, target))
+    words.append(_arc(w, (r + 2 - len(v)) % len(w)))
     return "".join(words)
+
+
+def _arc(w: str, j: int) -> Word:
+    """The shorter word moving 10(w[j:] + w[:j]) to 10(w) along the period cycle, the loop arc on a tie."""
+    loop, rest = period_loop_word(w[:j]), stabilizer_period_word(w[j:])
+    return loop if len(loop) <= len(rest) else rest
 
 
 def validate_samples(samples: int) -> None:

@@ -327,6 +327,17 @@ def test_order_of_two_at_the_giant_step_round_edges(k):
     assert _order_of_two((1 << k) - 1) == k
 
 
+def test_order_of_two_refuses_a_modulus_longer_than_the_bound_before_any_step():
+    # m divides 2^n - 1 < 2^n, so the order n is at least the bit length of m: 2^MAX_PERIOD - 1,
+    # of MAX_PERIOD bits, still has order MAX_PERIOD (about 1 s), and one bit more is refused
+    assert _order_of_two((1 << MAX_PERIOD) - 1) == MAX_PERIOD
+    assert _order_of_two((1 << (MAX_PERIOD + 1)) - 1) is None
+    nines = 10**631306 - 1  # 2,097,154 bits, where the giant steps took about 1.1 s to refuse it
+    start = time.perf_counter()
+    assert _order_of_two(nines) is None
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("cap", [1024, 1025, 4096])
 def test_order_of_two_at_the_round_edges_under_a_lowered_bound(monkeypatch, cap):
     monkeypatch.setattr(cantor, "MAX_PERIOD", cap)

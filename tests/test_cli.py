@@ -577,7 +577,7 @@ def test_a_repeated_selftest_proves_nothing_again(capsys, monkeypatch):
 
     for module in (cantor, stabgen):
         monkeypatch.setattr(module, "_fold", counted_fold)
-    for module in (cantor, schreier):
+    for module in (cantor, schreier, stabgen):
         monkeypatch.setattr(module, "_step", counted_step)
     monkeypatch.setattr(PLMap, "compose", counted_compose)
     second = run(capsys, *argv)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import plmap, stabgen
+from thompsonf import plmap, schreier, stabgen
 from thompsonf.cantor import (
     ONE_POINT,
     ZERO_POINT,
@@ -200,8 +200,8 @@ def test_base_rotation_matches_the_rotation_search():
 
 def test_gens_for_a_long_period_takes_linear_time():
     # 1/8009 has a 4004-letter period and no base rotation.  Trying every
-    # rotation took 0.8-1.0 s; what remains, the BFS for the conjugator,
-    # takes about 0.1 s on a 2-vCPU Xeon, so the budget leaves room for load
+    # rotation took 0.8-1.0 s; the conjugator, a 26-letter rule walk and arc,
+    # takes under 1 ms on a 2-vCPU Xeon, so the budget leaves room for load
     point = value_to_point(F(1, 8009))
     assert len(point.period) == 4004 and base_rotation(point) is None
     times = []
@@ -236,9 +236,9 @@ def test_gens_for_a_nineteen_letter_preperiod():
 
 
 def test_gens_text_of_long_searches_matches_the_frozen_fixture():
-    # Points whose conjugators take 16-29 letters, where the least geodesic
-    # is read off two search trees; the text is frozen, one header line and
-    # five generator lines per point.
+    # Points whose conjugators take 16-29 letters, frozen when a search read
+    # the least geodesic off two search trees; the text is frozen, one header
+    # line and five generator lines per point.
     lines = (FIXTURES / "gens_long_search.txt").read_text().splitlines(keepends=True)
     blocks = ["".join(lines[k : k + 6]) for k in range(0, len(lines), 6)]
     lengths = []
@@ -348,29 +348,32 @@ def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
     assert sum(n == 1 for _, n in lengths) > 200  # dyadic points
 
 
+def _forbid_search(monkeypatch):
+    """Make any call of schreier.find_path fail; stabgen holds no name of its own for it."""
+
+    def no_search(*args):
+        raise AssertionError(f"find_path{args} was called")
+
+    assert not hasattr(stabgen, "find_path")
+    monkeypatch.setattr(schreier, "find_path", no_search)
+
+
 def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
     # the letter rule takes 10100(0111) to 10(0111) itself, and 101(10) by B to 1(10), then by a
-    # to (10), the canonical form of 10(10); on 11(0100) its a lands on 1(0100), from which the
-    # search finishes at 1(0010); on 01(0100), whose period ends in 0, its A lands on 1(0010), the
-    # canonical form of 10(0100), and no search runs
+    # to (10), the canonical form of 10(10); on 11(0100) its a lands on 1(0100), which is
+    # 10(1000), and the arc b of the period cycle ends at 1(0010); on 01(0100), whose period ends
+    # in 0, its A lands on 1(0010), the canonical form of 10(0100), and the arc is empty
     points = [canonicalize(v, w) for v, w in (("10100", "0111"), ("1011", "01"), ("11", "0100"), ("01", "0100"))]
     words = [find_path(point, canonicalize("10", point.period)) for point in points]
     assert words == ["BaBB", "Ba", "ab", "A"]
-    searched = []
-
-    def counted_find_path(source, target, *args):
-        searched.append(source)
-        return find_path(source, target, *args)
-
-    monkeypatch.setattr(stabgen, "find_path", counted_find_path)
+    _forbid_search(monkeypatch)
     assert [stabilizer_generators(point).conjugator for point in points] == words
-    assert searched == [canonicalize("1", "0100")]
 
 
 def test_descent_and_search_give_find_paths_word_on_every_short_tail():
     # every canonical non-base point with a preperiod of at most 2 letters and a primitive period of at
     # most 10: the letter rule never takes B there, so the word is its walk down the first run of the
-    # sequence, then the search's from where it lands
+    # sequence, then the arc of the period cycle from where it lands, equal to the search's word
     compared = 0
     for n in range(1, 11):
         for w in map("".join, product("01", repeat=n)):
@@ -421,17 +424,70 @@ def test_descent_reaches_the_base_point_of_one_run_periods_without_a_search(monk
     ]
     if n <= 17:
         assert [find_path(point, canonicalize("10", point.period)) for point, _ in cases] == [h for _, h in cases]
-    searched = []
-
-    def counted_find_path(source, target, *args):
-        searched.append(source)
-        return find_path(source, target, *args)
-
-    monkeypatch.setattr(stabgen, "find_path", counted_find_path)
+    _forbid_search(monkeypatch)
     for point, h in cases:
         assert stabilizer_generators(point).conjugator == h
         assert act_word(point, h) == canonicalize("10", point.period)
-    assert searched == []
+
+
+def test_arc_is_find_paths_word_between_every_pair_of_base_points():
+    # every primitive W of 2-10 letters and every rotation W' = W[j:] + W[:j] other than W: both
+    # arcs of the period cycle move 10(W') to 10(W), and the shorter, the loop arc on a tie, is
+    # the least geodesic; the two arcs tie on 618 of the 15,818 pairs
+    pairs = ties = 0
+    for n in range(2, 11):
+        for w in map("".join, product("01", repeat=n)):
+            if primitive_root(w) != w:
+                continue
+            target = canonicalize("10", w)
+            for j in range(1, n):
+                source = canonicalize("10", w[j:] + w[:j])
+                loop, rest = period_loop_word(w[:j]), stabilizer_period_word(w[j:])
+                assert act_word(source, loop) == target and act_word(source, rest) == target, (w, j)
+                assert stabgen._arc(w, j) == find_path(source, target), (w, j)
+                pairs += 1
+                ties += len(loop) == len(rest)
+    assert (pairs, ties) == (15818, 618)
+
+
+def test_letter_rule_lands_on_a_base_point():
+    # every non-endpoint point with a preperiod of at most 6 letters and a period of at most 5, 7,804
+    # pairs (v, w) in all: the rule, walked with act_letter, stops on a point that base_rotation
+    # reads as 10(W[j:] + W[:j]), and the conjugator is the walk followed by the arc from there;
+    # the walk is bounded, so a rule that did not stop fails here rather than hangs
+    def strings(max_len):
+        return ["".join(bits) for n in range(max_len + 1) for bits in product("01", repeat=n)]
+
+    points = {canonicalize(v, w) for v in strings(6) for w in strings(5) if w} - {ZERO_POINT, ONE_POINT}
+    for point in points:
+        landing, walk = point, ""
+        for _ in range(3 * len(point.preperiod) + len(point.period) + 2):
+            letter = stabgen._next_letter(landing.prefix(2), len(landing.preperiod) > 2)
+            if letter is None:
+                break
+            landing, walk = act_letter(landing, letter), walk + letter
+        else:
+            pytest.fail(f"the rule did not stop on {point}")
+        u = base_rotation(landing)
+        assert u is not None, (point, landing)
+        w = point.period
+        assert stabgen._conjugator(point) == walk + stabgen._arc(w, (w + w).find(u)), point
+    assert len(points) == 3326
+
+
+def test_conjugators_of_long_runs_reach_the_base_point():
+    # (0^k 1^k), (0^k 1 0^(k+1) 1) and (1^k 0 1^k 00) for every k up to 12, compared with the
+    # search, and seeded k up to 64; the search alone exceeded its vertex cap at k = 40, 40 and 24
+    rng = SplitMix64(64)
+    for k in sorted(set(range(1, 13)) | {13 + rng.below(52) for _ in range(12)} | {64}):
+        for w in ("0" * k + "1" * k, "0" * k + "1" + "0" * (k + 1) + "1", "1" * k + "0" + "1" * k + "00"):
+            point = RationalPoint("", w)
+            gens = stabilizer_generators(point)
+            target = canonicalize("10", gens.period)
+            assert act_word(point, gens.conjugator) == target, w
+            assert len(gens.conjugator) <= 3 * k + 2, w
+            if k <= 12:
+                assert gens.conjugator == find_path(point, target), w
 
 
 @pytest.mark.parametrize("length", [50, 200, 1000])
