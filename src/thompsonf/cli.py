@@ -1,21 +1,14 @@
-"""Command line front end.
+"""Command line front end: the `thompsonf` script, whose help text is DESCRIPTION.
 
-Subcommands: canon, act, eval, value, graph, path, gens, verify, selftest.
-Points are written as v(w), e.g. 10(0100) or (01), or as exact fractions
-p/q; words use the letters a = x0, A = x0^-1, b = x1, B = x1^-1 and "1" for
-the identity.  All output is exact; fractions are printed in lowest terms.
-A point or word given as - is read from standard input, without its
-surrounding whitespace, so that one longer than the system's limit on a
-single argument (131,072 bytes on Linux) can be passed, as in
-`thompsonf act - abAB < point.txt`; at most one argument of a
-command may be -.
-
-Exit status: 0 when everything passed, 1 on a verification failure, a
-failed search, a period or preperiod longer than MAX_PERIOD letters or a
-command that runs out of memory, each with one `error: ...` line on stderr,
-2 on a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when
-stdout is closed before all of the output is written, as in
-`selftest | head -n 1`.
+COMMANDS is the one table of the commands: for each, its help text, its
+positional names, its options as (flag, type, default, choices, help) and
+the handler that runs it.  A plain argv (the command, its positionals, then
+"--flag value" pairs of its own options, as _read_plain defines it) is read
+straight from the table into the Namespace that argparse would return, and
+no parser is built.  Every other argv (help, "--", an abbreviated flag,
+"--flag=value", a negative number, a repeated flag, a missing or extra
+argument, a bad value) goes to argparse, which is built from the same
+table, so each error and each help text is argparse's, byte for byte.
 """
 
 from __future__ import annotations
@@ -60,69 +53,168 @@ CLOSED_PIPE_STATUS = 141  # what a shell reports for a process that SIGPIPE ende
 STDIN = "-"  # a point or word argument that is read from standard input
 
 
-def _point(p: argparse.ArgumentParser) -> None:
-    p.add_argument("point")
+# the help text of the program as a whole
+DESCRIPTION = """Command line front end.
+
+Subcommands: canon, act, eval, value, graph, path, gens, verify, selftest.
+Points are written as v(w), e.g. 10(0100) or (01), or as exact fractions
+p/q; words use the letters a = x0, A = x0^-1, b = x1, B = x1^-1 and "1" for
+the identity.  All output is exact; fractions are printed in lowest terms.
+A point or word given as - is read from standard input, without its
+surrounding whitespace, so that one longer than the system's limit on a
+single argument (131,072 bytes on Linux) can be passed, as in
+`thompsonf act - abAB < point.txt`; at most one argument of a
+command may be -.
+
+Exit status: 0 when everything passed, 1 on a verification failure, a
+failed search, a period or preperiod longer than MAX_PERIOD letters or a
+command that runs out of memory, each with one `error: ...` line on stderr,
+2 on a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when
+stdout is closed before all of the output is written, as in
+`selftest | head -n 1`.
+"""
 
 
-def _act(p: argparse.ArgumentParser) -> None:
-    p.add_argument("point")
-    p.add_argument("word")
+def _print_report(report: Report) -> int:
+    text, passed = report.render()
+    print(text)
+    return 0 if passed else 1
 
 
-def _eval(p: argparse.ArgumentParser) -> None:
-    p.add_argument("word")
+def _canon(args: argparse.Namespace) -> int:
+    point = parse_point(args.point)
+    print(f"{point} = {point.value()}")
+    return 0
 
 
-def _graph(p: argparse.ArgumentParser) -> None:
-    p.add_argument("point")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--cap", type=int, default=100_000, help=f"vertex cap of the ball, at most {MAX_BALL_VERTICES}")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
+def _act(args: argparse.Namespace) -> int:
+    point = parse_point(args.point)
+    print(act_word(point, parse_word(args.word)))
+    return 0
 
 
-def _path(p: argparse.ArgumentParser) -> None:
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--radius", type=int, default=32)
+def _eval(args: argparse.Namespace) -> int:
+    texts = word_to_plmap(parse_word(args.word)).breakpoint_texts()
+    sys.stdout.write("".join([f"{t} -> {y}\n" for t, y in texts]))
+    return 0
 
 
-def _gens(p: argparse.ArgumentParser) -> None:
-    p.add_argument("point")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _value(args: argparse.Namespace) -> int:
+    print(parse_point(args.point).value())
+    return 0
 
 
-def _verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("point")
-    p.add_argument("--samples", type=int, default=100, help=f"random products to check, at most {MAX_SAMPLES}")
-    p.add_argument("--seed", type=int, default=1)
+def _graph(args: argparse.Namespace) -> int:
+    b = ball(parse_point(args.point), args.radius, args.cap)
+    text = export_dot(b) if args.format == "dot" else export_json(b) + "\n"
+    sys.stdout.write(text)
+    return 0
 
 
-def _selftest(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=8, help=f"index bound of the relator checks, 2 to {MAX_DEPTH}")
-    p.add_argument("--label-len", type=int, default=5, help=f"longest A/B address checked, 1 to {MAX_LABEL_LEN}")
+def _path(args: argparse.Namespace) -> int:
+    word = find_path(parse_point(args.source), parse_point(args.target), args.radius)
+    print(format_word(word))
+    return 0
 
 
-# name -> (help text, function that adds the command's arguments to its parser)
+def _gens(args: argparse.Namespace) -> int:
+    gens = stabilizer_generators(parse_point(args.point))
+    if args.format == "json":
+        print(generators_to_json(gens))
+    else:
+        sys.stdout.write(format_generators(gens))
+    return 0
+
+
+def _verify(args: argparse.Namespace) -> int:
+    point = parse_point(args.point)
+    validate_samples(args.samples)  # before any generator is built
+    gens = stabilizer_generators(point)
+    report = verify_generators(gens, samples=args.samples, seed=args.seed)
+    report.merge(check_stabilizer_relators())
+    report.title = f"verification of {gens.point}"
+    return _print_report(report)
+
+
+def _selftest(args: argparse.Namespace) -> int:
+    # every bound is checked before the first suite runs
+    validate_depth(args.depth)
+    validate_reduction_bounds(args.label_len, SELFTEST_MAX_N)
+    report = check_relators(args.depth)
+    report.merge(check_reduction(args.label_len, SELFTEST_MAX_N))
+    for period in SELFTEST_PERIODS:
+        report.merge(check_addresses(period, args.label_len))
+    for prefix in TWIN_PREFIXES:
+        report.merge(check_twin_points(prefix))
+    report.title = "selftest"
+    return _print_report(report)
+
+
+# name -> (help text, positional names, options, handler), each option as
+# (flag, type, default, choices, help); argparse adds them in this order
 COMMANDS = {
-    "canon": ("print the canonical form and exact value of a point", _point),
-    "act": ("apply a word to a point", _act),
-    "eval": ("print the breakpoints of the map of a word", _eval),
-    "value": ("print the exact rational value of a point", _point),
-    "graph": ("emit a Schreier-graph ball around a point", _graph),
-    "path": ("shortest word moving one point to another", _path),
-    "gens": ("stabilizer generating set for a point", _gens),
-    "verify": ("verify the stabilizer generating set for a point", _verify),
-    "selftest": ("run the full identity and uniqueness suites", _selftest),
+    "canon": ("print the canonical form and exact value of a point", ("point",), (), _canon),
+    "act": ("apply a word to a point", ("point", "word"), (), _act),
+    "eval": ("print the breakpoints of the map of a word", ("word",), (), _eval),
+    "value": ("print the exact rational value of a point", ("point",), (), _value),
+    "graph": (
+        "emit a Schreier-graph ball around a point",
+        ("point",),
+        (
+            ("--radius", int, 3, None, None),
+            ("--cap", int, 100_000, None, f"vertex cap of the ball, at most {MAX_BALL_VERTICES}"),
+            ("--format", str, "dot", ("dot", "json"), None),
+        ),
+        _graph,
+    ),
+    "path": (
+        "shortest word moving one point to another",
+        ("source", "target"),
+        (("--radius", int, 32, None, None),),
+        _path,
+    ),
+    "gens": (
+        "stabilizer generating set for a point",
+        ("point",),
+        (("--format", str, "text", ("text", "json"), None),),
+        _gens,
+    ),
+    "verify": (
+        "verify the stabilizer generating set for a point",
+        ("point",),
+        (
+            ("--samples", int, 100, None, f"random products to check, at most {MAX_SAMPLES}"),
+            ("--seed", int, 1, None, None),
+        ),
+        _verify,
+    ),
+    "selftest": (
+        "run the full identity and uniqueness suites",
+        (),
+        (
+            ("--depth", int, 8, None, f"index bound of the relator checks, 2 to {MAX_DEPTH}"),
+            ("--label-len", int, 5, None, f"longest A/B address checked, 1 to {MAX_LABEL_LEN}"),
+        ),
+        _selftest,
+    ),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    _, positionals, options, _ = COMMANDS[name]
+    for positional in positionals:
+        parser.add_argument(positional)
+    for flag, type_, default, choices, text in options:
+        parser.add_argument(flag, type=type_, default=default, choices=choices, help=text)
 
 
 @functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: every command as a subparser, for the usage, help and errors of the program as a whole."""
-    parser = argparse.ArgumentParser(prog="thompsonf", description=__doc__)
+    parser = argparse.ArgumentParser(prog="thompsonf", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=text))
+    for name, (text, *_) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -130,30 +222,68 @@ def _build_parser() -> argparse.ArgumentParser:
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command alone, the same as the full parser's subparser for it."""
     parser = argparse.ArgumentParser(prog=f"thompsonf {name}")
-    COMMANDS[name][1](parser)
+    _add_arguments(parser, name)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed in one pass of its command's own parser.
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the full parser returns for argv when argv is plain, or None when it is not.
 
-    The full parser, which prints the same help and the same errors, parses
-    instead when argv[0] is not a command, or when the command's parser
-    leaves arguments it does not know: those are an error of the program as
-    a whole, reported with the full parser's usage.
+    A plain argv is a command, then exactly its positionals, none starting
+    with "-" but STDIN itself, then "--flag value" pairs of the command's
+    own options: each flag exact and given at most once, no value starting
+    with "-", and each value read by the option's type into its choices.
     """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, positionals, options, _ = command
+    n = len(positionals) + 1
+    if len(argv) < n or (len(argv) - n) % 2:
+        return None
+    values = {"command": argv[0]}
+    for name, text in zip(positionals, argv[1:n]):
+        if text.startswith("-") and text != STDIN:
+            return None
+        values[name] = text
+    given = dict(zip(argv[n::2], argv[n + 1 :: 2]))
+    if 2 * len(given) != len(argv) - n:  # a flag given twice
+        return None
+    for flag, type_, default, choices, _ in options:
+        text = given.pop(flag, None)
+        if text is None:
+            value = default
+        elif text.startswith("-"):
+            return None
+        else:
+            try:
+                value = type_(text)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return None if given else argparse.Namespace(**values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv read straight from COMMANDS when it is plain, and otherwise parsed by argparse.
+
+    argparse parses in one pass of the command's own parser.  The full
+    parser, which prints the same help and the same errors, parses instead
+    when argv[0] is not a command, or when the command's parser leaves
+    arguments it does not know: those are an error of the program as a
+    whole, reported with the full parser's usage.
+    """
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         args, unknown = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not unknown:
             args.command = argv[0]
             return args
     return _build_parser().parse_args(argv)
-
-
-def _print_report(report: Report) -> int:
-    text, passed = report.render()
-    print(text)
-    return 0 if passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         _read_stdin_argument(args)
-        return _dispatch(args)
+        return COMMANDS[args.command][3](args)
     except (PointSyntaxError, WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -189,61 +319,6 @@ def _read_stdin_argument(args: argparse.Namespace) -> None:
         raise ValueError(f"only one argument may be {STDIN!r}, read from standard input; got {' and '.join(named)}")
     if named:
         setattr(args, named[0], sys.stdin.read().strip())
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "canon":
-        point = parse_point(args.point)
-        print(f"{point} = {point.value()}")
-        return 0
-    if args.command == "act":
-        point = parse_point(args.point)
-        print(act_word(point, parse_word(args.word)))
-        return 0
-    if args.command == "eval":
-        texts = word_to_plmap(parse_word(args.word)).breakpoint_texts()
-        sys.stdout.write("".join([f"{t} -> {y}\n" for t, y in texts]))
-        return 0
-    if args.command == "value":
-        print(parse_point(args.point).value())
-        return 0
-    if args.command == "graph":
-        b = ball(parse_point(args.point), args.radius, args.cap)
-        text = export_dot(b) if args.format == "dot" else export_json(b) + "\n"
-        sys.stdout.write(text)
-        return 0
-    if args.command == "path":
-        word = find_path(parse_point(args.source), parse_point(args.target), args.radius)
-        print(format_word(word))
-        return 0
-    if args.command == "gens":
-        gens = stabilizer_generators(parse_point(args.point))
-        if args.format == "json":
-            print(generators_to_json(gens))
-        else:
-            sys.stdout.write(format_generators(gens))
-        return 0
-    if args.command == "verify":
-        point = parse_point(args.point)
-        validate_samples(args.samples)  # before any generator is built
-        gens = stabilizer_generators(point)
-        report = verify_generators(gens, samples=args.samples, seed=args.seed)
-        report.merge(check_stabilizer_relators())
-        report.title = f"verification of {gens.point}"
-        return _print_report(report)
-    if args.command == "selftest":
-        # every bound is checked before the first suite runs
-        validate_depth(args.depth)
-        validate_reduction_bounds(args.label_len, SELFTEST_MAX_N)
-        report = check_relators(args.depth)
-        report.merge(check_reduction(args.label_len, SELFTEST_MAX_N))
-        for period in SELFTEST_PERIODS:
-            report.merge(check_addresses(period, args.label_len))
-        for prefix in TWIN_PREFIXES:
-            report.merge(check_twin_points(prefix))
-        report.title = "selftest"
-        return _print_report(report)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def run() -> None:

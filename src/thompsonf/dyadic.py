@@ -7,8 +7,8 @@ a map keeps one exponent and integer numerators over that power of two, so
 no floating point is involved anywhere: the constructor validates those
 numerators, and the package's closed forms are built from integers without
 a Dyadic.  Dyadic itself only normalizes, converts and prints, and it prints
-through _format, which the `eval` command calls on a map's numerators
-directly, so no Dyadic is built to print a breakpoint.
+through _format; `PLMap.breakpoint_texts` writes a map's numerators the same
+way, so no Dyadic is built to print a breakpoint.
 """
 
 from __future__ import annotations

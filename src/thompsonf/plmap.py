@@ -47,7 +47,7 @@ from math import gcd
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dyadic import Dyadic, _format
+from .dyadic import Dyadic
 from .report import Check, Report
 from .words import Word, relator_words
 
@@ -83,9 +83,27 @@ class PLMap:
         return tuple([(reduced(t, e), reduced(y, e)) for t, y in zip(self._ts, self._ys)])
 
     def breakpoint_texts(self) -> list[tuple[str, str]]:
-        """The breakpoints as str prints their Dyadics, written from the numerators without building one."""
+        """The breakpoints as str prints their Dyadics, written from the numerators without building one.
+
+        Each denominator 2^j is written once per call, the first time a
+        breakpoint needs it: a map can have a handful of breakpoints and a
+        large exponent, as x_n has, so the denominators are not all written
+        up front.
+        """
         e = self._e
-        return [(_format(t, e), _format(y, e)) for t, y in zip(self._ts, self._ys)]
+        denominators = [""] + [None] * e  # j -> "/2^j" in decimal, once written
+
+        def texts(numerators: tuple[int, ...]) -> list[str]:
+            out = []
+            for n in numerators:
+                j = e - min((n & -n).bit_length() - 1, e) if n else 0  # exponent left once n's trailing zeros go
+                d = denominators[j]
+                if d is None:
+                    d = denominators[j] = f"/{1 << j}"
+                out.append(f"{n >> (e - j)}{d}")
+            return out
+
+        return list(zip(texts(self._ts), texts(self._ys)))
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""

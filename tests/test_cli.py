@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -665,6 +666,17 @@ PARSER_CASES = (
     ["gens", "1/3", "--format", "xml"],
     ["gens", "1/3", "--radius", "5"],
     ["verify", "1/3", "--radius", "5"],
+    ["graph", "1/3", "--radius", "2", "--radius", "3"],
+    ["graph", "1/3", "--radius=2", "--format=json"],
+    ["graph", "1/3", "--radius", "-2"],
+    ["canon", "-1/3"],
+    # plain: read from COMMANDS without a parser
+    ["gens", "1/3"],
+    ["canon", "-"],
+    ["path", "1/3", "2/3", "--radius", "3"],
+    ["graph", "1/3", "--format", "json", "--cap", "50", "--radius", "+2"],
+    ["verify", "1/3", "--seed", "٣", "--samples", "5_0"],
+    ["selftest", "--label-len", " 2"],
 )
 
 
@@ -692,6 +704,55 @@ def test_each_command_parser_prints_the_help_and_usage_of_the_full_parser():
         assert alone.format_help() == subparser.format_help(), name
 
 
+def _plain_corpus() -> list[list[str]]:
+    """Plain argv of every command: each order of each subset of its options, with seeded values."""
+    rng = SplitMix64(37)
+    texts = ("1/3", "10(0100)", "abAB", "-", "", " 7", "a b")
+    numerals = ("0", "7", "+5", "٣", "5_0", " 7", "12", "007")
+    calls = []
+    for name, (_, positionals, options, _) in cli.COMMANDS.items():
+        for size in range(len(options) + 1):
+            for chosen in itertools.permutations(options, size):
+                for _ in range(6):
+                    argv = [name] + [rng.choice(texts) for _ in positionals]
+                    for flag, type_, _, choices, _ in chosen:
+                        argv += [flag, rng.choice(choices if choices else numerals)]
+                    calls.append(argv)
+    return calls
+
+
+def test_a_plain_argv_reads_as_the_full_parser_parses_it():
+    full = cli._build_parser.__wrapped__()
+    corpus = _plain_corpus()
+    # canon, act, eval, value: 1 each; graph: 16 orders; path and gens: 2; verify and selftest: 5
+    assert len(corpus) == 6 * (4 + 16 + 2 + 2 + 5 + 5)
+    accepted = 0
+    for argv in corpus:
+        args = cli._read_plain(argv)
+        assert args == full.parse_args(argv), argv
+        assert cli._parse_args(argv) == args, argv
+        accepted += args is not None
+    assert accepted == len(corpus)
+    formats = {(argv[0], argv[argv.index("--format") + 1]) for argv in corpus if "--format" in argv}
+    assert formats == {("graph", "dot"), ("graph", "json"), ("gens", "text"), ("gens", "json")}
+    assert all(any(value in argv[1:] for argv in corpus) for value in ("-", "", " 7", "+5", "٣", "5_0"))
+
+
+def test_the_plain_reader_declines_what_it_would_read_otherwise_than_the_full_parser(capsys):
+    full = cli._build_parser.__wrapped__()
+    accepted = declined = 0
+    for argv in [*PARSER_CASES, *_values_corpus()]:
+        args = cli._read_plain(argv)
+        outcome = _outcome(capsys, full.parse_args, argv)
+        if args is None:
+            declined += 1
+        else:
+            assert outcome[0] == args, argv[:4]
+            accepted += 1
+    # declined: 17 PARSER_CASES and the corpus's 10 usage errors of argparse and 2 negative radii
+    assert (accepted, declined) == (298, 29)
+
+
 def test_a_command_that_prints_no_json_does_not_load_it():
     # a fresh interpreter without site, which would load modules of its own
     code = (
@@ -699,7 +760,7 @@ def test_a_command_that_prints_no_json_does_not_load_it():
         "from thompsonf import cli; assert 'json' not in sys.modules, 'json loaded by the import'; "
         "assert cli.main(['gens', '5/11']) == 0; assert 'json' not in sys.modules, 'json loaded by gens'; "
         "assert cli._build_parser.cache_info().currsize == 0, 'full parser built'; "
-        "assert cli._command_parser.cache_info().currsize == 1, 'other command parsers built'"
+        "assert cli._command_parser.cache_info().currsize == 0, 'command parser built for a plain argv'"
     )
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")

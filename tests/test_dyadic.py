@@ -1,10 +1,12 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from sampling import random_word
 from thompsonf.dyadic import Dyadic, _format
-from thompsonf.plmap import word_to_plmap
+from thompsonf.plmap import PLMap, word_to_plmap
 from thompsonf.rng import SplitMix64
 
 
@@ -68,6 +70,27 @@ def test_breakpoint_texts_and_repr_print_the_breakpoints():
         texts = [(str(t), str(y)) for t, y in m.breakpoints]
         assert m.breakpoint_texts() == texts
         assert repr(m) == "PLMap[" + ", ".join(f"({t}, {y})" for t, y in texts) + "]"
+
+
+def test_breakpoint_texts_write_only_the_denominators_the_breakpoints_need():
+    # x_n for n = 29,998: five breakpoints over 2^30000; writing all 30,000 powers of two takes seconds
+    e = 30_000
+    one = 1 << e
+    m = PLMap((Dyadic(t, e), Dyadic(y, e)) for t, y in ((0, 0), (one - 4, one - 4), (one - 2, one - 3), (one - 1, one - 2), (one, one)))
+    assert m._e == e
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        texts = m.breakpoint_texts()
+        seconds = time.perf_counter() - start
+        assert texts == [(str(t), str(y)) for t, y in m.breakpoints]
+        assert texts[2] == (f"{(one >> 1) - 1}/{one >> 1}", f"{one - 3}/{one}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert seconds < 2
 
 
 def test_trusted_constructor_matches_the_validating_one():
