@@ -41,7 +41,6 @@ A point made from a fraction keeps that fraction as its value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import log10
@@ -95,14 +94,22 @@ def _absorbed(preperiod: str, period: str) -> tuple[str, str]:
     return preperiod[:n - k], period[len(period) - s:] + period[:len(period) - s]
 
 
-@dataclass(frozen=True)
 class RationalPoint:
-    """Canonical eventually periodic sequence preperiod (period)^infinity."""
+    """Canonical eventually periodic sequence preperiod (period)^infinity.
 
-    preperiod: str
-    period: str
+    A point is frozen: its two fields are written once, into the instance
+    dict, equality and hashing go by the pair, and assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    def __init__(self, preperiod: str, period: str) -> None:
+        fields = self.__dict__  # past __setattr__, which refuses every assignment
+        fields["preperiod"] = preperiod
+        fields["period"] = period
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Refuse a pair that is not binary, primitive and canonical with ValueError."""
         _check_binary("preperiod", self.preperiod)
         _check_binary("period", self.period)
         if not self.period:
@@ -129,8 +136,8 @@ class RationalPoint:
     def _canonical(cls, preperiod: str, period: str) -> RationalPoint:
         """Point from a pair that is canonical already; nothing is checked.
 
-        The fields go straight into the instance dict, which is where the
-        frozen dataclass keeps them, without two object.__setattr__ calls.
+        The fields go straight into the instance dict, as in __init__,
+        and __post_init__ is not run.
         """
         point = object.__new__(cls)
         fields = point.__dict__
@@ -149,7 +156,7 @@ class RationalPoint:
         """The rational number with this binary expansion.
 
         A point made by value_to_point keeps the fraction it was made from
-        in its instance dict, outside the dataclass fields, and returns it;
+        in its instance dict, beside the two fields, and returns it;
         any other point builds its value from the bits.
         """
         kept = self.__dict__.get("_value")
@@ -166,6 +173,23 @@ class RationalPoint:
 
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"
+
+    def __repr__(self) -> str:
+        return f"RationalPoint(preperiod={self.preperiod!r}, period={self.period!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.period))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def canonicalize(preperiod: str, period: str) -> RationalPoint:

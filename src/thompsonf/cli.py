@@ -4,16 +4,16 @@ COMMANDS is the one table of the commands: for each, its help text, its
 positional names, its options as (flag, type, default, choices, help) and
 the handler that runs it.  A plain argv (the command, its positionals, then
 "--flag value" pairs of its own options, as _read_plain defines it) is read
-straight from the table into the Namespace that argparse would return, and
-no parser is built.  Every other argv (help, "--", an abbreviated flag,
-"--flag=value", a negative number, a repeated flag, a missing or extra
-argument, a bad value) goes to argparse, which is built from the same
-table, so each error and each help text is argparse's, byte for byte.
+straight from the table into a namespace equal to the one argparse would
+return, and argparse is neither imported nor built.  Every other argv
+(help, "--", an abbreviated flag, "--flag=value", a negative number, a
+repeated flag, a missing or extra argument, a bad value) goes to argparse,
+which is built from the same table, so each error and each help text is
+argparse's, byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
@@ -211,6 +211,8 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
 @functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: every command as a subparser, for the usage, help and errors of the program as a whole."""
+    import argparse  # here, not at the top: a plain argv needs no parser
+
     parser = argparse.ArgumentParser(prog="thompsonf", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, *_) in COMMANDS.items():
@@ -221,13 +223,26 @@ def _build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command alone, the same as the full parser's subparser for it."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"thompsonf {name}")
     _add_arguments(parser, name)
     return parser
 
 
-def _read_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace the full parser returns for argv when argv is plain, or None when it is not.
+class _Args:
+    """The arguments of a plain argv as attributes, equal to an argparse.Namespace that holds the same."""
+
+    def __init__(self, **values: object) -> None:
+        self.__dict__.update(values)
+
+    def __eq__(self, other: object) -> bool:
+        fields = getattr(other, "__dict__", None)
+        return NotImplemented if fields is None else vars(self) == fields
+
+
+def _read_plain(argv: list[str]) -> _Args | None:
+    """What the full parser returns for argv when argv is plain, or None when it is not.
 
     A plain argv is a command, then exactly its positionals, none starting
     with "-" but STDIN itself, then "--flag value" pairs of the command's
@@ -263,10 +278,10 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
             if choices is not None and value not in choices:
                 return None
         values[flag[2:].replace("-", "_")] = value
-    return None if given else argparse.Namespace(**values)
+    return None if given else _Args(**values)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace | _Args:
     """argv read straight from COMMANDS when it is plain, and otherwise parsed by argparse.
 
     argparse parses in one pass of the command's own parser.  The full

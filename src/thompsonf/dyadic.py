@@ -13,34 +13,31 @@ way, so no Dyadic is built to print a breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Dyadic:
     """A rational with a power-of-two denominator, normalized on construction.
 
     The value is numerator / 2**exponent with exponent >= 0.  Normalization
     makes the exponent minimal, so equal values have equal field pairs and
-    instances can be compared and hashed structurally.
+    instances can be compared and hashed structurally.  A Dyadic is frozen:
+    its two fields are written once, into the instance dict, and assigning
+    or deleting an attribute raises AttributeError.
     """
 
-    numerator: int
-    exponent: int = 0
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {self.exponent}")
-        fields = self.__dict__  # where the frozen dataclass keeps them, as in _reduced
-        fields["numerator"], fields["exponent"] = _lowest(self.numerator, self.exponent)
+    def __init__(self, numerator: int, exponent: int = 0) -> None:
+        if exponent < 0:
+            raise ValueError(f"exponent must be non-negative, got {exponent}")
+        fields = self.__dict__  # past __setattr__, which refuses every assignment
+        fields["numerator"], fields["exponent"] = _lowest(numerator, exponent)
 
     @classmethod
     def _reduced(cls, n: int, e: int) -> "Dyadic":
         """n / 2**e normalized like the constructor, for e >= 0 known to hold.
 
-        The fields go straight into the instance dict, which is where the
-        frozen dataclass keeps them; __post_init__ is not run.
+        The fields go straight into the instance dict, as in __init__, and
+        the sign of the exponent is not checked.
         """
         d = object.__new__(cls)
         d.__dict__["numerator"], d.__dict__["exponent"] = _lowest(n, e)
@@ -59,6 +56,23 @@ class Dyadic:
 
     def __str__(self) -> str:
         return _format(self.numerator, self.exponent)
+
+    def __repr__(self) -> str:
+        return f"Dyadic(numerator={self.numerator!r}, exponent={self.exponent!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator == other.numerator and self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.exponent))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _lowest(n: int, e: int) -> tuple[int, int]:

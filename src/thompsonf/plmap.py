@@ -41,11 +41,11 @@ exact value through the pieces of the letter maps, one letter at a time.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
 from operator import or_
-from typing import Iterable, Sequence
 
 from .dyadic import Dyadic
 from .report import Check, Report

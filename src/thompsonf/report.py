@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+Check = namedtuple("Check", "name passed")
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-
-
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    """A titled list of checks; equal to another Report with the same title and checks, and not hashable."""
+
+    def __init__(self, title: str, checks: list[Check] | None = None) -> None:
+        self.title = title
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"Report(title={self.title!r}, checks={self.checks!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.title == other.title and self.checks == other.checks
 
     def add(self, name: str, passed: bool) -> None:
         self.checks.append(Check(name, passed))

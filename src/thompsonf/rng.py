@@ -8,11 +8,9 @@ reports bit-for-bit reproducible for a given seed.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from collections.abc import Sequence
 
 _MASK = (1 << 64) - 1
-
-T = TypeVar("T")
 
 
 class SplitMix64:
@@ -42,5 +40,6 @@ class SplitMix64:
             if value < limit:
                 return value % n
 
-    def choice(self, items: Sequence[T]) -> T:
+    def choice(self, items: Sequence):
+        """One of items, each with the same chance."""
         return items[self.below(len(items))]

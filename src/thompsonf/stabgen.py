@@ -32,7 +32,7 @@ call reports them in a fresh Report.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cantor import _REVERSED_HEADS, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, _step, act_word, canonicalize
@@ -58,20 +58,17 @@ MAX_SAMPLES = 100_000
 MAX_FACTORS = 12  # most generators in one seeded random product of verify_generators
 
 
-@dataclass(frozen=True)
-class StabilizerGens:
+class StabilizerGens(namedtuple("StabilizerGens", "point conjugator generators period")):
     """Generating set for the stabilizer of a rational point.
 
     Five words for a generic point, two (x0, x1) for the globally fixed
-    endpoints.  The conjugator moves the point to the base point 10 period^inf
-    and is empty when the point already has that form; the period field
-    records the rotation of the period used in the fifth generator.
+    endpoints, as a tuple of words.  The conjugator, a word, moves the point
+    to the base point 10 period^inf and is empty when the point already has
+    that form; the period field records the rotation of the period used in
+    the fifth generator.
     """
 
-    point: RationalPoint
-    conjugator: Word
-    generators: tuple[Word, ...]
-    period: str
+    __slots__ = ()
 
 
 def schreier_x_word(label: str, n: int) -> Word:

@@ -71,6 +71,20 @@ def test_constructor_rejects_non_canonical_pairs():
         RationalPoint("", "0101")  # period is a proper power
 
 
+def test_a_point_is_a_frozen_value():
+    point = RationalPoint(preperiod="01", period="0100")
+    assert repr(point) == "RationalPoint(preperiod='01', period='0100')"
+    assert point == RationalPoint("01", "0100") == canonicalize("0101", "0001")
+    assert hash(point) == hash(canonicalize("0101", "0001")) == hash(("01", "0100"))
+    assert point != RationalPoint("01", "1000") and point != ("01", "0100") and point != "01(0100)"
+    for name in ("preperiod", "period", "_value"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(point, name, "1")
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(point, name)
+    assert (point.preperiod, point.period) == ("01", "0100")
+
+
 def test_canonicalize_is_idempotent():
     rng = SplitMix64(5)
     for _ in range(200):

@@ -767,6 +767,34 @@ def test_a_command_that_prints_no_json_does_not_load_it():
     assert done.stdout.startswith("# point=(0111010001) h=AAbb w=0111010001\n")
 
 
+# Run in a fresh interpreter without site, whose own imports would count: a
+# plain command loads none of the modules in HEAVY, and help loads argparse.
+FOOTPRINT_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+HEAVY = {"dataclasses", "inspect", "argparse", "typing"}
+assert not HEAVY & set(sys.modules)
+from thompsonf import cli
+assert not HEAVY & set(sys.modules), sorted(HEAVY & set(sys.modules))
+for argv in (["gens", "5/11"], ["verify", "1/3"], ["eval", "ab"], ["graph", "1/3", "--radius", "3", "--format", "json"]):
+    assert cli.main(argv) == 0, argv
+    assert not HEAVY & set(sys.modules), (argv, sorted(HEAVY & set(sys.modules)))
+try:
+    cli.main(["graph", "--help"])
+except SystemExit as exc:
+    assert exc.code == 0 and "argparse" in sys.modules
+else:
+    raise AssertionError("graph --help did not exit")
+"""
+
+
+def test_a_plain_command_loads_neither_dataclasses_nor_argparse_nor_typing():
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", FOOTPRINT_CODE, str(SRC)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("# point=(0111010001) h=AAbb w=0111010001\n")
+    assert "verification of (01): " in done.stdout and "\nusage: thompsonf graph [-h]" in done.stdout
+
+
 def test_running_out_of_memory_is_one_error_line_and_exit_one(capsys, monkeypatch):
     def exhausted(point):
         raise MemoryError

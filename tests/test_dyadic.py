@@ -31,6 +31,21 @@ def test_negative_exponent_rejected():
         Dyadic(3, -1)
 
 
+def test_a_dyadic_is_a_frozen_value():
+    d = Dyadic(numerator=12, exponent=4)
+    assert repr(d) == "Dyadic(numerator=3, exponent=2)"
+    assert repr(Dyadic(-5)) == "Dyadic(numerator=-5, exponent=0)"
+    assert d == Dyadic(3, 2) == Dyadic._reduced(24, 5)
+    assert hash(d) == hash(Dyadic(3, 2)) == hash((3, 2))
+    assert d != Dyadic(3, 3) and d != (3, 2) and d != Fraction(3, 4)
+    for name in ("numerator", "exponent", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(d, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(d, name)
+    assert (d.numerator, d.exponent) == (3, 2)
+
+
 def test_equal_values_compare_and_hash_equal():
     assert Dyadic(4, 3) == Dyadic(1, 1)
     assert hash(Dyadic(4, 3)) == hash(Dyadic(1, 1))

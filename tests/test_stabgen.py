@@ -18,7 +18,7 @@ from thompsonf.cantor import (
     value_to_point,
 )
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
-from thompsonf.report import Report
+from thompsonf.report import Check, Report
 from thompsonf.rng import SplitMix64
 from thompsonf.schreier import BFS_LETTERS, PathNotFoundError, ball, find_path
 from thompsonf.stabgen import (
@@ -137,6 +137,36 @@ def test_reduction_composes_once_per_distinct_letter_and_map(monkeypatch):
     monkeypatch.setattr(PLMap, "compose", counted)
     assert check_reduction(12, 4).passed
     assert calls[0] <= 200  # a prefix map per label and four composes per label and n take 192,519
+
+
+def test_generator_sets_checks_and_reports_keep_their_value_semantics():
+    gens = stabilizer_generators(parse_point("5/11"))
+    assert repr(gens) == (
+        "StabilizerGens(point=RationalPoint(preperiod='', period='0111010001'), conjugator='AAbb', "
+        "generators=('AAbbabABBaa', 'AAbbaabAABBaa', 'AAbbAAbaBBaa', 'AAbbAAAbaaBBaa', "
+        "'AAbbBBaBaBaBBaBBBBaBBaa'), period='0111010001')"
+    )
+    endpoint = StabilizerGens(point=ZERO_POINT, conjugator="", generators=("a", "b"), period="0")
+    assert stabilizer_generators(ZERO_POINT) == endpoint
+    assert hash(endpoint) == hash(stabilizer_generators(ZERO_POINT)) == hash((ZERO_POINT, "", ("a", "b"), "0"))
+    assert endpoint != StabilizerGens(ZERO_POINT, "", ("a", "B"), "0")
+    check = Check(name="x", passed=True)
+    assert repr(check) == "Check(name='x', passed=True)"
+    assert check == Check("x", True) and check != Check("x", False)
+    assert hash(check) == hash(("x", True))
+    for frozen, name in ((gens, "conjugator"), (gens, "other"), (check, "passed"), (check, "other")):
+        with pytest.raises(AttributeError):
+            setattr(frozen, name, "y")
+    report = Report("t", [check])
+    assert repr(report) == "Report(title='t', checks=[Check(name='x', passed=True)])"
+    assert repr(Report("t")) == "Report(title='t', checks=[])"
+    assert report == Report(title="t", checks=[Check("x", True)])
+    assert report != Report("t") and report != Report("u", [check])
+    assert Report("t").checks is not Report("t").checks
+    with pytest.raises(TypeError):
+        hash(report)
+    report.title = "u"  # not frozen: verify and selftest retitle the report they print
+    assert report == Report("u", [check])
 
 
 def test_endpoint_stabilizer_is_the_whole_group():
