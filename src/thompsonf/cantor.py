@@ -19,8 +19,7 @@ replacement by stepping r back, so no period is copied.  act_letter calls it
 at r = 0, and rotates the period once.  _fold, behind act_word, folds a
 word over the preperiod as a reversed list and a read offset into the
 unrotated period, reading the table with each head and replacement
-reversed, so a letter costs O(1) and the pair is made canonical once;
-stabgen's conjugator reads _REVERSED_HEADS the same way on a long preperiod.
+reversed, so a letter costs O(1) and the pair is made canonical once.
 The breadth-first search in schreier inlines _step on plans that it derives
 from _HEADS at import, one per discovering letter and head, which leave out
 the letters whose image is known without a step: the way back, the _LOOP

@@ -200,14 +200,6 @@ COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    _, positionals, options, _ = COMMANDS[name]
-    for positional in positionals:
-        parser.add_argument(positional)
-    for flag, type_, default, choices, text in options:
-        parser.add_argument(flag, type=type_, default=default, choices=choices, help=text)
-
-
 @functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: every command as a subparser, for the usage, help and errors of the program as a whole."""
@@ -215,18 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="thompsonf", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, *_) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
-    return parser
-
-
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone, the same as the full parser's subparser for it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"thompsonf {name}")
-    _add_arguments(parser, name)
+    for name, (text, positionals, options, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for positional in positionals:
+            command.add_argument(positional)
+        for flag, type_, default, choices, help_text in options:
+            command.add_argument(flag, type=type_, default=default, choices=choices, help=help_text)
     return parser
 
 
@@ -282,23 +268,9 @@ def _read_plain(argv: list[str]) -> _Args | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace | _Args:
-    """argv read straight from COMMANDS when it is plain, and otherwise parsed by argparse.
-
-    argparse parses in one pass of the command's own parser.  The full
-    parser, which prints the same help and the same errors, parses instead
-    when argv[0] is not a command, or when the command's parser leaves
-    arguments it does not know: those are an error of the program as a
-    whole, reported with the full parser's usage.
-    """
+    """argv read straight from COMMANDS when it is plain, and otherwise parsed by the full parser."""
     args = _read_plain(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in COMMANDS:
-        args, unknown = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not unknown:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

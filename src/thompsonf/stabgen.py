@@ -3,12 +3,11 @@
 The stabilizer of the base point 10 w^inf (w primitive) is generated by the
 five elements x2, x3, y1, y2 and the substitution of 0 -> x1^-1, 1 -> x1^-1 x0
 into w.  For an arbitrary rational point b the set is conjugated by a word h
-moving b to 10 w^inf, read off the binary expansion of b: a letter rule
-appends x0^-1, x0 or x1^-1 by the first two letters of the sequence and the
-length of its preperiod, at O(1) per letter, down to a base point 10 w'^inf
-for a rotation w' of w, and h ends in the shorter arc from there to 10 w^inf
-of the cycle that the fifth generator closes.  On every point the tests
-compare, h is a least geodesic of the Schreier graph.
+moving b to 10 w^inf, a closed form in the binary expansion of b: powers of
+x0^-1 or x0 by the first run of the sequence, the same substitution of the
+rest of the preperiod, and the shorter arc of the period cycle that the
+fifth generator closes.  On every point the tests compare, h is a least
+geodesic of the Schreier graph.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -35,7 +34,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .cantor import _REVERSED_HEADS, _SLOT, ONE_POINT, RationalPoint, ZERO_POINT, _fold, _step, act_word, canonicalize
+from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
 from .plmap import PLMap, _fold_value, _odd_part, _value_pieces, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
@@ -166,20 +165,13 @@ def base_generator_words(period: str) -> tuple[Word, ...]:
 def base_rotation(point: RationalPoint) -> str | None:
     """The rotation u of the period with point == 10 u^inf, or None if there is none.
 
-    Absorbing trailing letters of the preperiod into the period, 10 u^inf
-    becomes 10(u) when u ends in 1, 1(0 u[:-1]) when u ends in 00, and
-    (10 u[:-2]) when u ends in 10.  Reading u back from these canonical forms
-    gives the three cases below, in linear time.  The rotation is unique
-    because the period is primitive.
+    u is where _landing lands when its word is empty, and unique because the
+    period is primitive.  The endpoints, which _landing does not read, get None.
     """
-    v, w = point.preperiod, point.period
-    if v == "10":
-        return w
-    if v == "1" and w[0] == "0":
-        return w[1:] + w[0]
-    if v == "" and w.startswith("10"):
-        return w[2:] + w[:2]
-    return None
+    if point.is_endpoint():
+        return None
+    word, j = _landing(point)
+    return None if word else point.period[j:] + point.period[:j]
 
 
 def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
@@ -188,8 +180,7 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
     for u is returned directly; otherwise the base set is conjugated by the
-    word h with h(point) = 10 period^inf that _conjugator builds: one letter
-    rule on the sequence, then the shorter arc of the period cycle.
+    word h with h(point) = 10 period^inf that _conjugator builds.
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
@@ -202,49 +193,29 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     return StabilizerGens(point, h, generators, w)
 
 
-def _next_letter(head: str, long: bool) -> Word | None:
-    """The conjugator's letter on a sequence that starts with head, or None where it stops.
+def _landing(point: RationalPoint) -> tuple[Word, int]:
+    """A word moving a point other than the endpoints to 10(W[j:] + W[:j]), and j.
 
-    long says that the canonical preperiod has more than two letters.
+    Of the sequence s = v W W ..., s = 0^k 1 ... takes A^k (00 -> 0, then
+    01 -> 10) and s = 1^k 0 ... takes a^(k-1) (11 -> 1), each leaving
+    10 s[k+1:].  Then stabilizer_period_word of the rest of v, 0 -> B
+    (100 -> 10) and 1 -> Ba (101 -> 110 -> 10), deletes it.  v ends unlike
+    W, or W holds both letters, so the run ends within v + W, and no letter
+    of v[k+1:] continues the period.  The word is empty exactly on a base point.
     """
-    if head[0] == "0":
-        return "A"  # 00 -> 0, or 01 -> 10
-    if head[1] == "1":
-        return "a"  # 11 -> 1
-    return "B" if long else None  # 100 -> 10, or 101 -> 110
-
-
-# _next_letter on a preperiod of more than three letters, by its first three
-# letters reversed, as they end a reversed preperiod, with that letter's rule
-# in cantor's _REVERSED_HEADS, none of them a _LOOP: (letter, k, reversed rhs).
-_LONG_STEPS = {
-    head: (letter, *_REVERSED_HEADS[head][_SLOT[letter]])
-    for head in _REVERSED_HEADS
-    for letter in [_next_letter(head[::-1], True)]
-}
+    v, w = point.preperiod, point.period
+    s = v + w
+    k = s.find("1" if s[0] == "0" else "0")  # the first run, s[:k]
+    run = "A" * k if s[0] == "0" else "a" * (k - 1)
+    return run + stabilizer_period_word(v[k + 1 :]), max(k + 1 - len(v), 0) % len(w)
 
 
 def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf: one letter rule, then an arc of the period cycle.
+    """A word moving the point to 10 period^inf: _landing's word, then an arc of the period cycle.
 
-    _next_letter reads the first two letters of the sequence and whether
-    the canonical preperiod has more than two letters.  There no letter
-    lengthens the preperiod, and within three letters one shortens it: 00
-    takes A, 010 AB, 011 ABa, 100 B, 101 Ba and 11 a.  From two letters
-    down, the rule walks the sequence's first run until it starts with 10.
-
-    Above three letters no rule reads past the preperiod, so its last
-    letter stays and the image is canonical: the preperiod is a reversed
-    list, as _fold keeps it, stepped at its end by _LONG_STEPS at O(1).
-    From three letters down, cantor's _step steps the preperiod and a
-    rotation r of the period, also at O(1), and no period is copied.
-
-    The rule stops only where v (W[r:] + W[:r])^inf starts with 10 and v
-    has at most two letters, on 10(W[j:] + W[:j]) for j = r + 2 - |v| mod
-    |W|: base_rotation's three cases, v = 10, v = 1 and an empty v.  Both
-    arcs of the cycle that the fifth generator closes lead from there to
-    10(W): period_loop_word(W[:j]) and stabilizer_period_word(W[j:]).  The
-    word ends in the shorter, the loop arc on a tie.
+    From the landing 10(W[j:] + W[:j]), both arcs of the cycle that the fifth
+    generator closes lead to 10(W), and _arc takes the shorter.  The word has
+    at most 2|v| + 2|W| letters.
 
     The word is the least geodesic of the Schreier graph, the least in
     LETTERS order among the shortest, on every point the tests compare:
@@ -255,19 +226,8 @@ def _conjugator(point: RationalPoint) -> Word:
     description of these Schreier graphs as trees with cycles (Geom.
     Dedicata 2015); it moves the point to the base point either way.
     """
-    v, w = point.preperiod, point.period
-    words = []
-    stack = list(v[::-1])
-    while len(stack) > 3:
-        letter, k, rhs = _LONG_STEPS["".join(stack[-3:])]
-        stack[-k:] = rhs
-        words.append(letter)
-    v, r = "".join(stack[::-1]), 0  # from here a (preperiod, rotation) pair over w, v of at most three letters
-    while (letter := _next_letter((v + w[r : r + 2] + w[:2] * 2)[:2], len(v) > 2)) is not None:
-        v, r = _step(v, r, w, _SLOT[letter])
-        words.append(letter)
-    words.append(_arc(w, (r + 2 - len(v)) % len(w)))
-    return "".join(words)
+    word, j = _landing(point)
+    return word + _arc(point.period, j)
 
 
 def _arc(w: str, j: int) -> Word:

@@ -228,9 +228,19 @@ def test_base_rotation_matches_the_rotation_search():
     assert found == 232  # one base point 10 u^inf per primitive period u of <= 7 letters
 
 
+def test_base_rotation_at_its_edges():
+    # its three base cases, a preperiod of 10, of 1 and an empty one; points that start with 11 or 0;
+    # and the endpoints, on which the run of the landing is not defined: without the guard, (0) and
+    # (1) would read as the base points 10(0) and 10(1)
+    cases = {"10(0100)": "0100", "1(0010)": "0100", "(1000)": "0010", "11(0100)": None, "0(1)": None}
+    for text, rotation in cases.items():
+        assert base_rotation(parse_point(text)) == rotation, text
+    assert base_rotation(ZERO_POINT) is None and base_rotation(ONE_POINT) is None
+
+
 def test_gens_for_a_long_period_takes_linear_time():
     # 1/8009 has a 4004-letter period and no base rotation.  Trying every
-    # rotation took 0.8-1.0 s; the conjugator, a 26-letter rule walk and arc,
+    # rotation took 0.8-1.0 s; the conjugator, a 26-letter first run and arc,
     # takes under 1 ms on a 2-vCPU Xeon, so the budget leaves room for load
     point = value_to_point(F(1, 8009))
     assert len(point.period) == 4004 and base_rotation(point) is None
@@ -389,7 +399,7 @@ def _forbid_search(monkeypatch):
 
 
 def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
-    # the letter rule takes 10100(0111) to 10(0111) itself, and 101(10) by B to 1(10), then by a
+    # the conjugator's word takes 10100(0111) to 10(0111) itself, and 101(10) by B to 1(10), then by a
     # to (10), the canonical form of 10(10); on 11(0100) its a lands on 1(0100), which is
     # 10(1000), and the arc b of the period cycle ends at 1(0010); on 01(0100), whose period ends
     # in 0, its A lands on 1(0010), the canonical form of 10(0100), and the arc is empty
@@ -402,8 +412,8 @@ def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
 
 def test_descent_and_search_give_find_paths_word_on_every_short_tail():
     # every canonical non-base point with a preperiod of at most 2 letters and a primitive period of at
-    # most 10: the letter rule never takes B there, so the word is its walk down the first run of the
-    # sequence, then the arc of the period cycle from where it lands, equal to the search's word
+    # most 10: no preperiod letter follows the first run there, so the word is the first run's letters,
+    # then the arc of the period cycle from where they land, equal to the search's word
     compared = 0
     for n in range(1, 11):
         for w in map("".join, product("01", repeat=n)):
@@ -417,6 +427,35 @@ def test_descent_and_search_give_find_paths_word_on_every_short_tail():
                     assert stabgen._conjugator(point) == find_path(point, canonicalize("10", w)), point
                     compared += 1
     assert compared == 5896
+
+
+def _next_letter(head, long):
+    """The letter rule's letter on a sequence that starts with head, or None where it stops.
+
+    long says that the canonical preperiod has more than two letters.  The
+    conjugator's closed form is the word of this rule's walk, and the tests
+    compare the two.
+    """
+    if head[0] == "0":
+        return "A"  # 00 -> 0, or 01 -> 10
+    if head[1] == "1":
+        return "a"  # 11 -> 1
+    return "B" if long else None  # 100 -> 10, or 101 -> 110
+
+
+def _letter_rule_walk(point):
+    """The letters of the rule walked with act_letter from the point, and the point where it stops.
+
+    The walk is bounded, so a rule that did not stop fails here rather than hangs.
+    """
+    walk = []
+    for _ in range(3 * len(point.preperiod) + len(point.period) + 2):
+        letter = _next_letter(point.prefix(2), len(point.preperiod) > 2)
+        if letter is None:
+            return "".join(walk), point
+        point = act_letter(point, letter)
+        walk.append(letter)
+    pytest.fail(f"the rule did not stop on {point}")
 
 
 def test_letter_rule_shortens_a_long_preperiod_within_three_letters():
@@ -434,7 +473,7 @@ def test_letter_rule_shortens_a_long_preperiod_within_three_letters():
                 while len(point.preperiod) > 2:
                     before = point
                     for _ in range(3):
-                        letter = stabgen._next_letter(point.prefix(2), len(point.preperiod) > 2)
+                        letter = _next_letter(point.prefix(2), len(point.preperiod) > 2)
                         assert letter is not None, (v, w, point)
                         point = act_letter(point, letter)
                         assert len(point.preperiod) <= len(before.preperiod), (v, w, before, point)
@@ -483,26 +522,43 @@ def test_arc_is_find_paths_word_between_every_pair_of_base_points():
 def test_letter_rule_lands_on_a_base_point():
     # every non-endpoint point with a preperiod of at most 6 letters and a period of at most 5, 7,804
     # pairs (v, w) in all: the rule, walked with act_letter, stops on a point that base_rotation
-    # reads as 10(W[j:] + W[:j]), and the conjugator is the walk followed by the arc from there;
-    # the walk is bounded, so a rule that did not stop fails here rather than hangs
+    # reads as 10(W[j:] + W[:j]), and the conjugator is the walk followed by the arc from there
     def strings(max_len):
         return ["".join(bits) for n in range(max_len + 1) for bits in product("01", repeat=n)]
 
     points = {canonicalize(v, w) for v in strings(6) for w in strings(5) if w} - {ZERO_POINT, ONE_POINT}
     for point in points:
-        landing, walk = point, ""
-        for _ in range(3 * len(point.preperiod) + len(point.period) + 2):
-            letter = stabgen._next_letter(landing.prefix(2), len(landing.preperiod) > 2)
-            if letter is None:
-                break
-            landing, walk = act_letter(landing, letter), walk + letter
-        else:
-            pytest.fail(f"the rule did not stop on {point}")
+        walk, landing = _letter_rule_walk(point)
         u = base_rotation(landing)
         assert u is not None, (point, landing)
         w = point.period
         assert stabgen._conjugator(point) == walk + stabgen._arc(w, (w + w).find(u)), point
     assert len(points) == 3326
+
+
+def test_conjugator_is_the_letter_rule_walk_then_the_arc_on_long_preperiods_and_runs():
+    # the closed form against the letter rule, on seeded preperiods of up to 2,000 letters with
+    # periods of up to 12, and on the two-run periods below for k up to 200; the landing's rotation
+    # is found by trying every rotation, not by base_rotation, which reads the closed form's landing
+    rng = SplitMix64(2_000)
+    points = []
+    for _ in range(100):
+        v = "".join("01"[rng.below(2)] for _ in range(rng.below(2_001)))
+        points.append(canonicalize(v, "".join("01"[rng.below(2)] for _ in range(1 + rng.below(12)))))
+    for k in (1, 2, 3, 5, 8, 13, 64, 200):
+        for w in ("0" * k + "1" * k, "0" * k + "1" + "0" * (k + 1) + "1", "1" * k + "0" + "1" * k + "00"):
+            points.append(RationalPoint("", w))
+    longest = 0
+    for point in points:
+        if point.is_endpoint():
+            continue
+        walk, landing = _letter_rule_walk(point)
+        w = point.period
+        u = _rotation_by_search(landing)
+        assert u is not None, (point, landing)
+        assert stabgen._conjugator(point) == walk + stabgen._arc(w, (w + w).find(u)), point
+        longest = max(longest, len(point.preperiod))
+    assert longest > 1_900
 
 
 def test_conjugators_of_long_runs_reach_the_base_point():
