@@ -30,11 +30,14 @@ for the points they return.
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with
 PeriodCapacityError, before they build it.  The period of p/q has as many
-letters as the order of 2 modulo the odd part of q, which a baby-step
-giant-step search finds in O(sqrt(n)) steps for an order n, or rules out
-beyond MAX_PERIOD in O(sqrt(MAX_PERIOD)) steps, and at once for an odd part
-of more than MAX_PERIOD bits.  A p/q with more digits than 2^(2 MAX_PERIOD)
-is refused the same way, before its digits are read.
+letters as the order of 2 modulo the odd part m of q.  Trial division of m
+by the odd primes below 2^10 gives the order modulo its small prime powers.
+The cofactor r left is 1 or a prime when r < 2^20, and its order comes from
+the factors of r - 1; only a larger r is searched, by baby-step giant-step
+in O(sqrt(e)) steps for the factor e of the order that r adds.  So m is
+refused as soon as the orders of its parts pass MAX_PERIOD, and at once
+when it has more than MAX_PERIOD bits.  A p/q with more digits than
+2^(2 MAX_PERIOD) is refused the same way, before its digits are read.
 A point made from a fraction keeps that fraction as its value.
 """
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import log10
+from math import isqrt, lcm, log10
 
 from .words import LETTERS, Word
 
@@ -310,25 +313,102 @@ def shift(point: RationalPoint) -> RationalPoint:
     return RationalPoint._trusted("", w[1:] + w[0])
 
 
+_TRIAL_BOUND = 1 << 10  # _order_of_two divides out every odd prime below it
+_PRIME_ORDERS: dict[int, int] = {}  # p -> the order of 2 mod p, for the odd primes p < _TRIAL_BOUND
+
+
+@cache
+def _primes() -> tuple[int, ...]:
+    """The primes below _TRIAL_BOUND, sieved on first use."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return tuple(p for p in range(_TRIAL_BOUND) if sieve[p])
+
+
+def _prime_order(p: int) -> int:
+    """The order of 2 modulo an odd prime p < _TRIAL_BOUND^2.
+
+    It divides p - 1, whose prime factors all lie below _TRIAL_BOUND but for
+    at most one: it is p - 1 with each of them removed while 2 to the
+    quotient is still 1.
+    """
+    n = t = p - 1
+    for f in _primes():
+        if f * f > t:
+            break
+        if t % f == 0:
+            while t % f == 0:
+                t //= f
+            while n % f == 0 and pow(2, n // f, p) == 1:
+                n //= f
+    if t > 1 and pow(2, n // t, p) == 1:  # t is prime, once in p - 1
+        n //= t
+    return n
+
+
 def _order_of_two(m: int) -> int | None:
     """Least n >= 1 with 2^n = 1 (mod m) for odd m; None when n > MAX_PERIOD.
 
-    Shanks' baby-step giant-step.  The baby steps put 2^j mod m -> j in a
-    table for j < s, returning the first j >= 1 with 2^j = 1.  Past them,
-    the order n exceeds s and is i*s - j for i = ceil(n / s) and some j < s,
-    so the first giant step 2^(i*s) found in the table gives n = i*s - j
-    (the table's entries are distinct, as s < n).  Giant steps cover orders
-    up to s^2; s doubles from 32, the table growing with it, until s^2
-    reaches MAX_PERIOD.  Each round starts at the first i whose orders the
-    earlier rounds have not ruled out, so no order is tested twice.  An
-    order n costs O(sqrt(n)) steps, a value past the bound O(sqrt(MAX_PERIOD)):
-    1024 baby and 1520 giant steps at MAX_PERIOD = 2^20.  As m divides
-    2^n - 1 < 2^n, n is at least the bit length of m, so an m of more than
-    MAX_PERIOD bits is refused before any step.
+    The order modulo m is the lcm of the orders modulo the prime powers of m.
+    Trial division by the odd primes below _TRIAL_BOUND finds the small ones:
+    modulo p^k the order is ord_p(2) p^j for the least j that makes 2 to it
+    1, and ord_p(2) is kept per p.  The cofactor r left has no factor below
+    _TRIAL_BOUND, so it is 1 or a prime when r < _TRIAL_BOUND^2, with its
+    order read from the factors of r - 1.  A larger r is searched: with n
+    the order so far, the full order is n e for the order e of 2^n modulo r,
+    which _order_by_search finds up to MAX_PERIOD // n.  The running lcm
+    divides the order, so None comes as soon as it passes MAX_PERIOD.  As m
+    divides 2^n - 1 < 2^n, n is at least the bit length of m, so an m of
+    more than MAX_PERIOD bits is refused before any step.
     """
     cap = MAX_PERIOD
     if m.bit_length() > cap:
         return None
+    n = 1
+    for p in _primes():
+        if p * p > m:
+            break
+        if m % p:
+            continue
+        q = p
+        m //= p
+        while m % p == 0:
+            m //= p
+            q *= p
+        d = _PRIME_ORDERS.get(p) or _PRIME_ORDERS.setdefault(p, _prime_order(p))
+        t = pow(2, d, q)
+        while t != 1:
+            d *= p
+            if d > cap:
+                return None
+            t = pow(t, p, q)
+        n = lcm(n, d)
+        if n > cap:
+            return None
+    if m < _TRIAL_BOUND * _TRIAL_BOUND:
+        if m > 1:
+            n = lcm(n, _prime_order(m))
+        return n if n <= cap else None
+    e = _order_by_search(pow(2, n, m), m, cap // n)
+    return None if e is None else n * e
+
+
+def _order_by_search(g: int, m: int, cap: int) -> int | None:
+    """Least e >= 1 with g^e = 1 (mod m) for g prime to m; None when e > cap.
+
+    Shanks' baby-step giant-step.  The baby steps put g^j mod m -> j in a
+    table for j < s, returning the first j >= 1 with g^j = 1.  Past them,
+    the order e exceeds s and is i*s - j for i = ceil(e / s) and some j < s,
+    so the first giant step g^(i*s) found in the table gives e = i*s - j
+    (the table's entries are distinct, as s < e).  Giant steps cover orders
+    up to s^2; s doubles from 32, the table growing with it, until s^2
+    reaches cap.  Each round starts at the first i whose orders the earlier
+    rounds have not ruled out, so no order is tested twice.  An order e
+    costs O(sqrt(e)) steps, a value past the bound O(sqrt(cap)).
+    """
     one = 1 % m
     table: dict[int, int] = {}
     j, power, s, covered = 0, one, 32, 0
@@ -336,18 +416,18 @@ def _order_of_two(m: int) -> int | None:
         while j < s:
             table[power] = j
             j += 1
-            power = power * 2 % m
+            power = power * g % m
             if power == one:
                 return j if j <= cap else None
         steps = min(s, -(-cap // s))
-        giant = power  # 2^s mod m, where the next round's baby steps go on
+        giant = power  # g^s mod m, where the next round's baby steps go on
         start = covered // s + 1
         leap = pow(giant, start, m)
         for i in range(start, steps + 1):
             k = table.get(leap)
             if k is not None:
-                n = i * s - k
-                return n if n <= cap else None
+                e = i * s - k
+                return e if e <= cap else None
             leap = leap * giant % m
         covered = steps * s
         if covered >= cap:
@@ -366,9 +446,10 @@ def value_to_point(value: Fraction | int) -> RationalPoint:
     so dyadic rationals map to their 0-tail representative (the 1-tail twin
     is reachable by point syntax only).  Raises PeriodCapacityError when a
     or n exceeds MAX_PERIOD, before any digit is formatted; _order_of_two
-    finds n, or rules it out, in O(sqrt(n)) modular steps.  The point keeps
-    the fraction as its value(), so it is not rebuilt from the bits; the
-    shared ONE_POINT keeps none.
+    finds n, or rules it out, by trial division of m, with a baby-step
+    giant-step search only on a cofactor of at least 2^20 with no factor
+    below 2^10.  The point keeps the fraction as its value(), so it is not
+    rebuilt from the bits; the shared ONE_POINT keeps none.
     """
     if isinstance(value, float):
         raise TypeError("refusing float input; pass Fraction for exactness")

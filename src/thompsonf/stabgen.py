@@ -189,7 +189,8 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
         return StabilizerGens(point, "", base_generator_words(rotation), rotation)
     w = point.period
     h = _conjugator(point)
-    generators = tuple(conjugate(g, h) for g in base_generator_words(w))
+    h_inverse = invert_word(h)
+    generators = tuple(h + g + h_inverse for g in base_generator_words(w))
     return StabilizerGens(point, h, generators, w)
 
 

@@ -337,14 +337,17 @@ _ROUND_EDGES = (1024, 1025, 4096, 4097, 16384, 16385, 65536, 65537)
 
 @pytest.mark.parametrize("k", _ROUND_EDGES)
 def test_order_of_two_at_the_giant_step_round_edges(k):
-    # 2 has order k modulo 2^k - 1
-    assert _order_of_two((1 << k) - 1) == k
+    # 2 has order k modulo 2^k - 1.  _order_of_two divides out its small factors first and
+    # searches the rest over a shorter range, so the search is called here on its own
+    assert cantor._order_by_search(2, (1 << k) - 1, MAX_PERIOD) == k
 
 
 def test_order_of_two_refuses_a_modulus_longer_than_the_bound_before_any_step():
     # m divides 2^n - 1 < 2^n, so the order n is at least the bit length of m: 2^MAX_PERIOD - 1,
-    # of MAX_PERIOD bits, still has order MAX_PERIOD (about 1 s), and one bit more is refused
+    # of MAX_PERIOD bits, still has order MAX_PERIOD, and one bit more is refused
+    start = time.perf_counter()
     assert _order_of_two((1 << MAX_PERIOD) - 1) == MAX_PERIOD
+    assert time.perf_counter() - start < 0.3
     assert _order_of_two((1 << (MAX_PERIOD + 1)) - 1) is None
     nines = 10**631306 - 1  # 2,097,154 bits, where the giant steps took about 1.1 s to refuse it
     start = time.perf_counter()
@@ -352,11 +355,61 @@ def test_order_of_two_refuses_a_modulus_longer_than_the_bound_before_any_step():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("k", [20_000, 100_000])
+def test_order_of_two_refuses_nines_within_the_bit_bound_fast(k):
+    # 10^k - 1 has fewer than MAX_PERIOD bits, but its prime factors below 2^10 alone give an
+    # order past the bound, so it is refused before any search over the whole modulus
+    nines = 10**k - 1
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert _order_of_two(nines) is None
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1, times
+
+
 @pytest.mark.parametrize("cap", [1024, 1025, 4096])
-def test_order_of_two_at_the_round_edges_under_a_lowered_bound(monkeypatch, cap):
-    monkeypatch.setattr(cantor, "MAX_PERIOD", cap)
+def test_order_of_two_at_the_round_edges_under_a_lowered_bound(cap):
     for k in sorted({*_ROUND_EDGES, cap + 1}):
-        assert _order_of_two((1 << k) - 1) == (k if k <= cap else None), (k, cap)
+        assert cantor._order_by_search(2, (1 << k) - 1, cap) == (k if k <= cap else None), (k, cap)
+
+
+# (m, whether trial division leaves a cofactor of at least 2^20 for the search)
+_ORDER_PATHS = (
+    (1093**2, True),  # Wieferich squares: the order modulo p^2 is the order modulo p
+    (3511**2, True),
+    (1093 * 3511**2, True),
+    (7**7, False),  # 3 * 7^6: powers of small primes, ord_p(2) p^j
+    (31**4, False),  # 5 * 31^3
+    (3**12, False),
+    (3**13, False),  # 2 * 3^12, past the bound
+    (7**7 * 31**4, False),  # the lcm passes the bound
+    (1031, False),  # a prime cofactor between 2^10 and 2^20
+    (3 * 5 * 1031, False),
+    (1048573, False),
+    (1031 * 1033, True),  # a cofactor of at least 2^20 with no factor below 2^10
+    (9 * 1031 * 1033, True),
+    (3**5 * 7 * 1031 * 1033, True),
+)
+
+
+@pytest.mark.parametrize("m,searched", _ORDER_PATHS)
+def test_order_of_two_by_trial_division_then_search(monkeypatch, m, searched):
+    searches = []
+    search = cantor._order_by_search
+
+    def counted(g, r, cap):
+        searches.append(r)
+        return search(g, r, cap)
+
+    monkeypatch.setattr(cantor, "_order_by_search", counted)
+    order = _order_by_factoring(m, m)
+    caps = {MAX_PERIOD, 1, 31, 32, 33, 1000, order - 1, order, order + 1}
+    for cap in sorted(c for c in caps if 0 < c <= MAX_PERIOD):
+        monkeypatch.setattr(cantor, "MAX_PERIOD", cap)
+        assert _order_of_two(m) == (order if order <= cap else None), (m, cap)
+    assert bool(searches) == searched
+    assert all(r >= 1 << 20 and r % 2 and all(r % p for p in range(3, 1 << 10, 2)) for r in searches)
 
 
 def test_periods_near_the_bound_convert_fast():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import plmap, schreier, stabgen
+from thompsonf import plmap, schreier, stabgen, words
 from thompsonf.cantor import (
     ONE_POINT,
     ZERO_POINT,
@@ -273,6 +273,25 @@ def test_gens_for_a_nineteen_letter_preperiod():
     assert verify_generators(gens, samples=20).passed
     # about 0.06 s on a 2-vCPU Xeon; the budget leaves room for load
     assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
+
+
+def test_gens_inverts_the_conjugator_once_per_call(monkeypatch):
+    # the five generators are h g h^-1 for the base words g; h^-1 is built once, not once for
+    # each generator
+    inverted = []
+
+    def counted(word):
+        inverted.append(word)
+        return invert_word(word)
+
+    monkeypatch.setattr(words, "invert_word", counted)
+    monkeypatch.setattr(stabgen, "invert_word", counted)
+    point = parse_point("0110110110110110110(0011)")
+    gens = stabilizer_generators(point)
+    h = gens.conjugator
+    assert len(h) == 29 and inverted.count(h) == 1
+    monkeypatch.undo()
+    assert gens.generators == tuple(conjugate(g, h) for g in base_generator_words("0011"))
 
 
 def test_gens_text_of_long_searches_matches_the_frozen_fixture():
