@@ -34,8 +34,11 @@ breakpoint steps.  A left fold composes letter k into a map that may already
 have O(k) breakpoints, which is quadratic when they grow with the length, as
 they do for (x0 x1)^k.
 
-To evaluate a word at one point, evaluate_word builds no map: it folds the
-exact value through the pieces of the letter maps, one letter at a time.
+To evaluate a word at one point, evaluate_word builds no map.  Every piece
+of a letter map sends a standard dyadic interval onto another, so on binary
+digits it replaces one prefix by another and keeps the rest; evaluate_word
+reads these rules off the letter maps when it is called and folds the
+value's digits through them, one letter at a time, at O(1) per letter.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import or_
+from operator import itemgetter, or_
 
 from .dyadic import Dyadic
 from .report import Check, Report
@@ -301,81 +304,86 @@ def _piece(text: str) -> PLMap:
     return _piece(text[:mid]).compose(_piece(text[mid:]))
 
 
-_LOW_BITS = (1 << 64) - 1
-# per letter: its exponent, its breakpoints' t numerators but the last, and its pieces (see _value_pieces)
-_Pieces = dict[str, tuple[int, list[int], list[tuple[int, int, int, int]]]]
-
-
 def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     """Exact image of t under the map of the word, without building that map.
 
-    The value is folded through the pieces of _LETTER_MAPS, one letter at a
-    time, by _fold_value, with the pieces scaled for t's denominator by
-    _value_pieces.  A word of n letters costs n steps of a few shifts and
-    additions, where word_to_plmap builds a map that can have O(n)
-    breakpoints over 2^n.
+    Each piece of a letter map sends a standard dyadic interval onto
+    another, so on binary digits it is a prefix rule: it replaces the
+    address of its domain by that of its image and keeps the digits after
+    it.  t is held as its leading digits, in a list whose end holds the
+    first digit, and a tail r/d with d odd and 0 <= r < d.  The tail's
+    digits are read only when the list is shorter than the longest rule, as
+    many at a time as d has bits, at most 64 but at least the longest rule:
+    one read costs a shift and a division of r.  0 and 1, which every
+    element fixes, return at once.  A letter costs one lookup of its rule
+    by the first digits and one slice assignment, and one Fraction is built
+    at the end, where word_to_plmap builds a map that can have O(n)
+    breakpoints over 2^n for a word of n letters.
     """
     if isinstance(t, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
-    fr = Fraction(t)
-    if fr < 0 or fr > 1:
+    fr = t if isinstance(t, Fraction) else Fraction(t)
+    num, den = fr.numerator, fr.denominator
+    if num < 0 or num > den:
         raise ValueError(f"argument {fr} outside [0, 1]")
-    return _fold_value(word, fr, _value_pieces(_odd_part(fr.denominator)))
-
-
-def _odd_part(n: int) -> int:
-    """n without its factors of two, for n > 0."""
-    return n >> ((n & -n).bit_length() - 1)
-
-
-def _value_pieces(d: int) -> _Pieces:
-    """The pieces of each letter map, as _fold_value reads them for values whose denominator has odd part d.
-
-    Per letter: its exponent e, the numerators of its breakpoints but the
-    last, and per piece (T d 2^e, Y d 2^e, log2 of the slope split into its
-    positive and negative parts).  Every image of such a value under F has
-    the same odd part d, so one table serves all the words folded at it and
-    at its images.
-    """
-    pieces = {}
-    for letter, m in _LETTER_MAPS.items():
-        ts, ys = m._ts, m._ys
-        steps = []
-        for i in range(len(ts) - 1):
-            dt, dy = ts[i + 1] - ts[i], ys[i + 1] - ys[i]
-            up = (dy // dt).bit_length() - 1 if dy >= dt else 0
-            down = (dt // dy).bit_length() - 1 if dt > dy else 0
-            steps.append((ts[i] * d, ys[i] * d, up, down))
-        pieces[letter] = (m._e, ts[:-1], steps)
-    return pieces
-
-
-def _fold_value(word: Word, t: Fraction, pieces: _Pieces) -> Fraction:
-    """Exact image of t in [0, 1] under the word, given _value_pieces(d) for the odd part d of t's denominator.
-
-    The value is kept as N / (d 2^k): a piece y = Y + 2^j (t - T), with
-    dyadic T and Y, sends such a value to another one over the same d, so
-    each letter costs a few shifts and additions.  The piece is found from
-    the top bits of N, a small number, by a floor division by d, and the
-    common factors of two are counted in the low 64 bits of N and shifted
-    out instead of found by a gcd.
-    """
-    num, den = t.numerator, t.denominator
+    if num == 0 or num == den:
+        return fr
+    longest, head, rules = _digit_rules(tuple(_LETTER_MAPS.items()))
     k = (den & -den).bit_length() - 1
     d = den >> k
+    chunk = max(min(d.bit_length(), 64), longest)
+    q, r = divmod(num, d)  # t = (q + r/d) / 2^k
+    stack = list(format(q | 1 << k, "b")[:0:-1])  # the k digits of q, the first one last
     for letter in word:
-        e, ts, steps = pieces[letter]
-        # floor(t 2^e) picks the piece; the shift leaves a small number, so it costs O(1)
-        top = (num >> (k - e) if k >= e else num << (e - k)) // d
-        td, yd, up, down = steps[bisect_right(ts, top) - 1]
-        num = (yd << (k + down)) + (((num << e) - (td << k)) << up)  # over d 2^(k + e + down)
-        k += e + down
-        low = num & _LOW_BITS or num  # the low bits, in O(1), unless they are all 0
-        z = min((low & -low).bit_length() - 1, k) if low else k
-        if z:
-            num >>= z
-            k -= z
-    return Fraction(num, d << k)
+        try:
+            stack[-longest:] = rules[letter][head(stack)]
+        except IndexError:  # the list is shorter than the longest rule: the next digits of the tail go under it
+            q, r = divmod(r << chunk, d)
+            stack[:0] = format(q | 1 << chunk, "b")[:0:-1]
+            stack[-longest:] = rules[letter][head(stack)]
+    digits = "".join(reversed(stack))
+    return Fraction(int(digits or "0", 2) * d + r, d << len(digits))
+
+
+_Heads = dict[tuple[str, ...], tuple[str, ...]]  # a head of the longest rule's length -> its image
+
+
+@cache
+def _digit_rules(maps: tuple[tuple[str, PLMap], ...]) -> tuple[int, itemgetter, dict[str, _Heads]]:
+    """The longest prefix rule's length, a getter of a head that long, and per letter the image of each head.
+
+    A head and its image are written as evaluate_word's list holds them,
+    the first digit last.  Keyed on the maps themselves, so a letter map
+    replaced at run time gets rules of its own.
+    """
+    rules = {letter: _prefix_rules(m) for letter, m in maps}
+    longest = max(len(lhs) for pairs in rules.values() for lhs, _ in pairs)
+    heads = [format(bits | 1 << longest, "b")[1:] for bits in range(1 << longest)]
+    images = {
+        letter: {
+            tuple(head[::-1]): next(tuple((rhs + head[len(lhs):])[::-1]) for lhs, rhs in pairs if head.startswith(lhs))
+            for head in heads
+        }
+        for letter, pairs in rules.items()
+    }
+    return longest, itemgetter(*range(-longest, 0)), images
+
+
+def _prefix_rules(m: PLMap) -> tuple[tuple[str, str], ...]:
+    """The prefix rule of each piece of m, in order: the binary addresses of its domain and of its image.
+
+    Raises ValueError for a piece whose domain or image is not a standard
+    dyadic interval [j / 2^n, (j + 1) / 2^n].
+    """
+    e, ts, ys = m._e, m._ts, m._ys
+
+    def address(lo: int, hi: int) -> str:
+        width = hi - lo
+        if width & (width - 1) or lo % width:
+            raise ValueError(f"[{lo}/2^{e}, {hi}/2^{e}] is not a standard dyadic interval")
+        return format(lo // width | 1 << (e - width.bit_length() + 1), "b")[1:]
+
+    return tuple((address(ts[i], ts[i + 1]), address(ys[i], ys[i + 1])) for i in range(len(ts) - 1))
 
 
 def xn(n: int) -> PLMap:

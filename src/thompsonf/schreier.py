@@ -29,10 +29,10 @@ lists the other letters as its steps, with their rules, and says where the
 x0 and x1 images are.  A ball's tree also records the x0 and x1 edges of
 every vertex it expands, as a flat list; only the boundary layer, the
 vertices at the full radius, has its images computed afterwards, from the
-same plans.  A ball is that tree: its RationalPoint vertices, parents,
-distances and edge tuples are views built on first access, with each
-rotation's period text built once.  The DOT and JSON exports write their text
-from the preperiods, the rotation texts and the flat edge list without them.
+same plans.  A ball is that tree, whose tuple of RationalPoint vertices is
+built on first access, with each rotation's period text built once.  The
+DOT and JSON exports write their text from the preperiods, the rotation
+texts and the flat edge list without it.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -56,8 +56,6 @@ BFS_LETTERS = LETTERS
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
 MAX_BALL_VERTICES = 1_000_000  # greatest vertex cap of a ball
 
-_Parent = tuple[int, str] | None
-_Edge = tuple[int, str, int]
 _Step = tuple[int, int, str]
 _Plan = tuple[tuple[_Step, ...], tuple[int, ...]]
 
@@ -239,11 +237,9 @@ class SchreierBall(_Tree):
     """BFS-explored portion of the Schreier graph around a seed point.
 
     The BFS tree that grew it, on the seed's period, with the seed point and
-    the radius.  vertices, parents, distances and edges are tuples built on
-    first access and kept: the RationalPoint of each vertex, whose periods
-    share one string per rotation, None for the seed and (parent, letter)
-    for the others, the depth of each vertex, and the (source, "x0" | "x1",
-    target) edges.  path_word(vertex) is the shortest word u with
+    the radius.  vertices, the RationalPoint of each vertex, whose periods
+    share one string per rotation, is a tuple built on first access and
+    kept.  path_word(vertex) is the shortest word u with
     act_word(seed, u) = vertices[vertex].
     """
 
@@ -254,21 +250,6 @@ class SchreierBall(_Tree):
     def vertices(self) -> tuple[RationalPoint, ...]:
         periods = self.periods()
         return tuple(map(RationalPoint._canonical, self.pre, map(periods.__getitem__, self.rot)))
-
-    @cached_property
-    def parents(self) -> tuple[_Parent, ...]:
-        parent, slot = self.parent, self.slot
-        return (None,) + tuple((parent[i], BFS_LETTERS[slot[i]]) for i in range(1, len(self.pre)))
-
-    @cached_property
-    def distances(self) -> tuple[int, ...]:
-        starts = self.starts
-        return tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
-
-    @cached_property
-    def edges(self) -> tuple[_Edge, ...]:
-        it = iter(self.flat_edges)
-        return tuple(zip(it, it, it))
 
     def __len__(self) -> int:
         return len(self.pre)

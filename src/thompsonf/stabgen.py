@@ -14,13 +14,11 @@ generic point, under each of two independent oracles (the symbolic sequence
 action and exact evaluation of the PL map at the point's rational value),
 plus reproducible random products of generators and their inverses, which
 are built and drawn only when some generator moves the point.  Neither
-oracle builds the map of a word: the sequence is folded through cantor's
-rule table with a read offset into the period, at O(1) per letter, and the
-value through the pieces of the letter maps, as plmap.evaluate_word folds
-it, at a few operations per letter on integers about the size of the
-point's denominator; the pieces, scaled for that denominator, are built
-once per call, and the conjugator's share of the five words, h and h^-1,
-is evaluated once.
+oracle builds the map of a word, and each costs O(1) per letter: the
+sequence is folded through cantor's rule table with a read offset into the
+period, and the value by plmap.evaluate_word, through prefix rules on its
+binary digits that it reads off the letter maps themselves, so the two
+oracles share no table.
 
 The suites that do not depend on a point, check_reduction,
 check_twin_points, check_stabilizer_relators and the index identities of
@@ -32,10 +30,9 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 
 from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
-from .plmap import PLMap, _fold_value, _odd_part, _value_pieces, identity, word_to_plmap, xn, yn
+from .plmap import PLMap, evaluate_word, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN
@@ -251,13 +248,10 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     Every generator must fix the point under both the sequence action and
     exact PL-map evaluation at the point's rational value; seeded random
     products of 1 to MAX_FACTORS generators and their inverses must fix the
-    point as well.  The map of a generator is never built: the value is
-    folded through the pieces of the letter maps, one letter at a time, as
-    evaluate_word folds it, so the cost is linear in the word, where the
-    map of a word of n letters can have O(n) breakpoints over 2^n; the
-    pieces are scaled for the value's denominator once, and the conjugator
-    h and the h^-1 that ends each conjugated generator are evaluated once
-    for all the words (see _evaluations).
+    point as well.  The map of a generator is never built: evaluate_word
+    folds the value's binary digits through the prefix rules of the letter
+    maps, so the cost is linear in the word, where the map of a word of n
+    letters can have O(n) breakpoints over 2^n.
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
@@ -277,9 +271,9 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     value = point.value()
     start = (point.preperiod, point.period)
     images = [_fold(*start, word) for word in gens.generators]
-    for k, (image, image_value) in enumerate(zip(images, _evaluations(gens, value)), start=1):
+    for k, (word, image) in enumerate(zip(gens.generators, images), start=1):
         report.add(f"generator {k} fixes {point} (sequence action)", image == start)
-        report.add(f"generator {k} fixes {point} (map evaluation)", image_value == value)
+        report.add(f"generator {k} fixes {point} (map evaluation)", evaluate_word(word, value) == value)
     bad = 0
     if any(image != start for image in images):
         pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
@@ -293,40 +287,6 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
     report.checks.extend(_index_identities())
     return report
-
-
-def _evaluations(gens: StabilizerGens, value: Fraction) -> list[Fraction]:
-    """evaluate_word(word, value) for each generator word, with the conjugator's share evaluated once.
-
-    The value and all its images share one odd part d of their
-    denominators, so the letter pieces scaled by d are built once, and
-    every word is folded with them.  Evaluation folds the letters in turn,
-    so a word h u t, with h the conjugator and t as long as h, is evaluated
-    as t after u after h: h once for all such words, and t once per
-    distinct pair of t and its argument, for a sound set once, where every
-    t is h^-1 and every u fixes h's image of the point.  A letter costs
-    time linear in the bits of the value, about as many as the letters of
-    the point's preperiod, so on a long preperiod this folds 2|h| letters
-    where the five words take 10|h|.
-    """
-    pieces = _value_pieces(_odd_part(value.denominator))
-    h = gens.conjugator
-    if not h:
-        return [_fold_value(word, value, pieces) for word in gens.generators]
-    n = len(h)
-    at_h = _fold_value(h, value, pieces)
-    tails: dict[tuple[Word, Fraction], Fraction] = {}
-    values = []
-    for word in gens.generators:
-        if len(word) < 2 * n or not word.startswith(h):
-            values.append(_fold_value(word, value, pieces))
-            continue
-        key = (word[-n:], _fold_value(word[n:-n], at_h, pieces))
-        image = tails.get(key)
-        if image is None:
-            image = tails[key] = _fold_value(*key, pieces)
-        values.append(image)
-    return values
 
 
 @functools.cache

@@ -4,7 +4,8 @@ Nothing here goes through the canonical-form machinery of the package: the
 string oracle applies the prefix rewriting rules to raw (prefix, period)
 pairs and compares long unrolled prefixes, and the fraction oracle walks the
 orbit of a dyadic number by exact PL-map evaluation.  Agreement between
-these and the package is what the regression fixtures pin down.
+these and the package is what the regression fixtures pin down.  ball_views
+reads a ball's tree as the tuples that the references return.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 from thompsonf.plmap import generator_x0, generator_x1
+from thompsonf.schreier import BFS_LETTERS, SchreierBall
 
 # Prefix rewriting rules keyed by letter symbol.
 RULES = {
@@ -21,6 +23,20 @@ RULES = {
     "b": (("0", "0"), ("10", "100"), ("110", "101"), ("111", "11")),
     "B": (("0", "0"), ("100", "10"), ("101", "110"), ("11", "111")),
 }
+
+
+def ball_views(b: SchreierBall) -> tuple[tuple, tuple[int, ...], tuple[tuple[int, str, int], ...]]:
+    """The parents, distances and edges of a ball, read off its tree.
+
+    None for the seed and (parent, letter) for each other vertex, the depth
+    of each vertex, and the (source, "x0" | "x1", target) edges.
+    """
+    starts = b.starts
+    parents = (None,) + tuple((b.parent[i], BFS_LETTERS[b.slot[i]]) for i in range(1, len(b)))
+    distances = tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
+    it = iter(b.flat_edges)
+    return parents, distances, tuple(zip(it, it, it))
+
 
 # Plenty for the bounded preperiods/periods exercised in tests: two sequences
 # u1 w^inf and u2 w^inf with |u| <= 40 and the same w of length <= 8 agree

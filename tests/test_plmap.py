@@ -6,7 +6,7 @@ import pytest
 
 from oracles import fraction_to_vw, naive_act
 from sampling import LETTERS, random_word
-from thompsonf import plmap
+from thompsonf import cantor, plmap
 from thompsonf.dyadic import Dyadic
 from thompsonf.plmap import (
     InvalidPLMapError,
@@ -73,7 +73,7 @@ def test_evaluate_rejects_out_of_range_and_floats():
 
 
 def test_evaluate_word_matches_the_built_map():
-    # the value fold through the letter pieces against evaluating the whole map
+    # the digit fold through the prefix rules of the letter maps against evaluating the whole map
     rng = SplitMix64(67)
     special = [F(0), F(1), F(1, 2), F(3, 4), F(7, 8), F(1, 4), F(5, 8)]
     seen = {"empty word": 0, "special t": 0, "dyadic t": 0, "non-dyadic t": 0, "long word": 0}
@@ -102,8 +102,8 @@ def test_evaluate_word_matches_the_built_map():
 
 
 def test_evaluate_word_on_values_wider_than_its_low_bits():
-    # denominators of 2^64 to 2^300 times an odd part: the piece comes from
-    # the top bits and the factors of two from the low 64 bits of the numerator
+    # denominators of 2^64 to 2^300 times an odd part: 64 to 300 leading
+    # digits in the list, and a tail of at most 11 bits
     rng = SplitMix64(71)
     for case in range(300):
         word = random_word(rng, 60)
@@ -111,6 +111,26 @@ def test_evaluate_word_on_values_wider_than_its_low_bits():
         bits = int("".join("01"[rng.below(2)] for _ in range(a)), 2)  # below(n) takes n < 2^64 only
         t = F(bits | (case % 2), (1 + 2 * rng.below(1000)) << a)
         assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
+
+
+def test_evaluate_word_reads_the_tail_in_chunks():
+    # odd parts of 2 to 300 bits: a run of x0^-1 reads the tail a chunk at a
+    # time, up to 64 digits, and the run of x0 after it puts the digits back
+    rng = SplitMix64(73)
+    for _ in range(80):
+        bits = 2 + rng.below(299)
+        d = int("1" + "".join("01"[rng.below(2)] for _ in range(bits - 2)) + "1", 2)
+        t = F(1 + rng.below(min(d - 1, 1 << 63)), d << rng.below(4))
+        n = rng.below(300)
+        word = "A" * n + random_word(rng, 20) + "a" * n
+        assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
+
+
+def test_prefix_rules_of_the_letter_maps_are_the_sequence_rules():
+    # read off the maps at run time, and equal to the table the sequence action keeps on its own
+    assert {letter: plmap._prefix_rules(m) for letter, m in plmap._LETTER_MAPS.items()} == cantor._RULES
+    with pytest.raises(ValueError, match="not a standard dyadic interval"):
+        plmap._prefix_rules(xn(2))  # its first piece is [0, 3/4]
 
 
 def test_evaluate_word_refuses_what_evaluate_refuses():

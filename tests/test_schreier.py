@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import fraction_ball_dot, string_ball_size
+from oracles import ball_views, fraction_ball_dot, string_ball_size
 from sampling import random_point, random_word
 from thompsonf.cantor import (
     _HEADS,
@@ -63,14 +63,14 @@ BALL_SIZES = {
 def test_fixed_point_ball_is_a_single_vertex_with_self_loops():
     b = ball(ZERO_POINT, 5)
     assert len(b) == 1
-    assert b.edges == ((0, "x0", 0), (0, "x1", 0))
+    assert ball_views(b)[2] == ((0, "x0", 0), (0, "x1", 0))
     assert len(ball(ONE_POINT, 4)) == 1
 
 
 def test_radius_zero_ball_has_no_edges():
     b = ball(canonicalize("10", "0100"), 0)
     assert len(b) == 1
-    assert b.edges == ()
+    assert ball_views(b)[2] == ()
 
 
 def test_radius_one_ball_around_one_half():
@@ -78,8 +78,7 @@ def test_radius_one_ball_around_one_half():
     # 110^inf, x1 and x1^-1 fix the seed
     b = ball(canonicalize("1", "0"), 1)
     assert [str(v) for v in b.vertices] == ["1(0)", "01(0)", "11(0)"]
-    assert b.edges == ((0, "x0", 1), (0, "x1", 0), (1, "x1", 1), (2, "x0", 0))
-    assert b.distances == (0, 1, 1)
+    assert ball_views(b)[1:] == ((0, 1, 1), ((0, "x0", 1), (0, "x1", 0), (1, "x1", 1), (2, "x0", 0)))
 
 
 def test_ball_sizes_match_frozen_counts():
@@ -104,13 +103,14 @@ def test_vertex_cap_is_enforced_and_named():
 
 def test_interior_vertices_have_unique_successors():
     b = ball(canonicalize("", "0100"), 4)
+    _, distances, edges = ball_views(b)
     for label in ("x0", "x1"):
         out = {}
-        for src, lab, dst in b.edges:
+        for src, lab, dst in edges:
             if lab == label:
                 assert src not in out, "two outgoing edges with one label"
                 out[src] = dst
-        for i, d in enumerate(b.distances):
+        for i, d in enumerate(distances):
             if d < b.radius:
                 assert i in out, "interior vertex missing a successor"
 
@@ -129,7 +129,7 @@ def test_self_loop_characterization():
     ten = canonicalize("1", "0")
     for seed in (ten, canonicalize("", "0100"), canonicalize("10", "1")):
         b = ball(seed, 4)
-        loops = {(i, label) for i, label, j in b.edges if i == j}
+        loops = {(i, label) for i, label, j in ball_views(b)[2] if i == j}
         for i, p in enumerate(b.vertices):
             expect_x1 = p.prefix(1) == "0" or p in (ten, ONE_POINT)
             assert (act_letter(p, "b") == p) == expect_x1
@@ -240,9 +240,7 @@ def _assert_ball_matches_reference(seed, radius, vertex_cap=100_000):
     b = ball(seed, radius, vertex_cap)
     vertices, parents, distances, _ = _reference_bfs(seed, radius)
     assert b.vertices == tuple(vertices)
-    assert b.parents == tuple(parents)
-    assert b.distances == tuple(distances)
-    assert b.edges == _reference_edges(vertices)
+    assert ball_views(b) == (tuple(parents), tuple(distances), _reference_edges(vertices))
     for p in b.vertices:
         assert RationalPoint(p.preperiod, p.period) == p
     return b
@@ -253,7 +251,7 @@ def test_ball_edges_match_the_letter_action_on_every_vertex():
         for radius in (0, 1, 3):
             _assert_ball_matches_reference(seed, radius)
     # the self-loops of an endpoint are edges of its boundary layer at radius 0
-    assert ball(ZERO_POINT, 0).edges == ball(ONE_POINT, 3).edges == ((0, "x0", 0), (0, "x1", 0))
+    assert ball_views(ball(ZERO_POINT, 0))[2] == ball_views(ball(ONE_POINT, 3))[2] == ((0, "x0", 0), (0, "x1", 0))
     for radius, seed in zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")):
         _assert_ball_matches_reference(parse_point(seed), radius)
 
@@ -277,9 +275,6 @@ def test_ball_matches_the_reference_on_every_short_point():
 def test_ball_views_are_built_once():
     b = ball(canonicalize("1", "0010"), 5)
     assert b.vertices is b.vertices
-    assert b.parents is b.parents
-    assert b.distances is b.distances
-    assert b.edges is b.edges
 
 
 def test_graph_builds_no_point_per_vertex(capsys, monkeypatch):
@@ -495,9 +490,10 @@ def test_long_period_path_holds_its_period_once():
 
 def test_parent_words_reconstruct_bfs_paths():
     b = ball(canonicalize("1", "10"), 3)
+    distances = ball_views(b)[1]
     for i, p in enumerate(b.vertices):
         word = b.path_word(i)
-        assert len(word) == b.distances[i]
+        assert len(word) == distances[i]
         assert act_word(b.seed, word) == p
 
 
@@ -631,7 +627,7 @@ def test_dot_export_is_deterministic_and_structural():
     assert first == second
     b = ball(ZERO_POINT, 1)
     dot = export_dot(b)
-    assert dot.count("->") == len(b.edges) == 2
+    assert dot.count("->") == len(ball_views(b)[2]) == 2
     assert dot.count("peripheries=2") == 1
     assert '"(0)" [peripheries=2];' in dot
 
@@ -643,14 +639,14 @@ def test_json_export_round_trips():
     assert payload["radius"] == 2
     assert payload["vertices"][0] == "1(0)"
     assert len(payload["vertices"]) == len(b)
-    assert payload["edges"] == [[s, l, d] for s, l, d in b.edges]
+    assert payload["edges"] == [[s, l, d] for s, l, d in ball_views(b)[2]]
     assert export_json(b) == export_json(ball(canonicalize("1", "0"), 2))
 
 
 def _dumped(b):
-    """export_json's text as json.dumps gives it, from the ball's public views."""
+    """export_json's text as json.dumps gives it, from the ball's vertices and the edges of ball_views."""
     return json.dumps(
-        {"seed": str(b.seed), "radius": b.radius, "vertices": [str(p) for p in b.vertices], "edges": b.edges}
+        {"seed": str(b.seed), "radius": b.radius, "vertices": [str(p) for p in b.vertices], "edges": ball_views(b)[2]}
     )
 
 

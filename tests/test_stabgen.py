@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import plmap, schreier, stabgen, words
+from oracles import ball_views
+from thompsonf import cantor, plmap, schreier, stabgen, words
 from thompsonf.cantor import (
     ONE_POINT,
     ZERO_POINT,
@@ -317,13 +318,13 @@ def _least_geodesics(target, radius):
     outside it, a plain BFS over act_letter, letters in BFS_LETTERS order,
     grows from the point until a layer meets the ball; every vertex of that
     layer in the ball is at the full radius, so the least geodesic runs
-    through the one discovered first.  Only the public views of a ball and
-    act_letter are used; points are keyed by their (preperiod, period)
-    fields, which hash faster than the points.
+    through the one discovered first.  Only a ball's vertices, its distances
+    as ball_views reads them, and act_letter are used; points are keyed by
+    their (preperiod, period) fields, which hash faster than the points.
     """
     around = ball(target, radius)
     index = {(p.preperiod, p.period): i for i, p in enumerate(around.vertices)}
-    distances = around.distances
+    distances = ball_views(around)[1]
     memo = {(target.preperiod, target.period): ""}
 
     def descend(point):
@@ -614,47 +615,6 @@ def test_gens_and_verify_are_fast_on_long_preperiods(length):
     assert made - start < 1 and checked - made < 1, (made - start, checked - made)
 
 
-def test_verify_evaluates_the_conjugator_once_and_matches_whole_words(monkeypatch):
-    gens = stabilizer_generators(parse_point("0110110110(0011)"))
-    h = gens.conjugator
-    words = []
-    evaluate = plmap.evaluate_word
-    fold = stabgen._fold_value
-
-    def counted(word, t, pieces):
-        words.append(word)
-        return fold(word, t, pieces)
-
-    monkeypatch.setattr(stabgen, "_fold_value", counted)
-    value = gens.point.value()
-    assert [evaluate(word, value) for word in gens.generators] == [value] * 5
-    assert verify_generators(gens).passed
-    assert words.count(h) == 1 and words.count(invert_word(h)) == 1 and len(words) == 7
-    # a word of the form h u t with u moving h's image is evaluated in full, and fails
-    wrong = StabilizerGens(gens.point, h, gens.generators[:4] + (h + "a" + invert_word(h),), gens.period)
-    lines = {c.name: c.passed for c in verify_generators(wrong).checks}
-    assert not lines[f"generator 5 fixes {gens.point} (map evaluation)"]
-    assert evaluate(h + "a" + invert_word(h), value) != value
-
-
-def test_verify_builds_the_letter_pieces_once_per_call(monkeypatch):
-    # the pieces scaled by the odd part of the point's denominator serve every word of the call, also
-    # when a wrong set makes it draw and fold random products
-    sound = [stabilizer_generators(parse_point(text)) for text in ("4/15", "0110110110(0011)", "1/20011", "7/24")]
-    wrong = StabilizerGens(sound[0].point, "", ("a", "A"), sound[0].period)
-    built = []
-    pieces = stabgen._value_pieces
-
-    def counted(d):
-        built.append(d)
-        return pieces(d)
-
-    monkeypatch.setattr(stabgen, "_value_pieces", counted)
-    assert [verify_generators(gens, samples=20).passed for gens in sound + [wrong]] == [True] * 4 + [False]
-    assert built == [plmap._odd_part(gens.point.value().denominator) for gens in sound + [wrong]]
-    assert built[:4] == [15, 5, 20011, 3]
-
-
 def test_conjugated_generators_for_a_non_base_point():
     point = value_to_point(F(4, 15))
     gens = stabilizer_generators(point)
@@ -725,6 +685,11 @@ def test_verify_generators_matches_the_unmemoised_fold():
     sound = cases[0]
     broken = StabilizerGens(sound.point, sound.conjugator, sound.generators[:2] + ("a",) + sound.generators[3:], sound.period)
     cases.append(broken)
+    # a conjugated set whose fifth word h a h^-1 moves h's image of the point: its map-evaluation line must fail
+    long = stabilizer_generators(parse_point("0110110110(0011)"))
+    h = long.conjugator
+    moved = StabilizerGens(long.point, h, long.generators[:4] + (h + "a" + invert_word(h),), long.period)
+    cases.append(moved)
     cases.append(StabilizerGens(sound.point, "", ("a", "A"), sound.period))
     for gens in cases:
         for samples, seed in ((100, 1), (40, 7), (1, 5)):
@@ -732,6 +697,8 @@ def test_verify_generators_matches_the_unmemoised_fold():
             reference = _reference_verify(gens, samples, seed)
             assert report.title == reference.title
             assert report.checks[:len(reference.checks)] == reference.checks
+    fifth = verify_generators(moved).checks[9]
+    assert fifth.name == f"generator 5 fixes {moved.point} (map evaluation)" and not fifth.passed
     products = verify_generators(broken).checks[10]
     assert products.name == f"100 seeded random products (seed 1) fix {broken.point}"
     assert not products.passed
@@ -816,6 +783,17 @@ def test_map_evaluation_does_not_lean_on_the_sequence_action(monkeypatch):
         assert not lines[f"generator {k} fixes {gens.point} (map evaluation)"]
 
 
+def test_sequence_action_does_not_lean_on_the_map_evaluation(monkeypatch):
+    # with x0's rule in the sequence action's table wrong, only the sequence-action lines can notice
+    gens = stabilizer_generators(value_to_point(F(4, 15)))
+    wrong = {head: (rules[1],) + rules[1:] for head, rules in cantor._REVERSED_HEADS.items()}
+    monkeypatch.setattr(cantor, "_REVERSED_HEADS", wrong)
+    lines = {c.name: c.passed for c in verify_generators(gens).checks}
+    for k in range(1, 6):
+        assert not lines[f"generator {k} fixes {gens.point} (sequence action)"]
+        assert lines[f"generator {k} fixes {gens.point} (map evaluation)"]
+
+
 def test_verify_builds_no_map_once_the_point_independent_suites_are_cached(monkeypatch):
     sound = stabilizer_generators(value_to_point(F(4, 15)))
     cases = [sound, StabilizerGens(sound.point, "", ("a", "A"), sound.period)]
@@ -852,6 +830,22 @@ def test_verify_for_a_long_period_takes_linear_time():
         times.append(time.perf_counter() - start)
     assert report.passed and len(report.checks) == 22
     assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
+    # on seeded preperiods of 25,000 and 100,000 letters with period 0011 the
+    # conjugator has about 1.5 times as many letters, and four times the
+    # letters take about four times the CPU time; a value fold whose letters
+    # cost time linear in the value's bits took about eight times as long.
+    # The two sizes alternate, so a stretch of load on the host slows both
+    sets = []
+    for length in (25_000, 100_000):
+        rng = SplitMix64(length)
+        sets.append(stabilizer_generators(canonicalize("".join("01"[rng.below(2)] for _ in range(length - 1)) + "0", "0011")))
+    best = [float("inf")] * 2
+    for _ in range(2):
+        for i, gens in enumerate(sets):
+            start = time.process_time()
+            assert verify_generators(gens).passed
+            best[i] = min(best[i], time.process_time() - start)
+    assert best[1] <= 6 * best[0], f"best of 2: {best[0]:.3f}s at 25,000 letters, {best[1]:.3f}s at 100,000"
 
 
 def test_stabilizer_relators_all_hold():
