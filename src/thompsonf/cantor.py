@@ -17,9 +17,15 @@ canonical preperiod v and a rotation r of a primitive period w: it moves r
 by the letters the rule read past v and absorbs the trailing letters of the
 replacement by stepping r back, so no period is copied.  act_letter calls it
 at r = 0, and rotates the period once.  _fold, behind act_word, folds a
-word over the preperiod as a reversed list and a read offset into the
-unrotated period, reading the table with each head and replacement
-reversed, so a letter costs O(1) and the pair is made canonical once.
+word two letters per lookup.  The front of the sequence is a window, a
+small int with letter i at bit i; behind it are the rest of the preperiod,
+in chunks of a few dozen letters, and a read offset into the unrotated
+period.  Each pair of letters rewrites the window by one lookup of its
+first six letters in that pair's table, a shift and an or.  The window is
+refilled from the chunks or the period when it runs short and spills to
+the chunks when it grows long, so a letter costs O(1) at any preperiod or
+period length, and the pair is made canonical once.  The tables are
+derived from _HEADS on first use, and again when _HEADS is replaced.
 The breadth-first search in schreier inlines _step on plans that it derives
 from _HEADS at import, one per discovering letter and head, which leave out
 the letters whose image is known without a step: the way back, the _LOOP
@@ -235,10 +241,6 @@ _HEADS = {
     )
     for head in (format(bits, "03b") for bits in range(8))
 }
-# _HEADS as _fold reads it off the end of a reversed preperiod: each head and
-# each replacement reversed, so that a rule is one lookup and one slice
-# assignment at the end of the list.
-_REVERSED_HEADS = {head[::-1]: tuple((n, rhs[::-1]) for n, rhs in rules) for head, rules in _HEADS.items()}
 
 
 def _absorb(rhs: str, q: int, w: str) -> tuple[str, int]:
@@ -270,34 +272,106 @@ def act_letter(point: RationalPoint, letter: str) -> RationalPoint:
     return RationalPoint._canonical(v, w[q:] + w[:q])
 
 
+_CHUNK = 24  # letters that _fold loads behind its window at once
+_KEEP = 16  # letters that _fold keeps in its window when it spills
+_FULL = 1 << 30  # a window this large holds 30 letters: _fold spills
+_PAD = "1"  # the identity word, paired with the last letter of a word of odd length
+
+_Images = tuple[tuple[int, int], ...]  # per head, as an int with letter i at bit i: the length and letters of its image
+
+
 def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
     """Canonical pair of the image of the canonical pair (v, w) under the word.
 
-    Every word is folded over a state the rules can read, canonical or not:
-    the preperiod as a list in reverse order, whose end holds the first
-    letters of the sequence, and a read offset r into the unrotated period.
-    A rule pops and pushes at most three letters, and one that reads past
-    the preperiod only moves r, so a letter costs O(1) however long v and w
-    are.  _absorbed makes the pair canonical at the end.
+    The front of the sequence is a window: an int below 2^30 with letter i
+    at bit i and a 1 bit above the last letter held.  Behind it are the
+    rest of the preperiod, as a list of such ints of at most _CHUNK letters
+    with the next one last, and the period from a read offset r.  Each
+    step folds two letters of the word, the last letter of an odd word with
+    _PAD: one lookup of the window's first six letters in that pair's
+    table, a shift and an or.  Before a step, a window of fewer than six
+    letters is refilled from the list, or with _CHUNK letters of the period
+    from r, and one that has grown to 30 letters spills all but its first
+    _KEEP to the list.  So a letter costs O(1) however long v and w are.
+    At the end, when the list is empty, the last letters of the window that
+    agree with the period letters last loaded go back to the period, and
+    _absorbed makes the pair canonical.
     """
-    stack = list(v[::-1])
+    pairs = _fold_tables()
+    backwards = v[::-1]
+    front = (len(v) - 1) // _CHUNK * _CHUNK  # where the chunk of v's first letters starts in backwards; -_CHUNK for v = ""
+    x = int("1" + backwards[front:], 2)
+    rest = [int("1" + backwards[i:i + _CHUNK], 2) for i in range(0, front, _CHUNK)] if front > 0 else []
     n = len(w)
-    wrap = w[:2] * 2  # w[r:r + 3] + wrap starts the period rotated left by r, even for |w| < 3; w is not copied
+    cycle = w * (_CHUNK // n + 2) if n < _CHUNK else w + w[:_CHUNK]  # cycle[r:r + _CHUNK] for every r < n
     r = 0
-    for letter in word:
-        size = len(stack)
-        if size > 2:
-            k, rhs = _REVERSED_HEADS["".join(stack[-3:])][_SLOT[letter]]
-            if k != _LOOP:
-                stack[-k:] = rhs
-            continue
-        k, rhs = _REVERSED_HEADS[(w[r:r + 3] + wrap)[:3 - size][::-1] + "".join(stack)][_SLOT[letter]]
-        if k > size:  # the rule reads k - size letters of the period
-            r = (r + k - size) % n
-            stack[:] = rhs
-        elif k != _LOOP:
-            stack[-k:] = rhs
-    return _absorbed("".join(stack[::-1]), w[r:] + w[:r])
+    last = 1  # the period letters last loaded: none
+    letters = iter(word + _PAD)
+    for first, second in zip(letters, letters):
+        while x < 64:
+            if rest:
+                chunk = rest.pop()
+            else:
+                chunk = last = int("1" + cycle[r:r + _CHUNK][::-1], 2)
+                r = (r + _CHUNK) % n
+            top = x.bit_length() - 1
+            x = x ^ 1 << top | chunk << top
+        if x >= _FULL:
+            rest.append(x >> _KEEP)
+            x = x & (1 << _KEEP) - 1 | 1 << _KEEP
+        k, image = pairs[first][second][x & 63]
+        x = x >> 6 << k | image
+    preperiod = format(x, "b")[:0:-1]
+    if rest:
+        preperiod += "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
+    else:  # the window ends where the period from r starts
+        held, loaded = len(preperiod), last.bit_length() - 1
+        t = min(held, loaded)
+        back = t - ((x >> held - t) ^ (last >> loaded - t)).bit_length()
+        if back:
+            preperiod = preperiod[:held - back]
+            r = (r - back) % n
+    return _absorbed(preperiod, w[r:] + w[:r])
+
+
+_FOLD_TABLES: list = [None, None]  # the _HEADS that _fold's tables were derived from, and the tables
+
+
+def _fold_tables() -> dict[str, dict[str, _Images]]:
+    """_fold's tables, derived from _HEADS on first use and whenever _HEADS is replaced.
+
+    A table maps the first three letters of a window, as an int with
+    letter i at bit i, to the length and the letters of their image; that
+    of a pair of letters maps the first six.  The table of a letter is read
+    off _HEADS, and _PAD's keeps every head.  That of a pair applies its
+    first letter's table to the low three letters, then its second
+    letter's table to the low three of the result.
+    """
+    heads = _HEADS
+    if _FOLD_TABLES[0] is heads:
+        return _FOLD_TABLES[1]
+    single: dict[str, _Images] = {_PAD: tuple((3, bits) for bits in range(8))}
+    for s, letter in enumerate(LETTERS):
+        images = []
+        for bits in range(8):
+            head = format(bits | 8, "b")[:0:-1]
+            k, rhs = heads[head][s]
+            image = head if k == _LOOP else rhs + head[k:]
+            images.append((len(image), int(image[::-1], 2)))
+        single[letter] = tuple(images)
+    pairs: dict[str, dict[str, _Images]] = {}
+    for first in LETTERS:
+        pairs[first] = row = {}
+        for second, two in single.items():
+            images = []
+            for bits in range(64):
+                k, image = single[first][bits & 7]
+                y = bits >> 3 << k | image
+                j, image = two[y & 7]
+                images.append((k + j, y >> 3 << j | image))
+            row[second] = tuple(images)
+    _FOLD_TABLES[:] = heads, pairs
+    return pairs
 
 
 def act_word(point: RationalPoint, word: Word) -> RationalPoint:

@@ -36,9 +36,15 @@ they do for (x0 x1)^k.
 
 To evaluate a word at one point, evaluate_word builds no map.  Every piece
 of a letter map sends a standard dyadic interval onto another, so on binary
-digits it replaces one prefix by another and keeps the rest; evaluate_word
-reads these rules off the letter maps when it is called and folds the
-value's digits through them, one letter at a time, at O(1) per letter.
+digits it replaces one prefix by another and keeps the rest.  Tables of
+these rules, for each letter and each pair of letters, are derived from
+the letter maps on first use, and again when a letter map is replaced.
+The value's digits are folded through them two letters per lookup: the
+front digits are a small int, with digit i at bit i, that each pair of
+letters rewrites by one lookup, a shift and an or, so a letter costs O(1)
+at any length of the value.  The digits behind the window are read in
+chunks, from the dyadic part's digits and then from a tail r/d with d
+odd, one division per chunk.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import itemgetter, or_
+from operator import is_, or_
 
 from .dyadic import Dyadic
 from .report import Check, Report
@@ -307,18 +313,10 @@ def _piece(text: str) -> PLMap:
 def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     """Exact image of t under the map of the word, without building that map.
 
-    Each piece of a letter map sends a standard dyadic interval onto
-    another, so on binary digits it is a prefix rule: it replaces the
-    address of its domain by that of its image and keeps the digits after
-    it.  t is held as its leading digits, in a list whose end holds the
-    first digit, and a tail r/d with d odd and 0 <= r < d.  The tail's
-    digits are read only when the list is shorter than the longest rule, as
-    many at a time as d has bits, at most 64 but at least the longest rule:
-    one read costs a shift and a division of r.  0 and 1, which every
-    element fixes, return at once.  A letter costs one lookup of its rule
-    by the first digits and one slice assignment, and one Fraction is built
-    at the end, where word_to_plmap builds a map that can have O(n)
-    breakpoints over 2^n for a word of n letters.
+    _image_digits folds t's binary digits through the prefix rules of the
+    letter maps at O(1) per letter, and one Fraction is built at the end,
+    where word_to_plmap builds a map that can have O(n) breakpoints over
+    2^n for a word of n letters.
     """
     if isinstance(t, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
@@ -326,47 +324,111 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     num, den = fr.numerator, fr.denominator
     if num < 0 or num > den:
         raise ValueError(f"argument {fr} outside [0, 1]")
+    n, length = _image_digits(word, fr)
+    return Fraction(n, den // (den & -den) << length)
+
+
+_CHUNK = 24  # digits that _image_digits loads behind its window at once
+_KEEP = 16  # digits that _image_digits keeps in its window when it spills
+_FULL = 1 << 30  # a window this large holds 30 digits: _image_digits spills
+_PAD = "1"  # the identity word, paired with the last letter of a word of odd length
+_TAIL_DIGITS = f"0{_CHUNK + 1}b"  # _CHUNK digits of the tail and a 1 after them
+
+_Images = tuple[tuple[int, int], ...]  # per head, as an int with digit i at bit i: the length and digits of its image
+
+
+def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
+    """N and L with N / (d 2^L) the image of t in [0, 1] under the word, for the odd part d of t's denominator.
+
+    Each piece of a letter map sends a standard dyadic interval onto
+    another, so on binary digits it is a prefix rule: it replaces the
+    address of its domain by that of its image and keeps the digits after
+    it.  t = (q + r/d) / 2^k is held as the k digits of q and a tail r/d
+    with 0 <= r < d, whose digits are read only when a rule needs them.
+    The front digits are a window: an int below 2^30 with digit i at bit i
+    and a 1 bit above the last digit held.  Behind it are the other digits
+    of q, as a list of such ints of at most _CHUNK digits with the next one
+    last, and then the tail.  Each step folds two letters of the word, the
+    last letter of an odd word with _PAD: one lookup of the window's first
+    six digits in that pair's table, a shift and an or.  Before a step, a
+    window of fewer than six digits is refilled from the list, or with
+    _CHUNK digits of the tail by one shift and one division of r, and one
+    that has grown to 30 digits spills all but its first _KEEP to the list.
+    The L digits held at the end and the tail give N; the image keeps t's
+    odd part d, so N / (d 2^L) is in lowest terms but for powers of two.
+    0 and 1, which every element fixes, return at once.
+    """
+    num, den = t.numerator, t.denominator
     if num == 0 or num == den:
-        return fr
-    longest, head, rules = _digit_rules(tuple(_LETTER_MAPS.items()))
+        return num, 0
+    pairs = _digit_tables()
     k = (den & -den).bit_length() - 1
     d = den >> k
-    chunk = max(min(d.bit_length(), 64), longest)
-    q, r = divmod(num, d)  # t = (q + r/d) / 2^k
-    stack = list(format(q | 1 << k, "b")[:0:-1])  # the k digits of q, the first one last
-    for letter in word:
-        try:
-            stack[-longest:] = rules[letter][head(stack)]
-        except IndexError:  # the list is shorter than the longest rule: the next digits of the tail go under it
-            q, r = divmod(r << chunk, d)
-            stack[:0] = format(q | 1 << chunk, "b")[:0:-1]
-            stack[-longest:] = rules[letter][head(stack)]
-    digits = "".join(reversed(stack))
-    return Fraction(int(digits or "0", 2) * d + r, d << len(digits))
+    q, r = divmod(num, d)
+    backwards = format(q | 1 << k, "b")[:0:-1]  # the k digits of q, the last one first
+    front = (k - 1) // _CHUNK * _CHUNK  # where the chunk of the first digits starts in backwards; -_CHUNK for k = 0
+    x = int("1" + backwards[front:], 2)
+    rest = [int("1" + backwards[i:i + _CHUNK], 2) for i in range(0, front, _CHUNK)] if front > 0 else []
+    letters = iter(word + _PAD)
+    for first, second in zip(letters, letters):
+        while x < 64:
+            if rest:
+                chunk = rest.pop()
+            else:
+                q, r = divmod(r << _CHUNK, d)
+                chunk = int(format(q << 1 | 1, _TAIL_DIGITS)[::-1], 2)
+            top = x.bit_length() - 1
+            x = x ^ 1 << top | chunk << top
+        if x >= _FULL:
+            rest.append(x >> _KEEP)
+            x = x & (1 << _KEEP) - 1 | 1 << _KEEP
+        j, image = pairs[first][second][x & 63]
+        x = x >> 6 << j | image
+    digits = format(x, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
+    return int(digits or "0", 2) * d + r, len(digits)
 
 
-_Heads = dict[tuple[str, ...], tuple[str, ...]]  # a head of the longest rule's length -> its image
+_DIGIT_TABLES: list = [None, None]  # the letter maps that _image_digits' tables were derived from, and the tables
 
 
-@cache
-def _digit_rules(maps: tuple[tuple[str, PLMap], ...]) -> tuple[int, itemgetter, dict[str, _Heads]]:
-    """The longest prefix rule's length, a getter of a head that long, and per letter the image of each head.
+def _digit_tables() -> dict[str, dict[str, _Images]]:
+    """_image_digits' tables, derived from the letter maps on first use and whenever one of them is replaced.
 
-    A head and its image are written as evaluate_word's list holds them,
-    the first digit last.  Keyed on the maps themselves, so a letter map
-    replaced at run time gets rules of its own.
+    A table maps the first three digits of a window, as an int with digit
+    i at bit i, to the length and the digits of their image; that of a pair
+    of letters maps the first six.  The table of a letter comes from the
+    prefix rules of its map, which read at most three digits, and _PAD's
+    keeps every head.  That of a pair applies its first letter's table to
+    the low three digits, then its second letter's table to the low three
+    of the result.  The maps are compared by identity, so a call costs no
+    hash of a map.
     """
-    rules = {letter: _prefix_rules(m) for letter, m in maps}
-    longest = max(len(lhs) for pairs in rules.values() for lhs, _ in pairs)
-    heads = [format(bits | 1 << longest, "b")[1:] for bits in range(1 << longest)]
-    images = {
-        letter: {
-            tuple(head[::-1]): next(tuple((rhs + head[len(lhs):])[::-1]) for lhs, rhs in pairs if head.startswith(lhs))
-            for head in heads
-        }
-        for letter, pairs in rules.items()
-    }
-    return longest, itemgetter(*range(-longest, 0)), images
+    maps = tuple(_LETTER_MAPS.values())
+    derived_from = _DIGIT_TABLES[0]
+    if derived_from is not None and all(map(is_, maps, derived_from)):
+        return _DIGIT_TABLES[1]
+    single: dict[str, _Images] = {_PAD: tuple((3, bits) for bits in range(8))}
+    for letter, m in _LETTER_MAPS.items():
+        rules = _prefix_rules(m)
+        images = []
+        for bits in range(8):
+            head = format(bits | 8, "b")[:0:-1]
+            image = next(rhs + head[len(lhs):] for lhs, rhs in rules if head.startswith(lhs))
+            images.append((len(image), int(image[::-1], 2)))
+        single[letter] = tuple(images)
+    pairs: dict[str, dict[str, _Images]] = {}
+    for first in _LETTER_MAPS:
+        pairs[first] = row = {}
+        for second, two in single.items():
+            images = []
+            for bits in range(64):
+                k, image = single[first][bits & 7]
+                y = bits >> 3 << k | image
+                j, image = two[y & 7]
+                images.append((k + j, y >> 3 << j | image))
+            row[second] = tuple(images)
+    _DIGIT_TABLES[:] = maps, pairs
+    return pairs
 
 
 def _prefix_rules(m: PLMap) -> tuple[tuple[str, str], ...]:

@@ -14,11 +14,17 @@ generic point, under each of two independent oracles (the symbolic sequence
 action and exact evaluation of the PL map at the point's rational value),
 plus reproducible random products of generators and their inverses, which
 are built and drawn only when some generator moves the point.  Neither
-oracle builds the map of a word, and each costs O(1) per letter: the
-sequence is folded through cantor's rule table with a read offset into the
-period, and the value by plmap.evaluate_word, through prefix rules on its
-binary digits that it reads off the letter maps themselves, so the two
-oracles share no table.
+oracle builds the map of a word, and both fold it the same way, two
+letters per lookup, at O(1) per letter: the front of the sequence, or of
+the value's binary digits, is a small int, and each pair of letters
+rewrites it by one lookup in that pair's table, a shift and an or.  The
+sequence is folded by cantor._fold, with tables derived from cantor's rule
+table, over the rest of the preperiod and a read offset into the period;
+the value by plmap._image_digits, with tables derived from the prefix rules
+of the letter maps themselves, over its dyadic digits and a tail r/d.  So
+the two oracles share no table.  A value b = p / (d 2^k), d odd, is fixed
+when the image N / (d 2^L) that _image_digits returns has N 2^k = p 2^L,
+which compares by shifts and builds no Fraction.
 
 The suites that do not depend on a point, check_reduction,
 check_twin_points, check_stabilizer_relators and the index identities of
@@ -32,7 +38,7 @@ import functools
 from collections import namedtuple
 
 from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canonicalize
-from .plmap import PLMap, evaluate_word, identity, word_to_plmap, xn, yn
+from .plmap import PLMap, _image_digits, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
 from .schreier import MAX_LABEL_LEN
@@ -248,10 +254,11 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     Every generator must fix the point under both the sequence action and
     exact PL-map evaluation at the point's rational value; seeded random
     products of 1 to MAX_FACTORS generators and their inverses must fix the
-    point as well.  The map of a generator is never built: evaluate_word
+    point as well.  The map of a generator is never built: _image_digits
     folds the value's binary digits through the prefix rules of the letter
     maps, so the cost is linear in the word, where the map of a word of n
-    letters can have O(n) breakpoints over 2^n.
+    letters can have O(n) breakpoints over 2^n, and the image is compared
+    with the value by shifts of their numerators.
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
@@ -269,11 +276,14 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     report = Report(f"stabilizer generators for {gens.point}")
     point = gens.point
     value = point.value()
+    p, den = value.numerator, value.denominator
+    shift = (den & -den).bit_length() - 1  # value = p / (d 2^shift), d odd
     start = (point.preperiod, point.period)
     images = [_fold(*start, word) for word in gens.generators]
     for k, (word, image) in enumerate(zip(gens.generators, images), start=1):
         report.add(f"generator {k} fixes {point} (sequence action)", image == start)
-        report.add(f"generator {k} fixes {point} (map evaluation)", evaluate_word(word, value) == value)
+        n, length = _image_digits(word, value)  # the image is n / (d 2^length)
+        report.add(f"generator {k} fixes {point} (map evaluation)", n << shift == p << length)
     bad = 0
     if any(image != start for image in images):
         pool = gens.generators + tuple(invert_word(g) for g in gens.generators)

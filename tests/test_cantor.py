@@ -635,6 +635,76 @@ def test_fold_matches_the_per_letter_kernel():
     assert min(kinds.values()) >= 300, kinds
 
 
+def _reach(v: str, w: str, word: str) -> tuple[int, int]:
+    """How far a fold of the word over v w^inf reaches, by the rules of _RULES on a string.
+
+    Returns the most letters that the rules have written ahead of the
+    letters not yet read, and the letters of v w^inf read.  Each letter
+    reads at most three letters, so 3|word| + 3 letters past v are enough.
+    """
+    sequence = unroll(v, w, len(v) + 3 * len(word) + 3)
+    written = read = most = 0
+    for letter in word:
+        lhs, rhs = next(rule for rule in _RULES[letter] if sequence.startswith(rule[0]))
+        sequence = rhs + sequence[len(lhs):]
+        read += max(len(lhs) - written, 0)
+        written = len(rhs) + max(written - len(lhs), 0)
+        most = max(most, written)
+    return most, read
+
+
+def test_fold_matches_the_per_letter_kernel_at_the_window_edges():
+    # _fold holds the front of the sequence in a window of fewer than 30
+    # letters, loads 24 at a time behind it when fewer than 6 are left, and
+    # spills the letters past the first 16 when it reaches 30.  A fold
+    # that wrote 32 letters ahead of those it read has spilled, and one
+    # that read more than 48 letters has refilled at least twice: its first
+    # window held at most 24.  Preperiods of 61 to 130 letters start as
+    # several chunks.  x0 writes one letter more than it reads on a leading
+    # 0, which stays, and one less on 11; x0^-1 the same with 0 and 1
+    # swapped.  So a run of x0 on 0... fills the window, and one on
+    # 1^j 0... drains it of j - 1 letters.
+    rng = SplitMix64(83)
+    kinds = dict.fromkeys(
+        ("one-letter period", "two-letter period", "preperiod over 60", "spilled", "refilled twice", "odd word", "even word", "empty word"),
+        0,
+    )
+    for case in range(20_000):
+        shape = case % 5
+        if case % 20 == 5:  # a run of the letter that drains bit^j, the other bit, bit^inf; j < 131
+            letter, bit = ("a", "1") if rng.below(2) else ("A", "0")
+            j = rng.below(131)
+            v, w = bit * j + ("10"[int(bit)] if j else ""), bit
+            word = letter * (50 + rng.below(31)) + random_word(rng, 3)
+        else:
+            if shape == 0:
+                w = "01"[rng.below(2)]
+            elif shape == 1:
+                w = ("01", "10")[rng.below(2)]
+            else:
+                w = _random_bits(rng, 2 + rng.below(11 if shape < 4 else 300))
+            v = _random_bits(rng, (rng.below(3), 3 + rng.below(28), 61 + rng.below(70))[case % 3])
+            if case % 50 == 0:
+                word = ""
+            elif case % 20 == 1:
+                word = rng.choice("aA") * (34 + rng.below(8)) + random_word(rng, 3)
+            elif case % 10 == 2:
+                word = _runs_word(rng, 1 + rng.below(3))
+            else:
+                word = random_word(rng, 10)
+        p = canonicalize(v, w)
+        v, w = p.preperiod, p.period
+        assert _fold(v, w, word) == _stepwise_fold(v, w, word)[0], (str(p), word)
+        most, read = _reach(v, w, word)
+        kinds["one-letter period"] += len(w) == 1
+        kinds["two-letter period"] += len(w) == 2
+        kinds["preperiod over 60"] += len(v) > 60
+        kinds["spilled"] += most >= 32
+        kinds["refilled twice"] += read > 48
+        kinds["odd word" if len(word) % 2 else "even word" if word else "empty word"] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
 def test_twin_sequences_have_disjoint_orbits():
     start = canonicalize("1", "0")
     other = canonicalize("0", "1")

@@ -114,8 +114,8 @@ def test_evaluate_word_on_values_wider_than_its_low_bits():
 
 
 def test_evaluate_word_reads_the_tail_in_chunks():
-    # odd parts of 2 to 300 bits: a run of x0^-1 reads the tail a chunk at a
-    # time, up to 64 digits, and the run of x0 after it puts the digits back
+    # odd parts of 2 to 300 bits: a run of x0^-1 reads the tail a chunk of
+    # 24 digits at a time, and the run of x0 after it puts the digits back
     rng = SplitMix64(73)
     for _ in range(80):
         bits = 2 + rng.below(299)
@@ -124,6 +124,42 @@ def test_evaluate_word_reads_the_tail_in_chunks():
         n = rng.below(300)
         word = "A" * n + random_word(rng, 20) + "a" * n
         assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
+
+
+def _random_int(rng: SplitMix64, bits: int) -> int:
+    return int("".join(format(rng.next_u64(), "064b") for _ in range(-(-bits // 64)))[:bits] or "0", 2)
+
+
+def test_evaluate_word_matches_the_built_map_past_the_window():
+    # values p / (d 2^k) with k of 61 to 120 and an odd d of 65 to 164 bits:
+    # the k digits of the dyadic part start as several chunks of 24 behind
+    # the window, which holds fewer than 30, and each chunk of the tail
+    # takes a division by d.  Below 1 / 2^k the dyadic digits are all 0, and
+    # a run of more than k x0^-1 drains the window through them into the
+    # tail; a run of more than 32 x0 on a leading 0 spills the window.
+    rng = SplitMix64(89)
+    kinds = dict.fromkeys(("into the tail", "spilled", "odd word", "even word", "empty word"), 0)
+    for case in range(20_000):
+        k = 61 + rng.below(60)
+        d = _random_int(rng, 64 + rng.below(100)) | 1 << 64 | 1
+        den = d << k
+        if case % 4 == 0:  # below 1 / 2^k
+            t = F(_random_int(rng, 200) % d, den)
+        else:
+            t = F(_random_int(rng, den.bit_length()) % (den + 1), den)
+        if case % 50 == 0:
+            word = ""
+        elif case % 20 == 4:
+            word = "A" * (k + 1 + rng.below(40)) + random_word(rng, 3)
+            kinds["into the tail"] += 1
+        elif case % 20 == 1:
+            word = "a" * (33 + rng.below(8)) + random_word(rng, 3)
+            kinds["spilled"] += t < F(1, 2)
+        else:
+            word = random_word(rng, 10)
+        assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
+        kinds["odd word" if len(word) % 2 else "even word" if word else "empty word"] += 1
+    assert min(kinds.values()) >= 300, kinds
 
 
 def test_prefix_rules_of_the_letter_maps_are_the_sequence_rules():

@@ -786,8 +786,8 @@ def test_map_evaluation_does_not_lean_on_the_sequence_action(monkeypatch):
 def test_sequence_action_does_not_lean_on_the_map_evaluation(monkeypatch):
     # with x0's rule in the sequence action's table wrong, only the sequence-action lines can notice
     gens = stabilizer_generators(value_to_point(F(4, 15)))
-    wrong = {head: (rules[1],) + rules[1:] for head, rules in cantor._REVERSED_HEADS.items()}
-    monkeypatch.setattr(cantor, "_REVERSED_HEADS", wrong)
+    wrong = {head: (rules[1],) + rules[1:] for head, rules in cantor._HEADS.items()}
+    monkeypatch.setattr(cantor, "_HEADS", wrong)
     lines = {c.name: c.passed for c in verify_generators(gens).checks}
     for k in range(1, 6):
         assert not lines[f"generator {k} fixes {gens.point} (sequence action)"]
