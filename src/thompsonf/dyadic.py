@@ -3,12 +3,14 @@
 Breakpoint coordinates of the piecewise linear maps in this package are
 always dyadic, and Dyadic is their type at the API boundary: PLMap's public
 constructor takes Dyadic pairs and `PLMap.breakpoints` returns them.  Inside,
-a map keeps one exponent and integer numerators over that power of two, so
-no floating point is involved anywhere: the constructor validates those
-numerators, and the package's closed forms are built from integers without
-a Dyadic.  Dyadic itself only normalizes, converts and prints, and it prints
-through _format; `PLMap.breakpoint_texts` writes a map's numerators the same
-way, so no Dyadic is built to print a breakpoint.
+a map is a tree-pair diagram, the depths of the standard dyadic intervals
+that it sends one onto another, so no floating point is involved anywhere:
+the constructor validates the breakpoints as integer numerators over one
+power of two and turns them into depths, and a breakpoint is read back as a
+running sum of powers of two over the deepest leaf.  Dyadic itself only
+normalizes, converts and prints, and it prints through _format;
+`PLMap.breakpoint_texts` writes a map's running sums in the same form, so no
+Dyadic is built to print a breakpoint.
 """
 
 from __future__ import annotations

@@ -2,16 +2,24 @@
 
 A PLMap is an increasing piecewise linear bijection of the unit interval
 whose breakpoints have dyadic coordinates and whose slopes are integer powers
-of two.  Breakpoint lists are normalized (no collinear interior points), so
-two maps represent the same group element iff their breakpoint tuples are
-equal; that exact comparison is how the word problem is decided throughout
-the package.
+of two.  Breakpoints are read at the slope changes only, so equal maps have
+equal breakpoint lists.
 
-Dyadic pairs are the API boundary.  Inside, a map keeps one exponent e and
-two tuples of integer numerators over 2^e, with e minimal, so all arithmetic
-is on ints; evaluate and preimage take and return Fractions.  Only the public
-constructor validates, on the numerators; compose, inverse, flip and the
-closed forms of x0, x1, x_n and y_n, built from integers, skip it.
+Dyadic pairs are the API boundary.  Inside, a map is a tree-pair diagram
+(Cannon, Floyd and Parry, Introductory notes on Richard Thompson's groups,
+section 2): two subdivisions of [0, 1] into standard dyadic intervals
+[j / 2^n, (j + 1) / 2^n], with the same number of leaves, the k-th leaf of
+the domain sent linearly onto the k-th leaf of the range.  Each subdivision
+is kept as the tuple of its leaves' depths n, left to right, so x0 is
+((1, 2, 2), (2, 2, 1)) and every operation but reading a breakpoint works
+on small ints: inverse swaps the two tuples, flip reverses both, and
+compose walks the leaves of both factors once.  A product is not reduced.
+A caret exposed in both trees, two sibling leaves whose images are
+siblings, adds no breakpoint, and one stack pass merges every such caret
+into one leaf; the reduced diagram of an element is unique, so == and hash
+compare reduced diagrams.  The pass runs only when a map is compared or
+hashed, and the reduced diagram then replaces the map's own.  Only the
+public constructor validates; it turns the breakpoints into leaves once.
 
 Products follow the right-action convention: (f * g)(t) = g(f(t)), matching
 the left-to-right reading of words.
@@ -21,18 +29,17 @@ adjacent x x^-1, so the reduced word has no factor that the maps would only
 undo.  The reduced word is cut into pieces of six letters (the last may be
 shorter), and the product of each piece is looked up in a memo keyed by its
 text.  A piece is a freely reduced word of at most six letters, so the memo
-holds at most 4 (1 + 3 + ... + 3^5) = 1456 maps; a piece not in it yet is
-built from its two halves, themselves memoized.  The pieces are multiplied
-by splitting the word at the piece boundary nearest its middle and each half
-likewise, so a word of n letters costs about n/6 composes, and none of them
-redoes one of the small products that words share.  Maps are normalized, so
-any bracketing gives the same breakpoints as the left fold.  A product has
-at most as many breakpoints as its two factors together, and the split keeps
-the tree balanced, so the operands of one level of it add up to at most the
-breakpoints of the pieces, and a reduced word of n letters costs O(n log n)
-breakpoint steps.  A left fold composes letter k into a map that may already
-have O(k) breakpoints, which is quadratic when they grow with the length, as
-they do for (x0 x1)^k.
+holds at most 4 (1 + 3 + ... + 3^5) = 1456 maps, all reduced; a piece not
+in it yet is built from its two halves, themselves memoized.  The pieces
+are multiplied by splitting the word at the piece boundary nearest its
+middle and each half likewise, so a word of n letters costs about n/6
+composes, and none of them redoes one of the small products that words
+share.  A product has at most as many leaves as its two factors together,
+and the split keeps the tree balanced, so the operands of one level of it
+add up to at most the leaves of the pieces, and a reduced word of n
+letters costs O(n log n) steps on small ints.  A left fold composes letter
+k into a map that may already have O(k) leaves, which is quadratic when
+they grow with the length, as they do for (x0 x1)^k.
 
 To evaluate a word at one point, evaluate_word builds no map.  Every piece
 of a letter map sends a standard dyadic interval onto another, so on binary
@@ -44,17 +51,17 @@ front digits are a small int, with digit i at bit i, that each pair of
 letters rewrites by one lookup, a shift and an or, so a letter costs O(1)
 at any length of the value.  The digits behind the window are read in
 chunks, from the dyadic part's digits and then from a tail r/d with d
-odd, one division per chunk.
+odd, several chunks per division when d is long.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
+from itertools import pairwise
 from math import gcd
-from operator import is_, or_
+from operator import is_
 
 from .dyadic import Dyadic
 from .report import Check, Report
@@ -63,15 +70,17 @@ from .words import Word, relator_words
 MAX_DEPTH = 64
 _PIECE_LETTERS = 6  # the longest word whose map word_to_plmap memoizes
 
+_Depths = tuple[int, ...]  # the depths of a subdivision's leaves, left to right
+
 
 class InvalidPLMapError(ValueError):
     """Raised when breakpoint data does not describe a valid element of F."""
 
 
 class PLMap:
-    """Immutable piecewise linear homeomorphism given by its breakpoints."""
+    """Immutable element of F, kept as a tree-pair diagram: the leaf depths of its domain and of its range."""
 
-    __slots__ = ("_e", "_ts", "_ys")
+    __slots__ = ("_d", "_r", "_is_reduced")
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         points = tuple((t, y) for t, y in breakpoints)
@@ -79,8 +88,8 @@ class PLMap:
         ts = [t.numerator << (e - t.exponent) for t, _ in points]
         ys = [y.numerator << (e - y.exponent) for _, y in points]
         _validate(points, ts, ys, 1 << e)
-        normal = _trusted(e, ts, ys, range(1, len(ts) - 1))
-        self._e, self._ts, self._ys = normal._e, normal._ts, normal._ys
+        self._d, self._r = _leaves(ts, ys, e)
+        self._is_reduced = False
 
     @classmethod
     def from_fractions(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "PLMap":
@@ -88,31 +97,30 @@ class PLMap:
 
     @property
     def breakpoints(self) -> tuple[tuple[Dyadic, Dyadic], ...]:
-        e, reduced = self._e, Dyadic._reduced
-        return tuple([(reduced(t, e), reduced(y, e)) for t, y in zip(self._ts, self._ys)])
+        dom, ran = self._d, self._r
+        e, f, reduced = max(dom), max(ran), Dyadic._reduced
+        return tuple([(reduced(t, e), reduced(y, f)) for t, y in _corners(dom, ran, e, f)])
 
     def breakpoint_texts(self) -> list[tuple[str, str]]:
-        """The breakpoints as str prints their Dyadics, written from the numerators without building one.
+        """The breakpoints as str prints their Dyadics, written from the running sums without building one.
 
         Each denominator 2^j is written once per call, the first time a
-        breakpoint needs it: a map can have a handful of breakpoints and a
-        large exponent, as x_n has, so the denominators are not all written
-        up front.
+        breakpoint needs it: a map can have a handful of breakpoints and
+        deep leaves, as x_n has, so the denominators are not all written up
+        front.
         """
-        e = self._e
-        denominators = [""] + [None] * e  # j -> "/2^j" in decimal, once written
+        dom, ran = self._d, self._r
+        e, f = max(dom), max(ran)
+        denominators = [""] + [None] * max(e, f)  # j -> "/2^j" in decimal, once written
 
-        def texts(numerators: tuple[int, ...]) -> list[str]:
-            out = []
-            for n in numerators:
-                j = e - min((n & -n).bit_length() - 1, e) if n else 0  # exponent left once n's trailing zeros go
-                d = denominators[j]
-                if d is None:
-                    d = denominators[j] = f"/{1 << j}"
-                out.append(f"{n >> (e - j)}{d}")
-            return out
+        def text(n: int, e: int) -> str:
+            j = e - min((n & -n).bit_length() - 1, e) if n else 0  # exponent left once n's trailing zeros go
+            d = denominators[j]
+            if d is None:
+                d = denominators[j] = f"/{1 << j}"
+            return f"{n >> (e - j)}{d}"
 
-        return list(zip(texts(self._ts), texts(self._ys)))
+        return [(text(t, e), text(y, f)) for t, y in _corners(dom, ran, e, f)]
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -121,57 +129,63 @@ class PLMap:
         fr = t.as_fraction() if isinstance(t, Dyadic) else Fraction(t)
         if fr < 0 or fr > 1:
             raise ValueError(f"argument {fr} outside [0, 1]")
-        return _interpolate(self._e, self._ts, self._ys, fr)
+        return _interpolate(self._d, self._r, fr)
 
     def preimage(self, y: Fraction) -> Fraction:
         """Exact t with self(t) = y (the map is a bijection of [0, 1])."""
         if y < 0 or y > 1:
             raise ValueError(f"value {y} outside [0, 1]")
-        return _interpolate(self._e, self._ys, self._ts, Fraction(y))
+        return _interpolate(self._r, self._d, Fraction(y))
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """Right-action product t -> other(self(t)): one pass over self._ys merged with other._ts.
+        """Right-action product t -> other(self(t)): one walk over self's range leaves and other's domain leaves.
 
-        The pass works on numerators over 2^e with e = 2 max(ea, eb), which
-        holds every new point exactly, so each division below is exact.  A new
-        t is self^-1 at a breakpoint of other: its exponent is at most
-        max(ea, eb) plus the log of self's slope there, and self's slopes lie
-        between 2^-ea and 2^ea.  A new y is the same with the roles swapped.
-        ea + eb is not enough: a map of exponent 5 with slope 8 over y = 1/2,
-        composed with x0, has a breakpoint at 65/256.
+        Both are subdivisions of [0, 1], so the walk holds one leaf of each,
+        which start at the same point.  While their depths differ, the
+        shallower leaf is halved, along with its partner in the other tree
+        of its diagram; the left halves go on, and the right halves wait on
+        a stack.  When the depths agree the two leaves are the same
+        interval, and the product gets a leaf pair: self's domain leaf and
+        other's range leaf.  So the walk costs O(leaves of the product), all
+        on small ints, and the product has at most leaves(self) +
+        leaves(other) - 1 leaves.  It is not reduced.
         """
-        ea, eb = self._e, other._e
-        e = 2 * max(ea, eb)
-        ats = [t << (e - ea) for t in self._ts]
-        ays = [y << (e - ea) for y in self._ys]
-        bts = [t << (e - eb) for t in other._ts]
-        bys = [y << (e - eb) for y in other._ys]
-        ts = [0]
-        ys = [0]
-        shared = []  # where a breakpoint of self meets one of other: the only places slopes can cancel
+        fd, fr, gd, gr = self._d, self._r, other._d, other._r
+        dom: list[int] = []
+        ran: list[int] = []
+        f_halves: list[tuple[int, int]] = []  # right halves of self's leaf pairs still to walk, the next one last
+        g_halves: list[tuple[int, int]] = []
+        p, q, u, v = fd[0], fr[0], gd[0], gr[0]  # self's pair p -> q and other's u -> v, q and u the same interval when q == u
         i = j = 1
-        n = len(ays)
-        while i < n:  # both lists end at 1 << e, so the last step advances both
-            u, v = ays[i], bts[j]
-            if u < v:  # bts[j - 1] < u
-                ts.append(ats[i])
-                ys.append(bys[j - 1] + (u - bts[j - 1]) * (bys[j] - bys[j - 1]) // (v - bts[j - 1]))
-                i += 1
-            elif v < u:  # ays[i - 1] < v
-                ts.append(ats[i - 1] + (v - ays[i - 1]) * (ats[i] - ats[i - 1]) // (u - ays[i - 1]))
-                ys.append(bys[j])
-                j += 1
+        n = len(fd)
+        while True:
+            if q == u:
+                dom.append(p)
+                ran.append(v)
+                if f_halves:
+                    p, q = f_halves.pop()
+                elif i < n:
+                    p, q = fd[i], fr[i]
+                    i += 1
+                else:  # self's range is walked to 1, and so is other's domain
+                    break
+                if g_halves:
+                    u, v = g_halves.pop()
+                else:
+                    u, v = gd[j], gr[j]
+                    j += 1
+            elif q < u:
+                p += 1
+                q += 1
+                f_halves.append((p, q))
             else:
-                shared.append(len(ts))
-                ts.append(ats[i])
-                ys.append(bys[j])
-                i += 1
-                j += 1
-        shared.pop()  # the endpoint (1, 1)
-        return _trusted(e, ts, ys, shared)
+                u += 1
+                v += 1
+                g_halves.append((u, v))
+        return _tree_pair(tuple(dom), tuple(ran), False)
 
     def inverse(self) -> "PLMap":
-        return _from_ints(self._e, self._ys, self._ts)
+        return _tree_pair(self._r, self._d, self._is_reduced)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
         if not isinstance(other, PLMap):
@@ -188,17 +202,71 @@ class PLMap:
                 power = power.compose(base)
         return power
 
+    def _reduce(self) -> "PLMap":
+        """Replace the diagram by its reduced one, the unique diagram of the element with no caret exposed in both trees.
+
+        One stack pass: a leaf pair goes on the stack, and while the pair
+        below it has the same two depths and is a left child in both trees,
+        the two merge into their parent pair, which goes through the same
+        test.  A leaf of depth n is a left child when its start is a
+        multiple of 2^-(n-1), and the start is known from the binary digits
+        of the leaves before it: they are held as the depths of their one
+        bits, deepest last, and adding a leaf carries like a binary counter.
+        """
+        if self._is_reduced:
+            return self
+        dom: list[int] = []  # the stack: depths of the pairs, and the depths of the last one bits of their starts
+        ran: list[int] = []
+        dom_starts: list[int] = []
+        ran_starts: list[int] = []
+        d_bits = [-1]  # the one bits of the domain leaves walked so far, deepest last; -1 for none
+        r_bits = [-1]
+        for d, r in zip(self._d, self._r):
+            a, b = d_bits[-1], r_bits[-1]
+            n = d
+            while d_bits[-1] == n:
+                d_bits.pop()
+                n -= 1
+            d_bits.append(n)
+            n = r
+            while r_bits[-1] == n:
+                r_bits.pop()
+                n -= 1
+            r_bits.append(n)
+            while dom and dom[-1] == d and ran[-1] == r and dom_starts[-1] < d and ran_starts[-1] < r:
+                dom.pop()
+                ran.pop()
+                a, b = dom_starts.pop(), ran_starts.pop()
+                d -= 1
+                r -= 1
+            dom.append(d)
+            ran.append(r)
+            dom_starts.append(a)
+            ran_starts.append(b)
+        self._d, self._r, self._is_reduced = tuple(dom), tuple(ran), True
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self._e == other._e and self._ts == other._ts and self._ys == other._ys
+        self._reduce()
+        other._reduce()
+        return self._d == other._d and self._r == other._r
 
     def __hash__(self) -> int:
-        return hash((self._e, self._ts, self._ys))
+        self._reduce()
+        return hash((self._d, self._r))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({t}, {y})" for t, y in self.breakpoint_texts())
         return f"PLMap[{pts}]"
+
+
+def _tree_pair(dom: _Depths, ran: _Depths, reduced: bool) -> PLMap:
+    """A map from the leaf depths of a diagram that is valid by construction; reduced says it has no common caret."""
+    m = object.__new__(PLMap)
+    m._d, m._r, m._is_reduced = dom, ran, reduced
+    return m
 
 
 def _validate(points: Sequence[tuple[Dyadic, Dyadic]], ts: list[int], ys: list[int], one: int) -> None:
@@ -221,38 +289,65 @@ def _validate(points: Sequence[tuple[Dyadic, Dyadic]], ts: list[int], ys: list[i
             raise InvalidPLMapError(f"slope {Fraction(dy, dt)} on [{t0}, {t1}] is not a power of two")
 
 
-def _from_ints(e: int, ts: tuple[int, ...], ys: tuple[int, ...]) -> PLMap:
-    m = object.__new__(PLMap)
-    m._e, m._ts, m._ys = e, ts, ys
-    return m
+def _leaves(ts: list[int], ys: list[int], e: int) -> tuple[_Depths, _Depths]:
+    """The leaf depths of a diagram of the map with validated breakpoints ts, ys over 2^e.
 
-
-def _trusted(e: int, ts: list[int], ys: list[int], maybe_collinear: Iterable[int]) -> PLMap:
-    """A map from numerators over 2^e that are valid by construction.
-
-    Of the interior points listed in maybe_collinear, those collinear with
-    their neighbours are dropped; then the common trailing zero bits of the
-    numerators are shifted out, so the exponent comes out minimal.
+    Each piece of slope 2^s is cut greedily into the longest standard dyadic
+    intervals whose images are standard too.  A leaf can be finer than 2^-e
+    where the slope is not 1, so the cuts are made on the grid of 2^-(e + x),
+    x the largest |s|, where both ends of every leaf fall.
     """
-    drop = [
-        i
-        for i in maybe_collinear
-        if (ys[i] - ys[i - 1]) * (ts[i + 1] - ts[i]) == (ys[i + 1] - ys[i]) * (ts[i] - ts[i - 1])
-    ]
-    for i in reversed(drop):
-        del ts[i], ys[i]
-    bits = reduce(or_, ts, reduce(or_, ys))
-    k = (bits & -bits).bit_length() - 1  # at most e: the last t is 1 << e
-    return _from_ints(e - k, tuple([t >> k for t in ts]), tuple([y >> k for y in ys]))
+    slopes = [(y1 - y0).bit_length() - (t1 - t0).bit_length() for (t0, t1), (y0, y1) in zip(pairwise(ts), pairwise(ys))]
+    x = max(map(abs, slopes))
+    unit = e + x  # the depth of a leaf one grid step wide
+    dom: list[int] = []
+    ran: list[int] = []
+    for s, t, y, end in zip(slopes, ts, ys, ts[1:]):
+        t, y, end = t << x, y << x, end << x
+        while t < end:
+            k = min(
+                (t & -t).bit_length() - 1 if t else unit,
+                ((y & -y).bit_length() - 1 if y else unit) - s,
+                (end - t).bit_length() - 1,
+            )  # the leaf is 2^k steps wide
+            dom.append(unit - k)
+            ran.append(unit - k - s)
+            t += 1 << k
+            y += 1 << (k + s)
+    return tuple(dom), tuple(ran)
 
 
-def _interpolate(e: int, xs: Sequence[int], vs: Sequence[int], x: Fraction) -> Fraction:
-    """Value at x of the piecewise linear function through the points (xs[k], vs[k]) / 2^e."""
+def _corners(dom: _Depths, ran: _Depths, e: int, f: int) -> Iterator[tuple[int, int]]:
+    """The breakpoints, as numerators over 2^e and 2^f for the deepest leaves e and f of the two trees.
+
+    Both ends, and the start of each leaf whose slope differs from that of
+    the leaf before it; one running sum per coordinate.
+    """
+    t = y = 0
+    yield t, y
+    slope = dom[0] - ran[0]
+    for d, r in zip(dom, ran):
+        if d - r != slope:
+            slope = d - r
+            yield t, y
+        t += 1 << (e - d)
+        y += 1 << (f - r)
+    yield t, y
+
+
+def _interpolate(dom: _Depths, ran: _Depths, x: Fraction) -> Fraction:
+    """Value at x in [0, 1] of the map that sends the leaves of depths dom onto those of depths ran."""
     p, q = x.numerator, x.denominator
-    scaled = p << e  # x * 2^e * q
-    i = max(min(bisect_right(xs, scaled // q) - 1, len(xs) - 2), 0)
-    dx = xs[i + 1] - xs[i]
-    return Fraction(vs[i] * q * dx + (scaled - xs[i] * q) * (vs[i + 1] - vs[i]), (q * dx) << e)
+    e, f = max(dom), max(ran)
+    scaled = p << e  # x * q * 2^e
+    corners = _corners(dom, ran, e, f)
+    t0, y0 = next(corners)
+    for t1, y1 in corners:
+        if t1 * q >= scaled:
+            break
+        t0, y0 = t1, y1
+    dt = t1 - t0
+    return Fraction(y0 * q * dt + (scaled - t0 * q) * (y1 - y0), (q * dt) << f)
 
 
 def identity() -> PLMap:
@@ -280,8 +375,8 @@ def word_to_plmap(word: Word) -> PLMap:
     _PIECE_LETTERS letters nearest its middle, each half likewise, down to
     pieces of at most _PIECE_LETTERS letters, which come from the memo of
     _piece.  The tree is balanced, so the operands of each level have at most
-    as many breakpoints together as the pieces, and the work is O(n log n)
-    breakpoint steps where a left fold can need O(n^2).
+    as many leaves together as the pieces, and the work is O(n log n) steps
+    where a left fold can need O(n^2).
     """
     reduced: list[str] = []
     for letter in word:
@@ -303,11 +398,11 @@ def _split(text: str) -> PLMap:
 
 @cache
 def _piece(text: str) -> PLMap:
-    """Product of a freely reduced word of 1 to _PIECE_LETTERS letters, built from its two halves."""
+    """Reduced product of a freely reduced word of 1 to _PIECE_LETTERS letters, built from its two halves."""
     if len(text) == 1:
         return _LETTER_MAPS[text]
     mid = len(text) // 2
-    return _piece(text[:mid]).compose(_piece(text[mid:]))
+    return _piece(text[:mid]).compose(_piece(text[mid:]))._reduce()
 
 
 def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
@@ -315,8 +410,8 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
 
     _image_digits folds t's binary digits through the prefix rules of the
     letter maps at O(1) per letter, and one Fraction is built at the end,
-    where word_to_plmap builds a map that can have O(n) breakpoints over
-    2^n for a word of n letters.
+    where word_to_plmap builds a map that can have O(n) leaves for a word
+    of n letters.
     """
     if isinstance(t, float):
         raise TypeError("refusing float input; pass Fraction for exactness")
@@ -332,9 +427,22 @@ _CHUNK = 24  # digits that _image_digits loads behind its window at once
 _KEEP = 16  # digits that _image_digits keeps in its window when it spills
 _FULL = 1 << 30  # a window this large holds 30 digits: _image_digits spills
 _PAD = "1"  # the identity word, paired with the last letter of a word of odd length
-_TAIL_DIGITS = f"0{_CHUNK + 1}b"  # _CHUNK digits of the tail and a 1 after them
+_MAX_TAIL_CHUNKS = 16  # most chunks of the tail that _image_digits reads by one division
+_LONG_TAIL = 1 << 256  # _tail_chunks is 1 below this, and _image_digits takes that without the call
 
 _Images = tuple[tuple[int, int], ...]  # per head, as an int with digit i at bit i: the length and digits of its image
+
+
+def _tail_chunks(d: int) -> int:
+    """Chunks of the tail r/d that _image_digits reads by one division.
+
+    A division of r << 24c by d costs a copy of r, and about a sixth of
+    that per 30-bit digit of the quotient, so past a few hundred bits one
+    chunk per division spends most of the time on copies: one chunk more
+    for every 256 bits of d, up to _MAX_TAIL_CHUNKS, where a digit costs
+    within a fifth of the least a division can give.
+    """
+    return min(1 + d.bit_length() // 256, _MAX_TAIL_CHUNKS)
 
 
 def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
@@ -352,11 +460,12 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     last letter of an odd word with _PAD: one lookup of the window's first
     six digits in that pair's table, a shift and an or.  Before a step, a
     window of fewer than six digits is refilled from the list, or with
-    _CHUNK digits of the tail by one shift and one division of r, and one
-    that has grown to 30 digits spills all but its first _KEEP to the list.
-    The L digits held at the end and the tail give N; the image keeps t's
-    odd part d, so N / (d 2^L) is in lowest terms but for powers of two.
-    0 and 1, which every element fixes, return at once.
+    _tail_chunks(d) chunks of the tail by one shift and one division of r,
+    and one that has grown to 30 digits spills all but its first _KEEP to
+    the list; so the unread part of a long read of the tail waits on the
+    list as one entry.  The L digits held at the end and the tail give N;
+    the image keeps t's odd part d, so N / (d 2^L) is in lowest terms but
+    for powers of two.  0 and 1, which every element fixes, return at once.
     """
     num, den = t.numerator, t.denominator
     if num == 0 or num == den:
@@ -364,6 +473,8 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     pairs = _digit_tables()
     k = (den & -den).bit_length() - 1
     d = den >> k
+    width = _CHUNK if d < _LONG_TAIL else _tail_chunks(d) * _CHUNK  # digits of the tail read by one division
+    ends = 2 << width | 1  # a 1 on either side of them
     q, r = divmod(num, d)
     backwards = format(q | 1 << k, "b")[:0:-1]  # the k digits of q, the last one first
     front = (k - 1) // _CHUNK * _CHUNK  # where the chunk of the first digits starts in backwards; -_CHUNK for k = 0
@@ -375,8 +486,8 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
             if rest:
                 chunk = rest.pop()
             else:
-                q, r = divmod(r << _CHUNK, d)
-                chunk = int(format(q << 1 | 1, _TAIL_DIGITS)[::-1], 2)
+                q, r = divmod(r << width, d)
+                chunk = int(format(q << 1 | ends, "b")[:0:-1], 2)
             top = x.bit_length() - 1
             x = x ^ 1 << top | chunk << top
         if x >= _FULL:
@@ -437,27 +548,32 @@ def _prefix_rules(m: PLMap) -> tuple[tuple[str, str], ...]:
     Raises ValueError for a piece whose domain or image is not a standard
     dyadic interval [j / 2^n, (j + 1) / 2^n].
     """
-    e, ts, ys = m._e, m._ts, m._ys
+    dom, ran = m._d, m._r
+    e, f = max(dom), max(ran)
 
-    def address(lo: int, hi: int) -> str:
+    def address(lo: int, hi: int, e: int) -> str:
         width = hi - lo
         if width & (width - 1) or lo % width:
             raise ValueError(f"[{lo}/2^{e}, {hi}/2^{e}] is not a standard dyadic interval")
         return format(lo // width | 1 << (e - width.bit_length() + 1), "b")[1:]
 
-    return tuple((address(ts[i], ts[i + 1]), address(ys[i], ys[i + 1])) for i in range(len(ts) - 1))
+    return tuple(
+        (address(t0, t1, e), address(y0, y1, f)) for (t0, y0), (t1, y1) in pairwise(_corners(dom, ran, e, f))
+    )
 
 
 def xn(n: int) -> PLMap:
     """The generator x_n (n >= 1) in closed form.
 
-    Identity up to 1 - 1/2^n, then slopes 1/2, 1, 2; equals the word
-    x0^(n-1) x1 x0^-(n-1), and xn(1) is exactly generator_x1().
+    Identity up to 1 - 1/2^n, then slopes 1/2, 1, 2: leaves of depths 1 to
+    n sent to themselves, then n + 1, n + 2, n + 2 onto n + 2, n + 2, n + 1.
+    Equals the word x0^(n-1) x1 x0^-(n-1), and xn(1) is exactly
+    generator_x1().
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    one = 4 << n  # numerators over 2^(n + 2); one - 1 is odd, so the exponent is minimal
-    return _from_ints(n + 2, (0, one - 4, one - 2, one - 1, one), (0, one - 4, one - 3, one - 2, one))
+    left = tuple(range(1, n + 1))
+    return _tree_pair(left + (n + 1, n + 2, n + 2), left + (n + 2, n + 2, n + 1), True)
 
 
 def yn(n: int) -> PLMap:
@@ -469,9 +585,8 @@ def yn(n: int) -> PLMap:
 
 
 def flip(f: PLMap) -> PLMap:
-    """The flip automorphism t -> 1 - f(1 - t), central symmetry of the graph."""
-    one = 1 << f._e
-    return _from_ints(f._e, tuple(one - t for t in reversed(f._ts)), tuple(one - y for y in reversed(f._ys)))
+    """The flip automorphism t -> 1 - f(1 - t), central symmetry of the graph: both subdivisions mirrored."""
+    return _tree_pair(f._d[::-1], f._r[::-1], f._is_reduced)
 
 
 def validate_depth(depth: int) -> None:
@@ -521,8 +636,8 @@ def _relator_checks(depth: int) -> tuple[Check, ...]:
     return tuple(checks)
 
 
-_IDENTITY = _from_ints(0, (0, 1), (0, 1))
-_GEN_X0 = _from_ints(2, (0, 2, 3, 4), (0, 1, 2, 4))  # numerators over 4
+_IDENTITY = _tree_pair((0,), (0,), True)
+_GEN_X0 = _tree_pair((1, 2, 2), (2, 2, 1), True)
 _GEN_X1 = xn(1)
 
 _LETTER_MAPS = {"a": _GEN_X0, "A": _GEN_X0.inverse(), "b": _GEN_X1, "B": _GEN_X1.inverse()}

@@ -10,6 +10,7 @@ reads a ball's tree as the tuples that the references return.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -36,6 +37,75 @@ def ball_views(b: SchreierBall) -> tuple[tuple, tuple[int, ...], tuple[tuple[int
     distances = tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
     it = iter(b.flat_edges)
     return parents, distances, tuple(zip(it, it, it))
+
+
+Breakpoints = tuple[tuple[Fraction, Fraction], ...]
+
+# The letter maps' breakpoints, from their definitions: x0 is t/2, t - 1/4 and
+# 2t - 1 on [0, 1/2], [1/2, 3/4] and [3/4, 1]; x1 is the identity on [0, 1/2]
+# and x0 scaled into [1/2, 1].  An inverse swaps the two coordinates.
+_X0 = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 4), Fraction(1, 2)), (Fraction(1), Fraction(1)))
+_X1 = (
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(3, 4), Fraction(5, 8)),
+    (Fraction(7, 8), Fraction(3, 4)),
+    (Fraction(1), Fraction(1)),
+)
+LETTER_BREAKPOINTS = {
+    "a": _X0,
+    "A": tuple((y, t) for t, y in _X0),
+    "b": _X1,
+    "B": tuple((y, t) for t, y in _X1),
+}
+
+
+def _pieces(points: Breakpoints) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """(start, slope, offset) of each piece of the piecewise linear function through the points, the last piece first."""
+    return tuple(
+        (x0, (v1 - v0) / (x1 - x0), v0 - x0 * (v1 - v0) / (x1 - x0))
+        for (x0, v0), (x1, v1) in reversed(list(zip(points, points[1:])))
+    )
+
+
+def _through(pieces: tuple[tuple[Fraction, Fraction, Fraction], ...], x: Fraction) -> Fraction:
+    """Value at x in [0, 1] of the function with these pieces, by interpolation on the piece that holds x."""
+    for x0, slope, offset in pieces:
+        if x >= x0:
+            return slope * x + offset
+    raise AssertionError(f"{x} is below 0")
+
+
+def fraction_compose(f: Breakpoints, g: Breakpoints) -> Breakpoints:
+    """Breakpoints of t -> g(f(t)) for breakpoint lists f and g.
+
+    The candidates are f's breakpoints and the preimages under f of g's;
+    each is sent through g by interpolation, and a point on the line through
+    the point kept before it and the one after it is dropped.
+    """
+    ys = [y for _, y in f]
+    images = dict(f)
+    for s, _ in g[1:-1]:
+        i = bisect_right(ys, s)  # f(t_{i-1}) <= s < f(t_i)
+        (t0, y0), (t1, y1) = f[i - 1], f[i]
+        images.setdefault(t0 + (s - y0) * (t1 - t0) / (y1 - y0), s)
+    pieces = _pieces(g)
+    points = [(t, _through(pieces, images[t])) for t in sorted(images)]
+    kept = [points[0]]
+    for (t, y), (t1, y1) in zip(points[1:], points[2:]):
+        t0, y0 = kept[-1]
+        if (y - y0) * (t1 - t) != (y1 - y) * (t - t0):
+            kept.append((t, y))
+    kept.append(points[-1])
+    return tuple(kept)
+
+
+def fraction_breakpoints(word: str) -> Breakpoints:
+    """Breakpoints of the map of a word: its letter maps composed one at a time, left to right, from the identity."""
+    points: Breakpoints = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+    for letter in word:
+        points = fraction_compose(points, LETTER_BREAKPOINTS[letter])
+    return points
 
 
 # Plenty for the bounded preperiods/periods exercised in tests: two sequences

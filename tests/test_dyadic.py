@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_breakpoints
 from sampling import random_word
+from thompsonf import plmap
 from thompsonf.dyadic import Dyadic, _format
 from thompsonf.plmap import PLMap, word_to_plmap
 from thompsonf.rng import SplitMix64
@@ -92,7 +94,6 @@ def test_breakpoint_texts_write_only_the_denominators_the_breakpoints_need():
     e = 30_000
     one = 1 << e
     m = PLMap((Dyadic(t, e), Dyadic(y, e)) for t, y in ((0, 0), (one - 4, one - 4), (one - 2, one - 3), (one - 1, one - 2), (one, one)))
-    assert m._e == e
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
@@ -109,17 +110,21 @@ def test_breakpoint_texts_write_only_the_denominators_the_breakpoints_need():
 
 
 def test_trusted_constructor_matches_the_validating_one():
-    # PLMap.breakpoints builds its Dyadics through Dyadic._reduced
+    # PLMap.breakpoints builds its Dyadics through Dyadic._reduced, from the running sums of the leaves
     rng = SplitMix64(71)
     seen = 0
     for _ in range(30):
-        m = word_to_plmap(random_word(rng, 40))
-        for t, y in zip(m._ts + (0, 6, 12), m._ys + (0, 3, 1)):
-            for n in (t, y):
-                for e in (0, 1, m._e):
-                    fast, checked = Dyadic._reduced(n, e), Dyadic(n, e)
+        word = random_word(rng, 40)
+        m = word_to_plmap(word)
+        e, f = max(m._d), max(m._r)  # the deepest leaves: the sums are numerators over 2^e and 2^f
+        corners = list(plmap._corners(m._d, m._r, e, f))
+        for t, y in corners + [(0, 0), (6, 3), (12, 1)]:
+            for n, top in ((t, e), (y, f)):
+                for k in (0, 1, top):
+                    fast, checked = Dyadic._reduced(n, k), Dyadic(n, k)
                     assert (fast.numerator, fast.exponent) == (checked.numerator, checked.exponent)
                     assert fast == checked and hash(fast) == hash(checked)
                     seen += 1
-        assert m.breakpoints == tuple((Dyadic(t, m._e), Dyadic(y, m._e)) for t, y in zip(m._ts, m._ys))
+        assert m.breakpoints == tuple((Dyadic(t, e), Dyadic(y, f)) for t, y in corners)
+        assert m.breakpoints == tuple((Dyadic.from_fraction(t), Dyadic.from_fraction(y)) for t, y in fraction_breakpoints(word))
     assert seen > 1000

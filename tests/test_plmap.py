@@ -4,7 +4,7 @@ from itertools import chain, product
 
 import pytest
 
-from oracles import fraction_to_vw, naive_act
+from oracles import LETTER_BREAKPOINTS, fraction_breakpoints, fraction_compose, fraction_to_vw, naive_act
 from sampling import LETTERS, random_word
 from thompsonf import cantor, plmap
 from thompsonf.dyadic import Dyadic
@@ -128,6 +128,26 @@ def test_evaluate_word_reads_the_tail_in_chunks():
 
 def _random_int(rng: SplitMix64, bits: int) -> int:
     return int("".join(format(rng.next_u64(), "064b") for _ in range(-(-bits // 64)))[:bits] or "0", 2)
+
+
+def test_several_tail_chunks_per_division_read_what_one_chunk_per_division_reads(monkeypatch):
+    # odd parts of 3, 1000 and 131,072 bits, read 1, 4 and 16 chunks per
+    # division, against the same fold reading one chunk per division.  A
+    # value r / d below 2^-(bits - 40) starts with that many zeros, which a
+    # run of x0^-1 reads a digit per letter, deep into the tail.
+    rng = SplitMix64(101)
+    cases = []
+    for bits, chunks in ((3, 1), (1000, 4), (131_072, 16)):
+        d = _random_int(rng, bits) | 1 << (bits - 1) | 1
+        assert plmap._tail_chunks(d) == chunks
+        for case in range(12):
+            r = 1 + _random_int(rng, min(40, bits - 1)) if case % 2 else 1 + _random_int(rng, bits) % (d - 1)
+            t = F(r, d << rng.below(3))
+            n = rng.below(min(bits, 2000))
+            cases.append((t, "A" * n + random_word(rng, 30) + "a" * rng.below(n + 1)))
+    several = [evaluate_word(word, t) for t, word in cases]
+    monkeypatch.setattr(plmap, "_tail_chunks", lambda d: 1)
+    assert [evaluate_word(word, t) for t, word in cases] == several
 
 
 def test_evaluate_word_matches_the_built_map_past_the_window():
@@ -318,8 +338,12 @@ def test_closed_forms_equal_their_validated_and_word_forms():
         assert yn(n) == word_to_plmap(yn_word(n))
         maps += [xn(n), yn(n)]
     for m in maps:
+        leaves = (m._d, m._r)
         rebuilt = PLMap(m.breakpoints)
-        assert rebuilt == m and rebuilt._e == m._e and hash(rebuilt) == hash(m)
+        assert rebuilt == m and hash(rebuilt) == hash(m)
+        # built reduced: the constructor's diagram, once reduced, is the closed form's leaf for leaf
+        assert (rebuilt._d, rebuilt._r) == (m._d, m._r) == leaves
+        assert _common_carets(m) == []
 
 
 def test_collinear_interior_points_are_dropped():
@@ -508,9 +532,21 @@ def _string_oracle_image(word, t):
     return F(int("0" + prefix, 2) * top + int(period, 2), top << len(prefix))
 
 
+def _common_carets(m):
+    """Indices k where leaves k and k + 1 are siblings in both trees of m's diagram, from Fraction positions."""
+
+    def siblings(depths):
+        starts = [F(0)]
+        for d in depths:
+            starts.append(starts[-1] + F(1, 2 ** d))
+        return {k for k in range(len(depths) - 1) if depths[k] == depths[k + 1] and (starts[k] * 2 ** (depths[k] - 1)).denominator == 1}
+
+    return sorted(siblings(m._d) & siblings(m._r))
+
+
 def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
-    # slope 8 on [1/4, 9/32], over y = 1/2: with exponent 5 against x0's 2,
-    # the product has a breakpoint at 65/256, finer than 2^-(5 + 2)
+    # slope 8 on [1/4, 9/32], over y = 1/2: composed with x0, a breakpoint at
+    # 65/256, where the leaves of the product are finer than those of both factors
     steep = PLMap.from_fractions(
         [(F(0), F(0)), (F(7, 32), F(7, 16)), (F(1, 4), F(15, 32)), (F(9, 32), F(23, 32)),
          (F(19, 32), F(7, 8)), (F(31, 32), F(31, 32)), (F(1), F(1))]
@@ -520,17 +556,26 @@ def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
     rng = SplitMix64(41)
     words = [commutator(random_word(rng, 15), random_word(rng, 15)) for _ in range(4)]
     words += [random_word(rng, 200) for _ in range(10)] + [parse_word("ab" * 100)]
-    # small cases first, so that a kernel whose exponents run away fails before it stalls
+    # small cases first, so that a kernel whose leaves run away fails before it stalls
     pairs = chain(
         [(None, steep, x0), (None, x0, steep.inverse()), (None, steep, steep)],
         ((u + v, word_to_plmap(u), word_to_plmap(v)) for u, v in zip(words, words[1:])),
     )
+    reduced_somewhere = 0
     for word, f, g in pairs:
         h = f * g
+        assert len(h._d) <= len(f._d) + len(g._d) - 1
+        unreduced = len(h._d)
         for m in (f, g, h):
-            assert m._e == max(max(t.exponent, y.exponent) for t, y in m.breakpoints)
             rebuilt = PLMap(m.breakpoints)
             assert rebuilt == m and hash(rebuilt) == hash(m)
+            # the reduced diagram is unique: the constructor's and the product's agree leaf for leaf, with no common caret
+            assert (rebuilt._d, rebuilt._r) == (m._d, m._r)
+            assert _common_carets(m) == []
+        reduced_somewhere += len(h._d) < unreduced
+        if word is not None:
+            other = word_to_plmap(word)
+            assert other == h and (other._d, other._r) == (h._d, h._r)
         probes = {t.as_fraction() for m in (f, g) for t, _ in m.breakpoints}
         probes |= {f.preimage(t) for t in set(probes)}
         for _ in range(20):
@@ -541,6 +586,7 @@ def test_integer_kernel_agrees_with_evaluation_and_the_oracles():
         if word is not None:
             for t, y in h.breakpoints:
                 assert _string_oracle_image(word, t.as_fraction()) == y.as_fraction()
+    assert reduced_somewhere >= 5
 
 
 def _left_fold(word):
@@ -580,21 +626,21 @@ def test_product_tree_matches_the_left_fold():
 
 def test_product_tree_work_is_n_log_n(monkeypatch):
     compose = PLMap.compose
-    work = {"calls": 0, "breakpoints": 0}
+    work = {"calls": 0, "leaves": 0}
 
     def counted(self, other):
         work["calls"] += 1
-        work["breakpoints"] += len(self._ts) + len(other._ts)
+        work["leaves"] += len(self._d) + len(other._d)
         return compose(self, other)
 
     monkeypatch.setattr(PLMap, "compose", counted)
     rng = SplitMix64(61)
     for word in (parse_word("ab" * 512), "".join([rng.choice(LETTERS) for _ in range(1024)])):
-        work.update(calls=0, breakpoints=0)
+        work.update(calls=0, leaves=0)
         word_to_plmap(word)
         assert work["calls"] > 0
-        assert work["breakpoints"] <= 2 * 1024 * 10  # 2 n log2 n for n = 1024
-    work.update(calls=0, breakpoints=0)
+        assert work["leaves"] <= 2 * 1024 * 10  # 2 n log2 n for n = 1024
+    work.update(calls=0, leaves=0)
     assert word_to_plmap(parse_word("abBA" * 100 + "aBbA")) == identity()
     assert work["calls"] == 0
 
@@ -645,3 +691,95 @@ def test_piece_memo_holds_only_short_reduced_words(monkeypatch):
     assert len(keys) == len(set(keys)) == plmap._piece.cache_info().currsize
     assert 1000 < len(keys) <= 4 * (1 + 3 + 9 + 27 + 81 + 243) == 1456
     assert all(0 < len(key) <= 6 and _reduced_length(key) == len(key) for key in keys)
+
+
+def _fractions(m):
+    return tuple((t.as_fraction(), y.as_fraction()) for t, y in m.breakpoints)
+
+
+def _prefixes_agree(word):
+    """Compare the map of every prefix of the word with the Fraction fold, which passes through each prefix."""
+    points = fraction_breakpoints("")
+    assert _fractions(word_to_plmap("")) == points
+    for k, letter in enumerate(word, start=1):
+        points = fraction_compose(points, LETTER_BREAKPOINTS[letter])
+        assert _fractions(word_to_plmap(word[:k])) == points, word[:k]
+    return len(word) + 1
+
+
+def test_breakpoints_match_the_fraction_fold():
+    rng = SplitMix64(83)
+    kinds = dict.fromkeys(("prefix of a 300-letter word", "(xy)^k", "commutator", "planted"), 0)
+    for _ in range(8):
+        kinds["prefix of a 300-letter word"] += _prefixes_agree("".join([rng.choice(LETTERS) for _ in range(300)]))
+    for x, y in product(LETTERS, repeat=2):
+        if x.lower() != y.lower():  # both generators: the breakpoints grow with k
+            kinds["(xy)^k"] += _prefixes_agree((x + y) * 40) // 2
+    for _ in range(150):
+        word = commutator(random_word(rng, 30), random_word(rng, 30))
+        assert _fractions(word_to_plmap(word)) == fraction_breakpoints(word), word
+        kinds["commutator"] += 1
+    for word in _planted_words(rng, 150, 120):
+        assert _fractions(word_to_plmap(word)) == fraction_breakpoints(word), word
+        kinds["planted"] += 1
+    assert sum(kinds.values()) >= 3000 and min(kinds.values()) >= 150, kinds
+
+
+def _equal_pair(rng):
+    """Two words for the same element: the second has a conjugate of a relator of F planted in it."""
+    i, n = 1 + rng.below(4), 5 + rng.below(4)
+    relators = [
+        *relator_words("a", "b"),
+        "aabAA" + invert_word("babAB"),
+        xn_word(i) + xn_word(n) + invert_word(xn_word(i)) + invert_word(xn_word(n + 1)),
+        commutator(xn_word(i), yn_word(n)),
+    ]
+    u = random_word(rng, 40)
+    w = random_word(rng, 8)
+    at = rng.below(len(u) + 1)
+    return u, u[:at] + w + rng.choice(relators) + invert_word(w) + u[at:]
+
+
+def _unequal_pair(rng):
+    """Two words that may or may not give the same element: random, or one letter apart in an equal pair."""
+    if rng.below(2):
+        return random_word(rng, 12), random_word(rng, 12)
+    u, v = _equal_pair(rng)
+    at = rng.below(len(v))
+    return u, v[:at] + rng.choice(LETTERS) + v[at + 1:]
+
+
+def test_equality_and_hash_match_the_fraction_fold():
+    rng = SplitMix64(97)
+    counts = {True: 0, False: 0}
+    for case in range(2000):
+        u, v = _equal_pair(rng) if case % 2 == 0 else _unequal_pair(rng)
+        f, g = word_to_plmap(u), _left_fold(v)  # two product shapes, so two unreduced diagrams
+        equal = case % 2 == 0 or fraction_breakpoints(u) == fraction_breakpoints(v)
+        assert (f == g) is equal and (g == f) is equal, (u, v)
+        if equal:
+            assert hash(f) == hash(g), (u, v)
+        counts[equal] += 1
+    assert counts[True] >= 1000 and counts[False] >= 500, counts
+
+
+def test_aabAA_equals_babAB():
+    # x0^2 x1 x0^-2 = x3 = x1 x2 x1^-1
+    assert word_to_plmap("aabAA") == word_to_plmap("babAB") == xn(3)
+    assert _fractions(word_to_plmap("aabAA")) == fraction_breakpoints("babAB")
+
+
+def test_conjugates_of_x1_by_powers_of_x0_have_their_closed_form():
+    for k in range(4, 41):
+        word = "A" * k + "b" + "a" * k
+        expected = (
+            (F(0), F(0)),
+            (F(1, 2 ** (k + 1)), F(1, 2 ** (k + 1))),
+            (F(1, 2 ** k), F(3, 2 ** (k + 2))),
+            (F(1, 2 ** (k - 1)), F(1, 2 ** k)),
+            (F(1, 2), F(1, 4)),
+            (F(3, 4), F(1, 2)),
+            (F(1), F(1)),
+        )
+        assert _fractions(word_to_plmap(word)) == expected, k
+        assert fraction_breakpoints(word) == expected, k
