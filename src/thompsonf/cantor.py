@@ -24,8 +24,8 @@ period.  Each pair of letters rewrites the window by one lookup of its
 first six letters in that pair's table, a shift and an or.  The window is
 refilled from the chunks or the period when it runs short and spills to
 the chunks when it grows long, so a letter costs O(1) at any preperiod or
-period length, and the pair is made canonical once.  The tables are
-derived from _HEADS on first use, and again when _HEADS is replaced.
+period length, and _absorbed makes the pair canonical once.  The tables
+are derived from _HEADS on first use, and again when _HEADS is replaced.
 The breadth-first search in schreier inlines _step on plans that it derives
 from _HEADS at import, one per discovering letter and head, which leave out
 the letters whose image is known without a step: the way back, the _LOOP
@@ -293,9 +293,9 @@ def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
     letters is refilled from the list, or with _CHUNK letters of the period
     from r, and one that has grown to 30 letters spills all but its first
     _KEEP to the list.  So a letter costs O(1) however long v and w are.
-    At the end, when the list is empty, the last letters of the window that
-    agree with the period letters last loaded go back to the period, and
-    _absorbed makes the pair canonical.
+    At the end the window and the list precede the period from r, and
+    _absorbed gives back to it every trailing letter that continues it,
+    the loaded period letters that no rule touched among them.
     """
     pairs = _fold_tables()
     backwards = v[::-1]
@@ -305,14 +305,13 @@ def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
     n = len(w)
     cycle = w * (_CHUNK // n + 2) if n < _CHUNK else w + w[:_CHUNK]  # cycle[r:r + _CHUNK] for every r < n
     r = 0
-    last = 1  # the period letters last loaded: none
     letters = iter(word + _PAD)
     for first, second in zip(letters, letters):
         while x < 64:
             if rest:
                 chunk = rest.pop()
             else:
-                chunk = last = int("1" + cycle[r:r + _CHUNK][::-1], 2)
+                chunk = int("1" + cycle[r:r + _CHUNK][::-1], 2)
                 r = (r + _CHUNK) % n
             top = x.bit_length() - 1
             x = x ^ 1 << top | chunk << top
@@ -321,16 +320,7 @@ def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
             x = x & (1 << _KEEP) - 1 | 1 << _KEEP
         k, image = pairs[first][second][x & 63]
         x = x >> 6 << k | image
-    preperiod = format(x, "b")[:0:-1]
-    if rest:
-        preperiod += "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
-    else:  # the window ends where the period from r starts
-        held, loaded = len(preperiod), last.bit_length() - 1
-        t = min(held, loaded)
-        back = t - ((x >> held - t) ^ (last >> loaded - t)).bit_length()
-        if back:
-            preperiod = preperiod[:held - back]
-            r = (r - back) % n
+    preperiod = format(x, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
     return _absorbed(preperiod, w[r:] + w[:r])
 
 

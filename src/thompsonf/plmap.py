@@ -41,17 +41,17 @@ letters costs O(n log n) steps on small ints.  A left fold composes letter
 k into a map that may already have O(k) leaves, which is quadratic when
 they grow with the length, as they do for (x0 x1)^k.
 
-To evaluate a word at one point, evaluate_word builds no map.  Every piece
-of a letter map sends a standard dyadic interval onto another, so on binary
-digits it replaces one prefix by another and keeps the rest.  Tables of
-these rules, for each letter and each pair of letters, are derived from
+To evaluate a word at one point, evaluate_word builds no map.  Every leaf
+pair of a letter map sends a standard dyadic interval onto another, so on
+binary digits it replaces one prefix by another and keeps the rest.  Tables
+of these rules, for each letter and each pair of letters, are derived from
 the letter maps on first use, and again when a letter map is replaced.
 The value's digits are folded through them two letters per lookup: the
 front digits are a small int, with digit i at bit i, that each pair of
 letters rewrites by one lookup, a shift and an or, so a letter costs O(1)
 at any length of the value.  The digits behind the window are read in
 chunks, from the dyadic part's digits and then from a tail r/d with d
-odd, several chunks per division when d is long.
+odd, one chunk per division.
 """
 
 from __future__ import annotations
@@ -427,28 +427,14 @@ _CHUNK = 24  # digits that _image_digits loads behind its window at once
 _KEEP = 16  # digits that _image_digits keeps in its window when it spills
 _FULL = 1 << 30  # a window this large holds 30 digits: _image_digits spills
 _PAD = "1"  # the identity word, paired with the last letter of a word of odd length
-_MAX_TAIL_CHUNKS = 16  # most chunks of the tail that _image_digits reads by one division
-_LONG_TAIL = 1 << 256  # _tail_chunks is 1 below this, and _image_digits takes that without the call
 
 _Images = tuple[tuple[int, int], ...]  # per head, as an int with digit i at bit i: the length and digits of its image
-
-
-def _tail_chunks(d: int) -> int:
-    """Chunks of the tail r/d that _image_digits reads by one division.
-
-    A division of r << 24c by d costs a copy of r, and about a sixth of
-    that per 30-bit digit of the quotient, so past a few hundred bits one
-    chunk per division spends most of the time on copies: one chunk more
-    for every 256 bits of d, up to _MAX_TAIL_CHUNKS, where a digit costs
-    within a fifth of the least a division can give.
-    """
-    return min(1 + d.bit_length() // 256, _MAX_TAIL_CHUNKS)
 
 
 def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     """N and L with N / (d 2^L) the image of t in [0, 1] under the word, for the odd part d of t's denominator.
 
-    Each piece of a letter map sends a standard dyadic interval onto
+    Each leaf pair of a letter map sends a standard dyadic interval onto
     another, so on binary digits it is a prefix rule: it replaces the
     address of its domain by that of its image and keeps the digits after
     it.  t = (q + r/d) / 2^k is held as the k digits of q and a tail r/d
@@ -460,12 +446,11 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     last letter of an odd word with _PAD: one lookup of the window's first
     six digits in that pair's table, a shift and an or.  Before a step, a
     window of fewer than six digits is refilled from the list, or with
-    _tail_chunks(d) chunks of the tail by one shift and one division of r,
+    the next _CHUNK digits of the tail by one shift and one division of r,
     and one that has grown to 30 digits spills all but its first _KEEP to
-    the list; so the unread part of a long read of the tail waits on the
-    list as one entry.  The L digits held at the end and the tail give N;
-    the image keeps t's odd part d, so N / (d 2^L) is in lowest terms but
-    for powers of two.  0 and 1, which every element fixes, return at once.
+    the list.  The L digits held at the end and the tail give N; the image
+    keeps t's odd part d, so N / (d 2^L) is in lowest terms but for powers
+    of two.  0 and 1, which every element fixes, return at once.
     """
     num, den = t.numerator, t.denominator
     if num == 0 or num == den:
@@ -473,8 +458,7 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     pairs = _digit_tables()
     k = (den & -den).bit_length() - 1
     d = den >> k
-    width = _CHUNK if d < _LONG_TAIL else _tail_chunks(d) * _CHUNK  # digits of the tail read by one division
-    ends = 2 << width | 1  # a 1 on either side of them
+    ends = 2 << _CHUNK | 1  # a 1 on either side of a chunk of the tail
     q, r = divmod(num, d)
     backwards = format(q | 1 << k, "b")[:0:-1]  # the k digits of q, the last one first
     front = (k - 1) // _CHUNK * _CHUNK  # where the chunk of the first digits starts in backwards; -_CHUNK for k = 0
@@ -486,7 +470,7 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
             if rest:
                 chunk = rest.pop()
             else:
-                q, r = divmod(r << width, d)
+                q, r = divmod(r << _CHUNK, d)
                 chunk = int(format(q << 1 | ends, "b")[:0:-1], 2)
             top = x.bit_length() - 1
             x = x ^ 1 << top | chunk << top
@@ -543,23 +527,17 @@ def _digit_tables() -> dict[str, dict[str, _Images]]:
 
 
 def _prefix_rules(m: PLMap) -> tuple[tuple[str, str], ...]:
-    """The prefix rule of each piece of m, in order: the binary addresses of its domain and of its image.
+    """The prefix rule of each leaf pair of m, in order: the binary addresses of its domain leaf and of its range leaf."""
+    return tuple(zip(_addresses(m._d), _addresses(m._r)))
 
-    Raises ValueError for a piece whose domain or image is not a standard
-    dyadic interval [j / 2^n, (j + 1) / 2^n].
-    """
-    dom, ran = m._d, m._r
-    e, f = max(dom), max(ran)
 
-    def address(lo: int, hi: int, e: int) -> str:
-        width = hi - lo
-        if width & (width - 1) or lo % width:
-            raise ValueError(f"[{lo}/2^{e}, {hi}/2^{e}] is not a standard dyadic interval")
-        return format(lo // width | 1 << (e - width.bit_length() + 1), "b")[1:]
-
-    return tuple(
-        (address(t0, t1, e), address(y0, y1, f)) for (t0, y0), (t1, y1) in pairwise(_corners(dom, ran, e, f))
-    )
+def _addresses(depths: _Depths) -> Iterator[str]:
+    """The binary addresses of the leaves of a subdivision, left to right: a leaf's start as n digits, n its depth."""
+    address = ""
+    for n in depths:
+        address = address.ljust(n, "0")
+        yield address
+        address = address.rstrip("1")[:-1] + "1"  # where the next leaf starts: this one's end, one more in its last digit
 
 
 def xn(n: int) -> PLMap:

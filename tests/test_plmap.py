@@ -130,24 +130,20 @@ def _random_int(rng: SplitMix64, bits: int) -> int:
     return int("".join(format(rng.next_u64(), "064b") for _ in range(-(-bits // 64)))[:bits] or "0", 2)
 
 
-def test_several_tail_chunks_per_division_read_what_one_chunk_per_division_reads(monkeypatch):
-    # odd parts of 3, 1000 and 131,072 bits, read 1, 4 and 16 chunks per
-    # division, against the same fold reading one chunk per division.  A
-    # value r / d below 2^-(bits - 40) starts with that many zeros, which a
-    # run of x0^-1 reads a digit per letter, deep into the tail.
+def test_evaluate_word_reads_deep_into_long_tails():
+    # odd parts of 3, 1000 and 131,072 bits, against the built map.  A value
+    # r / d below 2^-(bits - 40) starts with that many zeros, which a run of
+    # x0^-1 reads a digit per letter, deep into the tail, one division of r
+    # per 24 digits.
     rng = SplitMix64(101)
-    cases = []
-    for bits, chunks in ((3, 1), (1000, 4), (131_072, 16)):
+    for bits in (3, 1000, 131_072):
         d = _random_int(rng, bits) | 1 << (bits - 1) | 1
-        assert plmap._tail_chunks(d) == chunks
         for case in range(12):
             r = 1 + _random_int(rng, min(40, bits - 1)) if case % 2 else 1 + _random_int(rng, bits) % (d - 1)
             t = F(r, d << rng.below(3))
             n = rng.below(min(bits, 2000))
-            cases.append((t, "A" * n + random_word(rng, 30) + "a" * rng.below(n + 1)))
-    several = [evaluate_word(word, t) for t, word in cases]
-    monkeypatch.setattr(plmap, "_tail_chunks", lambda d: 1)
-    assert [evaluate_word(word, t) for t, word in cases] == several
+            word = "A" * n + random_word(rng, 30) + "a" * rng.below(n + 1)
+            assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (bits, case, word)
 
 
 def test_evaluate_word_matches_the_built_map_past_the_window():
@@ -185,8 +181,28 @@ def test_evaluate_word_matches_the_built_map_past_the_window():
 def test_prefix_rules_of_the_letter_maps_are_the_sequence_rules():
     # read off the maps at run time, and equal to the table the sequence action keeps on its own
     assert {letter: plmap._prefix_rules(m) for letter, m in plmap._LETTER_MAPS.items()} == cantor._RULES
-    with pytest.raises(ValueError, match="not a standard dyadic interval"):
-        plmap._prefix_rules(xn(2))  # its first piece is [0, 3/4]
+
+
+def test_prefix_rules_tile_the_interval_and_are_what_the_map_does():
+    # the rules of any map, reduced or not: the left sides, read in order,
+    # are consecutive standard dyadic intervals from 0 to 1, so they form a
+    # complete prefix code, and so are the right sides; the map sends each
+    # left side's ends and midpoint onto those of its right side
+    def interval(address: str) -> tuple[Fraction, Fraction]:
+        lo = F(int(address or "0", 2), 1 << len(address))
+        return lo, lo + F(1, 1 << len(address))
+
+    rng = SplitMix64(107)
+    maps = [word_to_plmap(random_word(rng, 12)) for _ in range(500)]
+    maps += [xn(n) for n in range(2, 7)] + [yn(n) for n in range(1, 6)]
+    for m in maps:
+        rules = plmap._prefix_rules(m)
+        for side in (0, 1):
+            ends = [interval(rule[side]) for rule in rules]
+            assert ends[0][0] == 0 and ends[-1][1] == 1 and all(a[1] == b[0] for a, b in zip(ends, ends[1:])), m
+        for lhs, rhs in rules:
+            (t0, t1), (y0, y1) = interval(lhs), interval(rhs)
+            assert [m.evaluate(t) for t in (t0, (t0 + t1) / 2, t1)] == [y0, (y0 + y1) / 2, y1], (m, lhs, rhs)
 
 
 def test_evaluate_word_refuses_what_evaluate_refuses():
