@@ -26,13 +26,45 @@ on every sequence with the head: x0^-1 and x1^-1 on 11, x0 and x1 on 111,
 the parallel edges of the Schreier graph.  The later twin shares the earlier
 one's image, and a twin of the letter back leads to the parent too.  A plan
 lists the other letters as its steps, with their rules, and says where the
-x0 and x1 images are.  A ball's tree also records the x0 and x1 edges of
-every vertex it expands, as a flat list; only the boundary layer, the
-vertices at the full radius, has its images computed afterwards, from the
-same plans.  A ball is that tree, whose tuple of RationalPoint vertices is
-built on first access, with each rotation's period text built once.  The
-DOT and JSON exports write their text from the preperiods, the rotation
-texts and the flat edge list without it.
+x0 and x1 images are.
+
+Lemma: set loops and parallel edges aside; then every cycle of the graph
+passes only through points whose canonical preperiod has at most 3 letters.
+Proof: every rule's left side has at most 3 letters, so on a preperiod of
+M >= 4 letters a rule rewrites inside it and changes its length by -1, 0 or
++1, and the image is canonical.  The letters that keep the length keep
+every letter from the fourth on, and split the eight heads into five
+components: {000}, {001}, {111}, {010, 100} and {011, 101, 110}.  Each is a
+tree, and each has exactly one edge that shortens the preperiod: 000 -> 00,
+001 -> 01, 111 -> 11 (by x0 and x1 alike), 100 -> 10 and 110 -> 10.  On a
+cycle, take a vertex whose preperiod is longest, M >= 4 letters.  The run
+of the cycle's vertices of M letters through it keeps their letters from
+the fourth on, so it is a path in one component's tree.  A tree holds no
+cycle, so the run ends on both sides in an edge that shortens, and a cycle
+uses no edge twice: the component would have two such edges.
+
+So the search looks up an image only where a cycle can close.  A step's
+image that is already known is the parent, the vertex itself, an earlier
+step's image, or the far end of an edge that closes a cycle with the tree.
+At a vertex of 4 or more letters the lemma rules out the last, and the plan
+leaves out the others: there every rule reads only the head, so a loop or a
+parallel edge is a _LOOP rule or a pair of twins on the head.  Hence every
+step's image at such a vertex is new, and only a vertex of at most 3
+letters looks its images up.  A ball's index holds its root and the images
+of its vertices of at most 4 letters.  They take in every vertex of at most
+3 letters, since a step changes the length of a longer preperiod by 1 at
+most, and every rotation, since a rule that reads past the preperiod leaves
+at most 3 letters.  A search tree's index holds every vertex, since the
+meeting test and the descent of find_path read it.
+
+A ball's tree also records the x0 and x1 edges of every vertex it expands,
+as a flat list; only the boundary layer, the vertices at the full radius,
+has its images computed afterwards, from the same plans, and a boundary
+vertex of 4 or more letters none: its only edges inside the ball go to its
+parent and to itself.  A ball is that tree, whose tuple of RationalPoint
+vertices is built on first access, with each rotation's period text built
+once.  The DOT and JSON exports write their text from the preperiods, the
+rotation texts and the flat edge list without it.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -136,19 +168,22 @@ class _Tree:
     All vertices have a rotation of the primitive period W, held once.
     Vertex i is the preperiod pre[i] followed by (W[rot[i]:] + W[:rot[i]])^inf,
     vertices are numbered in discovery order, and index[r][v] is the number
-    of the vertex with preperiod v and rotation r.  pre[starts[d]:starts[d + 1]]
-    is the layer at depth d.  parent[i] is the number of the vertex that
-    discovered vertex i and slot[i] the place in BFS_LETTERS of the letter it
-    took, both -1 for the root.  Growing expands the outermost layer in
-    vertex order, letters in BFS_LETTERS order.  At vertex i it applies only
-    the steps of _PLANS[slot[i]][head], head the first three letters of the
-    sequence: the letters whose image can be a new vertex.  Each other
-    letter leads to parent[i], to i by a _LOOP rule, or to the image of an
-    earlier twin letter.  Given a list, it also appends the x0 and x1 edges
-    of every expanded vertex to it, in vertex order and flat: source, "x0",
-    target, source, "x1", target.  Balls pass one as flat_edges,
-    shortest-path searches do not.  Outside grow and ball, one letter's
-    image is cantor._step's on period.
+    of the vertex with preperiod v and rotation r: of every vertex in a
+    search tree, and in a ball of the root and the images of vertices of at
+    most 4 letters, which take in every vertex that a lookup can find.
+    pre[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
+    number of the vertex that discovered vertex i and slot[i] the place in
+    BFS_LETTERS of the letter it took, both -1 for the root.  Growing
+    expands the outermost layer in vertex order, letters in BFS_LETTERS
+    order.  At vertex i it applies only the steps of _PLANS[slot[i]][head],
+    head the first three letters of the sequence: the letters whose image
+    can be a new vertex.  Each other letter leads to parent[i], to i by a
+    _LOOP rule, or to the image of an earlier twin letter.  By the module's
+    lemma only a vertex of at most 3 letters looks its images up.  Given a
+    list, it also appends the x0 and x1 edges of every expanded vertex to
+    it, in vertex order and flat: source, "x0", target, source, "x1",
+    target.  Balls pass one as flat_edges, shortest-path searches do not.
+    Outside grow and ball, one letter's image is cantor._step's on period.
     """
 
     def __init__(self, period: str, root: str, rotation: int = 0, flat_edges: list[int | str] | None = None):
@@ -173,12 +208,15 @@ class _Tree:
     def grow(self, limit: int) -> bool:
         """Add the next layer; False, and no layer, when it would hold more than limit vertices in all.
 
-        Each vertex applies only the steps of its plan.  In every ball of
-        radius 12 or 13 measured, two lookups found a known vertex: the one
-        cycle edge seen from both ends, or two self-images of 1(0) or of an
-        endpoint.  A ball's tree keeps the images of a vertex in a list after
-        its parent and itself, and the plan's where gives the places of x0
-        and x1 in it; a tree that records no edges keeps no list.
+        Each vertex applies only the steps of its plan.  By the module's
+        lemma no cycle passes through a vertex of 4 or more letters, so each
+        of its steps gives a new vertex, with no lookup, which a ball indexes
+        only when the vertex has exactly 4 letters.  A vertex of at most 3
+        letters looks all its images up, and indexes the new ones.  The cap
+        is checked before each new vertex.  A ball's tree keeps the images of
+        a vertex after its parent and itself, and the plan's where gives the
+        places of x0 and x1 among them; a tree that records no edges keeps
+        none.
         """
         # cantor._step is inlined here and in ball's boundary pass: calling it per
         # image made 40 seeded radius-13 balls 31% and 12% slower (2-vCPU Xeon, Python 3.11)
@@ -192,26 +230,43 @@ class _Tree:
             own = index[r]
             nv = len(v)
             steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
-            if keep:
-                images = [parent[i], i]
-            for s, n, rhs in steps:
-                if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
-                    u, q, at = rhs + v[n:], r, own
-                else:  # the rule reads n - nv letters of the period
-                    u, q = _absorb(rhs, (r + n - nv) % m, period)
-                    at = index.setdefault(q, {})
-                j = at.get(u)
-                if j is None:
+            if nv > 3:  # every rule rewrites inside the preperiod, and every image is new
+                first = count
+                at = own if not keep or nv == 4 else None
+                for s, n, rhs in steps:
                     if count >= limit:
                         return False
-                    j = at[u] = count
+                    u = rhs + v[n:]
+                    if at is not None:
+                        at[u] = count
                     count += 1
                     pre.append(u)
-                    rot.append(q)
+                    rot.append(r)
                     parent.append(i)
                     slot.append(s)
+                if keep:  # a root's plan has at most 4 steps
+                    images = (parent[i], i, first, first + 1, first + 2, first + 3)
+            else:
                 if keep:
-                    images.append(j)
+                    images = [parent[i], i]
+                for s, n, rhs in steps:
+                    if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
+                        u, q, at = rhs + v[n:], r, own
+                    else:  # the rule reads n - nv letters of the period
+                        u, q = _absorb(rhs, (r + n - nv) % m, period)
+                        at = index.setdefault(q, {})
+                    j = at.get(u)
+                    if j is None:
+                        if count >= limit:
+                            return False
+                        j = at[u] = count
+                        count += 1
+                        pre.append(u)
+                        rot.append(q)
+                        parent.append(i)
+                        slot.append(s)
+                    if keep:
+                        images.append(j)
             if keep:
                 # x0 and x1 are the first and the third of BFS_LETTERS
                 edges += (i, "x0", images[where[0]], i, "x1", images[where[2]])
@@ -265,8 +320,11 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     vertices at the full radius, has its images computed here.  Each of its
     vertices reads its plan once for both letters, and only an image that
     the plan gives as a step is looked up; the parent and, by a _LOOP rule,
-    the vertex itself are not.  vertex_cap is at most MAX_BALL_VERTICES,
-    checked before the search starts.
+    the vertex itself are not.  A vertex of 4 or more letters computes no
+    image: by the module's lemma each step's image is new, so outside the
+    ball, and its only edges inside it go to the parent and to itself.
+    vertex_cap is at most MAX_BALL_VERTICES, checked before the search
+    starts.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -287,21 +345,19 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
         r = rot[i]
         nv = len(v)
         steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
-        for k, label in ((where[0], "x0"), (where[2], "x1")):
-            if k == _PARENT:
-                j = parent[i]
-            elif k == _SELF:
-                j = i
-            else:
-                _, n, rhs = steps[k - 2]
-                if n < nv:
-                    j = index[r].get(rhs + v[n:])
-                else:
-                    u, q = _absorb(rhs, (r + n - nv) % m, period)
-                    j = index[q].get(u) if q in index else None
-                if j is None:
-                    continue
-            edges += (i, label, j)
+        if nv > 3:  # each step's image is new, so outside the ball; a root's plan has at most 4 steps
+            images = (parent[i], i, None, None, None, None)
+        else:
+            images = [parent[i], i]
+            for _, n, rhs in steps:
+                u, q = (rhs + v[n:], r) if n < nv else _absorb(rhs, (r + n - nv) % m, period)
+                images.append(index[q].get(u) if q in index else None)
+        j = images[where[0]]
+        if j is not None:
+            edges += (i, "x0", j)
+        j = images[where[2]]
+        if j is not None:
+            edges += (i, "x1", j)
     return b
 
 

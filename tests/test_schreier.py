@@ -197,21 +197,68 @@ def test_each_plan_names_the_image_of_every_letter_it_leaves_out():
     assert twins == {("110", 1, 3), ("111", 0, 2), ("111", 1, 3)}
 
 
-def _reference_bfs(seed, radius):
+def test_on_four_or_more_letters_the_length_keeping_letters_split_the_heads_into_trees_with_one_way_down():
+    # The premise of the lemma in schreier's docstring, read off the rule
+    # table: on a preperiod of 4 or more letters a rule rewrites its head
+    # inside the preperiod and changes the length by -1, 0 or +1.  Under the
+    # letters that keep the length, each component of the eight heads is a
+    # tree, and it has exactly one distinct edge that shortens the preperiod,
+    # so no cycle passes through such a preperiod.  Loops and parallel edges
+    # are set aside: edges are sets of two distinct ends.
+    keeping, lowering = set(), set()
+    for head, rules in _HEADS.items():
+        for n, rhs in rules:
+            if n == _LOOP:
+                continue
+            assert 1 <= n <= 3 and len(rhs) - n in (-1, 0, 1), (head, n, rhs)
+            image = rhs + head[n:]  # the first letters of the image; those from the fourth on are kept
+            if len(rhs) == n:
+                keeping.add(frozenset((head, image)))
+            elif len(rhs) < n:
+                lowering.add((head, image))
+    components, left = [], set(_HEADS)
+    while left:
+        component, todo = set(), [left.pop()]
+        while todo:
+            head = todo.pop()
+            component.add(head)
+            todo += [other for edge in keeping if head in edge for other in edge - component]
+        left -= component
+        components.append(component)
+    for component in components:
+        edges = [edge for edge in keeping if edge <= component]
+        assert len(edges) == len(component) - 1, component  # connected, so a tree
+        assert len([(head, image) for head, image in lowering if head in component]) == 1, component
+    assert sorted(map(sorted, components)) == [["000"], ["001"], ["010", "100"], ["011", "101", "110"], ["111"]]
+    assert lowering == {("000", "00"), ("001", "01"), ("100", "10"), ("110", "10"), ("111", "11")}
+
+
+def _reference_bfs(seed, radius, hits=None):
     """Plain BFS over the public act_letter: vertices, parents, distances, and
-    the slot (0-3 in BFS_LETTERS) of the letter that discovered each vertex."""
+    the slot (0-3 in BFS_LETTERS) of the letter that discovered each vertex.
+
+    Given a list, it appends to it the (vertex, image) pair of every lookup
+    that found a known image other than the vertex itself, its parent and an
+    image it discovered: the edges that close a cycle with the BFS tree."""
     vertices, parents, distances, slots = [seed], [None], [0], [None]
     index = {seed: 0}
+
+    def parent(k):
+        return parents[k][0] if parents[k] else None
+
     i = 0
     while i < len(vertices) and distances[i] < radius:
         for slot, letter in enumerate(BFS_LETTERS):
             image = act_letter(vertices[i], letter)
-            if image not in index:
+            j = index.get(image)
+            if j is None:
                 index[image] = len(vertices)
                 vertices.append(image)
                 parents.append((i, letter))
                 distances.append(distances[i] + 1)
                 slots.append(slot)
+            elif hits is not None and j not in (i, parent(i)) and parent(j) != i:
+                hits.append((vertices[i], image))
         i += 1
     return vertices, parents, distances, slots
 
@@ -236,13 +283,17 @@ def _reference_edges(vertices):
     return tuple(edges)
 
 
-def _assert_ball_matches_reference(seed, radius, vertex_cap=100_000):
+def _assert_ball_matches_reference(seed, radius, vertex_cap=100_000, hits=None):
     b = ball(seed, radius, vertex_cap)
-    vertices, parents, distances, _ = _reference_bfs(seed, radius)
+    hits = [] if hits is None else hits
+    vertices, parents, distances, _ = _reference_bfs(seed, radius, hits)
     assert b.vertices == tuple(vertices)
     assert ball_views(b) == (tuple(parents), tuple(distances), _reference_edges(vertices))
     for p in b.vertices:
         assert RationalPoint(p.preperiod, p.period) == p
+    # the lemma that lets the search skip lookups: an edge that closes a cycle joins two vertices of at most 3 letters
+    for p, q in hits:
+        assert len(p.preperiod) <= 3 and len(q.preperiod) <= 3, (seed, p, q)
     return b
 
 
@@ -254,6 +305,36 @@ def test_ball_edges_match_the_letter_action_on_every_vertex():
     assert ball_views(ball(ZERO_POINT, 0))[2] == ball_views(ball(ONE_POINT, 3))[2] == ((0, "x0", 0), (0, "x1", 0))
     for radius, seed in zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")):
         _assert_ball_matches_reference(parse_point(seed), radius)
+
+
+def test_ball_matches_the_reference_on_long_preperiods_long_periods_dyadic_points_and_endpoints():
+    # Roots of 5 to 8 letters, periods of 5, 6 and 50 letters, both tails of a
+    # dyadic point and the endpoints: every skipped lookup is checked against
+    # the reference's full one
+    long_period = "(" + "".join(str(bin(k).count("1") % 2) for k in range(50)) + ")"
+    seeds = [
+        "10110(01)",
+        "011010(0011)",
+        "1100100(011)",
+        "10010110(001)",
+        "(01101)",
+        "0(001011)",
+        "1(01101)",
+        long_period,
+        "10" + long_period,
+        "1110(1)",
+        "1(0)",
+        "(0)",
+        "(1)",
+    ]
+    points = [parse_point(seed) for seed in seeds]
+    assert [len(p.preperiod) for p in points[:4]] == [5, 6, 7, 8]
+    assert len(points[7].period) == 50 and str(points[7]) == long_period
+    hits = []
+    for point in points:
+        for radius in (5, 8):
+            _assert_ball_matches_reference(point, radius, hits=hits)
+    assert len({p for p, _ in hits}) >= 8  # four of the balls close a cycle, each edge seen from both ends
 
 
 def test_ball_matches_the_reference_on_every_short_point():
@@ -449,6 +530,26 @@ def test_capped_ball_says_how_many_vertices_it_held_and_the_radius_it_completed(
         ball(seed, 13, vertex_cap=1000)
     assert (err.value.cap, err.value.vertices, err.value.radius) == (1000, 1000, 10)
     assert len(ball(seed, 10)) < 1000 < len(ball(seed, 11))
+
+
+def test_caps_that_trip_inside_a_layer_of_long_preperiods_pin_what_was_held():
+    # Each cap trips while a vertex of 4 or more letters is expanded, where
+    # the search adds images with no lookup; the figures are those of the
+    # search that looked up every image
+    seed = parse_point("0110(011)")
+    full = ball(seed, 10)
+    assert full.starts[-2:] == [491, 805]
+    for cap in (804, 648):  # the ball's size - 1, and the middle of its last layer
+        assert len(full.pre[full.parent[cap]]) >= 4
+        with pytest.raises(BallCapacityError) as err:
+            ball(seed, 10, vertex_cap=cap)
+        assert (err.value.vertices, err.value.radius) == (cap, 9)
+    source, target = parse_point("0110110110110110110(0011)"), canonicalize("10", "0011")
+    for cap, depths in ((1000, (9, 8)), (2500, (10, 10)), (4321, (12, 11))):
+        with pytest.raises(BallCapacityError) as err:
+            find_path(source, target, vertex_cap=cap)
+        assert (err.value.vertices, err.value.radius) == (cap, sum(depths))
+        assert f"complete to depth {depths[0]} from the source and {depths[1]} from the target" in str(err.value)
 
 
 def test_capped_find_path_says_how_many_vertices_both_trees_held():
