@@ -27,6 +27,7 @@ from .dyadic import Dyadic
 from .plmap import (
     InvalidPLMapError,
     PLMap,
+    TextCapacityError,
     check_relators,
     evaluate_word,
     flip,
@@ -51,6 +52,7 @@ from .schreier import (
     find_path,
     forbidden_prefix,
     vertex_at_address,
+    write_json,
 )
 from .stabgen import (
     StabilizerGens,

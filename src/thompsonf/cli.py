@@ -19,7 +19,7 @@ import os
 import sys
 
 from .cantor import PeriodCapacityError, PointSyntaxError, act_word, parse_point
-from .plmap import MAX_DEPTH, check_relators, validate_depth, word_to_plmap
+from .plmap import MAX_DEPTH, TextCapacityError, check_relators, validate_depth, word_to_plmap
 from .report import Report
 from .schreier import (
     MAX_BALL_VERTICES,
@@ -29,8 +29,8 @@ from .schreier import (
     ball,
     check_addresses,
     export_dot,
-    export_json,
     find_path,
+    write_json,
 )
 from .stabgen import (
     MAX_SAMPLES,
@@ -67,7 +67,8 @@ single argument (131,072 bytes on Linux) can be passed, as in
 command may be -.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
-failed search, a period or preperiod longer than MAX_PERIOD letters or a
+failed search, a period or preperiod longer than MAX_PERIOD letters, an
+`eval` whose breakpoints' numerators have more than MAX_TEXT_BITS bits or a
 command that runs out of memory, each with one `error: ...` line on stderr,
 2 on a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when
 stdout is closed before all of the output is written, as in
@@ -106,8 +107,11 @@ def _value(args: argparse.Namespace) -> int:
 
 def _graph(args: argparse.Namespace) -> int:
     b = ball(parse_point(args.point), args.radius, args.cap)
-    text = export_dot(b) if args.format == "dot" else export_json(b) + "\n"
-    sys.stdout.write(text)
+    if args.format == "dot":
+        sys.stdout.write(export_dot(b))
+    else:
+        write_json(b, sys.stdout.write)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -288,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PointSyntaxError, WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PathNotFoundError, BallCapacityError, PeriodCapacityError) as exc:
+    except (PathNotFoundError, BallCapacityError, PeriodCapacityError, TextCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -68,6 +68,7 @@ from .report import Check, Report
 from .words import Word, relator_words
 
 MAX_DEPTH = 64
+MAX_TEXT_BITS = 400_000_000  # most numerator bits that breakpoint_texts writes: about 120 MB of decimal text
 _PIECE_LETTERS = 6  # the longest word whose map word_to_plmap memoizes
 
 _Depths = tuple[int, ...]  # the depths of a subdivision's leaves, left to right
@@ -75,6 +76,10 @@ _Depths = tuple[int, ...]  # the depths of a subdivision's leaves, left to right
 
 class InvalidPLMapError(ValueError):
     """Raised when breakpoint data does not describe a valid element of F."""
+
+
+class TextCapacityError(RuntimeError):
+    """Raised for a map whose breakpoints' numerators have more than MAX_TEXT_BITS bits in all."""
 
 
 class PLMap:
@@ -102,25 +107,44 @@ class PLMap:
         return tuple([(reduced(t, e), reduced(y, f)) for t, y in _corners(dom, ran, e, f)])
 
     def breakpoint_texts(self) -> list[tuple[str, str]]:
-        """The breakpoints as str prints their Dyadics, written from the running sums without building one.
+        """The breakpoints as str prints their Dyadics, written from the numerators of _corners without building one.
 
-        Each denominator 2^j is written once per call, the first time a
-        breakpoint needs it: a map can have a handful of breakpoints and
-        deep leaves, as x_n has, so the denominators are not all written up
-        front.
+        Before any digit is written, the numerators' bit lengths are summed,
+        and past MAX_TEXT_BITS the map is refused with TextCapacityError:
+        printing one costs time quadratic in its length.  The ends are
+        written as 0 and 1, and every other corner has 0 < t < 2^e, so its
+        numerator loses its trailing zeros, counted once, and the rest is
+        over 2^j with 0 < j <= e.  Each denominator's text is written once
+        per call, the first time a corner needs it: a map can have a handful
+        of breakpoints and deep leaves, as x_n has, so the denominators are
+        not all written up front.
         """
         dom, ran = self._d, self._r
         e, f = max(dom), max(ran)
-        denominators = [""] + [None] * max(e, f)  # j -> "/2^j" in decimal, once written
-
-        def text(n: int, e: int) -> str:
-            j = e - min((n & -n).bit_length() - 1, e) if n else 0  # exponent left once n's trailing zeros go
-            d = denominators[j]
+        corners = _corners(dom, ran, e, f)
+        if len(corners) * (e + f + 2) > MAX_TEXT_BITS:  # each numerator has at most e + 1 or f + 1 bits
+            bits = sum([t.bit_length() + y.bit_length() for t, y in corners])
+            if bits > MAX_TEXT_BITS:
+                raise TextCapacityError(
+                    f"the {len(corners)} breakpoints of the map have numerators of {bits} bits in all,"
+                    f" more than {MAX_TEXT_BITS} (capacity exceeded)"
+                )
+        denominators = [None] * (max(e, f) + 1)  # j -> "/2^j" in decimal, once written
+        texts = corners  # each corner's texts replace its numerators, so the two are not held at once
+        for i in range(1, len(texts) - 1):
+            t, y = texts[i]
+            z = (t & -t).bit_length() - 1
+            d = denominators[e - z]
             if d is None:
-                d = denominators[j] = f"/{1 << j}"
-            return f"{n >> (e - j)}{d}"
-
-        return [(text(t, e), text(y, f)) for t, y in _corners(dom, ran, e, f)]
+                d = denominators[e - z] = f"/{1 << (e - z)}"
+            w = (y & -y).bit_length() - 1
+            g = denominators[f - w]
+            if g is None:
+                g = denominators[f - w] = f"/{1 << (f - w)}"
+            texts[i] = (f"{t >> z}{d}", f"{y >> w}{g}")
+        texts[0] = ("0", "0")
+        texts[-1] = ("1", "1")
+        return texts
 
     def evaluate(self, t: Fraction | int) -> Fraction:
         """Exact value at t for any rational t in [0, 1]."""
@@ -317,22 +341,25 @@ def _leaves(ts: list[int], ys: list[int], e: int) -> tuple[_Depths, _Depths]:
     return tuple(dom), tuple(ran)
 
 
-def _corners(dom: _Depths, ran: _Depths, e: int, f: int) -> Iterator[tuple[int, int]]:
+def _corners(dom: _Depths, ran: _Depths, e: int, f: int) -> list[tuple[int, int]]:
     """The breakpoints, as numerators over 2^e and 2^f for the deepest leaves e and f of the two trees.
 
     Both ends, and the start of each leaf whose slope differs from that of
-    the leaf before it; one running sum per coordinate.
+    the leaf before it, from one running sum per coordinate.  This is the
+    one walk over a map's leaf pairs that breakpoints, breakpoint_texts and
+    evaluation read.
     """
     t = y = 0
-    yield t, y
+    corners = [(0, 0)]
     slope = dom[0] - ran[0]
     for d, r in zip(dom, ran):
         if d - r != slope:
             slope = d - r
-            yield t, y
+            corners.append((t, y))
         t += 1 << (e - d)
         y += 1 << (f - r)
-    yield t, y
+    corners.append((t, y))
+    return corners
 
 
 def _interpolate(dom: _Depths, ran: _Depths, x: Fraction) -> Fraction:
@@ -341,8 +368,8 @@ def _interpolate(dom: _Depths, ran: _Depths, x: Fraction) -> Fraction:
     e, f = max(dom), max(ran)
     scaled = p << e  # x * q * 2^e
     corners = _corners(dom, ran, e, f)
-    t0, y0 = next(corners)
-    for t1, y1 in corners:
+    t0, y0 = corners[0]
+    for t1, y1 in corners[1:]:
         if t1 * q >= scaled:
             break
         t0, y0 = t1, y1

@@ -58,13 +58,17 @@ at most 3 letters.  A search tree's index holds every vertex, since the
 meeting test and the descent of find_path read it.
 
 A ball's tree also records the x0 and x1 edges of every vertex it expands,
-as a flat list; only the boundary layer, the vertices at the full radius,
-has its images computed afterwards, from the same plans, and a boundary
-vertex of 4 or more letters none: its only edges inside the ball go to its
-parent and to itself.  A ball is that tree, whose tuple of RationalPoint
-vertices is built on first access, with each rotation's period text built
-once.  The DOT and JSON exports write their text from the preperiods, the
-rotation texts and the flat edge list without it.
+as four ints in one flat list: source, x0 target, source, x1 target, the
+labels implied by the place.  Only the boundary layer, the vertices at the
+full radius, has its images computed afterwards, from the same plans, into a
+second flat list of (source, label, target) triples, and a boundary vertex
+of 4 or more letters none: its only edges inside the ball go to its parent
+and to itself.  A ball is that tree, whose tuple of RationalPoint vertices
+is built on first access, with each rotation's period text built once.  The
+exports write their text from the preperiods, the rotation texts and the two
+edge lists without it: write_json hands the JSON text to a write function
+in pieces of at most _CHUNK vertices or edge records, each edge piece
+formatted by one template, so a ball's text is never held whole.
 
 Shortest paths come from a bidirectional search: two trees, one from each
 end, grow a layer at a time until they meet, so a path of length L costs
@@ -77,7 +81,9 @@ first, then the least letters that descend the backward tree.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import cache, cached_property
+from itertools import islice
 from operator import add
 
 from .cantor import _HEADS, _LOOP, _SLOT, RationalPoint, _absorb, _step, act_word, canonicalize, primitive_root
@@ -181,12 +187,12 @@ class _Tree:
     _LOOP rule, or to the image of an earlier twin letter.  By the module's
     lemma only a vertex of at most 3 letters looks its images up.  Given a
     list, it also appends the x0 and x1 edges of every expanded vertex to
-    it, in vertex order and flat: source, "x0", target, source, "x1",
-    target.  Balls pass one as flat_edges, shortest-path searches do not.
+    it, in vertex order and flat, as four ints: source, x0 target, source,
+    x1 target.  Balls pass one as edges, shortest-path searches do not.
     Outside grow and ball, one letter's image is cantor._step's on period.
     """
 
-    def __init__(self, period: str, root: str, rotation: int = 0, flat_edges: list[int | str] | None = None):
+    def __init__(self, period: str, root: str, rotation: int = 0, edges: list[int] | None = None):
         self.period = period
         self.ahead = period + (period * 3)[:3]  # ahead[r:r + 3] starts W rotated left by r, even for |W| < 3
         self.pre = [root]
@@ -194,7 +200,7 @@ class _Tree:
         self.index = {rotation: {root: 0}}
         self.parent = [-1]
         self.slot = [-1]
-        self.flat_edges = flat_edges
+        self.edges = edges
         self.starts = [0, 1]
 
     @property
@@ -220,7 +226,7 @@ class _Tree:
         """
         # cantor._step is inlined here and in ball's boundary pass: calling it per
         # image made 40 seeded radius-13 balls 31% and 12% slower (2-vCPU Xeon, Python 3.11)
-        pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.flat_edges
+        pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.edges
         period, ahead, m = self.period, self.ahead, len(self.period)
         keep = edges is not None
         count = len(pre)
@@ -269,7 +275,7 @@ class _Tree:
                         images.append(j)
             if keep:
                 # x0 and x1 are the first and the third of BFS_LETTERS
-                edges += (i, "x0", images[where[0]], i, "x1", images[where[2]])
+                edges += (i, images[where[0]], i, images[where[2]])
         self.starts.append(count)
         return True
 
@@ -291,15 +297,18 @@ class _Tree:
 class SchreierBall(_Tree):
     """BFS-explored portion of the Schreier graph around a seed point.
 
-    The BFS tree that grew it, on the seed's period, with the seed point and
-    the radius.  vertices, the RationalPoint of each vertex, whose periods
-    share one string per rotation, is a tuple built on first access and
-    kept.  path_word(vertex) is the shortest word u with
+    The BFS tree that grew it, on the seed's period, with the seed point,
+    the radius and boundary, the flat (source, label, target) triples of the
+    edges of the boundary layer; edges holds those of the other vertices as
+    quads.  vertices, the RationalPoint of each vertex, whose periods share
+    one string per rotation, is a tuple built on first access and kept.
+    path_word(vertex) is the shortest word u with
     act_word(seed, u) = vertices[vertex].
     """
 
     seed: RationalPoint
     radius: int
+    boundary: list[int | str]
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
@@ -316,8 +325,9 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     Edges are recorded for the positive letters only and only between
     discovered vertices, so every vertex strictly inside the ball carries
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
-    gives those of the vertices it expanded; only the boundary layer, the
-    vertices at the full radius, has its images computed here.  Each of its
+    gives those of the vertices it expanded, as four ints each in edges;
+    only the boundary layer, the vertices at the full radius, has its images
+    computed here, and its edges go to boundary as flat triples.  Each of its
     vertices reads its plan once for both letters, and only an image that
     the plan gives as a step is looked up; the parent and, by a _LOOP rule,
     the vertex itself are not.  A vertex of 4 or more letters computes no
@@ -332,13 +342,12 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
     if vertex_cap > MAX_BALL_VERTICES:
         raise ValueError(f"vertex cap must be <= {MAX_BALL_VERTICES}, got {vertex_cap}")
-    edges: list[int | str] = []
-    b = SchreierBall(seed.period, seed.preperiod, 0, edges)
-    b.seed, b.radius = seed, radius
+    b = SchreierBall(seed.period, seed.preperiod, 0, [])
+    b.seed, b.radius, b.boundary = seed, radius, []
     while b.depth < radius and b.width:
         if not b.grow(vertex_cap):
             raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {b.depth}", len(b), b.depth)
-    pre, rot, index, parent, slot = b.pre, b.rot, b.index, b.parent, b.slot
+    pre, rot, index, parent, slot, edges = b.pre, b.rot, b.index, b.parent, b.slot, b.boundary
     period, ahead, m = b.period, b.ahead, len(b.period)
     for i in range(b.starts[-2], len(pre)):
         v = pre[i]
@@ -513,33 +522,61 @@ def _address_checks(period: str, max_len: int) -> tuple[Check, Check]:
     )
 
 
-def _labels(b: SchreierBall) -> list[str]:
+_CHUNK = 1024  # vertices or edge records per piece that write_json writes
+_QUAD = ', [%d, "x0", %d], [%d, "x1", %d]'  # the two edges of an expanded vertex, from its quad
+_TRIPLE = ', [%d, "%s", %d]'  # a boundary edge, from its triple
+_QUADS = _QUAD * _CHUNK
+_TRIPLES = _TRIPLE * _CHUNK
+
+
+def _labels(b: SchreierBall) -> Iterator[str]:
     """The v(w) text of every vertex of the ball, in vertex order: each rotation's "(w)" text is built once."""
     texts = {r: f"({w})" for r, w in b.periods().items()}
-    return list(map(add, b.pre, map(texts.__getitem__, b.rot)))
+    return map(add, b.pre, map(texts.__getitem__, b.rot))
 
 
 def export_dot(b: SchreierBall) -> str:
     """Deterministic DOT text: vertices in index order, edges in (source, label) order."""
-    names = _labels(b)
+    names = list(_labels(b))
     lines = ["digraph schreier {", f'  "{names[0]}" [peripheries=2];']
     lines += [f'  "{name}";' for name in names[1:]]
-    it = iter(b.flat_edges)
+    it = iter(b.edges)
+    for src, x0, _, x1 in zip(it, it, it, it):
+        lines.append(f'  "{names[src]}" -> "{names[x0]}" [label=x0];')
+        lines.append(f'  "{names[src]}" -> "{names[x1]}" [label=x1];')
+    it = iter(b.boundary)
     lines += [f'  "{names[src]}" -> "{names[dst]}" [label={label}];' for src, label, dst in zip(it, it, it)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def export_json(b: SchreierBall) -> str:
-    """The text json.dumps gives for the seed, radius, vertex labels and edge triples, written directly.
+def write_json(b: SchreierBall, write: Callable[[str], object]) -> None:
+    """Write, by calls of write, the text json.dumps gives for the seed, radius, vertex labels and edge triples.
 
     No label needs escaping: vertices are made of 0, 1, ( and ), and edges
-    are labelled x0 or x1.  The edge list goes through one format call.
+    are labelled x0 or x1.  The text goes out in pieces: the labels of
+    _CHUNK vertices joined, then the edges of _CHUNK expanded vertices,
+    formatted from their quads by one template sliced to the piece's
+    length, then the boundary triples likewise.  So no piece is longer than
+    _CHUNK records, and the whole text is never held.
     """
-    flat = b.flat_edges
-    return '{"seed": "%s", "radius": %d, "vertices": ["%s"], "edges": [%s]}' % (
-        b.seed,
-        b.radius,
-        '", "'.join(_labels(b)),
-        ", ".join(['[%d, "%s", %d]'] * (len(flat) // 3)) % tuple(flat),
-    )
+    labels = _labels(b)
+    write('{"seed": "%s", "radius": %d, "vertices": ["%s' % (b.seed, b.radius, '", "'.join(islice(labels, _CHUNK))))
+    for _ in range(_CHUNK, len(b), _CHUNK):
+        write('", "' + '", "'.join(islice(labels, _CHUNK)))
+    write('"], "edges": [')
+    separator = 2  # the length of the ", " that the first edge written drops
+    for records, template, unit, width in ((b.edges, _QUADS, len(_QUAD), 4), (b.boundary, _TRIPLES, len(_TRIPLE), 3)):
+        step = width * _CHUNK
+        for start in range(0, len(records), step):
+            piece = records[start : start + step]
+            write(template[separator : len(piece) // width * unit] % tuple(piece))
+            separator = 0
+    write("]}")
+
+
+def export_json(b: SchreierBall) -> str:
+    """The text that write_json writes, joined."""
+    pieces: list[str] = []
+    write_json(b, pieces.append)
+    return "".join(pieces)

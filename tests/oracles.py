@@ -30,13 +30,16 @@ def ball_views(b: SchreierBall) -> tuple[tuple, tuple[int, ...], tuple[tuple[int
     """The parents, distances and edges of a ball, read off its tree.
 
     None for the seed and (parent, letter) for each other vertex, the depth
-    of each vertex, and the (source, "x0" | "x1", target) edges.
+    of each vertex, and the (source, "x0" | "x1", target) edges: those of
+    the expanded vertices from their quads, then the boundary triples.
     """
     starts = b.starts
     parents = (None,) + tuple((b.parent[i], BFS_LETTERS[b.slot[i]]) for i in range(1, len(b)))
     distances = tuple(d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1]))
-    it = iter(b.flat_edges)
-    return parents, distances, tuple(zip(it, it, it))
+    it = iter(b.edges)
+    interior = tuple(edge for src, x0, _, x1 in zip(it, it, it, it) for edge in ((src, "x0", x0), (src, "x1", x1)))
+    it = iter(b.boundary)
+    return parents, distances, interior + tuple(zip(it, it, it))
 
 
 Breakpoints = tuple[tuple[Fraction, Fraction], ...]

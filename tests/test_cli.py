@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import cantor, cli, schreier, stabgen
+from thompsonf import cantor, cli, plmap, schreier, stabgen
 from thompsonf.cantor import MAX_PERIOD, act_word, parse_point
 from thompsonf.plmap import PLMap
 from thompsonf.report import Check, Report
@@ -82,6 +82,36 @@ def test_eval_output_matches_the_pinned_digest(capsys):
         assert (code, err) == (0, "")
         digest.update(out.encode())
     assert digest.hexdigest() == EVAL_CORPUS_SHA256
+
+
+def _numerator_bits(word: str) -> tuple[int, int]:
+    """The breakpoints of the word's map and the bit lengths of their numerators over 2^e and 2^f, summed."""
+    m = plmap.word_to_plmap(word)
+    corners = plmap._corners(m._d, m._r, max(m._d), max(m._r))
+    return len(corners), sum(t.bit_length() + y.bit_length() for t, y in corners)
+
+
+def _text_refusal(word: str) -> str:
+    count, bits = _numerator_bits(word)
+    message = f"the {count} breakpoints of the map have numerators of {bits} bits in all, more than {plmap.MAX_TEXT_BITS}"
+    return f"error: {message} (capacity exceeded)\n"
+
+
+def test_eval_refuses_a_map_past_the_text_bound_before_writing_a_digit(capsys, monkeypatch):
+    # (ab)^8192 has 16,388 breakpoints and 335,667,211 numerator bits and prints 101 MB in about 5 s
+    assert _numerator_bits("ab" * 8192) == (16388, 335_667_211) and 335_667_211 <= plmap.MAX_TEXT_BITS
+    assert _numerator_bits("ab" * 8942)[1] <= plmap.MAX_TEXT_BITS < _numerator_bits("ab" * 8943)[1]
+    for k in (8943, 16384):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "ab" * k)
+        seconds = time.perf_counter() - start
+        assert (code, out, err) == (1, "", _text_refusal("ab" * k))
+        assert seconds < 2, (k, seconds)  # 0.07 and 0.22 s on a 2-vCPU Xeon with Python 3.11
+    # the bound is inclusive: a map with exactly MAX_TEXT_BITS bits prints
+    monkeypatch.setattr(plmap, "MAX_TEXT_BITS", _numerator_bits("ab" * 64)[1])
+    code, out, err = run(capsys, "eval", "ab" * 64)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 132
+    assert run(capsys, "eval", "ab" * 65) == (1, "", _text_refusal("ab" * 65))
 
 
 # sha256 of the exit code, stdout and stderr of every invocation of

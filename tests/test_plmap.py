@@ -9,6 +9,7 @@ from sampling import LETTERS, random_word
 from thompsonf import cantor, plmap
 from thompsonf.dyadic import Dyadic
 from thompsonf.plmap import (
+    MAX_DEPTH,
     InvalidPLMapError,
     PLMap,
     check_relators,
@@ -739,6 +740,30 @@ def test_breakpoints_match_the_fraction_fold():
         assert _fractions(word_to_plmap(word)) == fraction_breakpoints(word), word
         kinds["planted"] += 1
     assert sum(kinds.values()) >= 3000 and min(kinds.values()) >= 150, kinds
+
+
+def _fraction_conjugates(outer: str, k: int):
+    """Breakpoints of outer^i x1 outer^-i for i = 0 to k, by fraction_compose, one conjugation at a time from x1 out."""
+    points = LETTER_BREAKPOINTS["b"]
+    yield points
+    for _ in range(k):
+        points = fraction_compose(fraction_compose(LETTER_BREAKPOINTS[outer], points), LETTER_BREAKPOINTS[outer.swapcase()])
+        yield points
+
+
+def test_breakpoint_texts_of_deep_maps_print_the_fraction_fold():
+    # deep leaves and few breakpoints: the maps that breakpoint_texts writes each denominator lazily for
+    cases = []
+    for i, points in enumerate(_fraction_conjugates("a", MAX_DEPTH - 1)):
+        cases.append((xn(i + 1), points))  # x_n = x0^(n-1) x1 x0^-(n-1)
+    for i, points in enumerate(_fraction_conjugates("A", 1000)):
+        if 1 <= i <= MAX_DEPTH:
+            cases.append((yn(i), fraction_compose(LETTER_BREAKPOINTS["A"], points)))  # y_n = x0^-1 (x0^-n x1 x0^n)
+        if i in (1, 2, 64, 1000):
+            cases.append((word_to_plmap("A" * i + "b" + "a" * i), points))
+    assert len(cases) == 2 * MAX_DEPTH + 4
+    for m, points in cases:
+        assert m.breakpoint_texts() == [(str(t), str(y)) for t, y in points]
 
 
 def _equal_pair(rng):

@@ -766,6 +766,36 @@ def test_json_export_matches_json_dumps_on_every_short_point():
             assert export_json(b) == _dumped(b), (seed, radius)
 
 
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_json_writer_pieces_join_to_json_dumps_at_every_chunk_boundary(monkeypatch, chunk):
+    monkeypatch.setattr(schreier, "_CHUNK", chunk)
+    balls = [ball(ZERO_POINT, 0), ball(ONE_POINT, 0), ball(ZERO_POINT, 2), ball(ONE_POINT, 2)]
+    balls += [ball(canonicalize(v, w), radius) for v, w in BALL_SIZES for radius in range(5)]
+    # the labels go out _CHUNK vertices a piece, the quads _CHUNK expanded vertices and the triples _CHUNK edges
+    seen = {"vertices": set(), "expanded": set(), "boundary edges": set()}
+    for b in balls:
+        assert export_json(b) == _dumped(b), (b.seed, b.radius)
+        seen["vertices"].add(len(b) % chunk)
+        seen["expanded"].add(len(b.edges) // 4 % chunk)
+        seen["boundary edges"].add(len(b.boundary) // 3 % chunk)
+    assert all(residues == set(range(chunk)) for residues in seen.values()), seen
+
+
+def test_graph_json_goes_out_in_pieces(monkeypatch):
+    monkeypatch.setattr(schreier, "_CHUNK", 3)
+    pieces = []
+
+    class Out:
+        def write(self, text):
+            pieces.append(text)
+
+    monkeypatch.setattr("sys.stdout", Out())
+    assert cli.main(["graph", "0110(011)", "--radius", "5", "--format", "json"]) == 0
+    text = export_json(ball(parse_point("0110(011)"), 5)) + "\n"
+    assert "".join(pieces) == text
+    assert len(pieces) > 20 and max(map(len, pieces)) < 200
+
+
 def test_graph_cap_past_its_bound_is_refused_before_any_search(capsys, monkeypatch):
     def grow(self, limit):
         raise AssertionError("a layer was grown")
