@@ -52,6 +52,7 @@ from .schreier import (
     find_path,
     forbidden_prefix,
     vertex_at_address,
+    write_dot,
     write_json,
 )
 from .stabgen import (

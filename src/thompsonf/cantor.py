@@ -26,12 +26,12 @@ refilled from the chunks or the period when it runs short and spills to
 the chunks when it grows long, so a letter costs O(1) at any preperiod or
 period length, and _absorbed makes the pair canonical once.  The tables
 are derived from _HEADS on first use, and again when _HEADS is replaced.
-The breadth-first search in schreier inlines _step on plans that it derives
+The breadth-first balls in schreier inline _step on plans that they derive
 from _HEADS at import, one per discovering letter and head, which leave out
 the letters whose image is known without a step: the way back, the _LOOP
 rules and the later of two letters whose rules give the same point on every
-sequence with that head.  act_word and the search build a RationalPoint only
-for the points they return.
+sequence with that head.  act_word and a ball build a RationalPoint only for
+the points they return.
 
 Periods and preperiods are bounded: parse_point and value_to_point refuse a
 point whose period or preperiod would be longer than MAX_PERIOD letters with

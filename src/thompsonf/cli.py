@@ -28,8 +28,8 @@ from .schreier import (
     PathNotFoundError,
     ball,
     check_addresses,
-    export_dot,
     find_path,
+    write_dot,
     write_json,
 )
 from .stabgen import (
@@ -67,12 +67,12 @@ single argument (131,072 bytes on Linux) can be passed, as in
 command may be -.
 
 Exit status: 0 when everything passed, 1 on a verification failure, a
-failed search, a period or preperiod longer than MAX_PERIOD letters, an
-`eval` whose breakpoints' numerators have more than MAX_TEXT_BITS bits or a
-command that runs out of memory, each with one `error: ...` line on stderr,
-2 on a usage error, and 141 (128 + SIGPIPE), with nothing on stderr, when
-stdout is closed before all of the output is written, as in
-`selftest | head -n 1`.
+`path` with no word within --radius, a period or preperiod longer than
+MAX_PERIOD letters, an `eval` whose breakpoints' numerators have more than
+MAX_TEXT_BITS bits or a command that runs out of memory, each with one
+`error: ...` line on stderr, 2 on a usage error, and 141 (128 + SIGPIPE),
+with nothing on stderr, when stdout is closed before all of the output is
+written, as in `selftest | head -n 1`.
 """
 
 
@@ -108,7 +108,7 @@ def _value(args: argparse.Namespace) -> int:
 def _graph(args: argparse.Namespace) -> int:
     b = ball(parse_point(args.point), args.radius, args.cap)
     if args.format == "dot":
-        sys.stdout.write(export_dot(b))
+        write_dot(b, sys.stdout.write)
     else:
         write_json(b, sys.stdout.write)
         sys.stdout.write("\n")

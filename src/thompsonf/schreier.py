@@ -1,4 +1,4 @@
-"""Breadth-first balls of the orbital Schreier graph of F on rational points.
+"""Breadth-first balls and least geodesics of the orbital Schreier graph of F on rational points.
 
 Vertices are canonical rational points, edges are the x0/x1 arrows of the
 Schreier graph (inverse arrows are implicit).  Exploration order is fixed:
@@ -7,17 +7,17 @@ x0, x0^-1, x1, x1^-1, so ball construction, DOT output and JSON output are
 bit-for-bit reproducible.
 
 A letter rewrites a prefix and keeps the tail, so every vertex of an orbit
-has a rotation of one primitive period W.  A search tree holds W once, and
-each vertex only as its preperiod string and a rotation offset r: its period
-is W[r:] + W[:r].  The index is one dict per rotation, from preperiod to
+has a rotation of one primitive period W.  A ball holds W once, and each
+vertex only as its preperiod string and a rotation offset r: its period is
+W[r:] + W[:r].  The index is one dict per rotation, from preperiod to
 vertex number, so no key tuple is built and no period is copied per vertex.
-Balls and shortest paths grow the same BFS tree, one whole layer at a time,
-kept in flat lists: the preperiods and the rotations in discovery order and,
-per vertex, the number of its parent and the slot in BFS_LETTERS of the
-letter that discovered it.  The search inlines cantor._step on its rule
-table, _HEADS, whose slots follow BFS_LETTERS.  Which letters it applies is
-settled at import, in one plan per discovering letter and head, the first
-three letters of the sequence: _PLANS, derived from _HEADS.  Three kinds of
+A ball grows its BFS tree one whole layer at a time, kept in flat lists:
+the preperiods and the rotations in discovery order and, per vertex, the
+number of its parent and the slot in BFS_LETTERS of the letter that
+discovered it.  The ball inlines cantor._step on its rule table, _HEADS,
+whose slots follow BFS_LETTERS.  Which letters it applies is settled at
+import, in one plan per discovering letter and head, the first three
+letters of the sequence: _PLANS, derived from _HEADS.  Three kinds of
 image are known without building or looking up a key.  The letter that
 undoes the discovering one leads back to the parent.  A rule marked _LOOP,
 one that rewrites its left side to itself (x1 and x1^-1 on a sequence that
@@ -43,10 +43,10 @@ the fourth on, so it is a path in one component's tree.  A tree holds no
 cycle, so the run ends on both sides in an edge that shortens, and a cycle
 uses no edge twice: the component would have two such edges.
 
-So the search looks up an image only where a cycle can close.  A step's
-image that is already known is the parent, the vertex itself, an earlier
-step's image, or the far end of an edge that closes a cycle with the tree.
-At a vertex of 4 or more letters the lemma rules out the last, and the plan
+So a ball looks up an image only where a cycle can close.  A step's image
+that is already known is the parent, the vertex itself, an earlier step's
+image, or the far end of an edge that closes a cycle with the tree.  At a
+vertex of 4 or more letters the lemma rules out the last, and the plan
 leaves out the others: there every rule reads only the head, so a loop or a
 parallel edge is a _LOOP rule or a pair of twins on the head.  Hence every
 step's image at such a vertex is new, and only a vertex of at most 3
@@ -54,8 +54,7 @@ letters looks its images up.  A ball's index holds its root and the images
 of its vertices of at most 4 letters.  They take in every vertex of at most
 3 letters, since a step changes the length of a longer preperiod by 1 at
 most, and every rotation, since a rule that reads past the preperiod leaves
-at most 3 letters.  A search tree's index holds every vertex, since the
-meeting test and the descent of find_path read it.
+at most 3 letters.
 
 A ball's tree also records the x0 and x1 edges of every vertex it expands,
 as four ints in one flat list: source, x0 target, source, x1 target, the
@@ -63,20 +62,31 @@ labels implied by the place.  Only the boundary layer, the vertices at the
 full radius, has its images computed afterwards, from the same plans, into a
 second flat list of (source, label, target) triples, and a boundary vertex
 of 4 or more letters none: its only edges inside the ball go to its parent
-and to itself.  A ball is that tree, whose tuple of RationalPoint vertices
-is built on first access, with each rotation's period text built once.  The
-exports write their text from the preperiods, the rotation texts and the two
-edge lists without it: write_json hands the JSON text to a write function
-in pieces of at most _CHUNK vertices or edge records, each edge piece
-formatted by one template, so a ball's text is never held whole.
+and to itself.  A ball's tuple of RationalPoint vertices is built on first
+access, with each rotation's period text built once.  The exports write
+their text from the preperiods, the rotation texts and the two edge lists
+without it: write_json and write_dot hand their text to a write function
+in pieces of at most _CHUNK vertices or edge records, so a ball's text is
+never held whole.
 
-Shortest paths come from a bidirectional search: two trees, one from each
-end, grow a layer at a time until they meet, so a path of length L costs
-about two balls of radius L/2 instead of one of radius L.  Both trees share
-the source's period, the target's root sitting at the rotation that gives
-its period.  The word returned is the least geodesic in the letter order
-above: the forward tree's parent path to the meeting vertex it discovered
-first, then the least letters that descend the backward tree.
+The orbital graph of a point other than the endpoints is one cycle with
+trees hanging off it, as Savchuk describes these Schreier graphs (Geom.
+Dedicata 2015).  The lemma proves the trees: loops and parallel edges
+aside, no cycle reaches a vertex of 4 or more letters.  The tests check,
+on every primitive period of at most 7 letters, that the vertices of at
+most 3 letters hold one cycle: the period cycle that
+stabilizer_period_word(W) walks from 10(W), B for each 0 of W and Ba for
+each 1.  Its |W|_0 + 2|W|_1 places hold the base point 10(W[i:] + W[:i])
+at place i + #1(W[:i]) and, where W[i] is 1, 110(W[i+1:] + W[:i+1]) at
+the next.  So find_path searches nothing.  A point's way down to the
+cycle is _landing's word, cut one letter short where it reaches the
+cycle a letter early, at 110(u) before 10(u).  Two ways down to one
+place meet at their longest common suffix, and the word goes up the
+source's way to there and down the target's; otherwise it is the
+source's way down, the shorter arc between the two places, and the
+target's way up.  The word moves the source to the target by
+construction; that it is the least geodesic in BFS_LETTERS order is
+what the tests check, against a bidirectional search.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ from operator import add
 
 from .cantor import _HEADS, _LOOP, _SLOT, RationalPoint, _absorb, _step, act_word, canonicalize, primitive_root
 from .report import Check, Report
-from .words import LETTERS, Word, address_word, period_loop_word
+from .words import LETTERS, Word, address_word, invert_word, period_loop_word, stabilizer_period_word
 
 BFS_LETTERS = LETTERS
 MAX_LABEL_LEN = 12  # longest A/B label that check_addresses and check_reduction enumerate, of 2^(n + 1)
@@ -145,38 +155,32 @@ _PLANS = tuple({head: _plan(found_by, head) for head in _HEADS} for found_by in 
 
 
 class BallCapacityError(RuntimeError):
-    """A ball or a search reached its vertex cap.
+    """A ball reached its vertex cap; vertices is the number it held, and radius the depth it had completed."""
 
-    vertices is the number of vertices held when it stopped, both trees
-    together for a search, and radius the radius the search had completed:
-    the ball's depth, or the sum of the two trees' depths.
-    """
-
-    def __init__(self, cap: int, searched: str, vertices: int, radius: int):
+    def __init__(self, cap: int, vertices: int, radius: int):
         self.cap = cap
         self.vertices = vertices
         self.radius = radius
-        super().__init__(f"ball exploration exceeded the vertex cap of {cap}{searched}")
+        super().__init__(f"ball exploration exceeded the vertex cap of {cap}; the ball was complete to radius {radius}")
 
 
 class PathNotFoundError(RuntimeError):
-    """No path within the bound; vertices is the number the two trees held, 0 when nothing was searched."""
+    """No path within the bound: the points lie in different orbits, or every path is longer than the radius."""
 
-    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int | None, why: str, vertices: int):
+    def __init__(self, source: RationalPoint, target: RationalPoint, radius: int | None, why: str):
         self.explored_radius = radius
-        self.vertices = vertices
         super().__init__(f"no path from {source} to {target}{why}")
 
 
-class _Tree:
-    """BFS tree over the four letters, grown one whole layer at a time.
+class SchreierBall:
+    """BFS-explored portion of the Schreier graph around a seed point, grown one whole layer at a time.
 
-    All vertices have a rotation of the primitive period W, held once.
-    Vertex i is the preperiod pre[i] followed by (W[rot[i]:] + W[:rot[i]])^inf,
-    vertices are numbered in discovery order, and index[r][v] is the number
-    of the vertex with preperiod v and rotation r: of every vertex in a
-    search tree, and in a ball of the root and the images of vertices of at
-    most 4 letters, which take in every vertex that a lookup can find.
+    All vertices have a rotation of the seed's primitive period W, held
+    once.  Vertex i is the preperiod pre[i] followed by
+    (W[rot[i]:] + W[:rot[i]])^inf, vertices are numbered in discovery
+    order, and index[r][v] is the number of the vertex with preperiod v and
+    rotation r, for the root and the images of vertices of at most 4
+    letters, which take in every vertex that a lookup can find.
     pre[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
     number of the vertex that discovered vertex i and slot[i] the place in
     BFS_LETTERS of the letter it took, both -1 for the root.  Growing
@@ -185,22 +189,29 @@ class _Tree:
     head the first three letters of the sequence: the letters whose image
     can be a new vertex.  Each other letter leads to parent[i], to i by a
     _LOOP rule, or to the image of an earlier twin letter.  By the module's
-    lemma only a vertex of at most 3 letters looks its images up.  Given a
-    list, it also appends the x0 and x1 edges of every expanded vertex to
-    it, in vertex order and flat, as four ints: source, x0 target, source,
-    x1 target.  Balls pass one as edges, shortest-path searches do not.
-    Outside grow and ball, one letter's image is cantor._step's on period.
+    lemma only a vertex of at most 3 letters looks its images up.  edges
+    holds the x0 and x1 edges of every expanded vertex, in vertex order and
+    flat, as four ints: source, x0 target, source, x1 target; boundary the
+    flat (source, label, target) triples of the edges of the boundary layer.
+    vertices, the RationalPoint of each vertex, whose periods share one
+    string per rotation, is a tuple built on first access and kept.
+    path_word(vertex) is the shortest word u with
+    act_word(seed, u) = vertices[vertex].  Outside grow and ball, one
+    letter's image is cantor._step's on period.
     """
 
-    def __init__(self, period: str, root: str, rotation: int = 0, edges: list[int] | None = None):
-        self.period = period
+    def __init__(self, seed: RationalPoint, radius: int):
+        self.seed = seed
+        self.radius = radius
+        self.period = period = seed.period
         self.ahead = period + (period * 3)[:3]  # ahead[r:r + 3] starts W rotated left by r, even for |W| < 3
-        self.pre = [root]
-        self.rot = [rotation]
-        self.index = {rotation: {root: 0}}
+        self.pre = [seed.preperiod]
+        self.rot = [0]
+        self.index = {0: {seed.preperiod: 0}}
         self.parent = [-1]
         self.slot = [-1]
-        self.edges = edges
+        self.edges: list[int] = []
+        self.boundary: list[int | str] = []
         self.starts = [0, 1]
 
     @property
@@ -216,19 +227,17 @@ class _Tree:
 
         Each vertex applies only the steps of its plan.  By the module's
         lemma no cycle passes through a vertex of 4 or more letters, so each
-        of its steps gives a new vertex, with no lookup, which a ball indexes
-        only when the vertex has exactly 4 letters.  A vertex of at most 3
-        letters looks all its images up, and indexes the new ones.  The cap
-        is checked before each new vertex.  A ball's tree keeps the images of
-        a vertex after its parent and itself, and the plan's where gives the
-        places of x0 and x1 among them; a tree that records no edges keeps
-        none.
+        of its steps gives a new vertex, with no lookup, indexed only when
+        the vertex has exactly 4 letters.  A vertex of at most 3 letters
+        looks all its images up, and indexes the new ones.  The cap is
+        checked before each new vertex.  The images of a vertex are kept
+        after its parent and itself, and the plan's where gives the places
+        of x0 and x1 among them.
         """
         # cantor._step is inlined here and in ball's boundary pass: calling it per
         # image made 40 seeded radius-13 balls 31% and 12% slower (2-vCPU Xeon, Python 3.11)
         pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.edges
         period, ahead, m = self.period, self.ahead, len(self.period)
-        keep = edges is not None
         count = len(pre)
         for i in range(self.starts[-2], self.starts[-1]):
             v = pre[i]
@@ -238,23 +247,21 @@ class _Tree:
             steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
             if nv > 3:  # every rule rewrites inside the preperiod, and every image is new
                 first = count
-                at = own if not keep or nv == 4 else None
                 for s, n, rhs in steps:
                     if count >= limit:
                         return False
                     u = rhs + v[n:]
-                    if at is not None:
-                        at[u] = count
+                    if nv == 4:
+                        own[u] = count
                     count += 1
                     pre.append(u)
                     rot.append(r)
                     parent.append(i)
                     slot.append(s)
-                if keep:  # a root's plan has at most 4 steps
-                    images = (parent[i], i, first, first + 1, first + 2, first + 3)
+                # a root's plan has at most 4 steps
+                images = (parent[i], i, first, first + 1, first + 2, first + 3)
             else:
-                if keep:
-                    images = [parent[i], i]
+                images = [parent[i], i]
                 for s, n, rhs in steps:
                     if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
                         u, q, at = rhs + v[n:], r, own
@@ -271,16 +278,14 @@ class _Tree:
                         rot.append(q)
                         parent.append(i)
                         slot.append(s)
-                    if keep:
-                        images.append(j)
-            if keep:
-                # x0 and x1 are the first and the third of BFS_LETTERS
-                edges += (i, images[where[0]], i, images[where[2]])
+                    images.append(j)
+            # x0 and x1 are the first and the third of BFS_LETTERS
+            edges += (i, images[where[0]], i, images[where[2]])
         self.starts.append(count)
         return True
 
     def periods(self) -> dict[int, str]:
-        """The period text W[r:] + W[:r] of every rotation r the tree holds, each built once."""
+        """The period text W[r:] + W[:r] of every rotation r the ball holds, each built once."""
         w = self.period
         return {r: w[r:] + w[:r] for r in self.index}
 
@@ -292,23 +297,6 @@ class _Tree:
             letters.append(BFS_LETTERS[slot[vertex]])
             vertex = parent[vertex]
         return "".join(reversed(letters))
-
-
-class SchreierBall(_Tree):
-    """BFS-explored portion of the Schreier graph around a seed point.
-
-    The BFS tree that grew it, on the seed's period, with the seed point,
-    the radius and boundary, the flat (source, label, target) triples of the
-    edges of the boundary layer; edges holds those of the other vertices as
-    quads.  vertices, the RationalPoint of each vertex, whose periods share
-    one string per rotation, is a tuple built on first access and kept.
-    path_word(vertex) is the shortest word u with
-    act_word(seed, u) = vertices[vertex].
-    """
-
-    seed: RationalPoint
-    radius: int
-    boundary: list[int | str]
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
@@ -333,8 +321,7 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     the vertex itself are not.  A vertex of 4 or more letters computes no
     image: by the module's lemma each step's image is new, so outside the
     ball, and its only edges inside it go to the parent and to itself.
-    vertex_cap is at most MAX_BALL_VERTICES, checked before the search
-    starts.
+    vertex_cap is at most MAX_BALL_VERTICES, checked before the ball grows.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -342,11 +329,10 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
         raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
     if vertex_cap > MAX_BALL_VERTICES:
         raise ValueError(f"vertex cap must be <= {MAX_BALL_VERTICES}, got {vertex_cap}")
-    b = SchreierBall(seed.period, seed.preperiod, 0, [])
-    b.seed, b.radius, b.boundary = seed, radius, []
+    b = SchreierBall(seed, radius)
     while b.depth < radius and b.width:
         if not b.grow(vertex_cap):
-            raise BallCapacityError(vertex_cap, f"; the ball was complete to radius {b.depth}", len(b), b.depth)
+            raise BallCapacityError(vertex_cap, len(b), b.depth)
     pre, rot, index, parent, slot, edges = b.pre, b.rot, b.index, b.parent, b.slot, b.boundary
     period, ahead, m = b.period, b.ahead, len(b.period)
     for i in range(b.starts[-2], len(pre)):
@@ -385,71 +371,82 @@ def same_orbit(p: RationalPoint, q: RationalPoint) -> bool:
     return len(p.period) == len(q.period) and q.period in p.period + p.period
 
 
-def find_path(
-    source: RationalPoint,
-    target: RationalPoint,
-    max_radius: int | None = None,
-    vertex_cap: int = 500_000,
-) -> Word:
-    """Least shortest word moving source to target, letters ordered as in BFS_LETTERS.
+def _landing(point: RationalPoint) -> tuple[Word, int]:
+    """A word moving a point other than the endpoints to 10(W[j:] + W[:j]), and j.
 
-    A forward BFS tree from the source and a backward one from the target
-    (the graph is symmetric: every letter has its inverse among the four)
-    grow by whole layers, the one with the smaller outermost layer first,
-    until a new layer meets the other tree.  Both trees hold the source's
-    period W; the target's period is W rotated by its one offset in W + W,
-    since W is primitive.  At that point the trees have depths df and db,
-    the distance is L = df + db, and the meeting vertices are the vertices
-    at distance df from the source on a geodesic.  Within a layer, discovery
-    order is the order of the least words, so the least geodesic starts
-    with the forward tree's path to the meeting vertex of least number; from
-    there on it takes the least letter that lowers the distance to the
-    target by one.
+    Of the sequence s = v W W ..., s = 0^k 1 ... takes A^k (00 -> 0, then
+    01 -> 10) and s = 1^k 0 ... takes a^(k-1) (11 -> 1), each leaving
+    10 s[k+1:].  Then stabilizer_period_word of the rest of v, 0 -> B
+    (100 -> 10) and 1 -> Ba (101 -> 110 -> 10), deletes it.  v ends unlike
+    W, or W holds both letters, so the run ends within v + W, and no letter
+    of v[k+1:] continues the period.  The word is empty exactly on a base point.
+    """
+    v, w = point.preperiod, point.period
+    s = v + w
+    k = s.find("1" if s[0] == "0" else "0")  # the first run, s[:k]
+    run = "A" * k if s[0] == "0" else "a" * (k - 1)
+    return run + stabilizer_period_word(v[k + 1 :]), max(k + 1 - len(v), 0) % len(w)
 
-    max_radius bounds L (None: unbounded) and vertex_cap bounds the two
-    trees together.  A pair in different orbits fails at once.
+
+def _way_down(point: RationalPoint, w: str, offset: int) -> tuple[Word, int]:
+    """The way from a point other than the endpoints down to the period cycle of w, and the place where it ends.
+
+    The point's period is w[offset:] + w[:offset].  _landing's word lands
+    on 10(u), u = w[j:] + w[:j], at place j + #1(w[:j]); when it ends in x0
+    and u ends in 1, it comes from 110(u), the place before, and stops there.
+    """
+    word, j = _landing(point)
+    j = (j + offset) % len(w)
+    place = j + w.count("1", 0, j)
+    if word[-1:] != "a" or w[j - 1] != "1":
+        return word, place
+    return word[:-1], (place or len(w) + w.count("1")) - 1
+
+
+def _cycle_arc(w: str, p: int, q: int) -> Word:
+    """The shorter word from place p to place q of the period cycle of w; on a tie, the first in BFS_LETTERS order.
+
+    The cycle's word is stabilizer_period_word(w).  The arc ahead from p
+    starts with its letter at p, a or B, and the arc back with the inverse
+    of the letter before, A or b, so on a tie the arc ahead comes first
+    exactly when it starts with a.
+    """
+    cycle = stabilizer_period_word(w)
+    n = len(cycle)
+    ahead = (q - p) % n
+    if 2 * ahead < n or (2 * ahead == n and cycle[p] == "a"):
+        return cycle[p:q] if p <= q else cycle[p:] + cycle[:q]
+    return invert_word(cycle[q:p] if q <= p else cycle[q:] + cycle[:p])
+
+
+def find_path(source: RationalPoint, target: RationalPoint, max_radius: int | None = None) -> Word:
+    """Least shortest word moving source to target, letters ordered as in BFS_LETTERS: the module's closed form.
+
+    The cycle is that of the source's period W; the target's period is W
+    rotated by its one offset in W + W, since W is primitive.  Two ways
+    down share exactly the vertices of their longest common suffix, since
+    the way down from a vertex is always the same.  max_radius bounds the
+    word's length (None: unbounded).  A pair in different orbits fails at once.
     """
     if max_radius is not None and max_radius < 0:
         raise ValueError(f"radius must be >= 0, got {max_radius}")
-    if vertex_cap < 1:
-        raise ValueError(f"vertex cap must be >= 1, got {vertex_cap}")
     if not same_orbit(source, target):
-        raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F", 0)
-    period = source.period
-    forward = _Tree(period, source.preperiod)
-    backward = _Tree(period, target.preperiod, (period + period).find(target.period))
-    meet = [0] if source == target else []
-    while not meet:
-        df, db = forward.depth, backward.depth
-        if df + db == max_radius:
-            held = len(forward.pre) + len(backward.pre)
-            raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}", held)
-        tree, other = (forward, backward) if forward.width <= backward.width else (backward, forward)
-        if not tree.grow(vertex_cap - len(other.pre)):
-            raise BallCapacityError(
-                vertex_cap,
-                f"; the search from {source} to {target} held {vertex_cap} vertices,"
-                f" complete to depth {df} from the source and {db} from the target",
-                len(forward.pre) + len(backward.pre),
-                df + db,
-            )
-        if not tree.width:  # a closed, finite orbit: only an endpoint's, which same_orbit rules out
-            held = len(forward.pre) + len(backward.pre)
-            raise PathNotFoundError(source, target, df + db, ": the search closed an orbit without meeting", held)
-        start, seen, index = tree.starts[-2], other.index, forward.index
-        meet = [index[r][v] for v, r in zip(tree.pre[start:], tree.rot[start:]) if v in seen.get(r, ())]
-    vertex = min(meet)
-    word = [forward.path_word(vertex)]
-    v, r = forward.pre[vertex], forward.rot[vertex]
-    starts, index = backward.starts, backward.index
-    for k in range(backward.depth - 1, -1, -1):
-        for s, letter in enumerate(BFS_LETTERS):
-            v2, r2 = _step(v, r, period, s)
-            if r2 in index and starts[k] <= index[r2].get(v2, -1) < starts[k + 1]:
-                break
-        word.append(letter)
-        v, r = v2, r2
-    return "".join(word)
+        raise PathNotFoundError(source, target, max_radius, ": the points lie in different orbits of F")
+    if source == target:
+        return ""
+    w = source.period
+    down, p = _way_down(source, w, 0)
+    up, q = _way_down(target, w, (w + w).find(target.period))
+    if p == q:
+        k, most = 0, min(len(down), len(up))
+        while k < most and down[-1 - k] == up[-1 - k]:
+            k += 1
+        word = down[: len(down) - k] + invert_word(up[: len(up) - k])
+    else:
+        word = down + _cycle_arc(w, p, q) + invert_word(up)
+    if max_radius is not None and len(word) > max_radius:
+        raise PathNotFoundError(source, target, max_radius, f" within radius {max_radius}")
+    return word
 
 
 def vertex_at_address(root: RationalPoint, address: str) -> RationalPoint:
@@ -522,11 +519,12 @@ def _address_checks(period: str, max_len: int) -> tuple[Check, Check]:
     )
 
 
-_CHUNK = 1024  # vertices or edge records per piece that write_json writes
+_CHUNK = 1024  # vertices or edge records per piece that write_json and write_dot write
 _QUAD = ', [%d, "x0", %d], [%d, "x1", %d]'  # the two edges of an expanded vertex, from its quad
 _TRIPLE = ', [%d, "%s", %d]'  # a boundary edge, from its triple
 _QUADS = _QUAD * _CHUNK
 _TRIPLES = _TRIPLE * _CHUNK
+_DOT_QUAD = '  "%s" -> "%s" [label=x0];\n  "%s" -> "%s" [label=x1];\n'  # the two edges of an expanded vertex, as DOT
 
 
 def _labels(b: SchreierBall) -> Iterator[str]:
@@ -535,19 +533,32 @@ def _labels(b: SchreierBall) -> Iterator[str]:
     return map(add, b.pre, map(texts.__getitem__, b.rot))
 
 
-def export_dot(b: SchreierBall) -> str:
-    """Deterministic DOT text: vertices in index order, edges in (source, label) order."""
+def write_dot(b: SchreierBall, write: Callable[[str], object]) -> None:
+    """Write, by calls of write, deterministic DOT text: vertices in index order, edges in (source, label) order.
+
+    The text goes out in pieces: the lines of _CHUNK vertices, then the
+    edges of _CHUNK expanded vertices, formatted from their quads by one
+    template, then those of _CHUNK boundary triples.  So no piece is longer
+    than _CHUNK records, and the whole text is never held.
+    """
     names = list(_labels(b))
-    lines = ["digraph schreier {", f'  "{names[0]}" [peripheries=2];']
-    lines += [f'  "{name}";' for name in names[1:]]
-    it = iter(b.edges)
-    for src, x0, _, x1 in zip(it, it, it, it):
-        lines.append(f'  "{names[src]}" -> "{names[x0]}" [label=x0];')
-        lines.append(f'  "{names[src]}" -> "{names[x1]}" [label=x1];')
-    it = iter(b.boundary)
-    lines += [f'  "{names[src]}" -> "{names[dst]}" [label={label}];' for src, label, dst in zip(it, it, it)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    write('digraph schreier {\n  "%s" [peripheries=2];\n' % names[0])
+    for start in range(1, len(names), _CHUNK):
+        write("".join([f'  "{name}";\n' for name in names[start : start + _CHUNK]]))
+    for start in range(0, len(b.edges), 4 * _CHUNK):
+        piece = b.edges[start : start + 4 * _CHUNK]
+        write(_DOT_QUAD * (len(piece) // 4) % tuple(map(names.__getitem__, piece)))
+    for start in range(0, len(b.boundary), 3 * _CHUNK):
+        it = iter(b.boundary[start : start + 3 * _CHUNK])
+        write("".join([f'  "{names[src]}" -> "{names[dst]}" [label={label}];\n' for src, label, dst in zip(it, it, it)]))
+    write("}\n")
+
+
+def export_dot(b: SchreierBall) -> str:
+    """The text that write_dot writes, joined."""
+    pieces: list[str] = []
+    write_dot(b, pieces.append)
+    return "".join(pieces)
 
 
 def write_json(b: SchreierBall, write: Callable[[str], object]) -> None:

@@ -6,8 +6,12 @@ into w.  For an arbitrary rational point b the set is conjugated by a word h
 moving b to 10 w^inf, a closed form in the binary expansion of b: powers of
 x0^-1 or x0 by the first run of the sequence, the same substitution of the
 rest of the preperiod, and the shorter arc of the period cycle that the
-fifth generator closes.  On every point the tests compare, h is a least
-geodesic of the Schreier graph.
+fifth generator closes.  That is schreier's path to the base point: the
+orbital Schreier graph of b is one cycle, the period cycle, with trees
+hanging off it.  schreier's lemma proves the trees, and the tests check
+that the cycle is the only one.  h moves b to the base point by
+construction either way, and on every point the tests compare, it is a
+least geodesic of the Schreier graph.
 
 Verification folds the point once through each generator, five folds for a
 generic point, under each of two independent oracles (the symbolic sequence
@@ -41,7 +45,7 @@ from .cantor import ONE_POINT, RationalPoint, ZERO_POINT, _fold, act_word, canon
 from .plmap import PLMap, _image_digits, identity, word_to_plmap, xn, yn
 from .report import Check, Report
 from .rng import SplitMix64
-from .schreier import MAX_LABEL_LEN
+from .schreier import MAX_LABEL_LEN, _cycle_arc, _landing, _way_down
 from .words import (
     Word,
     address_word,
@@ -49,7 +53,6 @@ from .words import (
     conjugate,
     format_word,
     invert_word,
-    period_loop_word,
     relator_words,
     stabilizer_period_word,
     xn_word,
@@ -197,47 +200,29 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     return StabilizerGens(point, h, generators, w)
 
 
-def _landing(point: RationalPoint) -> tuple[Word, int]:
-    """A word moving a point other than the endpoints to 10(W[j:] + W[:j]), and j.
-
-    Of the sequence s = v W W ..., s = 0^k 1 ... takes A^k (00 -> 0, then
-    01 -> 10) and s = 1^k 0 ... takes a^(k-1) (11 -> 1), each leaving
-    10 s[k+1:].  Then stabilizer_period_word of the rest of v, 0 -> B
-    (100 -> 10) and 1 -> Ba (101 -> 110 -> 10), deletes it.  v ends unlike
-    W, or W holds both letters, so the run ends within v + W, and no letter
-    of v[k+1:] continues the period.  The word is empty exactly on a base point.
-    """
-    v, w = point.preperiod, point.period
-    s = v + w
-    k = s.find("1" if s[0] == "0" else "0")  # the first run, s[:k]
-    run = "A" * k if s[0] == "0" else "a" * (k - 1)
-    return run + stabilizer_period_word(v[k + 1 :]), max(k + 1 - len(v), 0) % len(w)
-
-
 def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf: _landing's word, then an arc of the period cycle.
+    """A word moving the point to 10 period^inf: its way down to the period cycle, then the arc to 10(W).
 
-    From the landing 10(W[j:] + W[:j]), both arcs of the cycle that the fifth
-    generator closes lead to 10(W), and _arc takes the shorter.  The word has
-    at most 2|v| + 2|W| letters.
+    _way_down's word lands on the period cycle that the fifth generator
+    closes, and _cycle_arc takes the shorter of its two arcs from there to
+    10(W), at place 0.  The word has at most 2|v| + 2|W| letters.  It is
+    schreier.find_path's word to 10(W), whose way down is empty; find_path
+    itself would also canonicalize 10(W), test the orbit and walk that empty
+    way, which raised the stabilizers benchmark's p50 latency by about a
+    sixth on a 2-vCPU Xeon.
 
     The word is the least geodesic of the Schreier graph, the least in
     LETTERS order among the shortest, on every point the tests compare:
     preperiods of at most 12 letters with periods of at most 4, seeded
     preperiods of up to 24 letters, non-base points with preperiods of at
     most 2 letters and periods of at most 10, and 10(W[j:] + W[:j]) for
-    |W| <= 10.  Beyond that it is a hypothesis, in line with Savchuk's
-    description of these Schreier graphs as trees with cycles (Geom.
-    Dedicata 2015); it moves the point to the base point either way.
+    |W| <= 10.  Beyond that it is a hypothesis, in line with the one cycle
+    with hanging trees of schreier's docstring; it moves the point to the
+    base point either way.
     """
-    word, j = _landing(point)
-    return word + _arc(point.period, j)
-
-
-def _arc(w: str, j: int) -> Word:
-    """The shorter word moving 10(w[j:] + w[:j]) to 10(w) along the period cycle, the loop arc on a tie."""
-    loop, rest = period_loop_word(w[:j]), stabilizer_period_word(w[j:])
-    return loop if len(loop) <= len(rest) else rest
+    w = point.period
+    word, place = _way_down(point, w, 0)
+    return word + _cycle_arc(w, place, 0)
 
 
 def validate_samples(samples: int) -> None:

@@ -5,7 +5,9 @@ string oracle applies the prefix rewriting rules to raw (prefix, period)
 pairs and compares long unrolled prefixes, and the fraction oracle walks the
 orbit of a dyadic number by exact PL-map evaluation.  Agreement between
 these and the package is what the regression fixtures pin down.  ball_views
-reads a ball's tree as the tuples that the references return.
+reads a ball's tree as the tuples that the references return.  search_path
+is the reference for schreier.find_path's closed form: a bidirectional
+breadth-first search over (preperiod, rotation) pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
+from thompsonf.cantor import RationalPoint
 from thompsonf.plmap import generator_x0, generator_x1
 from thompsonf.schreier import BFS_LETTERS, SchreierBall
 
@@ -216,3 +220,96 @@ def fraction_ball_dot(seed: Fraction, radius: int) -> str:
                 lines.append(f'  "{dyadic_name(value)}" -> "{dyadic_name(vertices[j])}" [label={label}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+# The moves of each head, the first three letters of a sequence: (slot in "aAbB",
+# length of the left side, right side) of each letter whose rule on that head
+# does not rewrite its left side to itself, in slot order.
+_MOVES = {
+    head: tuple(
+        (s, len(lhs), rhs)
+        for s, letter in enumerate("aAbB")
+        for lhs, rhs in RULES[letter]
+        if head.startswith(lhs) and lhs != rhs
+    )
+    for head in map("".join, product("01", repeat=3))
+}
+
+
+def search_path(source: RationalPoint, target: RationalPoint, cap: int = 500_000) -> str | None:
+    """The least shortest word moving source to target, letters in the order a, A, b, B; None past cap vertices.
+
+    A forward BFS tree from the source and a backward one from the target
+    (every letter's inverse is among the four) grow by whole layers, the
+    one with the smaller outermost layer first, the forward one on a tie,
+    until a new layer meets the other tree.  The meeting vertices then lie
+    in the forward tree's outermost layer, and within a layer discovery
+    order is the order of the least words, so the least geodesic starts
+    with the forward tree's path to the meeting vertex it discovered first.
+    From there it takes, at each step, the least letter that lowers the
+    depth in the backward tree by one.  A vertex v (w[r:] + w[:r])^inf, w
+    the source's period, is the pair (v, r), v canonical: not ending in the
+    letter before w[r:].  The target must lie in the source's orbit.  A tree
+    maps each vertex to its parent, the slot of the letter that found it
+    and its depth, and the trees stop growing once they hold more than cap
+    vertices.
+    """
+    w = source.period
+    m, pad = len(w), w + (w * 3)[:3]
+
+    def images(v: str, r: int) -> list[tuple[int, tuple[str, int]]]:
+        """(slot, image) of each letter that moves the vertex (v, r), in slot order."""
+        nv = len(v)
+        out = []
+        for s, n, rhs in _MOVES[v[:3] if nv > 2 else (v + pad[r : r + 3])[:3]]:
+            if n < nv:  # the rule keeps v's last letter
+                out.append((s, (rhs + v[n:], r)))
+                continue
+            q = (r + n - nv) % m  # the rule read n - nv letters of the period
+            while rhs and rhs[-1] == w[q - 1]:
+                rhs, q = rhs[:-1], (q - 1) % m
+            out.append((s, (rhs, q)))
+        return out
+
+    def grow(tree: dict, layer: list, depth: int) -> list:
+        after = []
+        for x in layer:
+            back = tree[x][1] ^ 1  # the letter back to x's parent
+            v, r = x
+            if len(v) > 3:  # every rule keeps v's last letter: images, inlined for speed
+                for s, n, rhs in _MOVES[v[:3]]:
+                    u = (rhs + v[n:], r)
+                    if s != back and u not in tree:
+                        tree[u] = (x, s, depth)
+                        after.append(u)
+                continue
+            for s, u in images(v, r):
+                if s != back and u not in tree:
+                    tree[u] = (x, s, depth)
+                    after.append(u)
+        return after
+
+    start, goal = (source.preperiod, 0), (target.preperiod, (w + w).find(target.period))
+    forward, backward = {start: (None, -1, 0)}, {goal: (None, -1, 0)}
+    ahead, behind = [start], [goal]
+    met = start if start == goal else None
+    while met is None:
+        if len(forward) + len(backward) > cap:
+            return None
+        if len(ahead) <= len(behind):
+            ahead = grow(forward, ahead, forward[ahead[0]][2] + 1)
+            met = next((u for u in ahead if u in backward), None)
+        else:
+            behind = grow(backward, behind, backward[behind[0]][2] + 1)
+            hits = {u for u in behind if u in forward}
+            met = next((u for u in ahead if u in hits), None)
+    word = []
+    v = met
+    while forward[v][0] is not None:
+        v, s, _ = forward[v]
+        word.append("aAbB"[s])
+    word.reverse()
+    v = met
+    for k in range(backward[met][2] - 1, -1, -1):
+        s, v = next((s, u) for s, u in images(*v) if u in backward and backward[u][2] == k)
+        word.append("aAbB"[s])
+    return "".join(word)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ball_views, fraction_ball_dot, string_ball_size
+from oracles import ball_views, fraction_ball_dot, search_path, string_ball_size
 from sampling import random_point, random_word
 from thompsonf.cantor import (
     _HEADS,
@@ -28,11 +28,11 @@ from thompsonf.schreier import (
     _PARENT,
     _PLANS,
     _SELF,
-    _Tree,
     BFS_LETTERS,
     MAX_BALL_VERTICES,
     BallCapacityError,
     PathNotFoundError,
+    SchreierBall,
     ball,
     check_addresses,
     export_dot,
@@ -45,7 +45,7 @@ from thompsonf.schreier import (
 from thompsonf import cli, schreier
 from thompsonf.report import Report
 from thompsonf.rng import SplitMix64
-from thompsonf.words import LETTERS, address_word, period_loop_word
+from thompsonf.words import LETTERS, address_word, period_loop_word, stabilizer_period_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,7 +291,7 @@ def _assert_ball_matches_reference(seed, radius, vertex_cap=100_000, hits=None):
     assert ball_views(b) == (tuple(parents), tuple(distances), _reference_edges(vertices))
     for p in b.vertices:
         assert RationalPoint(p.preperiod, p.period) == p
-    # the lemma that lets the search skip lookups: an edge that closes a cycle joins two vertices of at most 3 letters
+    # the lemma that lets a ball skip lookups: an edge that closes a cycle joins two vertices of at most 3 letters
     for p, q in hits:
         assert len(p.preperiod) <= 3 and len(q.preperiod) <= 3, (seed, p, q)
     return b
@@ -488,19 +488,6 @@ def test_same_orbit_holds_on_ball_vertices_and_cross_orbit_pairs_fail_at_once():
         assert err.value.explored_radius == 40
 
 
-def test_find_path_vertex_cap_bounds_both_balls_and_says_what_was_searched():
-    point = parse_point("0110110110110110110(0011)")
-    with pytest.raises(BallCapacityError) as err:
-        find_path(point, canonicalize("10", "0011"), vertex_cap=1000)
-    message = str(err.value)
-    assert message.startswith("ball exploration exceeded the vertex cap of 1000; ")
-    assert "held 1000 vertices" in message
-    depths = re.search(r"complete to depth (\d+) from the source and (\d+) from the target", message)
-    forward, backward = int(depths[1]), int(depths[2])
-    # the distance is 29, and both balls grew
-    assert forward > 0 and backward > 0 and forward + backward < 29
-
-
 def test_find_path_trivial_and_one_step():
     p = canonicalize("", "0100")
     assert find_path(p, p, 5) == ""
@@ -514,6 +501,7 @@ def test_find_path_words_verify_and_are_shortest():
     dst = canonicalize("10", "0100")
     word = find_path(src, dst, 24)
     assert act_word(src, word) == dst
+    assert word == search_path(src, dst)
     with pytest.raises(PathNotFoundError):
         find_path(src, dst, len(word) - 1)
 
@@ -534,8 +522,8 @@ def test_capped_ball_says_how_many_vertices_it_held_and_the_radius_it_completed(
 
 def test_caps_that_trip_inside_a_layer_of_long_preperiods_pin_what_was_held():
     # Each cap trips while a vertex of 4 or more letters is expanded, where
-    # the search adds images with no lookup; the figures are those of the
-    # search that looked up every image
+    # the ball adds images with no lookup; the figures are those of the
+    # ball that looked up every image
     seed = parse_point("0110(011)")
     full = ball(seed, 10)
     assert full.starts[-2:] == [491, 805]
@@ -544,35 +532,14 @@ def test_caps_that_trip_inside_a_layer_of_long_preperiods_pin_what_was_held():
         with pytest.raises(BallCapacityError) as err:
             ball(seed, 10, vertex_cap=cap)
         assert (err.value.vertices, err.value.radius) == (cap, 9)
-    source, target = parse_point("0110110110110110110(0011)"), canonicalize("10", "0011")
-    for cap, depths in ((1000, (9, 8)), (2500, (10, 10)), (4321, (12, 11))):
-        with pytest.raises(BallCapacityError) as err:
-            find_path(source, target, vertex_cap=cap)
-        assert (err.value.vertices, err.value.radius) == (cap, sum(depths))
-        assert f"complete to depth {depths[0]} from the source and {depths[1]} from the target" in str(err.value)
 
 
-def test_capped_find_path_says_how_many_vertices_both_trees_held():
-    point = parse_point("0110110110110110110(0011)")
-    with pytest.raises(BallCapacityError) as err:
-        find_path(point, canonicalize("10", "0011"), vertex_cap=1000)
-    depths = re.search(r"complete to depth (\d+) from the source and (\d+) from the target", str(err.value))
-    assert err.value.vertices == 1000
-    assert err.value.radius == int(depths[1]) + int(depths[2])
-
-
-def test_find_path_bounded_by_radius_says_how_many_vertices_both_trees_held():
+def test_find_path_bounded_by_radius_says_the_radius():
     src, dst = canonicalize("", "0100"), canonicalize("10", "0100")
     radius = len(find_path(src, dst)) - 1
-    with pytest.raises(PathNotFoundError) as err:
+    with pytest.raises(PathNotFoundError, match=f" within radius {radius}$") as err:
         find_path(src, dst, radius)
     assert err.value.explored_radius == radius
-    # the two trees split the radius between them, each a whole ball
-    splits = [len(ball(src, k)) + len(ball(dst, radius - k)) for k in range(radius + 1)]
-    assert err.value.vertices in splits
-    with pytest.raises(PathNotFoundError) as err:
-        find_path(canonicalize("1", "0"), canonicalize("0", "1"), 6)
-    assert err.value.vertices == 0
 
 
 def test_long_period_path_holds_its_period_once():
@@ -587,6 +554,132 @@ def test_long_period_path_holds_its_period_once():
         tracemalloc.stop()
     assert word == "A" * 8191
     assert peak < 60 * 2**20
+
+
+def _orbits(max_preperiod, max_period):
+    """Every canonical point but the endpoints with a preperiod and a period of at most these lengths, by orbit."""
+    strings = ["".join(bits) for n in range(max(max_preperiod, max_period) + 1) for bits in product("01", repeat=n)]
+    points = {canonicalize(v, w) for v in strings if len(v) <= max_preperiod for w in strings if 0 < len(w) <= max_period}
+    orbits = {}
+    for p in sorted(points - {ZERO_POINT, ONE_POINT}, key=str):
+        w = p.period
+        orbits.setdefault(min(w[i:] + w[:i] for i in range(len(w))), []).append(p)
+    return list(orbits.values())
+
+
+def test_find_path_is_the_searched_least_geodesic_on_sampled_pairs():
+    # seeded pairs of one orbit among the points with a preperiod of at most 6 letters and a period of at most 5
+    rng = SplitMix64(37)
+    orbits = _orbits(6, 5)
+    assert len(orbits) == 14 and sum(map(len, orbits)) == 3326
+    pairs = around = 0
+    for _ in range(10_000):
+        orbit = orbits[rng.below(len(orbits))]
+        source, target = orbit[rng.below(len(orbit))], orbit[rng.below(len(orbit))]
+        word = find_path(source, target)
+        assert word == search_path(source, target), (source, target)
+        pairs += 1
+        around += len(word) > len(source.preperiod) + len(target.preperiod) + 2
+    assert pairs == 10_000 and around > 1000
+
+
+def test_find_path_is_the_searched_least_geodesic_on_long_preperiods():
+    # seeded pairs with periods of at most 8 letters and preperiods of at most 20, the shorter more often;
+    # where the search holds more than 3,000 vertices the word is checked to move the source to the target
+    rng = SplitMix64(2_026)
+    compared = capped = 0
+    while compared + capped < 2000:
+        w = "".join("01"[rng.below(2)] for _ in range(1 + rng.below(8)))
+        r = rng.below(len(w))
+        v1, v2 = ("".join("01"[rng.below(2)] for _ in range(min(rng.below(21), rng.below(21)))) for _ in range(2))
+        source, target = canonicalize(v1, w), canonicalize(v2, w[r:] + w[:r])
+        if source.is_endpoint() or target.is_endpoint():
+            continue
+        word = find_path(source, target)
+        searched = search_path(source, target, cap=3_000)
+        if searched is None:
+            assert act_word(source, word) == target, (source, target)
+            capped += 1
+        else:
+            assert word == searched, (source, target)
+            compared += 1
+    assert compared > 1600 and capped > 0
+
+
+def test_find_path_is_the_searched_least_geodesic_between_rotations_of_two_run_periods():
+    # (0^k 1^k), (0^k 1 0^(k+1) 1) and (1^k 0 1^k 00) to each rotation of theirs, and to its base point
+    pairs = 0
+    for k in range(1, 8):
+        for w in ("0" * k + "1" * k, "0" * k + "1" + "0" * (k + 1) + "1", "1" * k + "0" + "1" * k + "00"):
+            source = RationalPoint("", w)
+            for j in range(len(w)):
+                u = w[j:] + w[:j]
+                for target in (canonicalize("", u), canonicalize("10", u)):
+                    assert find_path(source, target) == search_path(source, target), (source, target)
+                    pairs += 1
+    assert pairs == 2 * sum(6 * k + 6 for k in range(1, 8))
+
+
+def test_the_points_of_at_most_3_letters_hold_one_cycle_the_period_cycle():
+    # With the lemma, this makes each orbit's graph one cycle with trees hanging off it.  On every primitive
+    # period W of at most 7 letters, the simple graph of the canonical points with periods rotations of W
+    # and preperiods of at most 3 letters, loops and parallel edges dropped, is connected and has one edge
+    # more than a tree: one cycle.  Pruning its leaves again and again leaves exactly the places of the
+    # period cycle, the points that stabilizer_period_word(W) visits from 10(W).
+    periods = [w for n in range(1, 8) for w in map("".join, product("01", repeat=n)) if primitive_root(w) == w]
+    for w in periods[2:]:  # (0) and (1) are the endpoints
+        core = {
+            p
+            for j in range(len(w))
+            for n in range(4)
+            for bits in product("01", repeat=n)
+            if len((p := canonicalize("".join(bits), w[j:] + w[:j])).preperiod) <= 3
+        }
+        edges = {frozenset((p, act_letter(p, letter))) for p in core for letter in "ab"} - {frozenset([p]) for p in core}
+        edges = {e for e in edges if e <= core}
+        assert len(edges) == len(core), w
+        neighbours = {p: set() for p in core}
+        for p, q in edges:
+            neighbours[p].add(q)
+            neighbours[q].add(p)
+        seen, todo = set(), [canonicalize("10", w)]
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo += neighbours[p]
+        assert seen == core, w
+        leaves = [p for p in core if len(neighbours[p]) == 1]
+        while leaves:
+            p = leaves.pop()
+            for q in neighbours.pop(p):
+                neighbours[q].discard(p)
+                if len(neighbours[q]) == 1:
+                    leaves.append(q)
+        cycle, p = [], canonicalize("10", w)
+        for letter in stabilizer_period_word(w):
+            p = act_letter(p, letter)
+            cycle.append(p)
+        assert len(set(cycle)) == len(cycle) == w.count("0") + 2 * w.count("1"), w
+        assert set(neighbours) == set(cycle), w
+
+
+def test_path_moves_a_long_two_run_period_to_its_rotation_without_a_search():
+    # the search held 1.1 GB before it gave up here; the closed form writes the arc of 98,304 letters
+    k = 32768
+    source, target = RationalPoint("", "0" * k + "1" * k), RationalPoint("", "1" * k + "0" * k)
+    start = time.perf_counter()
+    word = find_path(source, target, 1_000_000)
+    seconds = time.perf_counter() - start
+    assert len(word) == 98_304 and act_word(source, word) == target
+    assert seconds < 1, seconds
+
+
+def test_path_of_the_pair_past_the_old_search_cap():
+    source, target = parse_point("(0011)"), parse_point("01101001100101101001011010010110(0011)")
+    word = find_path(source, target, 99)
+    assert word == "AABabAbAbbAbbbAbbAbAbbAbbbAbbAbAbbAbbbAbAbbbAbbAba"
+    assert act_word(source, word) == target
 
 
 def test_parent_words_reconstruct_bfs_paths():
@@ -796,11 +889,51 @@ def test_graph_json_goes_out_in_pieces(monkeypatch):
     assert len(pieces) > 20 and max(map(len, pieces)) < 200
 
 
+def _dot(b):
+    """export_dot's text as one list of lines makes it, from the ball's vertices and the edges of ball_views."""
+    names = [str(p) for p in b.vertices]
+    lines = ["digraph schreier {", f'  "{names[0]}" [peripheries=2];'] + [f'  "{name}";' for name in names[1:]]
+    lines += [f'  "{names[src]}" -> "{names[dst]}" [label={label}];' for src, label, dst in ball_views(b)[2]]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_dot_writer_pieces_join_to_the_whole_text_at_every_chunk_boundary(monkeypatch, chunk):
+    monkeypatch.setattr(schreier, "_CHUNK", chunk)
+    balls = [ball(ZERO_POINT, 0), ball(ONE_POINT, 0), ball(ZERO_POINT, 2), ball(ONE_POINT, 2)]
+    balls += [ball(canonicalize(v, w), radius) for v, w in BALL_SIZES for radius in range(5)]
+    # the lines go out _CHUNK vertices a piece, the quads _CHUNK expanded vertices and the triples _CHUNK edges
+    seen = {"vertices": set(), "expanded": set(), "boundary edges": set()}
+    for b in balls:
+        pieces = []
+        schreier.write_dot(b, pieces.append)
+        assert "".join(pieces) == export_dot(b) == _dot(b), (b.seed, b.radius)
+        assert max(piece.count("\n") for piece in pieces) <= 2 * chunk, (b.seed, b.radius)
+        seen["vertices"].add(len(b) % chunk)
+        seen["expanded"].add(len(b.edges) // 4 % chunk)
+        seen["boundary edges"].add(len(b.boundary) // 3 % chunk)
+    assert all(residues == set(range(chunk)) for residues in seen.values()), seen
+
+
+def test_graph_dot_goes_out_in_pieces(monkeypatch):
+    monkeypatch.setattr(schreier, "_CHUNK", 3)
+    pieces = []
+
+    class Out:
+        def write(self, text):
+            pieces.append(text)
+
+    monkeypatch.setattr("sys.stdout", Out())
+    assert cli.main(["graph", "0110(011)", "--radius", "5", "--format", "dot"]) == 0
+    assert "".join(pieces) == _dot(ball(parse_point("0110(011)"), 5))
+    assert len(pieces) > 20 and max(map(len, pieces)) < 400
+
+
 def test_graph_cap_past_its_bound_is_refused_before_any_search(capsys, monkeypatch):
     def grow(self, limit):
         raise AssertionError("a layer was grown")
 
-    monkeypatch.setattr(_Tree, "grow", grow)
+    monkeypatch.setattr(SchreierBall, "grow", grow)
     message = f"vertex cap must be <= {MAX_BALL_VERTICES}, got {MAX_BALL_VERTICES + 1}"
     assert MAX_BALL_VERTICES == 1_000_000
     assert cli.main(["graph", "0110(011)", "--radius", "40", "--cap", "1000001"]) == 2

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ball_views
+from oracles import ball_views, search_path
 from thompsonf import cantor, plmap, schreier, stabgen, words
 from thompsonf.cantor import (
     ONE_POINT,
@@ -21,7 +21,7 @@ from thompsonf.cantor import (
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Check, Report
 from thompsonf.rng import SplitMix64
-from thompsonf.schreier import BFS_LETTERS, PathNotFoundError, ball, find_path
+from thompsonf.schreier import BFS_LETTERS, ball, find_path
 from thompsonf.stabgen import (
     MAX_FACTORS,
     MAX_SAMPLES,
@@ -256,8 +256,8 @@ def test_gens_for_a_long_period_takes_linear_time():
 
 def test_gens_for_a_nineteen_letter_preperiod():
     # the one-sided search exceeded its vertex cap here; the conjugator is
-    # checked by its properties: it moves the point to 10(0011) and no
-    # shorter word does
+    # checked by its properties: it moves the point to 10(0011), and it is
+    # the least geodesic that the bidirectional search finds
     point = parse_point("0110110110110110110(0011)")
     target = canonicalize("10", "0011")
     times = []
@@ -269,8 +269,7 @@ def test_gens_for_a_nineteen_letter_preperiod():
     assert gens.period == "0011"
     assert act_word(point, h) == target
     assert len(h) == 29
-    with pytest.raises(PathNotFoundError):
-        find_path(point, target, len(h) - 1)
+    assert search_path(point, target) == h
     assert verify_generators(gens, samples=20).passed
     # about 0.06 s on a 2-vCPU Xeon; the budget leaves room for load
     assert min(times) < 0.5, f"best of 3 took {min(times):.3f}s, budget is 0.5s"
@@ -311,7 +310,7 @@ def test_gens_text_of_long_searches_matches_the_frozen_fixture():
 
 
 def _least_geodesics(target, radius):
-    """find_path(point, target) for many points, from one BFS ball of the radius around the target.
+    """search_path(point, target) for many points, from one BFS ball of the radius around the target.
 
     Inside the ball the least geodesic takes, at each vertex, the least
     letter that lowers the distance to the target by one.  From a point
@@ -367,16 +366,16 @@ def test_least_geodesic_reference_is_find_path():
     for text in ("0110110(0011)", "0111(0)", "(0100)", "0101100(01)", "11101(001)", "110(1)"):
         point = parse_point(text)
         target = canonicalize("10", point.period)
-        expected = find_path(point, target)
-        assert len(expected) > 0
+        expected = search_path(point, target)
+        assert len(expected) > 0 and find_path(point, target) == expected
         for radius in (0, 3, 8):
             assert _least_geodesics(target, radius)(point) == expected, (text, radius)
 
 
 def test_greedy_conjugator_is_the_least_geodesic_on_every_short_point():
     # every canonical point but the endpoints with a preperiod of at most 12
-    # letters and a period of at most 4; find_path on each takes about 50 s,
-    # the reference about 2 s
+    # letters and a period of at most 4; a bidirectional search on each takes
+    # about 50 s, the reference about 2 s
     periods = [w for n in range(1, 5) for w in map("".join, product("01", repeat=n)) if primitive_root(w) == w]
     compared = 0
     for w in periods:
@@ -402,20 +401,20 @@ def test_greedy_conjugator_is_find_paths_word_on_seeded_points():
         if point.is_endpoint() or base_rotation(point) is not None:
             continue
         h = stabilizer_generators(point).conjugator
-        assert h == find_path(point, canonicalize("10", point.period)), point
+        base = canonicalize("10", point.period)
+        assert h == find_path(point, base) == search_path(point, base), point
         lengths.append((len(point.preperiod), len(point.period)))
     assert max(lengths)[0] == 24 and {n for _, n in lengths} == set(range(1, 8))
     assert sum(n == 1 for _, n in lengths) > 200  # dyadic points
 
 
 def _forbid_search(monkeypatch):
-    """Make any call of schreier.find_path fail; stabgen holds no name of its own for it."""
+    """Make growing any Schreier ball fail, so that no search can run."""
 
     def no_search(*args):
-        raise AssertionError(f"find_path{args} was called")
+        raise AssertionError(f"a ball grew on {args}")
 
-    assert not hasattr(stabgen, "find_path")
-    monkeypatch.setattr(schreier, "find_path", no_search)
+    monkeypatch.setattr(schreier.SchreierBall, "grow", no_search)
 
 
 def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
@@ -424,7 +423,7 @@ def test_no_search_runs_when_shortening_lands_on_the_base_point(monkeypatch):
     # 10(1000), and the arc b of the period cycle ends at 1(0010); on 01(0100), whose period ends
     # in 0, its A lands on 1(0010), the canonical form of 10(0100), and the arc is empty
     points = [canonicalize(v, w) for v, w in (("10100", "0111"), ("1011", "01"), ("11", "0100"), ("01", "0100"))]
-    words = [find_path(point, canonicalize("10", point.period)) for point in points]
+    words = [search_path(point, canonicalize("10", point.period)) for point in points]
     assert words == ["BaBB", "Ba", "ab", "A"]
     _forbid_search(monkeypatch)
     assert [stabilizer_generators(point).conjugator for point in points] == words
@@ -444,7 +443,8 @@ def test_descent_and_search_give_find_paths_word_on_every_short_tail():
                     continue
                 point = RationalPoint(v, w)
                 if base_rotation(point) is None:
-                    assert stabgen._conjugator(point) == find_path(point, canonicalize("10", w)), point
+                    base = canonicalize("10", w)
+                    assert stabgen._conjugator(point) == find_path(point, base) == search_path(point, base), point
                     compared += 1
     assert compared == 5896
 
@@ -512,17 +512,23 @@ def test_descent_reaches_the_base_point_of_one_run_periods_without_a_search(monk
         (RationalPoint("", "1" * (n - 1) + "0"), "a" * (n - 2)),
     ]
     if n <= 17:
-        assert [find_path(point, canonicalize("10", point.period)) for point, _ in cases] == [h for _, h in cases]
+        assert [search_path(point, canonicalize("10", point.period)) for point, _ in cases] == [h for _, h in cases]
     _forbid_search(monkeypatch)
     for point, h in cases:
         assert stabilizer_generators(point).conjugator == h
         assert act_word(point, h) == canonicalize("10", point.period)
 
 
+def _shorter_arc(w, j):
+    """The shorter word moving 10(w[j:] + w[:j]) to 10(w) along the period cycle, the loop arc on a tie."""
+    loop, rest = period_loop_word(w[:j]), stabilizer_period_word(w[j:])
+    return loop if len(loop) <= len(rest) else rest
+
+
 def test_arc_is_find_paths_word_between_every_pair_of_base_points():
     # every primitive W of 2-10 letters and every rotation W' = W[j:] + W[:j] other than W: both
     # arcs of the period cycle move 10(W') to 10(W), and the shorter, the loop arc on a tie, is
-    # the least geodesic; the two arcs tie on 618 of the 15,818 pairs
+    # the least geodesic that the bidirectional search finds; the two arcs tie on 618 of the 15,818 pairs
     pairs = ties = 0
     for n in range(2, 11):
         for w in map("".join, product("01", repeat=n)):
@@ -533,7 +539,7 @@ def test_arc_is_find_paths_word_between_every_pair_of_base_points():
                 source = canonicalize("10", w[j:] + w[:j])
                 loop, rest = period_loop_word(w[:j]), stabilizer_period_word(w[j:])
                 assert act_word(source, loop) == target and act_word(source, rest) == target, (w, j)
-                assert stabgen._arc(w, j) == find_path(source, target), (w, j)
+                assert find_path(source, target) == _shorter_arc(w, j) == search_path(source, target), (w, j)
                 pairs += 1
                 ties += len(loop) == len(rest)
     assert (pairs, ties) == (15818, 618)
@@ -552,7 +558,7 @@ def test_letter_rule_lands_on_a_base_point():
         u = base_rotation(landing)
         assert u is not None, (point, landing)
         w = point.period
-        assert stabgen._conjugator(point) == walk + stabgen._arc(w, (w + w).find(u)), point
+        assert stabgen._conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
     assert len(points) == 3326
 
 
@@ -576,7 +582,7 @@ def test_conjugator_is_the_letter_rule_walk_then_the_arc_on_long_preperiods_and_
         w = point.period
         u = _rotation_by_search(landing)
         assert u is not None, (point, landing)
-        assert stabgen._conjugator(point) == walk + stabgen._arc(w, (w + w).find(u)), point
+        assert stabgen._conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
         longest = max(longest, len(point.preperiod))
     assert longest > 1_900
 
@@ -593,7 +599,7 @@ def test_conjugators_of_long_runs_reach_the_base_point():
             assert act_word(point, gens.conjugator) == target, w
             assert len(gens.conjugator) <= 3 * k + 2, w
             if k <= 12:
-                assert gens.conjugator == find_path(point, target), w
+                assert gens.conjugator == search_path(point, target), w
 
 
 @pytest.mark.parametrize("length", [50, 200, 1000])
@@ -896,6 +902,24 @@ def test_degenerate_period_reduces_to_the_product_form():
     point = gens.point
     for extra in (xn_word(1), xn_word(2), yn_word(1), yn_word(2)):
         assert act_word(point, extra) == point
+
+
+def test_one_generator_of_a_dyadic_point_is_a_conjugate_of_another():
+    # at a dyadic point with w = 0, generator 2 is g5^-1 g1 g5 as a map (aabAA and babAB at 1/2), and with
+    # w = 1 generator 4 is g5^-1 g3 g5, so four of the five generate; gens prints all five all the same
+    assert invert_word("B") + "abA" + "B" == "babAB"
+    assert word_to_plmap("aabAA") == word_to_plmap("babAB")
+    rng = SplitMix64(1_025)
+    periods = []
+    for _ in range(40):
+        prefix = "".join("01"[rng.below(2)] for _ in range(rng.below(12)))
+        for point in (canonicalize(prefix + "1", "0"), canonicalize(prefix + "0", "1")):  # the twin forms
+            gens = stabilizer_generators(point)
+            g = gens.generators
+            twin, first = (1, 0) if gens.period == "0" else (3, 2)
+            assert word_to_plmap(g[twin]) == word_to_plmap(invert_word(g[4]) + g[first] + g[4]), point
+            periods.append(gens.period)
+    assert periods.count("0") == periods.count("1") == 40
 
 
 def test_generator_text_format():
