@@ -24,8 +24,12 @@ period.  Each pair of letters rewrites the window by one lookup of its
 first six letters in that pair's table, a shift and an or.  The window is
 refilled from the chunks or the period when it runs short and spills to
 the chunks when it grows long, so a letter costs O(1) at any preperiod or
-period length, and _absorbed makes the pair canonical once.  The tables
-are derived from _HEADS on first use, and again when _HEADS is replaced.
+period length, and _absorbed makes the pair canonical once.  _fold takes
+one shared prefix and several tails: it folds the prefix once, and each
+tail from a copy of the state the prefix left, so stabgen's verification
+folds a conjugator once for all five generators; act_word passes one tail.
+The tables are derived from _HEADS on first use, and again when _HEADS is
+replaced.
 The breadth-first balls in schreier inline _step on plans that they derive
 from _HEADS at import, one per discovering letter and head, which leave out
 the letters whose image is known without a step: the way back, the _LOOP
@@ -49,6 +53,7 @@ A point made from a fraction keeps that fraction as its value.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm, log10
@@ -280,32 +285,53 @@ _PAD = "1"  # the identity word, paired with the last letter of a word of odd le
 _Images = tuple[tuple[int, int], ...]  # per head, as an int with letter i at bit i: the length and letters of its image
 
 
-def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
-    """Canonical pair of the image of the canonical pair (v, w) under the word.
+def _fold(v: str, w: str, prefix: Word, tails: Sequence[Word]) -> list[tuple[str, str]]:
+    """Canonical pairs of the images of the canonical pair (v, w) under prefix + tail, for each tail in turn.
 
     The front of the sequence is a window: an int below 2^30 with letter i
     at bit i and a 1 bit above the last letter held.  Behind it are the
     rest of the preperiod, as a list of such ints of at most _CHUNK letters
-    with the next one last, and the period from a read offset r.  Each
-    step folds two letters of the word, the last letter of an odd word with
-    _PAD: one lookup of the window's first six letters in that pair's
-    table, a shift and an or.  Before a step, a window of fewer than six
-    letters is refilled from the list, or with _CHUNK letters of the period
-    from r, and one that has grown to 30 letters spills all but its first
-    _KEEP to the list.  So a letter costs O(1) however long v and w are.
-    At the end the window and the list precede the period from r, and
-    _absorbed gives back to it every trailing letter that continues it,
-    the loaded period letters that no rule touched among them.
+    with the next one last, and the period from a read offset r.
+    _fold_window folds the letters through it.  The tables are fetched and
+    the start is read once, the prefix is folded once, and each tail from a
+    copy of the state it left; an odd last letter of the prefix is carried
+    into each tail, to pair with its first.  At the end of a tail the
+    window and the list precede the period from r, and _absorbed gives back
+    to it every trailing letter that continues it, the loaded period
+    letters that no rule touched among them.
     """
     pairs = _fold_tables()
-    backwards = v[::-1]
-    front = (len(v) - 1) // _CHUNK * _CHUNK  # where the chunk of v's first letters starts in backwards; -_CHUNK for v = ""
-    x = int("1" + backwards[front:], 2)
-    rest = [int("1" + backwards[i:i + _CHUNK], 2) for i in range(0, front, _CHUNK)] if front > 0 else []
     n = len(w)
     cycle = w * (_CHUNK // n + 2) if n < _CHUNK else w + w[:_CHUNK]  # cycle[r:r + _CHUNK] for every r < n
-    r = 0
-    letters = iter(word + _PAD)
+    backwards = v[::-1]
+    front = (len(v) - 1) // _CHUNK * _CHUNK  # where the chunk of v's first letters starts in backwards; -_CHUNK for v = ""
+    x, r = int("1" + backwards[front:], 2), 0
+    rest = [int("1" + backwards[i:i + _CHUNK], 2) for i in range(0, front, _CHUNK)] if front > 0 else []
+    cut = len(prefix) & -2  # the letters of the prefix that pair among themselves
+    if cut:  # the single-word callers pass no prefix
+        x, r = _fold_window(pairs, cycle, n, prefix[:cut], x, rest, r)
+    carry = prefix[cut:]
+    images = []
+    for tail in tails:
+        held = rest.copy()
+        y, q = _fold_window(pairs, cycle, n, carry + tail + _PAD, x, held, r)
+        preperiod = format(y, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(held)])
+        images.append(_absorbed(preperiod, w[q:] + w[:q]))
+    return images
+
+
+def _fold_window(pairs: dict[str, dict[str, _Images]], cycle: str, n: int, word: str, x: int, rest: list[int], r: int) -> tuple[int, int]:
+    """The window x and read offset r of _fold after the letters of word, two at a time; rest is changed in place.
+
+    Each step folds two letters, and the last letter of an odd word is
+    dropped: _fold ends each word with _PAD.  One lookup of the window's
+    first six letters in that pair's table, a shift and an or.  Before a
+    step, a window of fewer than six letters is refilled from rest, or with
+    _CHUNK letters of the period from r, read off cycle, and one that has
+    grown to 30 letters spills all but its first _KEEP to rest.  So a
+    letter costs O(1) however long the preperiod and the period n are.
+    """
+    letters = iter(word)
     for first, second in zip(letters, letters):
         while x < 64:
             if rest:
@@ -320,8 +346,7 @@ def _fold(v: str, w: str, word: Word) -> tuple[str, str]:
             x = x & (1 << _KEEP) - 1 | 1 << _KEEP
         k, image = pairs[first][second][x & 63]
         x = x >> 6 << k | image
-    preperiod = format(x, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
-    return _absorbed(preperiod, w[r:] + w[:r])
+    return x, r
 
 
 _FOLD_TABLES: list = [None, None]  # the _HEADS that _fold's tables were derived from, and the tables
@@ -366,7 +391,7 @@ def _fold_tables() -> dict[str, dict[str, _Images]]:
 
 def act_word(point: RationalPoint, word: Word) -> RationalPoint:
     """Fold the letter action left to right over the word."""
-    return RationalPoint._canonical(*_fold(point.preperiod, point.period, word))
+    return RationalPoint._canonical(*_fold(point.preperiod, point.period, "", (word,))[0])
 
 
 def shift(point: RationalPoint) -> RationalPoint:

@@ -51,7 +51,9 @@ front digits are a small int, with digit i at bit i, that each pair of
 letters rewrites by one lookup, a shift and an or, so a letter costs O(1)
 at any length of the value.  The digits behind the window are read in
 chunks, from the dyadic part's digits and then from a tail r/d with d
-odd, one chunk per division.
+odd, one chunk per division.  The kernel, _image_digits, folds one shared
+prefix once and several tails from copies of its state, as cantor._fold
+does; evaluate_word passes one tail.
 """
 
 from __future__ import annotations
@@ -109,26 +111,28 @@ class PLMap:
     def breakpoint_texts(self) -> list[tuple[str, str]]:
         """The breakpoints as str prints their Dyadics, written from the numerators of _corners without building one.
 
-        Before any digit is written, the numerators' bit lengths are summed,
-        and past MAX_TEXT_BITS the map is refused with TextCapacityError:
-        printing one costs time quadratic in its length.  The ends are
-        written as 0 and 1, and every other corner has 0 < t < 2^e, so its
-        numerator loses its trailing zeros, counted once, and the rest is
-        over 2^j with 0 < j <= e.  Each denominator's text is written once
-        per call, the first time a corner needs it: a map can have a handful
-        of breakpoints and deep leaves, as x_n has, so the denominators are
+        Before any corner is built, _text_bits sums the numerators' bit
+        lengths from the leaf depths, and past MAX_TEXT_BITS the map is
+        refused with TextCapacityError: printing one costs time quadratic in
+        its length, and holding the corners of a refused map costs memory
+        quadratic in its leaves.  The ends are written as 0 and 1, and
+        every other corner has 0 < t < 2^e, so its numerator loses its
+        trailing zeros, counted once, and the rest is over 2^j with
+        0 < j <= e.  Each denominator's text is written once per call, the
+        first time a corner needs it: a map can have a handful of
+        breakpoints and deep leaves, as x_n has, so the denominators are
         not all written up front.
         """
         dom, ran = self._d, self._r
         e, f = max(dom), max(ran)
-        corners = _corners(dom, ran, e, f)
-        if len(corners) * (e + f + 2) > MAX_TEXT_BITS:  # each numerator has at most e + 1 or f + 1 bits
-            bits = sum([t.bit_length() + y.bit_length() for t, y in corners])
+        if (len(dom) + 1) * (e + f + 2) > MAX_TEXT_BITS:  # at most one corner per leaf and one more, of e + 1 and f + 1 bits
+            count, bits = _text_bits(dom, ran, e, f)
             if bits > MAX_TEXT_BITS:
                 raise TextCapacityError(
-                    f"the {len(corners)} breakpoints of the map have numerators of {bits} bits in all,"
+                    f"the {count} breakpoints of the map have numerators of {bits} bits in all,"
                     f" more than {MAX_TEXT_BITS} (capacity exceeded)"
                 )
+        corners = _corners(dom, ran, e, f)
         denominators = [None] * (max(e, f) + 1)  # j -> "/2^j" in decimal, once written
         texts = corners  # each corner's texts replace its numerators, so the two are not held at once
         for i in range(1, len(texts) - 1):
@@ -362,6 +366,35 @@ def _corners(dom: _Depths, ran: _Depths, e: int, f: int) -> list[tuple[int, int]
     return corners
 
 
+def _text_bits(dom: _Depths, ran: _Depths, e: int, f: int) -> tuple[int, int]:
+    """The number of corners that _corners gives, and their numerators' bit lengths summed, on small ints only.
+
+    A leaf whose address has its first 1 at depth p starts at a numerator
+    of e + 1 - p bits over 2^e.  The depths of the one bits of each start,
+    deepest last, are kept as _reduce keeps them: adding a leaf carries like
+    a binary counter, so the walk is linear in the leaves.  The end 0 has no
+    bits, and the end 1 is 2^e / 2^e and 2^f / 2^f.
+    """
+    count, bits = 2, e + f + 2
+    d_ones = [-1]  # the one bits of the domain leaves walked so far, deepest last, after a -1 for none
+    r_ones = [-1]
+    slope = dom[0] - ran[0]
+    for d, r in zip(dom, ran):
+        if d - r != slope:
+            slope = d - r
+            count += 1
+            bits += e + f + 2 - d_ones[1] - r_ones[1]
+        while d_ones[-1] == d:
+            d_ones.pop()
+            d -= 1
+        d_ones.append(d)
+        while r_ones[-1] == r:
+            r_ones.pop()
+            r -= 1
+        r_ones.append(r)
+    return count, bits
+
+
 def _interpolate(dom: _Depths, ran: _Depths, x: Fraction) -> Fraction:
     """Value at x in [0, 1] of the map that sends the leaves of depths dom onto those of depths ran."""
     p, q = x.numerator, x.denominator
@@ -446,7 +479,7 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     num, den = fr.numerator, fr.denominator
     if num < 0 or num > den:
         raise ValueError(f"argument {fr} outside [0, 1]")
-    n, length = _image_digits(word, fr)
+    n, length = _image_digits("", (word,), fr)[0]
     return Fraction(n, den // (den & -den) << length)
 
 
@@ -458,8 +491,8 @@ _PAD = "1"  # the identity word, paired with the last letter of a word of odd le
 _Images = tuple[tuple[int, int], ...]  # per head, as an int with digit i at bit i: the length and digits of its image
 
 
-def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
-    """N and L with N / (d 2^L) the image of t in [0, 1] under the word, for the odd part d of t's denominator.
+def _image_digits(prefix: Word, tails: Sequence[Word], t: Fraction) -> list[tuple[int, int]]:
+    """N and L with N / (d 2^L) the image of t in [0, 1] under prefix + tail, for each tail in turn; d is the odd part of t's denominator.
 
     Each leaf pair of a letter map sends a standard dyadic interval onto
     another, so on binary digits it is a prefix rule: it replaces the
@@ -469,36 +502,61 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
     The front digits are a window: an int below 2^30 with digit i at bit i
     and a 1 bit above the last digit held.  Behind it are the other digits
     of q, as a list of such ints of at most _CHUNK digits with the next one
-    last, and then the tail.  Each step folds two letters of the word, the
-    last letter of an odd word with _PAD: one lookup of the window's first
-    six digits in that pair's table, a shift and an or.  Before a step, a
-    window of fewer than six digits is refilled from the list, or with
-    the next _CHUNK digits of the tail by one shift and one division of r,
-    and one that has grown to 30 digits spills all but its first _KEEP to
-    the list.  The L digits held at the end and the tail give N; the image
-    keeps t's odd part d, so N / (d 2^L) is in lowest terms but for powers
-    of two.  0 and 1, which every element fixes, return at once.
+    last, and then the tail.  _fold_window folds the letters through it.
+    The tables are fetched and t's digits are read once, the prefix is
+    folded once, and each tail from a copy of the state it left; an odd
+    last letter of the prefix is carried into each tail, to pair with its
+    first.  The L digits held at the end of a tail and the rest of t's tail
+    give N; the image keeps t's odd part d, so N / (d 2^L) is in lowest
+    terms but for powers of two.  0 and 1, which every element fixes, give
+    (t's numerator, 0) at once.
     """
     num, den = t.numerator, t.denominator
     if num == 0 or num == den:
-        return num, 0
+        return [(num, 0)] * len(tails)
     pairs = _digit_tables()
     k = (den & -den).bit_length() - 1
     d = den >> k
-    ends = 2 << _CHUNK | 1  # a 1 on either side of a chunk of the tail
     q, r = divmod(num, d)
     backwards = format(q | 1 << k, "b")[:0:-1]  # the k digits of q, the last one first
     front = (k - 1) // _CHUNK * _CHUNK  # where the chunk of the first digits starts in backwards; -_CHUNK for k = 0
     x = int("1" + backwards[front:], 2)
     rest = [int("1" + backwards[i:i + _CHUNK], 2) for i in range(0, front, _CHUNK)] if front > 0 else []
-    letters = iter(word + _PAD)
+    cut = len(prefix) & -2  # the letters of the prefix that pair among themselves
+    if cut:  # the single-word callers pass no prefix
+        x, r = _fold_window(pairs, d, prefix[:cut], x, rest, r)
+    carry = prefix[cut:]
+    images = []
+    for tail in tails:
+        held = rest.copy()
+        y, s = _fold_window(pairs, d, carry + tail + _PAD, x, held, r)
+        digits = format(y, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(held)])
+        images.append((int(digits or "0", 2) * d + s, len(digits)))
+    return images
+
+
+_ENDS = 2 << _CHUNK | 1  # a 1 on either side of a chunk of the tail
+
+
+def _fold_window(pairs: dict[str, dict[str, _Images]], d: int, word: str, x: int, rest: list[int], r: int) -> tuple[int, int]:
+    """The window x and tail remainder r of _image_digits after the letters of word, two at a time; rest is changed in place.
+
+    Each step folds two letters, and the last letter of an odd word is
+    dropped: _image_digits ends each word with _PAD.  One lookup of the
+    window's first six digits in that pair's table, a shift and an or.
+    Before a step, a window of fewer than six digits is refilled from rest,
+    or with the next _CHUNK digits of the tail r/d by one shift and one
+    division of r, and one that has grown to 30 digits spills all but its
+    first _KEEP to rest.  So a letter costs O(1) at any length of the value.
+    """
+    letters = iter(word)
     for first, second in zip(letters, letters):
         while x < 64:
             if rest:
                 chunk = rest.pop()
             else:
                 q, r = divmod(r << _CHUNK, d)
-                chunk = int(format(q << 1 | ends, "b")[:0:-1], 2)
+                chunk = int(format(q << 1 | _ENDS, "b")[:0:-1], 2)
             top = x.bit_length() - 1
             x = x ^ 1 << top | chunk << top
         if x >= _FULL:
@@ -506,8 +564,7 @@ def _image_digits(word: Word, t: Fraction) -> tuple[int, int]:
             x = x & (1 << _KEEP) - 1 | 1 << _KEEP
         j, image = pairs[first][second][x & 63]
         x = x >> 6 << j | image
-    digits = format(x, "b")[:0:-1] + "".join([format(chunk, "b")[:0:-1] for chunk in reversed(rest)])
-    return int(digits or "0", 2) * d + r, len(digits)
+    return x, r
 
 
 _DIGIT_TABLES: list = [None, None]  # the letter maps that _image_digits' tables were derived from, and the tables

@@ -388,14 +388,15 @@ def _landing(point: RationalPoint) -> tuple[Word, int]:
     return run + stabilizer_period_word(v[k + 1 :]), max(k + 1 - len(v), 0) % len(w)
 
 
-def _way_down(point: RationalPoint, w: str, offset: int) -> tuple[Word, int]:
+def _way_down(landing: tuple[Word, int], w: str, offset: int) -> tuple[Word, int]:
     """The way from a point other than the endpoints down to the period cycle of w, and the place where it ends.
 
-    The point's period is w[offset:] + w[:offset].  _landing's word lands
-    on 10(u), u = w[j:] + w[:j], at place j + #1(w[:j]); when it ends in x0
-    and u ends in 1, it comes from 110(u), the place before, and stops there.
+    landing is the point's _landing, and its period is w[offset:] +
+    w[:offset].  _landing's word lands on 10(u), u = w[j:] + w[:j], at place
+    j + #1(w[:j]); when it ends in x0 and u ends in 1, it comes from
+    110(u), the place before, and stops there.
     """
-    word, j = _landing(point)
+    word, j = landing
     j = (j + offset) % len(w)
     place = j + w.count("1", 0, j)
     if word[-1:] != "a" or w[j - 1] != "1":
@@ -435,8 +436,8 @@ def find_path(source: RationalPoint, target: RationalPoint, max_radius: int | No
     if source == target:
         return ""
     w = source.period
-    down, p = _way_down(source, w, 0)
-    up, q = _way_down(target, w, (w + w).find(target.period))
+    down, p = _way_down(_landing(source), w, 0)
+    up, q = _way_down(_landing(target), w, (w + w).find(target.period))
     if p == q:
         k, most = 0, min(len(down), len(up))
         while k < most and down[-1 - k] == up[-1 - k]:
@@ -527,9 +528,14 @@ _TRIPLES = _TRIPLE * _CHUNK
 _DOT_QUAD = '  "%s" -> "%s" [label=x0];\n  "%s" -> "%s" [label=x1];\n'  # the two edges of an expanded vertex, as DOT
 
 
+def _period_texts(b: SchreierBall) -> dict[int, str]:
+    """The "(w)" text of each rotation that the ball holds, built once."""
+    return {r: f"({w})" for r, w in b.periods().items()}
+
+
 def _labels(b: SchreierBall) -> Iterator[str]:
-    """The v(w) text of every vertex of the ball, in vertex order: each rotation's "(w)" text is built once."""
-    texts = {r: f"({w})" for r, w in b.periods().items()}
+    """The v(w) text of every vertex of the ball, in vertex order."""
+    texts = _period_texts(b)
     return map(add, b.pre, map(texts.__getitem__, b.rot))
 
 
@@ -539,18 +545,22 @@ def write_dot(b: SchreierBall, write: Callable[[str], object]) -> None:
     The text goes out in pieces: the lines of _CHUNK vertices, then the
     edges of _CHUNK expanded vertices, formatted from their quads by one
     template, then those of _CHUNK boundary triples.  So no piece is longer
-    than _CHUNK records, and the whole text is never held.
+    than _CHUNK records, and the whole text is never held.  An edge's ends
+    are named from pre and the rotation texts, one piece at a time, so no
+    list of every vertex's name is held either.
     """
-    names = list(_labels(b))
-    write('digraph schreier {\n  "%s" [peripheries=2];\n' % names[0])
-    for start in range(1, len(names), _CHUNK):
-        write("".join([f'  "{name}";\n' for name in names[start : start + _CHUNK]]))
+    pre, rot, texts = b.pre, b.rot, _period_texts(b)
+    labels = _labels(b)
+    write('digraph schreier {\n  "%s" [peripheries=2];\n' % next(labels))
+    for _ in range(1, len(b), _CHUNK):
+        write("".join([f'  "{name}";\n' for name in islice(labels, _CHUNK)]))
     for start in range(0, len(b.edges), 4 * _CHUNK):
         piece = b.edges[start : start + 4 * _CHUNK]
-        write(_DOT_QUAD * (len(piece) // 4) % tuple(map(names.__getitem__, piece)))
+        names = map(add, map(pre.__getitem__, piece), map(texts.__getitem__, map(rot.__getitem__, piece)))
+        write(_DOT_QUAD * (len(piece) // 4) % tuple(names))
     for start in range(0, len(b.boundary), 3 * _CHUNK):
         it = iter(b.boundary[start : start + 3 * _CHUNK])
-        write("".join([f'  "{names[src]}" -> "{names[dst]}" [label={label}];\n' for src, label, dst in zip(it, it, it)]))
+        write("".join([f'  "{pre[src]}{texts[rot[src]]}" -> "{pre[dst]}{texts[rot[dst]]}" [label={label}];\n' for src, label, dst in zip(it, it, it)]))
     write("}\n")
 
 

@@ -13,22 +13,28 @@ that the cycle is the only one.  h moves b to the base point by
 construction either way, and on every point the tests compare, it is a
 least geodesic of the Schreier graph.
 
-Verification folds the point once through each generator, five folds for a
-generic point, under each of two independent oracles (the symbolic sequence
-action and exact evaluation of the PL map at the point's rational value),
-plus reproducible random products of generators and their inverses, which
-are built and drawn only when some generator moves the point.  Neither
-oracle builds the map of a word, and both fold it the same way, two
-letters per lookup, at O(1) per letter: the front of the sequence, or of
-the value's binary digits, is a small int, and each pair of letters
-rewrites it by one lookup in that pair's table, a shift and an or.  The
-sequence is folded by cantor._fold, with tables derived from cantor's rule
-table, over the rest of the preperiod and a read offset into the period;
-the value by plmap._image_digits, with tables derived from the prefix rules
-of the letter maps themselves, over its dyadic digits and a tail r/d.  So
-the two oracles share no table.  A value b = p / (d 2^k), d odd, is fixed
-when the image N / (d 2^L) that _image_digits returns has N 2^k = p 2^L,
-which compares by shifts and builds no Fraction.
+Verification checks that each generator fixes the point under each of two
+independent oracles (the symbolic sequence action and exact evaluation of
+the PL map at the point's rational value), plus reproducible random
+products of generators and their inverses, which are built and drawn only
+when some generator moves the point.  Each oracle makes one call of its
+kernel for all the generators: it reads the point once, folds it through
+the conjugator h once when every generator reads h m h^-1, and through
+each m from there, so a set with a long conjugator costs |h| + sum |m|
+letters per oracle, not 2 |h| per generator.  p h m = p h exactly when
+p (h m h^-1) = p, so nothing of the construction is trusted; a set of
+any other form is folded word by word from the point.  Neither oracle
+builds the map of a word, and both fold it the same way, two letters per
+lookup, at O(1) per letter: the front of the sequence, or of the value's
+binary digits, is a small int, and each pair of letters rewrites it by one
+lookup in that pair's table, a shift and an or.  The sequence is folded by
+cantor._fold, with tables derived from cantor's rule table, over the rest
+of the preperiod and a read offset into the period; the value by
+plmap._image_digits, with tables derived from the prefix rules of the
+letter maps themselves, over its dyadic digits and a tail r/d.  So the two
+oracles share no table.  Two images N / (d 2^L) and N' / (d 2^L') that
+_image_digits returns for one value, d odd, are equal when
+N 2^L' = N' 2^L, which compares by shifts and builds no Fraction.
 
 The suites that do not depend on a point, check_reduction,
 check_twin_points, check_stabilizer_relators and the index identities of
@@ -173,6 +179,7 @@ def base_rotation(point: RationalPoint) -> str | None:
 
     u is where _landing lands when its word is empty, and unique because the
     period is primitive.  The endpoints, which _landing does not read, get None.
+    stabilizer_generators makes the same test on the _landing it keeps.
     """
     if point.is_endpoint():
         return None
@@ -186,22 +193,25 @@ def stabilizer_generators(point: RationalPoint) -> StabilizerGens:
     The endpoints 0^inf and 1^inf are fixed by all of F, so they get {x0, x1}.
     If the point is 10 u^inf for some rotation u of its period, the base set
     for u is returned directly; otherwise the base set is conjugated by the
-    word h with h(point) = 10 period^inf that _conjugator builds.
+    word h with h(point) = 10 period^inf that _conjugator builds.  Both
+    read the one _landing of the point.
     """
     if point in (ZERO_POINT, ONE_POINT):
         return StabilizerGens(point, "", ("a", "b"), point.period)
-    rotation = base_rotation(point)
-    if rotation is not None:
-        return StabilizerGens(point, "", base_generator_words(rotation), rotation)
     w = point.period
-    h = _conjugator(point)
+    landing = _landing(point)
+    word, j = landing
+    if not word:
+        rotation = w[j:] + w[:j]
+        return StabilizerGens(point, "", base_generator_words(rotation), rotation)
+    h = _conjugator(w, landing)
     h_inverse = invert_word(h)
     generators = tuple(h + g + h_inverse for g in base_generator_words(w))
     return StabilizerGens(point, h, generators, w)
 
 
-def _conjugator(point: RationalPoint) -> Word:
-    """A word moving the point to 10 period^inf: its way down to the period cycle, then the arc to 10(W).
+def _conjugator(w: str, landing: tuple[Word, int]) -> Word:
+    """A word moving a point of period w to 10(w), from the point's _landing: its way down to the period cycle, then the arc to 10(w).
 
     _way_down's word lands on the period cycle that the fifth generator
     closes, and _cycle_arc takes the shorter of its two arcs from there to
@@ -220,8 +230,7 @@ def _conjugator(point: RationalPoint) -> Word:
     with hanging trees of schreier's docstring; it moves the point to the
     base point either way.
     """
-    w = point.period
-    word, place = _way_down(point, w, 0)
+    word, place = _way_down(landing, w, 0)
     return word + _cycle_arc(w, place, 0)
 
 
@@ -243,45 +252,68 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     folds the value's binary digits through the prefix rules of the letter
     maps, so the cost is linear in the word, where the map of a word of n
     letters can have O(n) breakpoints over 2^n, and the image is compared
-    with the value by shifts of their numerators.
+    by shifts of the numerators.
     Also reports the index reduction identities that collapse the infinite
     Schreier generating set to x2, x3, y1, y2; they do not depend on the
     point, so they are proved once per process.
 
-    The point is folded once through each generator, and these images give
-    the sequence-action lines.  A word fixes the point exactly when its
-    inverse does, so when every generator fixes it, so does every product,
-    and the products line passes with no draw: for a sound set it is
-    implied by the sequence-action lines, and stays so until products are
-    also checked against a generation certificate.  Only when a generator
-    moves the point are the inverses built and the seeded products drawn,
-    each folded factor by factor.  samples is at most MAX_SAMPLES.
+    When every generator's text is h + m + h^-1 for h = gens.conjugator,
+    each oracle folds the point through h once, and then through each m
+    from there: p h m = p h exactly when p (h m h^-1) = p, in any action of
+    the group, so this trusts nothing of the construction.  Otherwise each
+    oracle folds the point through each whole generator, and compares each
+    image with the point itself.  Either way it is one call of each
+    oracle's kernel.  A word fixes
+    the point exactly when its inverse does, so when every generator fixes
+    it, so does every product, and the products line passes with no draw:
+    for a sound set it is implied by the sequence-action lines, and stays so
+    until products are also checked against a generation certificate.
+    Only when a generator moves the point are the inverses built and the
+    seeded products drawn, each folded factor by factor from the point.
+    samples is at most MAX_SAMPLES.
     """
     validate_samples(samples)
-    report = Report(f"stabilizer generators for {gens.point}")
     point = gens.point
+    text = str(point)
+    report = Report(f"stabilizer generators for {text}")
+    start = point.preperiod, point.period
     value = point.value()
-    p, den = value.numerator, value.denominator
-    shift = (den & -den).bit_length() - 1  # value = p / (d 2^shift), d odd
-    start = (point.preperiod, point.period)
-    images = [_fold(*start, word) for word in gens.generators]
-    for k, (word, image) in enumerate(zip(gens.generators, images), start=1):
-        report.add(f"generator {k} fixes {point} (sequence action)", image == start)
-        n, length = _image_digits(word, value)  # the image is n / (d 2^length)
-        report.add(f"generator {k} fixes {point} (map evaluation)", n << shift == p << length)
+    h, cores = _split_conjugator(gens)
+    tails = ("", *cores) if h else cores
+    images = _fold(*start, h, tails)
+    values = _image_digits(h, tails, value)
+    if h:  # p h m is compared with p h, the image under the empty tail
+        reference, (n0, length0) = images.pop(0), values.pop(0)
+    else:  # each image is compared with the point itself, value = n0 / (d 2^length0) for d odd
+        den = value.denominator
+        reference, (n0, length0) = start, (value.numerator, (den & -den).bit_length() - 1)
+    for k, (image, (n, length)) in enumerate(zip(images, values), start=1):
+        report.add(f"generator {k} fixes {text} (sequence action)", image == reference)
+        report.add(f"generator {k} fixes {text} (map evaluation)", n << length0 == n0 << length)
     bad = 0
-    if any(image != start for image in images):
+    if any(image != reference for image in images):
         pool = gens.generators + tuple(invert_word(g) for g in gens.generators)
         rng = SplitMix64(seed)
         for _ in range(samples):
             image = start
             for _ in range(1 + rng.below(MAX_FACTORS)):
-                image = _fold(*image, pool[rng.below(len(pool))])
+                image = _fold(*image, "", (pool[rng.below(len(pool))],))[0]
             if image != start:
                 bad += 1
-    report.add(f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0)
+    report.add(f"{samples} seeded random products (seed {seed}) fix {text}", bad == 0)
     report.checks.extend(_index_identities())
     return report
+
+
+def _split_conjugator(gens: StabilizerGens) -> tuple[Word, tuple[Word, ...]]:
+    """(h, the words m) when every generator's text is h + m + h^-1 for h = gens.conjugator; ("", the generators) otherwise."""
+    h, generators = gens.conjugator, gens.generators
+    if not h:
+        return "", generators
+    k, h_inverse = len(h), invert_word(h)
+    if all(len(g) >= 2 * k and g.startswith(h) and g.endswith(h_inverse) for g in generators):
+        return h, tuple(g[k : len(g) - k] for g in generators)
+    return "", generators
 
 
 @functools.cache

@@ -4,8 +4,11 @@ Nothing here goes through the canonical-form machinery of the package: the
 string oracle applies the prefix rewriting rules to raw (prefix, period)
 pairs and compares long unrolled prefixes, and the fraction oracle walks the
 orbit of a dyadic number by exact PL-map evaluation.  Agreement between
-these and the package is what the regression fixtures pin down.  ball_views
-reads a ball's tree as the tuples that the references return.  search_path
+these and the package is what the regression fixtures pin down.
+naive_fixes and fraction_image fold a whole word letter by letter, each on
+its own side, as references for the two oracles of
+stabgen.verify_generators.  ball_views reads a ball's tree as the tuples
+that the references return.  search_path
 is the reference for schreier.find_path's closed form: a bidirectional
 breadth-first search over (preperiod, rotation) pairs.
 """
@@ -83,6 +86,16 @@ def _through(pieces: tuple[tuple[Fraction, Fraction, Fraction], ...], x: Fractio
     raise AssertionError(f"{x} is below 0")
 
 
+_LETTER_PIECES = {letter: _pieces(points) for letter, points in LETTER_BREAKPOINTS.items()}
+
+
+def fraction_image(word: str, x: Fraction) -> Fraction:
+    """Image of x in [0, 1] under the word: each letter's map in turn, by interpolation on its pieces."""
+    for letter in word:
+        x = _through(_LETTER_PIECES[letter], x)
+    return x
+
+
 def fraction_compose(f: Breakpoints, g: Breakpoints) -> Breakpoints:
     """Breakpoints of t -> g(f(t)) for breakpoint lists f and g.
 
@@ -138,6 +151,19 @@ def naive_act(prefix: str, period: str, letter: str) -> tuple[str, str]:
         if prefix.startswith(lhs):
             return rhs + prefix[len(lhs):], period
     raise AssertionError(f"no rule matched {prefix!r}")
+
+
+def naive_fixes(prefix: str, period: str, word: str) -> bool:
+    """True when the word fixes prefix period^inf: naive_act letter by letter, then the two sequences compared.
+
+    Both are u period^inf for some u, so they agree everywhere iff they
+    agree on the first max(|u|) + |period| letters.
+    """
+    image = prefix
+    for letter in word:
+        image, _ = naive_act(image, period, letter)
+    n = max(len(prefix), len(image)) + len(period)
+    return unroll(prefix, period, n) == unroll(image, period, n)
 
 
 def string_ball_size(seed_prefix: str, seed_period: str, radius: int) -> int:

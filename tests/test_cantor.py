@@ -570,7 +570,7 @@ def test_step_and_short_folds_match_the_rule_loop_at_every_rotation():
                 assert 0 <= q < len(w)
                 assert RationalPoint(u, w[q:] + w[:q]) == _rule_loop_act_letter(point, letter), (str(point), letter)
         for word in words:
-            assert _fold(v, w, word) == _stepwise_fold(v, w, word)[0], (str(p), word)
+            assert _fold(v, w, "", (word,)) == [_stepwise_fold(v, w, word)[0]], (str(p), word)
     assert rotated > 2000
 
 
@@ -627,7 +627,7 @@ def test_fold_matches_the_per_letter_kernel():
         else:
             word = "".join([rng.choice(LETTERS) for _ in range(100 + rng.below(101))])
             kinds["long word"] += 1
-        image = _fold(v, w, word)
+        [image] = _fold(v, w, "", (word,))
         reference, empties = _stepwise_fold(v, w, word)
         assert image == reference, (str(p), word)
         assert RationalPoint(*image) == act_word(p, word)
@@ -694,7 +694,7 @@ def test_fold_matches_the_per_letter_kernel_at_the_window_edges():
                 word = random_word(rng, 10)
         p = canonicalize(v, w)
         v, w = p.preperiod, p.period
-        assert _fold(v, w, word) == _stepwise_fold(v, w, word)[0], (str(p), word)
+        assert _fold(v, w, "", (word,)) == [_stepwise_fold(v, w, word)[0]], (str(p), word)
         most, read = _reach(v, w, word)
         kinds["one-letter period"] += len(w) == 1
         kinds["two-letter period"] += len(w) == 2
@@ -703,6 +703,35 @@ def test_fold_matches_the_per_letter_kernel_at_the_window_edges():
         kinds["refilled twice"] += read > 48
         kinds["odd word" if len(word) % 2 else "even word" if word else "empty word"] += 1
     assert min(kinds.values()) >= 300, kinds
+
+
+def test_fold_of_a_prefix_and_tails_matches_each_whole_word():
+    # _fold folds the prefix once and each tail from a copy of its state,
+    # with an odd last letter of the prefix carried into each tail; every
+    # image must be that of the whole word prefix + tail, also where the
+    # prefix ends at a refill or a spill of the window and where a tail is
+    # empty or repeats another
+    rng = SplitMix64(89)
+    kinds = dict.fromkeys(("odd prefix", "even prefix", "empty prefix", "empty tail", "preperiod over 60", "long prefix"), 0)
+    for case in range(3000):
+        w = _random_bits(rng, 1 + rng.below(12 if case % 3 else 300))
+        p = canonicalize(_random_bits(rng, (rng.below(3), 3 + rng.below(28), 61 + rng.below(70))[case % 3]), w)
+        v, w = p.preperiod, p.period
+        if case % 10 == 0:
+            prefix = ""
+        elif case % 10 == 1:
+            prefix = rng.choice("aA") * (30 + rng.below(40)) + random_word(rng, 3)
+        else:
+            prefix = random_word(rng, 12)
+        tails = [random_word(rng, 8) if rng.below(4) else "" for _ in range(1 + rng.below(4))]
+        tails.append(tails[0])
+        images = _fold(v, w, prefix, tails)
+        assert images == [_stepwise_fold(v, w, prefix + tail)[0] for tail in tails], (str(p), prefix, tails)
+        kinds["empty prefix" if not prefix else "odd prefix" if len(prefix) % 2 else "even prefix"] += 1
+        kinds["empty tail"] += "" in tails
+        kinds["preperiod over 60"] += len(v) > 60
+        kinds["long prefix"] += len(prefix) > 32
+    assert min(kinds.values()) >= 250, kinds
 
 
 def test_twin_sequences_have_disjoint_orbits():

@@ -4,7 +4,7 @@ from itertools import chain, product
 
 import pytest
 
-from oracles import LETTER_BREAKPOINTS, fraction_breakpoints, fraction_compose, fraction_to_vw, naive_act
+from oracles import LETTER_BREAKPOINTS, fraction_breakpoints, fraction_compose, fraction_image, fraction_to_vw, naive_act
 from sampling import LETTERS, random_word
 from thompsonf import cantor, plmap
 from thompsonf.dyadic import Dyadic
@@ -12,6 +12,7 @@ from thompsonf.plmap import (
     MAX_DEPTH,
     InvalidPLMapError,
     PLMap,
+    TextCapacityError,
     check_relators,
     evaluate_word,
     flip,
@@ -177,6 +178,36 @@ def test_evaluate_word_matches_the_built_map_past_the_window():
         assert evaluate_word(word, t) == word_to_plmap(word).evaluate(t), (word, t)
         kinds["odd word" if len(word) % 2 else "even word" if word else "empty word"] += 1
     assert min(kinds.values()) >= 300, kinds
+
+
+def test_image_digits_of_a_prefix_and_tails_match_each_whole_word():
+    # _image_digits folds the prefix once and each tail from a copy of its
+    # state, with an odd last letter of the prefix carried into each tail;
+    # every image must be that of the whole word, folded letter by letter
+    # on Fractions, also where the prefix drains the window into t's tail
+    rng = SplitMix64(103)
+    kinds = dict.fromkeys(("odd prefix", "even prefix", "empty prefix", "empty tail", "long prefix", "endpoint"), 0)
+    for case in range(2000):
+        k = rng.below(40)
+        d = (1, 3, 5, 7, 11, 13, 1023, 65537)[rng.below(8)]
+        t = F(rng.below((d << k) + 1), d << k)
+        if case % 10 == 0:
+            prefix = ""
+        elif case % 10 == 1:
+            prefix = rng.choice("aA") * (30 + rng.below(40)) + random_word(rng, 3)
+        else:
+            prefix = random_word(rng, 12)
+        tails = [random_word(rng, 8) if rng.below(4) else "" for _ in range(1 + rng.below(4))]
+        tails.append(tails[0])
+        den = t.denominator
+        odd = den // (den & -den)
+        expected = [fraction_image(prefix + tail, t) for tail in tails]
+        assert [F(n, odd << length) for n, length in plmap._image_digits(prefix, tails, t)] == expected, (t, prefix, tails)
+        kinds["empty prefix" if not prefix else "odd prefix" if len(prefix) % 2 else "even prefix"] += 1
+        kinds["empty tail"] += "" in tails
+        kinds["long prefix"] += len(prefix) > 32
+        kinds["endpoint"] += t in (0, 1)
+    assert min(kinds.values()) >= 25, kinds
 
 
 def test_prefix_rules_of_the_letter_maps_are_the_sequence_rules():
@@ -764,6 +795,31 @@ def test_breakpoint_texts_of_deep_maps_print_the_fraction_fold():
     assert len(cases) == 2 * MAX_DEPTH + 4
     for m, points in cases:
         assert m.breakpoint_texts() == [(str(t), str(y)) for t, y in points]
+
+
+def test_text_bits_read_off_the_leaves_match_the_corners():
+    # breakpoint_texts sums the numerators' bits from the leaf depths, so it
+    # can refuse a map before _corners holds numerators of e + 1 bits each
+    rng = SplitMix64(101)
+    for case in range(2000):
+        word = "ab" * (1 + rng.below(300)) if case % 7 == 0 else random_word(rng, (5, 30, 200)[case % 3])
+        m = word_to_plmap(word)
+        if case % 2:
+            m._reduce()
+        e, f = max(m._d), max(m._r)
+        corners = plmap._corners(m._d, m._r, e, f)
+        bits = sum(t.bit_length() + y.bit_length() for t, y in corners)
+        assert plmap._text_bits(m._d, m._r, e, f) == (len(corners), bits), word
+
+
+def test_a_map_past_the_text_bound_is_refused_before_its_corners_are_built(monkeypatch):
+    def no_corners(*args):
+        raise AssertionError("corners built")
+
+    m = word_to_plmap("ab" * 8943)
+    monkeypatch.setattr(plmap, "_corners", no_corners)
+    with pytest.raises(TextCapacityError, match="the 17890 breakpoints of the map have numerators of 400020401 bits in all"):
+        m.breakpoint_texts()
 
 
 def _equal_pair(rng):

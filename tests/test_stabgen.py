@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ball_views, search_path
+from oracles import ball_views, fraction_image, naive_fixes, search_path
+from sampling import LETTERS, random_point, random_word
 from thompsonf import cantor, plmap, schreier, stabgen, words
 from thompsonf.cantor import (
     ONE_POINT,
@@ -21,7 +22,7 @@ from thompsonf.cantor import (
 from thompsonf.plmap import PLMap, identity, word_to_plmap, xn, yn
 from thompsonf.report import Check, Report
 from thompsonf.rng import SplitMix64
-from thompsonf.schreier import BFS_LETTERS, ball, find_path
+from thompsonf.schreier import BFS_LETTERS, _landing, ball, find_path
 from thompsonf.stabgen import (
     MAX_FACTORS,
     MAX_SAMPLES,
@@ -52,6 +53,11 @@ from thompsonf.words import (
 F = Fraction
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _conjugator(point):
+    """stabgen._conjugator of a point, from its _landing."""
+    return stabgen._conjugator(point.period, _landing(point))
 
 
 def test_schreier_x_word_with_empty_label_is_a_shifted_generator():
@@ -385,7 +391,7 @@ def test_greedy_conjugator_is_the_least_geodesic_on_every_short_point():
                 v = "".join(bits)
                 if v[-1:] != w[-1] and (v or len(w) > 1):
                     point = RationalPoint(v, w)
-                    assert stabgen._conjugator(point) == least(point), point
+                    assert _conjugator(point) == least(point), point
                     compared += 1
     assert len(periods) == 22 and compared == 22 * 4096 - 2
 
@@ -444,7 +450,7 @@ def test_descent_and_search_give_find_paths_word_on_every_short_tail():
                 point = RationalPoint(v, w)
                 if base_rotation(point) is None:
                     base = canonicalize("10", w)
-                    assert stabgen._conjugator(point) == find_path(point, base) == search_path(point, base), point
+                    assert _conjugator(point) == find_path(point, base) == search_path(point, base), point
                     compared += 1
     assert compared == 5896
 
@@ -558,7 +564,7 @@ def test_letter_rule_lands_on_a_base_point():
         u = base_rotation(landing)
         assert u is not None, (point, landing)
         w = point.period
-        assert stabgen._conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
+        assert _conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
     assert len(points) == 3326
 
 
@@ -582,7 +588,7 @@ def test_conjugator_is_the_letter_rule_walk_then_the_arc_on_long_preperiods_and_
         w = point.period
         u = _rotation_by_search(landing)
         assert u is not None, (point, landing)
-        assert stabgen._conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
+        assert _conjugator(point) == walk + _shorter_arc(w, (w + w).find(u)), point
         longest = max(longest, len(point.preperiod))
     assert longest > 1_900
 
@@ -683,6 +689,87 @@ def _reference_verify(gens, samples, seed):
     return report
 
 
+def _whole_word_lines(gens, samples, seed):
+    """verify_generators' PASS/FAIL lines, from each whole word folded by the references of tests/oracles.py."""
+    point = gens.point
+    v, w, value = point.preperiod, point.period, point.value()
+    lines, moved = [], False
+    for k, word in enumerate(gens.generators, start=1):
+        fixed = naive_fixes(v, w, word)
+        moved |= not fixed
+        lines.append((f"generator {k} fixes {point} (sequence action)", fixed))
+        lines.append((f"generator {k} fixes {point} (map evaluation)", fraction_image(word, value) == value))
+    bad = 0
+    if moved:  # a sound set's products all fix the point, so verify draws none
+        pool = gens.generators + tuple(word[::-1].swapcase() for word in gens.generators)
+        rng = SplitMix64(seed)
+        for _ in range(samples):
+            product_word = "".join([pool[rng.below(len(pool))] for _ in range(1 + rng.below(MAX_FACTORS))])
+            bad += not naive_fixes(v, w, product_word)
+    lines.append((f"{samples} seeded random products (seed {seed}) fix {point}", bad == 0))
+    return lines
+
+
+def _mutated(rng, word):
+    """The word with one letter replaced, inserted or deleted at a seeded place."""
+    i = rng.below(len(word) + 1)
+    op = rng.below(3) if word else 1
+    if op == 1:
+        return word[:i] + rng.choice(LETTERS) + word[i:]
+    i = min(i, len(word) - 1)
+    if op == 0:
+        return word[:i] + rng.choice(LETTERS.replace(word[i], "")) + word[i + 1:]
+    return word[:i] + word[i + 1:]
+
+
+def test_verify_lines_match_folds_of_each_whole_word():
+    # verify folds the conjugator h once when every generator reads h m h^-1,
+    # and whole words otherwise; on every kind of set its lines must be those
+    # of the whole words folded letter by letter by the independent
+    # references.  Half the sets with a wrong conjugator field also have a
+    # mutated generator, so the lines fail on both ways through verify
+    rng = SplitMix64(97)
+    kinds = dict.fromkeys(
+        ("sound", "mutated", "squared fifth", "wrong conjugator", "empty conjugator", "conjugator over half a word", "random h m h^-1"),
+        0,
+    )
+    split = refused = failing = 0
+    for case in range(2800):
+        point = random_point(rng, 7, 5)
+        sound = stabilizer_generators(point)
+        h, generators = sound.conjugator, sound.generators
+        kind = tuple(kinds)[case % len(kinds)]
+        if kind == "squared fifth":
+            generators = generators[:-1] + (generators[-1] * 2,)
+        elif kind == "wrong conjugator":
+            h = _mutated(rng, h)
+        elif kind == "empty conjugator":
+            h = ""
+        elif kind == "conjugator over half a word":
+            word = generators[rng.below(len(generators))]
+            h = word[: len(word) // 2 + 1]
+        elif kind == "random h m h^-1":
+            h = random_word(rng, 10)
+            cores = [rng.choice((g, random_word(rng, 6))) for g in base_generator_words(point.period)]
+            generators = tuple(h + m + invert_word(h) for m in cores)
+        if kind == "mutated" or "conjugator" in kind and rng.below(2):
+            k = rng.below(len(generators))
+            generators = generators[:k] + (_mutated(rng, generators[k]),) + generators[k + 1:]
+        gens = StabilizerGens(point, h, generators, sound.period)
+        kinds[kind] += 1
+        samples, seed = 1 + rng.below(3), rng.below(1 << 16)
+        report = verify_generators(gens, samples, seed)
+        lines = [(c.name, c.passed) for c in report.checks[: 2 * len(generators) + 1]]
+        assert lines == _whole_word_lines(gens, samples, seed), (str(point), h, generators)
+        if stabgen._split_conjugator(gens)[0]:
+            split += 1
+        elif h:
+            refused += 1
+        failing += not all(passed for _, passed in lines)
+    assert min(kinds.values()) == 400, kinds
+    assert split >= 800 and refused >= 800 and failing >= 1000, (split, refused, failing)
+
+
 def test_verify_generators_matches_the_unmemoised_fold():
     cases = [stabilizer_generators(value_to_point(F(p, q))) for p, q in ((4, 15), (5, 6), (1, 3), (7, 24))]
     cases.append(stabilizer_generators(parse_point("0110(011)")))
@@ -744,23 +831,38 @@ def test_verify_draws_only_when_a_pool_word_moves_the_point(monkeypatch):
 
 
 def test_verify_folds_each_generator_once_and_inverts_none_of_a_sound_set(monkeypatch):
-    calls = {"fold": 0, "invert": 0}
-    fold, invert = stabgen._fold, stabgen.invert_word
+    # each oracle's kernel is called once, with the conjugator h as the prefix
+    # and the empty word and each generator's core as the tails; a sound set
+    # draws no product, so nothing but h is inverted, and nothing at all
+    # when there is no conjugator
+    calls = {"fold": [], "image_digits": [], "invert": []}
+    fold, image_digits, invert = stabgen._fold, stabgen._image_digits, stabgen.invert_word
 
-    def counted_fold(*args):
-        calls["fold"] += 1
-        return fold(*args)
+    def counted_fold(v, w, prefix, tails):
+        calls["fold"].append((prefix, tuple(tails)))
+        return fold(v, w, prefix, tails)
+
+    def counted_image_digits(prefix, tails, t):
+        calls["image_digits"].append((prefix, tuple(tails)))
+        return image_digits(prefix, tails, t)
 
     def counted_invert(word):
-        calls["invert"] += 1
+        calls["invert"].append(word)
         return invert(word)
 
     monkeypatch.setattr(stabgen, "_fold", counted_fold)
+    monkeypatch.setattr(stabgen, "_image_digits", counted_image_digits)
     monkeypatch.setattr(stabgen, "invert_word", counted_invert)
-    for gens in (stabilizer_generators(value_to_point(F(4, 15))), stabilizer_generators(ZERO_POINT)):
-        calls.update(fold=0, invert=0)
+    points = (value_to_point(F(4, 15)), parse_point("0110110110110110110(0011)"), ZERO_POINT)
+    for gens in map(stabilizer_generators, points):
+        h = gens.conjugator
+        for calls_of_one in calls.values():
+            calls_of_one.clear()
         assert verify_generators(gens, samples=MAX_SAMPLES).passed
-        assert calls == {"fold": len(gens.generators), "invert": 0}
+        cores = tuple(g[len(h) : len(g) - len(h)] for g in gens.generators)
+        tails = ("",) + cores if h else cores  # with no conjugator, each image is compared with the point
+        assert calls["fold"] == calls["image_digits"] == [(h, tails)]
+        assert calls["invert"] == ([h] if h else [])
 
 
 def test_verify_reports_are_reproducible():
