@@ -173,12 +173,23 @@ class RationalPoint:
         any other point builds its value from the bits.
         """
         kept = self.__dict__.get("_value")
+        return kept if kept is not None else Fraction(*self._ratio())
+
+    def _ratio(self) -> tuple[int, int]:
+        """A numerator and a denominator of value(), not reduced by their gcd.
+
+        The kept fraction's, or head (2^|w| - 1) + w and 2^|v| (2^|w| - 1),
+        v and w read as binary ints: the odd part of that denominator is
+        2^|w| - 1, and reducing the pair would take a gcd on ints of
+        |v| + |w| bits.
+        """
+        kept = self.__dict__.get("_value")
         if kept is not None:
-            return kept
+            return kept.numerator, kept.denominator
         v, w = self.preperiod, self.period
         top = (1 << len(w)) - 1
         head = int(v, 2) if v else 0
-        return Fraction(head * top + int(w, 2), (1 << len(v)) * top)
+        return head * top + int(w, 2), (1 << len(v)) * top
 
     def is_endpoint(self) -> bool:
         """True for the two globally fixed sequences 0^inf and 1^inf."""

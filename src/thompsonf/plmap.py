@@ -479,7 +479,7 @@ def evaluate_word(word: Word, t: Fraction | int) -> Fraction:
     num, den = fr.numerator, fr.denominator
     if num < 0 or num > den:
         raise ValueError(f"argument {fr} outside [0, 1]")
-    n, length = _image_digits("", (word,), fr)[0]
+    n, length = _image_digits("", (word,), (num, den))[0]
     return Fraction(n, den // (den & -den) << length)
 
 
@@ -491,8 +491,11 @@ _PAD = "1"  # the identity word, paired with the last letter of a word of odd le
 _Images = tuple[tuple[int, int], ...]  # per head, as an int with digit i at bit i: the length and digits of its image
 
 
-def _image_digits(prefix: Word, tails: Sequence[Word], t: Fraction) -> list[tuple[int, int]]:
+def _image_digits(prefix: Word, tails: Sequence[Word], t: tuple[int, int]) -> list[tuple[int, int]]:
     """N and L with N / (d 2^L) the image of t in [0, 1] under prefix + tail, for each tail in turn; d is the odd part of t's denominator.
+
+    t is a numerator and a denominator, in lowest terms or not: nothing
+    below needs them reduced, so a caller need not take their gcd.
 
     Each leaf pair of a letter map sends a standard dyadic interval onto
     another, so on binary digits it is a prefix rule: it replaces the
@@ -508,14 +511,14 @@ def _image_digits(prefix: Word, tails: Sequence[Word], t: Fraction) -> list[tupl
     last letter of the prefix is carried into each tail, to pair with its
     first.  The L digits held at the end of a tail and the rest of t's tail
     give N; the image keeps t's odd part d, so N / (d 2^L) is in lowest
-    terms but for powers of two.  0 and 1, which every element fixes, give
-    (t's numerator, 0) at once.
+    terms but for powers of two when t is.  0 and 1, which every element
+    fixes, give t's own numerator and power of two at once.
     """
-    num, den = t.numerator, t.denominator
-    if num == 0 or num == den:
-        return [(num, 0)] * len(tails)
-    pairs = _digit_tables()
+    num, den = t
     k = (den & -den).bit_length() - 1
+    if num == 0 or num == den:
+        return [(num, k)] * len(tails)
+    pairs = _digit_tables()
     d = den >> k
     q, r = divmod(num, d)
     backwards = format(q | 1 << k, "b")[:0:-1]  # the k digits of q, the last one first

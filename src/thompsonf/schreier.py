@@ -50,20 +50,53 @@ vertex of 4 or more letters the lemma rules out the last, and the plan
 leaves out the others: there every rule reads only the head, so a loop or a
 parallel edge is a _LOOP rule or a pair of twins on the head.  Hence every
 step's image at such a vertex is new, and only a vertex of at most 3
-letters looks its images up.  A ball's index holds its root and the images
-of its vertices of at most 4 letters.  They take in every vertex of at most
-3 letters, since a step changes the length of a longer preperiod by 1 at
-most, and every rotation, since a rule that reads past the preperiod leaves
-at most 3 letters.
+letters looks its images up.
+
+Corollary: call a vertex of 4 or more letters that a step found by
+lengthening its parent's preperiod a hanging root.  The letter back to the
+parent is the one edge of its head's component that shortens, and the
+plan leaves it out, with its twins.  So each step below the root keeps the
+length and moves the head along the component's tree, away from the
+root's head, or lengthens, to another such root.  No vertex below a
+hanging root shortens, looks up or reads past the root's first 3 letters:
+each is a prefix of 3 or more letters before the root's tail, the letters
+from its fourth on, and only its prefix's head picks its plan.  So
+generation k of the tree below the root, the prefixes of its vertices,
+their parents and their discovering slots, is fixed by the root's state,
+its discovering slot and head, whatever its tail and rotation.  Five
+states occur: x0 on 000 and on 001, x0^-1 on 110 and on 111, x1 on 100.
+The three of them that append a 0 or a 1 at the front grow chains of one
+vertex a generation; the other two grow by about 1.6 a generation.
+
+A ball grows a layer as runs in vertex order.  A run of single vertices is
+expanded one vertex at a time, as above; it holds the core, the vertices
+of at most 3 letters, and the root's way down.  A block is one generation
+of a hanging tree, and it appends its next generation to the new layer at
+once, from its state's template, with list operations only: the prefixes
+joined to the tail, the parents shifted by the generation's start, the
+rotation repeated, the slots, and the x0 and x1 quads of the generation as
+offsets added to the starts of three generations.  A single vertex that
+finds a hanging root starts a block.  The templates are derived from
+_PLANS on first use, never at import, one generation at a time, and kept
+while a generation holds at most _GENERATION_BOUND entries.  Past it, the
+block goes on as a run of single vertices that starts no blocks: a tree
+that grows keeps no generation past the bound, and a chain one entry for
+each generation of the deepest ball.  A ball's index holds its root and the images of
+its single vertices of at most 4 letters, and nothing of a block.  They
+take in every vertex of at most 3 letters, since a step changes the length
+of a longer preperiod by 1 at most and no block shortens, and every
+rotation, since a rule that reads past the preperiod leaves at most 3
+letters.
 
 A ball's tree also records the x0 and x1 edges of every vertex it expands,
 as four ints in one flat list: source, x0 target, source, x1 target, the
 labels implied by the place.  Only the boundary layer, the vertices at the
-full radius, has its images computed afterwards, from the same plans, into a
-second flat list of (source, label, target) triples, and a boundary vertex
-of 4 or more letters none: its only edges inside the ball go to its parent
-and to itself.  A ball's tuple of RationalPoint vertices is built on first
-access, with each rotation's period text built once.  The exports write
+full radius, has its images computed afterwards, from the same plans and
+templates, into a second flat list of (source, label, target) triples, and
+a boundary vertex of 4 or more letters none: its only edges inside the
+ball go to its parent and to itself.  A ball's tuple of RationalPoint
+vertices is built on first access, with each rotation's period text built
+once.  The exports write
 their text from the preperiods, the rotation texts and the two edge lists
 without it: write_json and write_dot hand their text to a write function
 in pieces of at most _CHUNK vertices or edge records, so a ball's text is
@@ -93,8 +126,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import cache, cached_property
-from itertools import islice
-from operator import add
+from itertools import islice, repeat
+from operator import add, itemgetter
 
 from .cantor import _HEADS, _LOOP, _SLOT, RationalPoint, _absorb, _step, act_word, canonicalize, primitive_root
 from .report import Check, Report
@@ -154,6 +187,76 @@ def _plan(found_by: int, head: str) -> _Plan:
 _PLANS = tuple({head: _plan(found_by, head) for head in _HEADS} for found_by in (*range(len(BFS_LETTERS)), -1))
 
 
+_GENERATION_BOUND = 4096  # most entries of a generation of a hanging tree that is kept as a template
+_TREES: list = [None, {}]  # the bound the generations were derived under, and those of each state of a hanging root
+
+_Generation = tuple[list[str], list[int], list[int], list[int], Callable | None, list, Callable | None]
+
+
+def _tree(found_by: int, head: str) -> list[_Generation | None]:
+    """The generations derived so far of the tree that hangs from a root with this discovering slot and head.
+
+    A generation is (prefixes, parents, slots, quads, pick, triples,
+    pick).  Entry j is the vertex prefixes[j] + tail, tail the root's
+    preperiod past its head, found from entry parents[j] of the generation
+    before by the letter in slots[j]; generation 0 is the root, whose one
+    entry has parent 0, the root's own parent.  quads are the x0 and x1
+    quads of the generation before, as offsets, and pick, an itemgetter,
+    takes the base of each offset from the starts of the generations two
+    before, one before and this one.  triples are this generation's
+    boundary triples, its edges to the parent and to the entry itself, and
+    their pick takes from the start of the generation before, this one's
+    start and "", which a label takes.  The generations are derived from
+    _PLANS on first use, by _derive, and again when _GENERATION_BOUND is
+    changed.
+    """
+    bound, trees = _TREES
+    if bound != _GENERATION_BOUND:
+        _TREES[:] = bound, trees = _GENERATION_BOUND, {}
+    generations = trees.get((found_by, head))
+    if generations is None:
+        generations = trees[found_by, head] = [([head], [0], [found_by], [], None, *_triples([head], [0], [found_by]))]
+    return generations
+
+
+def _derive(generations: list[_Generation | None]) -> None:
+    """Append the generation after the last one of a hanging tree, or None when it holds more than _GENERATION_BOUND entries."""
+    prefixes, parents, slots = generations[-1][:3]
+    nxt, up, by, quads, bases = [], [], [], [], []
+    for j, (p, s) in enumerate(zip(prefixes, slots)):
+        steps, where = _PLANS[s][p[:3]]
+        images = [(0, parents[j]), (1, j), *((2, len(nxt) + e) for e in range(len(steps)))]
+        for t, n, rhs in steps:
+            nxt.append(rhs + p[n:])
+            up.append(j)
+            by.append(t)
+        (b0, x0), (b1, x1) = images[where[0]], images[where[2]]  # x0 and x1 are the first and the third of BFS_LETTERS
+        quads += (j, x0, j, x1)
+        bases += (1, b0, 1, b1)
+    fits = len(nxt) <= _GENERATION_BOUND
+    generations.append((nxt, up, by, quads, _picker(bases), *_triples(nxt, up, by)) if fits else None)
+
+
+def _triples(prefixes: list[str], parents: list[int], slots: list[int]) -> tuple[list, Callable | None]:
+    """The boundary triples of a generation's entries, their edges to the parent and to themselves: offsets and pick."""
+    triples: list[int | str] = []
+    bases: list[int] = []
+    for j, (p, s) in enumerate(zip(prefixes, slots)):
+        where = _PLANS[s][p[:3]][1]
+        images = ((0, parents[j]), (1, j))
+        for label, x in (("x0", where[0]), ("x1", where[2])):
+            if x in (_PARENT, _SELF):
+                base, offset = images[x]
+                triples += (j, label, offset)
+                bases += (1, 2, base)
+    return triples, _picker(bases)
+
+
+def _picker(bases: list[int]) -> Callable | None:
+    """The itemgetter of these places, None for none; a generation has no entry or at least three places."""
+    return itemgetter(*bases) if bases else None
+
+
 class BallCapacityError(RuntimeError):
     """A ball reached its vertex cap; vertices is the number it held, and radius the depth it had completed."""
 
@@ -179,9 +282,14 @@ class SchreierBall:
     once.  Vertex i is the preperiod pre[i] followed by
     (W[rot[i]:] + W[:rot[i]])^inf, vertices are numbered in discovery
     order, and index[r][v] is the number of the vertex with preperiod v and
-    rotation r, for the root and the images of vertices of at most 4
-    letters, which take in every vertex that a lookup can find.
-    pre[starts[d]:starts[d + 1]] is the layer at depth d.  parent[i] is the
+    rotation r, for the root and the images of single vertices of at most
+    4 letters, which take in every vertex that a lookup can find.
+    pre[starts[d]:starts[d + 1]] is the layer at depth d, and runs the
+    outermost layer in vertex order, as runs of single vertices,
+    (first, end, whether a hanging root found there starts a block), and
+    blocks, (the generations of the tree's state, k, the start of
+    generation k - 1, or the root's parent for k = 0, the start of
+    generation k, tail, rotation).  parent[i] is the
     number of the vertex that discovered vertex i and slot[i] the place in
     BFS_LETTERS of the letter it took, both -1 for the root.  Growing
     expands the outermost layer in vertex order, letters in BFS_LETTERS
@@ -213,6 +321,7 @@ class SchreierBall:
         self.edges: list[int] = []
         self.boundary: list[int | str] = []
         self.starts = [0, 1]
+        self.runs: list[tuple] = [(0, 1, True)]
 
     @property
     def depth(self) -> int:
@@ -225,63 +334,108 @@ class SchreierBall:
     def grow(self, limit: int) -> bool:
         """Add the next layer; False, and no layer, when it would hold more than limit vertices in all.
 
-        Each vertex applies only the steps of its plan.  By the module's
+        A block appends its tree's next generation from the template, or,
+        past the bound, is expanded as a run of single vertices.  Each
+        single vertex applies only the steps of its plan.  By the module's
         lemma no cycle passes through a vertex of 4 or more letters, so each
         of its steps gives a new vertex, with no lookup, indexed only when
         the vertex has exactly 4 letters.  A vertex of at most 3 letters
-        looks all its images up, and indexes the new ones.  The cap is
-        checked before each new vertex.  The images of a vertex are kept
-        after its parent and itself, and the plan's where gives the places
-        of x0 and x1 among them.
+        looks all its images up, and indexes the new ones.  A step that
+        lengthens to 4 or more letters from a run that may start blocks
+        finds a hanging root, which starts one.  The cap is checked before
+        each new single vertex and each generation; where it trips inside
+        a generation, pre holds what a ball grown one vertex at a time
+        would, limit vertices.  The images of a vertex are kept after its
+        parent and itself, and the plan's where gives the places of x0 and
+        x1 among them.
         """
         # cantor._step is inlined here and in ball's boundary pass: calling it per
         # image made 40 seeded radius-13 balls 31% and 12% slower (2-vCPU Xeon, Python 3.11)
         pre, rot, index, parent, slot, edges = self.pre, self.rot, self.index, self.parent, self.slot, self.edges
         period, ahead, m = self.period, self.ahead, len(self.period)
         count = len(pre)
-        for i in range(self.starts[-2], self.starts[-1]):
-            v = pre[i]
-            r = rot[i]
-            own = index[r]
-            nv = len(v)
-            steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
-            if nv > 3:  # every rule rewrites inside the preperiod, and every image is new
-                first = count
-                for s, n, rhs in steps:
-                    if count >= limit:
+        runs: list[tuple] = []  # the runs of the new layer
+        for run in self.runs:
+            if len(run) > 3:  # generation k of a hanging tree, from first on, that of k - 1 from before on
+                generations, k, before, first, tail, r = run
+                k += 1
+                if k == len(generations):
+                    _derive(generations)
+                generation = generations[k]
+                if generation is not None:
+                    prefixes, parents, slots, quads, pick, _, _ = generation
+                    n = len(prefixes)
+                    if count + n > limit:  # the refused ball is dropped: hold as many vertices as one at a time would
+                        pre += [p + tail for p in prefixes[: limit - count]]
                         return False
-                    u = rhs + v[n:]
-                    if nv == 4:
-                        own[u] = count
-                    count += 1
-                    pre.append(u)
-                    rot.append(r)
-                    parent.append(i)
-                    slot.append(s)
-                # a root's plan has at most 4 steps
-                images = (parent[i], i, first, first + 1, first + 2, first + 3)
-            else:
-                images = [parent[i], i]
-                for s, n, rhs in steps:
-                    if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
-                        u, q, at = rhs + v[n:], r, own
-                    else:  # the rule reads n - nv letters of the period
-                        u, q = _absorb(rhs, (r + n - nv) % m, period)
-                        at = index.setdefault(q, {})
-                    j = at.get(u)
-                    if j is None:
+                    pre += [p + tail for p in prefixes]
+                    rot += [r] * n
+                    parent += map(add, parents, repeat(first))
+                    slot += slots
+                    edges += map(add, quads, pick((before, first, count)))
+                    if n:
+                        runs.append((generations, k, first, count, tail, r))
+                    count += n
+                    continue
+                run = (first, first + len(generations[k - 1][0]), False)  # past the bound: vertex by vertex
+            begin, end, roots = run
+            single = count  # the first vertex of the open run of single vertices of the new layer
+            for i in range(begin, end):
+                v = pre[i]
+                r = rot[i]
+                own = index[r]
+                nv = len(v)
+                steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
+                if nv > 3:  # every rule rewrites inside the preperiod, and every image is new
+                    first = count
+                    for s, n, rhs in steps:
                         if count >= limit:
                             return False
-                        j = at[u] = count
+                        u = rhs + v[n:]
+                        if nv == 4:
+                            own[u] = count
+                        if roots and len(rhs) > n:  # a hanging root
+                            if single < count:
+                                runs.append((single, count, roots))
+                            runs.append((_tree(s, u[:3]), 0, i, count, u[3:], r))
+                            single = count + 1
                         count += 1
                         pre.append(u)
-                        rot.append(q)
+                        rot.append(r)
                         parent.append(i)
                         slot.append(s)
-                    images.append(j)
-            # x0 and x1 are the first and the third of BFS_LETTERS
-            edges += (i, images[where[0]], i, images[where[2]])
+                    # a root's plan has at most 4 steps
+                    images = (parent[i], i, first, first + 1, first + 2, first + 3)
+                else:
+                    images = [parent[i], i]
+                    for s, n, rhs in steps:
+                        if n < nv:  # the rule keeps the preperiod's last letter: canonical as it stands
+                            u, q, at = rhs + v[n:], r, own
+                        else:  # the rule reads n - nv letters of the period
+                            u, q = _absorb(rhs, (r + n - nv) % m, period)
+                            at = index.setdefault(q, {})
+                        j = at.get(u)
+                        if j is None:
+                            if count >= limit:
+                                return False
+                            j = at[u] = count
+                            if len(u) > 3:  # a hanging root, found by a step from 3 letters to 4
+                                if single < count:
+                                    runs.append((single, count, roots))
+                                runs.append((_tree(s, u[:3]), 0, i, count, u[3:], q))
+                                single = count + 1
+                            count += 1
+                            pre.append(u)
+                            rot.append(q)
+                            parent.append(i)
+                            slot.append(s)
+                        images.append(j)
+                # x0 and x1 are the first and the third of BFS_LETTERS
+                edges += (i, images[where[0]], i, images[where[2]])
+            if single < count:
+                runs.append((single, count, roots))
         self.starts.append(count)
+        self.runs = runs
         return True
 
     def periods(self) -> dict[int, str]:
@@ -315,8 +469,9 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
     exactly one outgoing x0 edge and one outgoing x1 edge.  The BFS tree
     gives those of the vertices it expanded, as four ints each in edges;
     only the boundary layer, the vertices at the full radius, has its images
-    computed here, and its edges go to boundary as flat triples.  Each of its
-    vertices reads its plan once for both letters, and only an image that
+    computed here, and its edges go to boundary as flat triples.  A block
+    adds those of its generation from its template.  Each single vertex
+    reads its plan once for both letters, and only an image that
     the plan gives as a step is looked up; the parent and, by a _LOOP rule,
     the vertex itself are not.  A vertex of 4 or more letters computes no
     image: by the module's lemma each step's image is new, so outside the
@@ -335,24 +490,31 @@ def ball(seed: RationalPoint, radius: int, vertex_cap: int = 100_000) -> Schreie
             raise BallCapacityError(vertex_cap, len(b), b.depth)
     pre, rot, index, parent, slot, edges = b.pre, b.rot, b.index, b.parent, b.slot, b.boundary
     period, ahead, m = b.period, b.ahead, len(b.period)
-    for i in range(b.starts[-2], len(pre)):
-        v = pre[i]
-        r = rot[i]
-        nv = len(v)
-        steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
-        if nv > 3:  # each step's image is new, so outside the ball; a root's plan has at most 4 steps
-            images = (parent[i], i, None, None, None, None)
-        else:
-            images = [parent[i], i]
-            for _, n, rhs in steps:
-                u, q = (rhs + v[n:], r) if n < nv else _absorb(rhs, (r + n - nv) % m, period)
-                images.append(index[q].get(u) if q in index else None)
-        j = images[where[0]]
-        if j is not None:
-            edges += (i, "x0", j)
-        j = images[where[2]]
-        if j is not None:
-            edges += (i, "x1", j)
+    for run in b.runs:
+        if len(run) > 3:  # a generation of a hanging tree: its triples are in its template
+            generations, k, before, first = run[:4]
+            triples, pick = generations[k][5:]
+            if triples:
+                edges += map(add, triples, pick((before, first, "")))
+            continue
+        for i in range(run[0], run[1]):
+            v = pre[i]
+            r = rot[i]
+            nv = len(v)
+            steps, where = _PLANS[slot[i]][v[:3] if nv > 2 else (v + ahead[r : r + 3])[:3]]
+            if nv > 3:  # each step's image is new, so outside the ball; a root's plan has at most 4 steps
+                images = (parent[i], i, None, None, None, None)
+            else:
+                images = [parent[i], i]
+                for _, n, rhs in steps:
+                    u, q = (rhs + v[n:], r) if n < nv else _absorb(rhs, (r + n - nv) % m, period)
+                    images.append(index[q].get(u) if q in index else None)
+            j = images[where[0]]
+            if j is not None:
+                edges += (i, "x0", j)
+            j = images[where[2]]
+            if j is not None:
+                edges += (i, "x1", j)
     return b
 
 

@@ -34,7 +34,9 @@ plmap._image_digits, with tables derived from the prefix rules of the
 letter maps themselves, over its dyadic digits and a tail r/d.  So the two
 oracles share no table.  Two images N / (d 2^L) and N' / (d 2^L') that
 _image_digits returns for one value, d odd, are equal when
-N 2^L' = N' 2^L, which compares by shifts and builds no Fraction.
+N 2^L' = N' 2^L, which compares by shifts and builds no Fraction.  Since
+that only needs both images to share d, the value goes in as the point's
+unreduced pair, RationalPoint._ratio, and no gcd is taken either.
 
 The suites that do not depend on a point, check_reduction,
 check_twin_points, check_stabilizer_relators and the index identities of
@@ -277,7 +279,7 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     text = str(point)
     report = Report(f"stabilizer generators for {text}")
     start = point.preperiod, point.period
-    value = point.value()
+    num, den = value = point._ratio()
     h, cores = _split_conjugator(gens)
     tails = ("", *cores) if h else cores
     images = _fold(*start, h, tails)
@@ -285,8 +287,7 @@ def verify_generators(gens: StabilizerGens, samples: int = 100, seed: int = 1) -
     if h:  # p h m is compared with p h, the image under the empty tail
         reference, (n0, length0) = images.pop(0), values.pop(0)
     else:  # each image is compared with the point itself, value = n0 / (d 2^length0) for d odd
-        den = value.denominator
-        reference, (n0, length0) = start, (value.numerator, (den & -den).bit_length() - 1)
+        reference, (n0, length0) = start, (num, (den & -den).bit_length() - 1)
     for k, (image, (n, length)) in enumerate(zip(images, values), start=1):
         report.add(f"generator {k} fixes {text} (sequence action)", image == reference)
         report.add(f"generator {k} fixes {text} (map evaluation)", n << length0 == n0 << length)

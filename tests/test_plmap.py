@@ -184,7 +184,8 @@ def test_image_digits_of_a_prefix_and_tails_match_each_whole_word():
     # _image_digits folds the prefix once and each tail from a copy of its
     # state, with an odd last letter of the prefix carried into each tail;
     # every image must be that of the whole word, folded letter by letter
-    # on Fractions, also where the prefix drains the window into t's tail
+    # on Fractions, also where the prefix drains the window into t's tail,
+    # and with t given in lowest terms or not
     rng = SplitMix64(103)
     kinds = dict.fromkeys(("odd prefix", "even prefix", "empty prefix", "empty tail", "long prefix", "endpoint"), 0)
     for case in range(2000):
@@ -199,10 +200,12 @@ def test_image_digits_of_a_prefix_and_tails_match_each_whole_word():
             prefix = random_word(rng, 12)
         tails = [random_word(rng, 8) if rng.below(4) else "" for _ in range(1 + rng.below(4))]
         tails.append(tails[0])
-        den = t.denominator
+        c = (1, 3, 4, 21)[case % 4]  # t in lowest terms, or not: by an odd factor, a power of two or both
+        den = t.denominator * c
         odd = den // (den & -den)
         expected = [fraction_image(prefix + tail, t) for tail in tails]
-        assert [F(n, odd << length) for n, length in plmap._image_digits(prefix, tails, t)] == expected, (t, prefix, tails)
+        images = plmap._image_digits(prefix, tails, (t.numerator * c, den))
+        assert [F(n, odd << length) for n, length in images] == expected, (t, c, prefix, tails)
         kinds["empty prefix" if not prefix else "odd prefix" if len(prefix) % 2 else "even prefix"] += 1
         kinds["empty tail"] += "" in tails
         kinds["long prefix"] += len(prefix) > 32

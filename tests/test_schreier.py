@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -48,6 +50,7 @@ from thompsonf.rng import SplitMix64
 from thompsonf.words import LETTERS, address_word, period_loop_word, stabilizer_period_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Vertex counts frozen from the raw rule-application oracle (see oracles.py).
 BALL_SIZES = {
@@ -233,6 +236,58 @@ def test_on_four_or_more_letters_the_length_keeping_letters_split_the_heads_into
     assert lowering == {("000", "00"), ("001", "01"), ("100", "10"), ("110", "10"), ("111", "11")}
 
 
+def test_a_tree_that_hangs_from_a_lengthening_step_never_shortens_up_to_the_bound():
+    # The corollary that lets a ball append a hanging tree a generation at a time, read off the plans: a
+    # step that lengthens a preperiod of 3 or more letters leads to one of five states (discovering slot,
+    # head).  Closed under the plans' steps, which read the head only, those states hold no step that
+    # shortens, so every vertex below such a root is a prefix of 3 or more letters before the root's
+    # tail, and every generation is fixed by the root's state.  Walked generation by generation up to the
+    # bound, no step shortens either, and the walk is the templates that balls append.
+    roots = {(s, (rhs + head[n:])[:3]) for plans in _PLANS for head, (steps, _) in plans.items() for s, n, rhs in steps if len(rhs) > n}
+    assert roots == {(0, "000"), (0, "001"), (1, "110"), (1, "111"), (2, "100")}
+    states, todo = set(), list(roots)
+    while todo:
+        state = todo.pop()
+        if state not in states:
+            states.add(state)
+            found_by, head = state
+            for s, n, rhs in _PLANS[found_by][head][0]:
+                assert len(rhs) >= n, (state, s)
+                todo.append((s, (rhs + head[n:])[:3]))
+    assert len(states) == 8
+    for found_by, head in sorted(roots):
+        generations = schreier._tree(found_by, head)
+        level = [(head, 0, found_by)]  # the prefix, parent and discovering slot of each entry
+        for k in range(40):
+            if k == len(generations):
+                schreier._derive(generations)
+            if generations[k] is None:
+                assert len(level) > schreier._GENERATION_BOUND
+                break
+            assert list(zip(*generations[k][:3])) == level, (found_by, head, k)
+            steps = [(p, j, _PLANS[s][p[:3]][0]) for j, (p, _, s) in enumerate(level)]
+            assert all(len(rhs) >= n for _, _, plan in steps for _, n, rhs in plan)
+            level = [(rhs + p[n:], j, s) for p, j, plan in steps for s, n, rhs in plan]
+        else:  # a chain of one entry a generation
+            assert len(level) == 1
+
+
+def test_a_radius_24_ball_keeps_no_generation_past_the_bound(monkeypatch):
+    # nothing is derived at import; a large ball keeps each tree's generations up to the first that
+    # holds more than _GENERATION_BOUND entries, and those of the three chains of one entry a generation
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from thompsonf import cli, schreier; print(schreier._TREES)"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[None, {}]\n", "")
+    monkeypatch.setattr(schreier, "_TREES", [None, {}])
+    assert len(ball(parse_point("10(011)"), 24, 1_000_000)) == 907_056
+    bound, trees = schreier._TREES
+    kept = {state: [len(g[0]) for g in generations if g is not None] for state, generations in trees.items()}
+    assert bound == schreier._GENERATION_BOUND and all(max(sizes) <= bound for sizes in kept.values())
+    assert sorted(generations[-1] is None for generations in trees.values()) == [False, False, False, True, True]
+    assert all(len(sizes) <= 25 for sizes in kept.values())  # no generation below the radius
+    assert sum(map(sum, kept.values())) == 13_542  # of at most 5 * 25 * bound
+
+
 def _reference_bfs(seed, radius, hits=None):
     """Plain BFS over the public act_letter: vertices, parents, distances, and
     the slot (0-3 in BFS_LETTERS) of the letter that discovered each vertex.
@@ -303,33 +358,47 @@ def test_ball_edges_match_the_letter_action_on_every_vertex():
             _assert_ball_matches_reference(seed, radius)
     # the self-loops of an endpoint are edges of its boundary layer at radius 0
     assert ball_views(ball(ZERO_POINT, 0))[2] == ball_views(ball(ONE_POINT, 3))[2] == ((0, "x0", 0), (0, "x1", 0))
-    for radius, seed in zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")):
+    for radius, seed in WIDE_SEEDS:
         _assert_ball_matches_reference(parse_point(seed), radius)
 
 
+# balls of radius 8 to 12, whose hanging trees grow for several generations
+WIDE_SEEDS = tuple(zip(range(8, 13), ("0110(011)", "10101(01101)", "(0100)", "001(0110)", "1(10)")))
+# Roots of 5 to 8 letters, periods of 5, 6 and 50 letters, both tails of a dyadic point and the endpoints
+LONG_PERIOD = "(" + "".join(str(bin(k).count("1") % 2) for k in range(50)) + ")"
+LONG_SEEDS = (
+    "10110(01)",
+    "011010(0011)",
+    "1100100(011)",
+    "10010110(001)",
+    "(01101)",
+    "0(001011)",
+    "1(01101)",
+    LONG_PERIOD,
+    "10" + LONG_PERIOD,
+    "1110(1)",
+    "1(0)",
+    "(0)",
+    "(1)",
+)
+# Every canonical point with a preperiod and a period of at most 4 letters
+SHORT_SEEDS = sorted(
+    {
+        canonicalize("".join(v), "".join(w))
+        for nv in range(5)
+        for nw in range(1, 5)
+        for v in product("01", repeat=nv)
+        for w in product("01", repeat=nw)
+    },
+    key=str,
+)
+
+
 def test_ball_matches_the_reference_on_long_preperiods_long_periods_dyadic_points_and_endpoints():
-    # Roots of 5 to 8 letters, periods of 5, 6 and 50 letters, both tails of a
-    # dyadic point and the endpoints: every skipped lookup is checked against
-    # the reference's full one
-    long_period = "(" + "".join(str(bin(k).count("1") % 2) for k in range(50)) + ")"
-    seeds = [
-        "10110(01)",
-        "011010(0011)",
-        "1100100(011)",
-        "10010110(001)",
-        "(01101)",
-        "0(001011)",
-        "1(01101)",
-        long_period,
-        "10" + long_period,
-        "1110(1)",
-        "1(0)",
-        "(0)",
-        "(1)",
-    ]
-    points = [parse_point(seed) for seed in seeds]
+    # every skipped lookup is checked against the reference's full one
+    points = [parse_point(seed) for seed in LONG_SEEDS]
     assert [len(p.preperiod) for p in points[:4]] == [5, 6, 7, 8]
-    assert len(points[7].period) == 50 and str(points[7]) == long_period
+    assert len(points[7].period) == 50 and str(points[7]) == LONG_PERIOD
     hits = []
     for point in points:
         for radius in (5, 8):
@@ -338,19 +407,32 @@ def test_ball_matches_the_reference_on_long_preperiods_long_periods_dyadic_point
 
 
 def test_ball_matches_the_reference_on_every_short_point():
-    # Every canonical point with a preperiod and a period of at most 4
-    # letters, so every vertex is reached both through the inline rule and
-    # through a rotation, and expanded with the letter back to its parent skipped.
-    seeds = {
-        canonicalize("".join(v), "".join(w))
-        for nv in range(5)
-        for nw in range(1, 5)
-        for v in product("01", repeat=nv)
-        for w in product("01", repeat=nw)
-    }
-    assert ZERO_POINT in seeds and ONE_POINT in seeds and len(seeds) == 352
-    for seed in sorted(seeds, key=str):
+    # every vertex is reached both through the inline rule and through a
+    # rotation, and expanded with the letter back to its parent skipped
+    assert ZERO_POINT in SHORT_SEEDS and ONE_POINT in SHORT_SEEDS and len(SHORT_SEEDS) == 352
+    for seed in SHORT_SEEDS:
         _assert_ball_matches_reference(seed, 4)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 8])
+def test_ball_matches_the_reference_when_hanging_trees_go_on_vertex_by_vertex_past_small_bounds(monkeypatch, bound):
+    # With at most 0, 1 or 8 entries kept a generation, a hanging tree goes on one vertex at a time from
+    # its root, after its first generation or after a few: the balls are those of the reference all the same
+    monkeypatch.setattr(schreier, "_GENERATION_BOUND", bound)
+    for radius, seed in WIDE_SEEDS:
+        _assert_ball_matches_reference(parse_point(seed), radius)
+    for seed in LONG_SEEDS:
+        for radius in (5, 8):
+            _assert_ball_matches_reference(parse_point(seed), radius)
+    for seed in SHORT_SEEDS:
+        _assert_ball_matches_reference(seed, 4)
+    kept, trees = schreier._TREES
+    assert kept == bound and len(trees) == 5
+    lengths = sorted((len(generations), generations[-1] is None) for generations in trees.values())
+    if bound == 0:  # every tree goes on vertex by vertex from its root
+        assert lengths == [(2, True)] * 5
+    else:  # two trees outgrow the bound; the three chains of one entry a generation never do
+        assert [stopped for _, stopped in lengths] == [True, True, False, False, False] and lengths[-1][0] > 10
 
 
 def test_ball_views_are_built_once():
@@ -532,6 +614,24 @@ def test_caps_that_trip_inside_a_layer_of_long_preperiods_pin_what_was_held():
         with pytest.raises(BallCapacityError) as err:
             ball(seed, 10, vertex_cap=cap)
         assert (err.value.vertices, err.value.radius) == (cap, 9)
+
+
+def test_caps_that_trip_inside_a_generation_of_a_hanging_tree_pin_what_was_held(monkeypatch):
+    # A ball appends a generation of a hanging tree at once; where the cap trips inside one, the
+    # ball holds what a ball grown one vertex at a time holds, as the figures above pin them
+    seed = parse_point("0110(011)")
+    for radius, caps in ((10, (648, 804)), (11, (1000,))):  # the first vertex past each cap is in a generation
+        blocks = [run for run in ball(seed, radius).runs if len(run) > 3]
+        for cap in caps:
+            assert any(first <= cap < first + len(trees[k][0]) for trees, k, _, first, _, _ in blocks), cap
+    default, figures = schreier._GENERATION_BOUND, {}
+    for bound in (default, 0):  # in blocks, and one vertex at a time
+        monkeypatch.setattr(schreier, "_GENERATION_BOUND", bound)
+        for cap, radius in ((1000, 13), (804, 10), (648, 10), (491, 10), (2, 10)):
+            with pytest.raises(BallCapacityError) as err:
+                ball(seed, radius, vertex_cap=cap)
+            figures.setdefault(bound, []).append((err.value.cap, err.value.vertices, err.value.radius))
+    assert figures[default] == figures[0] == [(1000, 1000, 10), (804, 804, 9), (648, 648, 9), (491, 491, 9), (2, 2, 0)]
 
 
 def test_find_path_bounded_by_radius_says_the_radius():
